@@ -1,9 +1,10 @@
 """Command-line driver: synthetic data generation, decomposition,
 mixture learning, baselines, and experiment-table reproduction.
 
-Exit codes: 0 success, 2 invalid flags or infeasible rank, 3 missing
-tensor entry, 4 degenerate spectrum.  Every command is deterministic
-given its flags and seed.
+Exit codes: 0 success, 1 other pipeline errors (such as a malformed
+tensor file), 2 invalid flags or infeasible rank, 3 missing tensor
+entry, 4 degenerate spectrum.  Every command is deterministic given its
+flags and seed.
 """
 
 from __future__ import annotations

@@ -126,12 +126,16 @@ class Decomposition:
     diagnostics: dict
 
 
-def _tail_design(tails: np.ndarray, J3: list[tuple[int, ...]]) -> np.ndarray:
-    """W[row, i] = product of tail entries of component i over a J3 tuple."""
-    W = np.empty((len(J3), tails.shape[0]), dtype=complex)
-    for gi, gamma in enumerate(J3):
-        W[gi, :] = np.prod(tails[:, [g - 1 for g in gamma]], axis=1)
-    return W
+def _tail_blocks(
+    T: IncompleteSymmetricTensor, tails: np.ndarray, params: DecompositionParams
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], np.ndarray]:
+    """Head monomials J1, tail monomials J2, and the tail design
+    W[row, i] = product of tail entries of component i over J2[row]."""
+    k, p = params.k, params.p
+    J1 = subsets_lex(1, k, p)
+    J2 = subsets_lex(k + 1, T.d - 1, T.m - p - 1)
+    W = np.prod(tails[:, np.array(J2) - (k + 1)], axis=2).T
+    return J1, J2, W
 
 
 def solve_tail_products(
@@ -139,12 +143,7 @@ def solve_tail_products(
 ) -> np.ndarray:
     """Coefficient vectors gamma_i over the head monomial set J1, from one
     least squares per J1 row against the tail design."""
-    n, m = T.d - 1, T.m
-    k, p = params.k, params.p
-    J1 = subsets_lex(1, k, p)
-    J2 = subsets_lex(k + 1, n, m - p - 1)
-    J3 = [tuple(s - k for s in g) for g in J2]
-    W = _tail_design(tails, J3)
+    J1, J2, W = _tail_blocks(T, tails, params)
     if np.linalg.matrix_rank(W) < params.r:
         raise TailsDegenerate("tail design matrix is rank-deficient")
     B = block_matrix(T, J1, J2, pad_with_zero_label=True)
@@ -162,26 +161,19 @@ def solve_heads(
     """Head coordinates: for each head label j, a joint least squares in
     the r unknowns (v_i)_j with design columns gamma_i|_{J1 without j}
     outer the tail design."""
-    n, m = T.d - 1, T.m
     k, p, r = params.k, params.p, params.r
-    J1 = subsets_lex(1, k, p)
-    J2 = subsets_lex(k + 1, n, m - p - 1)
-    J3 = [tuple(s - k for s in g) for g in J2]
-    W = _tail_design(tails, J3)
+    J1, J2, W = _tail_blocks(T, tails, params)
     heads = np.empty((r, k), dtype=complex)
     for j in range(1, k + 1):
-        rows = [beta for beta in J1 if j not in beta]
-        if not rows:
+        row_idx = [i for i, beta in enumerate(J1) if j not in beta]
+        if not row_idx:
             raise HeadsDegenerate(
                 f"no head monomials avoid label {j} (k={k}, p={p})"
             )
-        row_idx = [J1.index(beta) for beta in rows]
         B = block_matrix(
-            T, [(j,) + beta for beta in rows], J2, pad_with_zero_label=False
+            T, [(j,) + J1[i] for i in row_idx], J2, pad_with_zero_label=False
         )
-        design = np.empty((len(rows) * len(J2), r), dtype=complex)
-        for i in range(r):
-            design[:, i] = np.outer(gammas[row_idx, i], W[:, i]).ravel()
+        design = (gammas[row_idx][:, None, :] * W[None, :, :]).reshape(-1, r)
         report = lstsq(design, B.ravel())
         if report.rank < r:
             raise HeadsDegenerate(f"head design rank-deficient at label {j}")
@@ -201,10 +193,8 @@ def solve_scales(
     full = np.concatenate(
         [np.ones((r, 1), dtype=complex), heads, tails], axis=1
     )
-    keys = T.keys()
-    key_arr = np.asarray(keys, dtype=int)
-    design = np.prod(full[:, key_arr], axis=2).T  # (n_keys, r)
-    b = np.array([T.entries[kk] for kk in keys])
+    design = np.prod(full[:, T.key_array], axis=2).T  # (n_keys, r)
+    b = T.values
     # Columns scale like u_i^m and spread over many orders of magnitude
     # when a component's leading coordinate is small; equilibrate so the
     # rank test and the solve see a well-scaled system.
@@ -245,35 +235,22 @@ def decompose(
     return Decomposition(components=components, diagnostics=diagnostics)
 
 
-def reconstruct(
-    components: np.ndarray, m: int, keys
-) -> IncompleteSymmetricTensor:
-    return from_components(ComponentList(components), m, list(keys))
-
-
 def decomp_err(T: IncompleteSymmetricTensor, components: np.ndarray) -> float:
     """Relative reconstruction error over the stored keys."""
-    keys = T.keys()
-    rec = reconstruct(components, T.m, keys)
-    diff = IncompleteSymmetricTensor(
-        T.d, T.m, {kk: T.entries[kk] - rec.entries[kk] for kk in keys}
-    )
+    keys = T.key_array
+    rec = from_components(ComponentList(components), T.m, keys)
+    diff = T.with_values(T.values - rec.values)
     denom = omega_norm(T, keys)
     if denom == 0:
         return omega_norm(diff, keys)
     return omega_norm(diff, keys) / denom
 
 
-def _omega_values(T: IncompleteSymmetricTensor, keys) -> np.ndarray:
-    return np.array([T.entries[kk] for kk in keys])
-
-
 def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     """Real residual and analytic Jacobian over the stored keys for the
     flattened [Re(Q); Im(Q)] parameterization."""
-    keys = T.keys()
-    key_arr = np.asarray(keys, dtype=int)
-    target = _omega_values(T, keys)
+    key_arr = T.key_array
+    target = T.values
     d, m = T.d, T.m
     n_keys = key_arr.shape[0]
 
@@ -296,14 +273,17 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
             prefix[:, :, t] = prefix[:, :, t - 1] * gathered[:, :, t - 1]
             suffix[:, :, m - 1 - t] = suffix[:, :, m - t] * gathered[:, :, m - t]
         partial = prefix * suffix  # d(value)/d Q[i, slot t of key]
-        Jc = np.zeros((n_keys, r * d), dtype=complex)
+        # [[Re, -Im], [Im, Re]] of the complex Jacobian, filled in place
+        J = np.zeros((2 * n_keys, 2 * r * d))
         rows = np.arange(n_keys)
         for i in range(r):
             for t in range(m):
-                Jc[rows, i * d + key_arr[:, t]] += partial[i, :, t]
-        return np.block(
-            [[Jc.real, -Jc.imag], [Jc.imag, Jc.real]]
-        )
+                cols = i * d + key_arr[:, t]
+                J[rows, cols] += partial[i, :, t].real
+                J[rows, r * d + cols] -= partial[i, :, t].imag
+                J[n_keys + rows, cols] += partial[i, :, t].imag
+                J[n_keys + rows, r * d + cols] += partial[i, :, t].real
+        return J
 
     def pack(Q):
         return np.concatenate([Q.real.ravel(), Q.imag.ravel()])
@@ -331,24 +311,16 @@ def approximate(
     x0 = pack(base.components)
     x_star = nlls_refine(residual, x0, jacobian=jacobian, **opts)
     components = split(x_star)
-    keys = T_noisy.keys()
-    rec = reconstruct(components, T_noisy.m, keys)
-    diff_hat = IncompleteSymmetricTensor(
-        T_noisy.d, T_noisy.m,
-        {kk: rec.entries[kk] - T_noisy.entries[kk] for kk in keys},
-    )
+    keys = T_noisy.key_array
+    rec = from_components(ComponentList(components), T_noisy.m, keys)
+    diff_hat = T_noisy.with_values(rec.values - T_noisy.values)
     diagnostics = dict(base.diagnostics)
     diagnostics["decomp_err"] = decomp_err(T_noisy, components)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
     if truth is not None:
-        diff_true = IncompleteSymmetricTensor(
-            truth.d, truth.m,
-            {kk: rec.entries[kk] - truth.entries[kk] for kk in keys},
-        )
-        noise = IncompleteSymmetricTensor(
-            truth.d, truth.m,
-            {kk: T_noisy.entries[kk] - truth.entries[kk] for kk in keys},
-        )
+        truth_values = truth.gather(keys)
+        diff_true = T_noisy.with_values(rec.values - truth_values)
+        noise = T_noisy.with_values(T_noisy.values - truth_values)
         noise_norm = omega_norm(noise, keys)
         diagnostics["abs_err"] = omega_norm(diff_true, keys)
         diagnostics["rel_err"] = (
@@ -379,10 +351,7 @@ def component_error(
 
 
 def to_json(dec: Decomposition, d: int, m: int) -> str:
-    comps = [
-        {"re": [float(v.real) for v in q], "im": [float(v.imag) for v in q]}
-        for q in dec.components
-    ]
+    comps = [{"re": q.real.tolist(), "im": q.imag.tolist()} for q in dec.components]
     diag = {
         k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
         for k, v in dec.diagnostics.items()

@@ -31,6 +31,10 @@ class MissingEntry(MomentmixError):
         super().__init__(f"tensor entry missing at key {key}")
 
 
+class InvalidTensor(MomentmixError, ValueError):
+    """Tensor input with a malformed key or a non-finite value."""
+
+
 class KeyCollision(MomentmixError):
     """Row and column label sets of a block overlap."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from .combinatorics import IndexSubset, basis_B0, basis_B1, binomial, support_O_alpha
 from .errors import DegenerateSpectrum, ShapeCondition
 from .numerics import eig, gaussian_vector, lstsq
-from .tensor_store import IncompleteSymmetricTensor
+from .tensor_store import IncompleteSymmetricTensor, block_matrix
 
 _GAP_TOL = 1e-8
 _MAX_XI_RETRIES = 5
@@ -78,12 +78,8 @@ def assemble_system(
     (degree m-1 monomial); b[gamma] is the entry at alpha + gamma.
     """
     support = support_O_alpha(alpha, k, n, m, p)
-    A = np.empty((len(support), len(B0)), dtype=complex)
-    b = np.empty(len(support), dtype=complex)
-    for gi, gamma in enumerate(support):
-        for bi, beta in enumerate(B0):
-            A[gi, bi] = T[beta + gamma + (0,)]
-        b[gi] = T[alpha + gamma]
+    A = block_matrix(T, support, B0, pad_with_zero_label=True)
+    b = block_matrix(T, support, [alpha])[:, 0]
     return A, b
 
 
@@ -118,14 +114,9 @@ def solve_generating_matrix(
 
 def companion_matrices(G: GeneratingMatrix) -> CompanionSet:
     """Build N_l for l = k+1..n with N_l[nu, beta] = G(beta, nu + e_l)."""
-    r = G.r
-    n_tail = G.n - G.k
-    mats = np.empty((n_tail, r, r), dtype=complex)
-    for li in range(n_tail):
-        l = G.k + 1 + li
-        for vi, nu in enumerate(G.row_labels):
-            col = G.column(nu + (l,))
-            mats[li, vi, :] = col
+    tail_labels = range(G.k + 1, G.n + 1)
+    cols = [[G.col_index[nu + (l,)] for nu in G.row_labels] for l in tail_labels]
+    mats = np.ascontiguousarray(G.values[:, cols].transpose(1, 2, 0))  # (n - k, r, r)
     return CompanionSet(matrices=mats, k=G.k, p=G.p, n=G.n)
 
 

@@ -395,6 +395,8 @@ def accuracy(labels: np.ndarray, truth: np.ndarray) -> float:
     matching of predicted components to true components."""
     labels = np.asarray(labels)
     truth = np.asarray(truth)
+    if labels.size != truth.size:
+        raise ValueError(f"{labels.size} labels for {truth.size} true labels")
     r = int(max(labels.max(), truth.max())) + 1
     confusion = np.zeros((r, r))
     for a, b in zip(labels, truth):

@@ -1,6 +1,14 @@
 """Storage and block extraction for incomplete symmetric tensors.
 
 Only sorted keys are stored; a full dense tensor is never materialized.
+A tensor is two aligned read-only arrays: ``key_array``, (n, m) integer
+keys whose slots lie in [0, d) and never decrease, in strictly ascending
+lexicographic order; and ``values``, the (n,) finite complex entries at
+those keys.  A key's code is its base-d integer, first slot most
+significant, so lexicographic order is code order and ``gather`` finds a
+batch of keys with one ``np.searchsorted``.  ``entries``, a tuple-keyed
+dict of the same entries, is derived from the arrays on first access.
+
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
 on subtensors.
@@ -11,12 +19,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .combinatorics import IndexSubset
-from .errors import KeyCollision, MissingEntry, OrderExceedsDim
+from .errors import InvalidTensor, KeyCollision, MissingEntry, OrderExceedsDim
 from .numerics import rng_from
 
 TensorKey = tuple[int, ...]
@@ -58,56 +68,103 @@ class ComponentList:
         return self.weights
 
 
-@dataclass
 class IncompleteSymmetricTensor:
-    """Order-m symmetric tensor of dimension d stored on sorted keys only."""
+    """Order-m symmetric tensor of dimension d stored on sorted keys only.
 
-    d: int
-    m: int
-    entries: dict[TensorKey, complex] = field(default_factory=dict)
+    Built from a mapping of sorted key tuples to values; every key and
+    value is checked in one vectorised pass.
+    """
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("order must be positive")
-        for key in self.entries:
-            self._check_key(key)
+    def __init__(self, d: int, m: int, entries: Mapping | None = None):
+        entries = entries or {}
+        keys = _key_array(list(entries), m)
+        order = np.lexsort(keys.T[::-1])
+        values = np.array(list(entries.values()), dtype=complex)
+        self._store(d, m, keys[order], values[order])
 
-    def _check_key(self, key: TensorKey):
-        if len(key) != self.m:
-            raise ValueError(f"key {key} does not have {self.m} slots")
-        if any(not (0 <= s < self.d) for s in key):
-            raise ValueError(f"key {key} out of range for dimension {self.d}")
-        if any(key[i] > key[i + 1] for i in range(len(key) - 1)):
-            raise ValueError(f"key {key} is not sorted")
+    @classmethod
+    def _from_arrays(cls, d: int, m: int, keys, values) -> IncompleteSymmetricTensor:
+        T = cls.__new__(cls)
+        T._store(d, m, keys, values)
+        return T
+
+    def _store(self, d: int, m: int, keys: np.ndarray, values):
+        if m < 1:
+            raise InvalidTensor("order must be positive")
+        if d ** m > np.iinfo(np.int64).max:
+            raise InvalidTensor(f"d={d}, m={m} overflow the 64-bit key codes")
+        values = np.array(values, dtype=complex)
+        if values.shape != (len(keys),):
+            raise InvalidTensor(f"{values.size} values for {len(keys)} keys")
+        _reject(((keys < 0) | (keys >= d)).any(axis=1), keys,
+                f"key {{}} out of range for dimension {d}")
+        _reject((keys[:, 1:] < keys[:, :-1]).any(axis=1), keys, "key {} is not sorted")
+        _reject(~np.isfinite(values), keys, "non-finite value at key {}")
+        self._radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        codes = keys @ self._radix
+        _reject(codes[1:] <= codes[:-1], keys[1:], "keys not strictly ascending at {}")
+        self.d, self.m, self.key_array, self.values = d, m, keys, values
+        # The sentinel above every valid code keeps each searchsorted
+        # position a valid index.
+        self._codes = np.append(codes, np.iinfo(np.int64).max)
+        for arr in (keys, values, self._codes):
+            arr.setflags(write=False)
+
+    def gather(self, keys) -> np.ndarray:
+        """Stored values at an array of keys of shape (..., m), each key in
+        any slot order; the result has shape (...).  Raises MissingEntry
+        naming the first key that is not stored."""
+        rows = np.sort(np.asarray(keys, dtype=np.int64), axis=-1)
+        inside = ((rows >= 0) & (rows < self.d)).all(axis=-1)
+        codes = np.where(inside, rows @ self._radix, -1)  # -1 matches no stored code
+        pos = np.searchsorted(self._codes, codes)
+        missing = self._codes[pos] != codes
+        if missing.any():
+            first = np.unravel_index(np.argmax(missing), missing.shape)
+            raise MissingEntry(tuple(rows[first].tolist()))
+        return self.values[pos]
 
     def __getitem__(self, key) -> complex:
-        skey = tuple(sorted(key))
-        try:
-            return self.entries[skey]
-        except KeyError:
-            raise MissingEntry(skey) from None
+        return complex(self.gather(key))
 
-    def __contains__(self, key) -> bool:
-        return tuple(sorted(key)) in self.entries
+    def with_values(self, values) -> IncompleteSymmetricTensor:
+        """The same keys holding other values, aligned with ``key_array``."""
+        return self._from_arrays(self.d, self.m, self.key_array, values)
 
     def keys(self) -> list[TensorKey]:
-        return sorted(self.entries)
+        return [tuple(k) for k in self.key_array.tolist()]
+
+    @cached_property
+    def entries(self) -> dict[TensorKey, complex]:
+        """Key tuple -> value view, built on first access and cached; the
+        arrays stay the tensor, so writing to the view changes no lookup."""
+        return dict(zip(self.keys(), self.values.tolist()))
+
+
+def _key_array(keys, m: int) -> np.ndarray:
+    """(n, m) integer array of a sequence of keys."""
+    try:
+        return np.array(keys, dtype=np.int64).reshape(len(keys), m)
+    except ValueError as exc:
+        raise InvalidTensor(f"keys must be sequences of {m} integers") from exc
+
+
+def _reject(bad: np.ndarray, keys: np.ndarray, message: str):
+    if bad.any():
+        raise InvalidTensor(message.format(tuple(keys[np.argmax(bad)].tolist())))
 
 
 def from_components(
-    comps: ComponentList, m: int, keys: list[TensorKey]
+    comps: ComponentList, m: int, keys: list[TensorKey] | np.ndarray
 ) -> IncompleteSymmetricTensor:
     """Evaluate sum_i lambda_i q_i[i1]...q_i[im] at every requested key."""
-    d = comps.d
+    key_arr = _key_array(keys, m)
+    key_arr = key_arr[np.lexsort(key_arr.T[::-1])]
     lam = comps.effective_weights()
-    key_arr = np.asarray(keys, dtype=int)
-    if key_arr.size == 0:
-        return IncompleteSymmetricTensor(d, m, {})
     # (r, n_keys, m) gather then product over slots, sum over components
     gathered = comps.vectors[:, key_arr]
     values = (lam[:, None] * np.prod(gathered, axis=2)).sum(axis=0)
-    entries = {tuple(int(s) for s in k): complex(v) for k, v in zip(keys, values)}
-    return IncompleteSymmetricTensor(d, m, entries)
+    return IncompleteSymmetricTensor._from_arrays(comps.d, m, key_arr, values)
 
 
 def block_matrix(
@@ -121,41 +178,28 @@ def block_matrix(
     Every (row, col) pair must join into distinct labels; with padding the
     joined label set has m-1 elements, none of them 0.
     """
-    out = np.empty((len(rows), len(cols)), dtype=complex)
-    need = T.m - 1 if pad_with_zero_label else T.m
-    for i, row in enumerate(rows):
-        for j, col in enumerate(cols):
-            joined = row + col
-            if len(set(joined)) != len(joined):
-                raise KeyCollision(f"row {row} and col {col} share labels")
-            if len(joined) != need:
-                raise ValueError(
-                    f"row {row} + col {col} has {len(joined)} labels, need {need}"
-                )
-            if pad_with_zero_label:
-                if 0 in joined:
-                    raise KeyCollision("label 0 present in a padded block")
-                joined = joined + (0,)
-            out[i, j] = T[joined]
-    return out
+    if pad_with_zero_label:
+        rows = [(0,) + row for row in rows]
+    row_arr = np.array(rows, dtype=np.int64)[:, None, :]
+    col_arr = np.array(cols, dtype=np.int64)[None, :, :]
+    parts = [row_arr.repeat(len(cols), axis=1), col_arr.repeat(len(rows), axis=0)]
+    labels = np.sort(np.concatenate(parts, axis=2), axis=2)
+    shared = (labels[:, :, 1:] == labels[:, :, :-1]).any(axis=2)
+    if shared.any():
+        i, j = np.argwhere(shared)[0]
+        raise KeyCollision(f"row {rows[i]} and col {cols[j]} share labels")
+    if labels.shape[2] != T.m:
+        raise ValueError(
+            f"row {rows[0]} + col {cols[0]} has {labels.shape[2]} labels, need {T.m}"
+        )
+    return T.gather(labels)
 
 
-def omega_norm(T: IncompleteSymmetricTensor, keys: list[TensorKey]) -> float:
+def omega_norm(T: IncompleteSymmetricTensor, keys) -> float:
     """sqrt(m! * sum |T[key]|^2): each sorted distinct-index key counted
     with its m! ordered occurrences."""
-    total = 0.0
-    for key in keys:
-        total += abs(T[key]) ** 2
-    return math.sqrt(math.factorial(T.m) * total)
-
-
-def subtract(
-    A: IncompleteSymmetricTensor, B: IncompleteSymmetricTensor, keys: list[TensorKey]
-) -> IncompleteSymmetricTensor:
-    """Entrywise A - B on the given keys."""
-    return IncompleteSymmetricTensor(
-        A.d, A.m, {tuple(k): A[k] - B[k] for k in keys}
-    )
+    values = T.gather(keys)
+    return math.sqrt(math.factorial(T.m) * float(np.vdot(values, values).real))
 
 
 def perturb(
@@ -166,35 +210,29 @@ def perturb(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if epsilon == 0:
-        return IncompleteSymmetricTensor(T.d, T.m, dict(T.entries))
-    keys = T.keys()
-    noise = rng_from(seed, "perturb").standard_normal(len(keys))
+        return T.with_values(T.values)
+    noise = rng_from(seed, "perturb").standard_normal(len(T.values))
     scale = epsilon / math.sqrt(math.factorial(T.m) * float(noise @ noise))
-    entries = {
-        k: T.entries[k] + scale * g for k, g in zip(keys, noise)
-    }
-    return IncompleteSymmetricTensor(T.d, T.m, entries)
+    return T.with_values(T.values + scale * noise)
 
 
 def to_json(T: IncompleteSymmetricTensor) -> str:
     records = [
-        {"key": list(k), "re": float(v.real), "im": float(v.imag)}
-        for k, v in sorted(T.entries.items())
+        {"key": k, "re": re, "im": im}
+        for k, re, im in zip(
+            T.key_array.tolist(), T.values.real.tolist(), T.values.imag.tolist()
+        )
     ]
     return json.dumps({"d": T.d, "m": T.m, "entries": records}, indent=1)
 
 
 def from_json(text: str) -> IncompleteSymmetricTensor:
+    """Tensor from ``to_json`` text; keys must be strictly ascending."""
     doc = json.loads(text)
     d, m = int(doc["d"]), int(doc["m"])
-    entries: dict[TensorKey, complex] = {}
-    prev = None
-    for rec in doc["entries"]:
-        key = tuple(int(s) for s in rec["key"])
-        if any(key[i] > key[i + 1] for i in range(len(key) - 1)):
-            raise ValueError(f"unsorted key {key} in tensor file")
-        if prev is not None and key <= prev:
-            raise ValueError(f"keys not strictly ascending at {key}")
-        prev = key
-        entries[key] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
-    return IncompleteSymmetricTensor(d, m, entries)
+    records = doc["entries"]
+    values = np.empty(len(records), dtype=complex)
+    values.real = [rec["re"] for rec in records]
+    values.imag = [rec.get("im", 0.0) for rec in records]
+    keys = _key_array([rec["key"] for rec in records], m)
+    return IncompleteSymmetricTensor._from_arrays(d, m, keys, values)

@@ -70,6 +70,18 @@ def test_decompose_rank_too_large(tmp_path, capsys):
     assert "rank" in err.lower()
 
 
+def test_decompose_rejects_nan_tensor(tmp_path, capsys):
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen-tensor", "--d", "8", "--m", "3", "--r", "2",
+        "--seed", "5", "--out", str(tensor))
+    doc = json.loads(tensor.read_text())
+    doc["entries"][3]["re"] = float("nan")
+    tensor.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "decompose", "--tensor", str(tensor), "--r", "2")
+    assert code == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_decompose_deterministic(tmp_path, capsys):
     tensor = tmp_path / "t.json"
     run(capsys, "gen-tensor", "--d", "8", "--m", "3", "--r", "2",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from momentmix.errors import OrderConflict
+from momentmix.errors import InvalidTensor, OrderConflict
 from momentmix.gmm import (
     GmmModel,
     SampleSet,
@@ -273,6 +273,13 @@ def test_learn_single_gaussian():
     assert np.abs(learned.variances[0] - model.variances[0]).max() < 0.1
 
 
+def test_learn_rejects_nan_samples():
+    s = sample_gmm(random_model(6, 2, seed=21), 2000, seed=21)
+    s.data[5, 3] = np.nan
+    with pytest.raises(InvalidTensor):
+        learn(s, 2, 3, seed=21)
+
+
 def test_em_single_component_closed_form():
     rng = np.random.default_rng(14)
     Y = rng.standard_normal((5000, 3)) + np.array([1.0, 2.0, 3.0])
@@ -330,6 +337,11 @@ def test_accuracy_permutation_invariant():
 def test_accuracy_single_component():
     labels = np.zeros(100, dtype=int)
     assert accuracy(labels, labels) == 1.0
+
+
+def test_accuracy_length_mismatch():
+    with pytest.raises(ValueError):
+        accuracy(np.zeros(100, dtype=int), np.zeros(99, dtype=int))
 
 
 def test_random_model_valid():

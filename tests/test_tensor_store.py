@@ -1,9 +1,11 @@
 """Incomplete tensor storage, block extraction, norms, and JSON round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
-from momentmix.errors import KeyCollision, MissingEntry, OrderExceedsDim
+from momentmix.errors import InvalidTensor, KeyCollision, MissingEntry, OrderExceedsDim
 from momentmix.tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
@@ -48,6 +50,12 @@ def test_lookup_any_permutation():
     T = from_components(ComponentList(np.array([[1.0, 2.0, 3.0, 4.0]])), 3,
                         omega_keys(4, 3))
     assert T[(3, 1, 0)] == T[(0, 1, 3)]
+    got = T.gather([(3, 1, 0), (2, 0, 1), (3, 2, 1)])
+    assert got.tolist() == [T[(0, 1, 3)], T[(0, 1, 2)], T[(1, 2, 3)]]
+    assert T.gather([[(2, 3, 0)], [(1, 0, 2)]]).shape == (2, 1)
+    reverse = from_components(ComponentList(np.array([[1.0, 2.0, 3.0, 4.0]])), 3,
+                              omega_keys(4, 3)[::-1])
+    assert reverse.entries == T.entries
     with pytest.raises(MissingEntry):
         IncompleteSymmetricTensor(4, 3, {})[(0, 1, 2)]
 
@@ -66,6 +74,9 @@ def test_block_matrix_missing_and_collision():
     T = from_components(ComponentList(np.array([[1.0, 2.0, 3.0, 4.0]])), 3, keys)
     with pytest.raises(MissingEntry):
         block_matrix(T, [(1,)], [(2,)], pad_with_zero_label=True)
+    with pytest.raises(MissingEntry) as exc:
+        T.gather([(3, 1, 0), (2, 1, 0), (0, 1, 4), (0, 2, 3)])
+    assert exc.value.key == (0, 1, 2)
     full = from_components(ComponentList(np.array([[1.0, 2.0, 3.0, 4.0]])), 3,
                            omega_keys(4, 3))
     with pytest.raises(KeyCollision):
@@ -130,10 +141,39 @@ def test_perturb():
 def test_json_round_trip():
     comps = ComponentList(np.random.default_rng(2).standard_normal((2, 5)))
     T = from_components(comps, 3, omega_keys(5, 3))
-    back = from_json(to_json(T))
+    text = to_json(T)
+    back = from_json(text)
     assert back.d == T.d and back.m == T.m
     for k in T.keys():
         assert back[k] == pytest.approx(T[k])
+    assert to_json(back) == text
+
+
+def _tensor_json(*records):
+    return json.dumps({"d": 4, "m": 3, "entries": [
+        {"key": key, "re": re, "im": 0.0} for key, re in records]})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IncompleteSymmetricTensor(4, 3, {(0, 1): 1.0}),
+    lambda: IncompleteSymmetricTensor(4, 3, {(0, 1, 2): 1.0, (0, 1): 2.0}),
+    lambda: IncompleteSymmetricTensor(4, 3, {(0, 1, 4): 1.0}),
+    lambda: IncompleteSymmetricTensor(4, 3, {(-1, 0, 1): 1.0}),
+    lambda: IncompleteSymmetricTensor(4, 3, {(0, 2, 1): 1.0}),
+    lambda: IncompleteSymmetricTensor(4, 3, {(0, 1, 2): 1.0, (0, 1, 3): np.nan}),
+    lambda: IncompleteSymmetricTensor(4, 3, {(0, 1, 2): complex(0.0, np.inf)}),
+    lambda: from_json(_tensor_json(([0, 1, 2, 3], 1.0))),
+    lambda: from_json(_tensor_json(([0, 1, 2], 1.0), ([1, 2], 1.0))),
+    lambda: from_json(_tensor_json(([0, 1, 4], 1.0))),
+    lambda: from_json(_tensor_json(([1, 0, 2], 1.0))),
+    lambda: from_json(_tensor_json(([0, 1, 3], 1.0), ([0, 1, 2], 1.0))),
+    lambda: from_json(_tensor_json(([0, 1, 2], float("nan")))),
+], ids=["slots", "ragged-slots", "range", "negative", "unsorted", "nan", "inf",
+        "json-slots", "json-ragged-slots", "json-range", "json-unsorted",
+        "json-descending", "json-nan"])
+def test_malformed_tensor_rejected(build):
+    with pytest.raises(InvalidTensor):
+        build()
 
 
 def test_json_rejects_bad_keys():
