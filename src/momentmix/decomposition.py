@@ -29,6 +29,7 @@ from .tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
     block_matrix,
+    component_products,
     from_components,
     omega_norm,
 )
@@ -134,7 +135,7 @@ def _tail_blocks(
     k, p = params.k, params.p
     J1 = subsets_lex(1, k, p)
     J2 = subsets_lex(k + 1, T.d - 1, T.m - p - 1)
-    W = np.prod(tails[:, np.array(J2) - (k + 1)], axis=2).T
+    W = component_products(tails, np.array(J2) - (k + 1)).T
     return J1, J2, W
 
 
@@ -193,7 +194,7 @@ def solve_scales(
     full = np.concatenate(
         [np.ones((r, 1), dtype=complex), heads, tails], axis=1
     )
-    design = np.prod(full[:, T.key_array], axis=2).T  # (n_keys, r)
+    design = component_products(full, T.key_array).T  # (n_keys, r)
     b = T.values
     # Columns scale like u_i^m and spread over many orders of magnitude
     # when a component's leading coordinate is small; equilibrate so the
@@ -231,19 +232,26 @@ def decompose(
         "decomp_err": err,
         "eigen_gap": gap,
         "gen_residual_max": float(np.max(G.residuals)) if G.residuals.size else 0.0,
+        "gen_rank_min": int(G.ranks.min()),
     }
     return Decomposition(components=components, diagnostics=diagnostics)
 
 
 def decomp_err(T: IncompleteSymmetricTensor, components: np.ndarray) -> float:
     """Relative reconstruction error over the stored keys."""
+    rec = from_components(ComponentList(components), T.m, T.key_array)
+    return _relative_err(T, rec.values - T.values)
+
+
+def _relative_err(T: IncompleteSymmetricTensor, diff_values: np.ndarray) -> float:
+    """Norm of a difference tensor on T's keys relative to T's norm; the
+    absolute norm when T is zero."""
     keys = T.key_array
-    rec = from_components(ComponentList(components), T.m, keys)
-    diff = T.with_values(T.values - rec.values)
+    err = omega_norm(T.with_values(diff_values), keys)
     denom = omega_norm(T, keys)
     if denom == 0:
-        return omega_norm(diff, keys)
-    return omega_norm(diff, keys) / denom
+        return err
+    return err / denom
 
 
 def _residual_builder(T: IncompleteSymmetricTensor, r: int):
@@ -260,7 +268,7 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
 
     def residual(x):
         Q = split(x)
-        vals = np.prod(Q[:, key_arr], axis=2).sum(axis=0) - target
+        vals = component_products(Q, key_arr).sum(axis=0) - target
         return np.concatenate([vals.real, vals.imag])
 
     def jacobian(x):
@@ -315,7 +323,7 @@ def approximate(
     rec = from_components(ComponentList(components), T_noisy.m, keys)
     diff_hat = T_noisy.with_values(rec.values - T_noisy.values)
     diagnostics = dict(base.diagnostics)
-    diagnostics["decomp_err"] = decomp_err(T_noisy, components)
+    diagnostics["decomp_err"] = _relative_err(T_noisy, diff_hat.values)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
     if truth is not None:
         truth_values = truth.gather(keys)

@@ -3,8 +3,11 @@ extraction by eigendecomposition.
 
 The matrix ``G`` has one column per monomial in the mixed basis (head
 subset plus one tail label) and one row per monomial in the head basis.
-Its r x r slices indexed by a tail label form a commuting family whose
-common eigenvectors reveal the tail coordinates of the components.
+A column's linear system has a design matrix that depends only on its
+tail label, so ``G`` is solved as one least-squares system per tail
+label with every head subset as a right-hand side.  Its r x r slices
+indexed by a tail label form a commuting family whose common
+eigenvectors reveal the tail coordinates of the components.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import IndexSubset, basis_B0, basis_B1, binomial, support_O_alpha
+from .combinatorics import (
+    IndexSubset,
+    basis_B0,
+    basis_B1,
+    binomial,
+    subsets_lex,
+    support_O_alpha,
+)
 from .errors import DegenerateSpectrum, ShapeCondition
 from .numerics import eig, gaussian_vector, lstsq
 from .tensor_store import IncompleteSymmetricTensor, block_matrix
@@ -30,6 +40,7 @@ class GeneratingMatrix:
     row_labels: list[IndexSubset]
     col_labels: list[IndexSubset]
     residuals: np.ndarray  # per-column lstsq residual norms
+    ranks: np.ndarray  # (n - k,) design rank per tail label k+1..n
     k: int
     p: int
     n: int
@@ -86,10 +97,13 @@ def assemble_system(
 def solve_generating_matrix(
     T: IncompleteSymmetricTensor, r: int, p: int, k: int
 ) -> GeneratingMatrix:
-    """Solve one least-squares system per column to build G.
+    """Solve one least-squares system per tail label to build G.
 
-    On exact rank-r generic input every per-column residual vanishes; on
-    noisy input the same code path yields the least-squares G.
+    The columns alpha = head + (j,) that share a tail label j share the
+    design matrix of ``assemble_system``, whose rows are the support
+    tuples of j; their right-hand sides are solved together.  On exact
+    rank-r generic input every per-column residual vanishes; on noisy
+    input the same code path yields the least-squares G.
     """
     n = T.d - 1
     m = T.m
@@ -99,16 +113,22 @@ def solve_generating_matrix(
         )
     B0 = basis_B0(k, p, r)
     B1 = basis_B1(k, p, n)
-    values = np.empty((r, len(B1)), dtype=complex)
-    residuals = np.empty(len(B1))
-    for ci, alpha in enumerate(B1):
-        A, b = assemble_system(T, alpha, B0, k, n, m, p)
-        report = lstsq(A, b)
-        values[:, ci] = report.solution
-        residuals[ci] = report.residual_norm
+    heads = subsets_lex(1, k, p)
+    # B1 is head-major: column h * (n - k) + (j - k - 1) is heads[h] + (j,)
+    values = np.empty((r, len(heads), n - k), dtype=complex)
+    residuals = np.empty((len(heads), n - k))
+    ranks = np.empty(n - k, dtype=int)
+    for t, j in enumerate(range(k + 1, n + 1)):
+        support = support_O_alpha(heads[0] + (j,), k, n, m, p)
+        A = block_matrix(T, support, B0, pad_with_zero_label=True)
+        B = block_matrix(T, support, [head + (j,) for head in heads])
+        report = lstsq(A, B)
+        values[:, :, t] = report.solution
+        residuals[:, t] = np.linalg.norm(A @ report.solution - B, axis=0)
+        ranks[t] = report.rank
     return GeneratingMatrix(
-        values=values, row_labels=B0, col_labels=B1, residuals=residuals,
-        k=k, p=p, n=n,
+        values=values.reshape(r, len(B1)), row_labels=B0, col_labels=B1,
+        residuals=residuals.ravel(), ranks=ranks, k=k, p=p, n=n,
     )
 
 

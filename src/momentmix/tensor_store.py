@@ -160,11 +160,24 @@ def from_components(
     """Evaluate sum_i lambda_i q_i[i1]...q_i[im] at every requested key."""
     key_arr = _key_array(keys, m)
     key_arr = key_arr[np.lexsort(key_arr.T[::-1])]
-    lam = comps.effective_weights()
-    # (r, n_keys, m) gather then product over slots, sum over components
-    gathered = comps.vectors[:, key_arr]
-    values = (lam[:, None] * np.prod(gathered, axis=2)).sum(axis=0)
+    prods = component_products(comps.vectors, key_arr)
+    prods *= comps.effective_weights()[:, None]
+    values = prods.sum(axis=0)
     return IncompleteSymmetricTensor._from_arrays(comps.d, m, key_arr, values)
+
+
+def component_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(r, n_keys) products vectors[:, k1] * ... * vectors[:, km] over the
+    rows of an (n_keys, m) key array, m >= 1.
+
+    Slots are folded left to right into one output array, the order
+    ``np.prod`` multiplies in, so the result is the same bit for bit
+    without an (r, n_keys, m) temporary.
+    """
+    out = vectors[:, keys[:, 0]]
+    for t in range(1, keys.shape[1]):
+        out *= vectors[:, keys[:, t]]
+    return out
 
 
 def block_matrix(

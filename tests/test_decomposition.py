@@ -106,6 +106,12 @@ def test_decomp_err_self_consistency():
     assert abs(recomputed - dec.diagnostics["decomp_err"]) <= 1e-12
 
 
+def test_decompose_reports_generating_rank():
+    comps, T = planted(10, 4, 4, seed=14)
+    dec = decompose(T, choose_params(9, 4, 4, seed=14))
+    assert dec.diagnostics["gen_rank_min"] == 4
+
+
 def test_solve_tail_products_zero_tensor():
     d, m = 7, 3
     keys = omega_keys(d, m)
@@ -164,6 +170,13 @@ def test_approximate_noisy_metrics():
         dec.diagnostics["decomp_err"]
         <= dec.diagnostics["pre_refine_decomp_err"] + 1e-12
     )
+
+
+def test_approximate_decomp_err_matches_decomp_err():
+    comps, T = planted(10, 3, 3, seed=11)
+    Th = perturb(T, 0.01, 11)
+    dec = approximate(Th, choose_params(9, 3, 3, seed=11))
+    assert dec.diagnostics["decomp_err"] == decomp_err(Th, dec.components)
 
 
 def test_decomposition_json_round_trip():

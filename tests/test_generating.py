@@ -6,6 +6,7 @@ import pytest
 from momentmix.combinatorics import basis_B0, basis_B1, binomial
 from momentmix.decomposition import choose_params
 from momentmix.errors import ShapeCondition
+from momentmix.numerics import lstsq
 from momentmix.generating import (
     assemble_system,
     companion_matrices,
@@ -17,6 +18,7 @@ from momentmix.tensor_store import (
     IncompleteSymmetricTensor,
     from_components,
     omega_keys,
+    perturb,
 )
 
 
@@ -89,6 +91,33 @@ def test_generating_residuals_vanish_on_exact_input():
     from momentmix.tensor_store import omega_norm
     G = solve_generating_matrix(T, r=r, p=1, k=3)
     assert np.max(G.residuals) <= 1e-9 * omega_norm(T, omega_keys(d, m))
+
+
+@pytest.mark.parametrize("p, k, r", [(1, 4, 4), (2, 4, 5)])
+@pytest.mark.parametrize("epsilon", [0.0, 0.01])
+def test_solve_generating_matrix_matches_per_column(p, k, r, epsilon):
+    # reference: one assemble_system + lstsq per B1 column
+    d, m = 12, 5
+    n = d - 1
+    comps = np.random.default_rng(40 + p).standard_normal((r, d))
+    T = perturb(from_components(ComponentList(comps), m, omega_keys(d, m)), epsilon, 3)
+    G = solve_generating_matrix(T, r=r, p=p, k=k)
+    B0 = basis_B0(k, p, r)
+    for ci, alpha in enumerate(basis_B1(k, p, n)):
+        A, b = assemble_system(T, alpha, B0, k, n, m, p)
+        ref = lstsq(A, b)
+        scale = np.linalg.norm(ref.solution)
+        assert np.linalg.norm(G.values[:, ci] - ref.solution) <= 1e-12 * scale
+        assert abs(G.residuals[ci] - ref.residual_norm) <= 1e-12 * np.linalg.norm(b)
+    assert G.ranks.shape == (n - k,)
+
+
+def test_generating_rank_of_zero_tensor():
+    keys = omega_keys(9, 3)
+    T = IncompleteSymmetricTensor(9, 3, {k: 0.0 for k in keys})
+    G = solve_generating_matrix(T, r=3, p=1, k=3)
+    assert G.ranks.shape == (5,)
+    assert G.ranks.min() < 3
 
 
 def test_companion_rank_one():

@@ -10,6 +10,7 @@ from momentmix.tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
     block_matrix,
+    component_products,
     from_components,
     from_json,
     omega_keys,
@@ -44,6 +45,14 @@ def test_from_components_two_components():
     T = from_components(comps, 3, omega_keys(6, 3))
     # 2*4*6 + (-1)(-2)(-3) = 48 - 6
     assert T[(1, 3, 5)] == pytest.approx(42.0)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_component_products_equal_np_prod(m):
+    rng = np.random.default_rng(m)
+    v = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    keys = np.array(omega_keys(9, m))
+    assert np.array_equal(component_products(v, keys), np.prod(v[:, keys], axis=2))
 
 
 def test_lookup_any_permutation():
