@@ -90,3 +90,7 @@ class CovDesignDegenerate(MomentmixError):
     def __init__(self, coord: int):
         self.coord = coord
         super().__init__(f"covariance design degenerate at coordinate {coord}")
+
+
+class InvalidSamples(MomentmixError, ValueError):
+    """Sample data with a non-finite value."""

@@ -8,6 +8,14 @@ pipeline runs the incomplete tensor approximation on the order-m moment
 subtensor, phase-corrects the components to real vectors, then solves
 nonnegative and simplex-constrained least squares for the weights, means
 and variances.
+
+The kernels that touch every sample are matrix products.  Sample moments
+group their sorted keys by the first m-1 slots: over row chunks of the
+samples, the products of each prefix's coordinates form a (chunk, prefixes)
+matrix whose product with the chunk gives every last slot at once, so the
+working memory is O(chunk * prefixes) whatever the number of samples.  The
+EM E-step and ``classify`` expand the diagonal quadratic form into two
+(N, d) x (d, r) products instead of building an (N, r, d) difference.
 """
 
 from __future__ import annotations
@@ -22,13 +30,22 @@ import scipy.optimize
 
 from .combinatorics import binomial
 from .decomposition import approximate, choose_params
-from .errors import CovDesignDegenerate, DegenerateWeight, OrderConflict
+from .errors import (
+    CovDesignDegenerate,
+    DegenerateWeight,
+    InvalidSamples,
+    OrderConflict,
+)
 from .numerics import nnls, rng_from, simplex_nlls
 from .tensor_store import IncompleteSymmetricTensor, omega_keys
 
 TensorKey = tuple[int, ...]
 
 _BETA_FLOOR = 1e-12
+# Rows per chunk of the sample-moment products: large enough that each
+# product is a BLAS call of useful size, small enough that the (chunk,
+# n_prefix) prefix matrix stays a few megabytes for the Table-4 moment set.
+_MOMENT_CHUNK = 2048
 
 
 @dataclass
@@ -42,6 +59,9 @@ class GmmModel:
         self.weights = np.asarray(self.weights, dtype=float)
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
         self.variances = np.atleast_2d(np.asarray(self.variances, dtype=float))
+        for name in ("weights", "means", "variances"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not math.isclose(self.weights.sum(), 1.0, abs_tol=1e-8):
             raise ValueError("weights must sum to 1")
         if np.any(self.weights < -1e-12):
@@ -93,13 +113,37 @@ def sample_gmm(model: GmmModel, N: int, seed: int) -> SampleSet:
 
 
 def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
-    """Empirical moments: for each key, the mean over samples of the
-    product of the indexed coordinates."""
-    Y = samples.data
-    values = {}
-    order = len(keys[0]) if keys else 0
-    for key in keys:
-        values[tuple(sorted(key))] = float(np.prod(Y[:, list(key)], axis=1).mean())
+    """Empirical moments: for each key (all of one order m), the mean over
+    samples of the product of the indexed coordinates.
+
+    Order 1 is the column mean.  Above it, the sorted keys are grouped by
+    their first m-1 slots.  For each chunk of at most ``_MOMENT_CHUNK``
+    rows, the products of every prefix's coordinates are folded one slot
+    at a time into a (chunk, n_prefix) matrix P, and ``P.T @ chunk``
+    accumulates the prefix times every coordinate; a key's moment is the
+    entry at its prefix and last slot, divided by N.  Memory beyond the
+    samples is O(_MOMENT_CHUNK * n_prefix + n_prefix * d).
+    """
+    if not keys:
+        return MomentSet(order=0, values={})
+    Y = np.ascontiguousarray(samples.data, dtype=float)
+    key_arr = np.sort(np.asarray(keys, dtype=np.intp), axis=1)
+    order = key_arr.shape[1]
+    if order == 0:
+        flat = np.ones(key_arr.shape[0])
+    elif order == 1:
+        flat = Y.mean(axis=0)[key_arr[:, 0]]
+    else:
+        prefixes, row = np.unique(key_arr[:, :-1], axis=0, return_inverse=True)
+        sums = np.zeros((prefixes.shape[0], Y.shape[1]))
+        for start in range(0, Y.shape[0], _MOMENT_CHUNK):
+            chunk = Y[start : start + _MOMENT_CHUNK]
+            P = chunk[:, prefixes[:, 0]]
+            for t in range(1, order - 1):
+                P *= chunk[:, prefixes[:, t]]
+            sums += P.T @ chunk
+        flat = sums[row.ravel(), key_arr[:, -1]] / Y.shape[0]
+    values = dict(zip(map(tuple, key_arr.tolist()), flat.tolist()))
     return MomentSet(order=order, values=values)
 
 
@@ -324,10 +368,16 @@ def em_baseline(
     """Standard EM for diagonal mixtures, initialized by seeded random
     responsibilities; the regularization value is added to every variance
     each M-step.  Returns the best-likelihood iterate."""
-    Y = samples.data
+    # The samples are the right operand of the M-step products, which run
+    # about 3x slower on a strided one.
+    Y = np.ascontiguousarray(samples.data, dtype=float)
     N, d = Y.shape
     if r > N:
         raise ValueError("more components than samples")
+    if not np.isfinite(Y).all():
+        row, col = np.argwhere(~np.isfinite(Y))[0]
+        raise InvalidSamples(f"sample {row} is non-finite at coordinate {col}")
+    YY = Y * Y
     rng = rng_from(seed, "em")
     resp = rng.random((N, r))
     resp /= resp.sum(axis=1, keepdims=True)
@@ -338,10 +388,10 @@ def em_baseline(
         nk = resp.sum(axis=0)
         weights = nk / N
         means = (resp.T @ Y) / nk[:, None]
-        sq = resp.T @ (Y * Y) / nk[:, None]
+        sq = resp.T @ YY / nk[:, None]
         variances = sq - means**2 + reg_value
         # E-step / likelihood under the fresh parameters
-        log_prob = _log_component_densities(Y, weights, means, variances)
+        log_prob = _log_component_densities(Y, YY, weights, means, variances)
         log_norm = _logsumexp(log_prob)
         ll = float(log_norm.sum())
         history.append(ll)
@@ -360,32 +410,49 @@ def em_baseline(
 _VAR_FLOOR = 1e-3
 
 
-def _log_component_densities(Y, weights, means, variances):
+def _log_component_densities(Y, YY, weights, means, variances):
+    """(N, r) log omega_i + log N(y; mu_i, diag var_i) for (N, d) samples
+    Y and their squares YY."""
     # Nonnegative least squares can return exactly-zero variances for
     # coordinates whose true spread is below the sampling noise; the
     # Gaussian density is singular there, so likelihoods are evaluated
     # with variances floored at the same scale the EM baseline uses for
     # its variance regularization.
     var = np.maximum(variances, _VAR_FLOOR)
-    # (N, r): log omega_i + log N(y; mu_i, diag var_i)
-    diff = Y[:, None, :] - means[None, :, :]
-    quad = (diff * diff / var[None, :, :]).sum(axis=2)
-    logdet = np.log(var).sum(axis=1)
-    return (
-        np.log(np.maximum(weights, 1e-300))[None, :]
-        - 0.5 * (quad + logdet[None, :] + Y.shape[1] * math.log(2 * math.pi))
+    inv = 1.0 / var
+    # sum_j (y_j - mu_ij)^2 / var_ij expanded into two (N, d) x (d, r)
+    # products.
+    out = YY @ inv.T
+    out += Y @ (-2.0 * means * inv).T
+    out += (
+        (means * means * inv).sum(axis=1)
+        + np.log(var).sum(axis=1)
+        + Y.shape[1] * math.log(2 * math.pi)
     )
+    out *= -0.5
+    out += np.log(np.maximum(weights, 1e-300))
+    return out
 
 
 def _logsumexp(a):
-    mx = a.max(axis=1)
-    return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
+    # Row-wise log-sum-exp of an (N, r) array, reduced one column at a time:
+    # with few components, numpy's per-row reductions cost several times
+    # more than r whole-column passes.
+    cols = a.T
+    mx = cols[0].copy()
+    for c in cols[1:]:
+        np.maximum(mx, c, out=mx)
+    total = np.exp(cols[0] - mx)
+    for c in cols[1:]:
+        total += np.exp(c - mx)
+    return mx + np.log(total)
 
 
 def classify(model: GmmModel, samples: SampleSet) -> np.ndarray:
     """Per-sample argmax of the weighted component likelihood."""
+    Y = np.ascontiguousarray(samples.data, dtype=float)
     log_prob = _log_component_densities(
-        samples.data, model.weights, model.means, model.variances
+        Y, Y * Y, model.weights, model.means, model.variances
     )
     return np.argmax(log_prob, axis=1)
 
@@ -398,9 +465,7 @@ def accuracy(labels: np.ndarray, truth: np.ndarray) -> float:
     if labels.size != truth.size:
         raise ValueError(f"{labels.size} labels for {truth.size} true labels")
     r = int(max(labels.max(), truth.max())) + 1
-    confusion = np.zeros((r, r))
-    for a, b in zip(labels, truth):
-        confusion[a, b] += 1
+    confusion = np.bincount(labels * r + truth, minlength=r * r).reshape(r, r)
     rows, cols = scipy.optimize.linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum() / labels.size)
 

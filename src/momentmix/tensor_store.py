@@ -35,6 +35,8 @@ TensorKey = tuple[int, ...]
 def omega_keys(d: int, m: int) -> list[TensorKey]:
     """All C(d, m) sorted distinct-index keys of an order-m tensor of
     dimension d, lexicographic order."""
+    if m < 0:
+        raise InvalidTensor("order must be nonnegative")
     if m > d:
         raise OrderExceedsDim(f"order {m} exceeds dimension {d}")
     return list(itertools.combinations(range(d), m))
@@ -158,6 +160,8 @@ def from_components(
     comps: ComponentList, m: int, keys: list[TensorKey] | np.ndarray
 ) -> IncompleteSymmetricTensor:
     """Evaluate sum_i lambda_i q_i[i1]...q_i[im] at every requested key."""
+    if m < 1:
+        raise InvalidTensor("order must be positive")
     key_arr = _key_array(keys, m)
     key_arr = key_arr[np.lexsort(key_arr.T[::-1])]
     prods = component_products(comps.vectors, key_arr)

@@ -169,3 +169,11 @@ def test_config_echo(capsys):
     code, out, _ = run(capsys, "maxrank", "--d", "15", "--m", "3")
     assert code == 0
     assert "config:" in out
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_gen_tensor_rejects_order_below_one(tmp_path, capsys, m):
+    code, _, err = run(capsys, "gen-tensor", "--d", "5", "--m", m, "--r", "1",
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

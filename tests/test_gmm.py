@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from momentmix.errors import InvalidTensor, OrderConflict
+from momentmix import gmm
+from momentmix.errors import (
+    InvalidSamples,
+    InvalidTensor,
+    MomentmixError,
+    OrderConflict,
+)
 from momentmix.gmm import (
     GmmModel,
     SampleSet,
@@ -27,6 +33,7 @@ from momentmix.gmm import (
     sample_moments,
     univariate_gaussian_moment,
 )
+from momentmix.numerics import rng_from
 from momentmix.tensor_store import omega_keys
 
 
@@ -357,3 +364,125 @@ def test_model_json_round_trip():
     assert np.allclose(back.weights, model.weights)
     assert np.allclose(back.means, model.means)
     assert np.allclose(back.variances, model.variances)
+
+
+# The GEMM-form kernels against the per-key and (N, r, d) forms they replaced.
+
+
+def _moment_keys(d, order):
+    if order == 1:
+        return [(j,) for j in range(d)]
+    keys = set(omega_keys(d, order))
+    for j in range(d):
+        keys.update(covariance_keys(d, order, j))
+        keys.add((j,) * order)
+    # unsorted orientations must land on their sorted key
+    return [k[::-1] if i % 3 == 0 else k for i, k in enumerate(sorted(keys))]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("rows", ["below", "equal", "ragged"])
+def test_sample_moments_equal_per_key_products(order, rows):
+    chunk = gmm._MOMENT_CHUNK
+    n = {"below": chunk - 1, "equal": chunk, "ragged": 2 * chunk + 37}[rows]
+    s = sample_gmm(random_model(6, 2, seed=22), n, seed=22)
+    keys = _moment_keys(6, order)
+    got = sample_moments(s, keys)
+    assert got.order == order
+    assert sorted(got.values) == sorted({tuple(sorted(k)) for k in keys})
+    for key in keys:
+        want = np.prod(s.data[:, list(key)], axis=1).mean()
+        assert abs(got[key] - want) <= 1e-12 * abs(want)
+
+
+def _diff_form_log_densities(Y, weights, means, variances):
+    var = np.maximum(variances, gmm._VAR_FLOOR)
+    diff = Y[:, None, :] - means[None, :, :]
+    quad = (diff * diff / var[None, :, :]).sum(axis=2)
+    logdet = np.log(var).sum(axis=1)
+    return np.log(np.maximum(weights, 1e-300))[None, :] - 0.5 * (
+        quad + logdet[None, :] + Y.shape[1] * np.log(2 * np.pi)
+    )
+
+
+@pytest.mark.parametrize("case", ["random", "floored"])
+def test_log_component_densities_match_diff_form(case):
+    if case == "random":
+        model = random_model(5, 3, seed=23)
+    else:  # the setting of test_classify_truth_model: variances below the floor
+        model = GmmModel(
+            weights=np.array([0.5, 0.5]),
+            means=np.array([[0.0, 0.0], [10.0, 10.0]]),
+            variances=np.full((2, 2), 1e-6),
+        )
+    Y = sample_gmm(model, 1000, seed=23).data
+    args = (model.weights, model.means, model.variances)
+    got = gmm._log_component_densities(Y, Y * Y, *args)
+    want = _diff_form_log_densities(Y, *args)
+    assert np.abs(got - want).max() <= 1e-9
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+def _diff_form_em_means(Y, r, iters, seed, reg_value=1e-3):
+    N = Y.shape[0]
+    resp = rng_from(seed, "em").random((N, r))
+    resp /= resp.sum(axis=1, keepdims=True)
+    for _ in range(iters):
+        nk = resp.sum(axis=0)
+        means = (resp.T @ Y) / nk[:, None]
+        variances = resp.T @ (Y * Y) / nk[:, None] - means**2 + reg_value
+        log_prob = _diff_form_log_densities(Y, nk / N, means, variances)
+        mx = log_prob.max(axis=1)
+        log_norm = mx + np.log(np.exp(log_prob - mx[:, None]).sum(axis=1))
+        resp = np.exp(log_prob - log_norm[:, None])
+    return means
+
+
+def test_em_matches_diff_form_and_is_deterministic():
+    s = sample_gmm(random_model(5, 3, seed=24), 3000, seed=24)
+    em = em_baseline(s, 3, max_iters=5, seed=24)
+    again = em_baseline(s, 3, max_iters=5, seed=24)
+    for a, b in [(em.weights, again.weights), (em.means, again.means),
+                 (em.variances, again.variances)]:
+        assert np.array_equal(a, b)
+    assert em.meta["loglik_history"] == again.meta["loglik_history"]
+    # the log-likelihood rises here, so the best iterate is the last one
+    assert np.argmax(em.meta["loglik_history"]) == 4
+    assert np.abs(em.means - _diff_form_em_means(s.data, 3, 5, 24)).max() <= 1e-10
+
+
+def test_accuracy_equals_confusion_loop():
+    rng = np.random.default_rng(25)
+    for r_labels, r_truth in [(4, 4), (3, 5), (6, 2)]:
+        labels = rng.integers(r_labels, size=1000)
+        truth = rng.integers(r_truth, size=1000)
+        r = int(max(labels.max(), truth.max())) + 1
+        confusion = np.zeros((r, r))
+        for a, b in zip(labels, truth):
+            confusion[a, b] += 1
+        rows, cols = linear_sum_assignment(-confusion)
+        assert accuracy(labels, truth) == confusion[rows, cols].sum() / 1000
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_em_rejects_non_finite_samples(bad):
+    s = sample_gmm(random_model(4, 2, seed=26), 500, seed=26)
+    s.data[7, 2] = bad
+    with pytest.raises(InvalidSamples) as exc:
+        em_baseline(s, 2, seed=26)
+    assert isinstance(exc.value, MomentmixError)
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("field", ["weights", "means", "variances"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gmm_model_rejects_non_finite(field, bad):
+    params = dict(
+        weights=np.array([0.5, 0.5]),
+        means=np.zeros((2, 3)),
+        variances=np.ones((2, 3)),
+    )
+    params[field] = params[field].copy()
+    params[field].flat[1] = bad
+    with pytest.raises(ValueError):
+        GmmModel(**params)

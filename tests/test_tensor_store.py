@@ -194,3 +194,14 @@ def test_json_rejects_bad_keys():
             '{"key": [0, 1, 2], "re": 1.0, "im": 0.0},'
             '{"key": [0, 1, 2], "re": 2.0, "im": 0.0}]}'
         )
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_from_components_rejects_order_below_one(m):
+    with pytest.raises(InvalidTensor):
+        from_components(ComponentList(np.ones((1, 5))), m, [()])
+
+
+def test_omega_keys_rejects_negative_order():
+    with pytest.raises(InvalidTensor):
+        omega_keys(5, -1)
