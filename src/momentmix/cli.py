@@ -1,10 +1,10 @@
 """Command-line driver: synthetic data generation, decomposition,
 mixture learning, baselines, and experiment-table reproduction.
 
-Exit codes: 0 success, 1 other pipeline errors (such as a malformed
-tensor file), 2 invalid flags or infeasible rank, 3 missing tensor
-entry, 4 degenerate spectrum.  Every command is deterministic given its
-flags and seed.
+Exit codes: 0 success, 1 other pipeline errors (such as a tensor file
+with a malformed key or value), 2 invalid flags, unreadable input files
+or infeasible rank, 3 missing tensor entry, 4 degenerate spectrum.
+Every command is deterministic given its flags and seed.
 """
 
 from __future__ import annotations
@@ -314,6 +314,10 @@ def main(argv=None) -> int:
     except MomentmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OSError, ValueError) as exc:
+        # an unreadable input file or a flag value the pipeline rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -31,7 +31,10 @@ from .tensor_store import (
     block_matrix,
     component_products,
     from_components,
+    omega_keys,
     omega_norm,
+    product_jacobian,
+    slot_partials,
 )
 
 
@@ -254,49 +257,98 @@ def _relative_err(T: IncompleteSymmetricTensor, diff_values: np.ndarray) -> floa
     return err / denom
 
 
+def _omega_gram(Q: np.ndarray, m: int) -> np.ndarray:
+    """(r, d, r, d) Gram G = Jc^H Jc of the complex Jacobian Jc of
+    key -> sum_i prod_t Q[i, key_t] over all of ``omega_keys(d, m)``.
+
+    With z = conj(q_i) * q_j and e_k its elementary symmetric
+    polynomials, G[i, a, j, b] is conj(q_ib) q_ja e_{m-2}(z without a, b)
+    for a != b and e_{m-1}(z without a) for a == b.  These are products of
+    the truncated polynomials prod_c (1 + z_c t) over the coordinates
+    before, between and after the left-out ones, vectorised over the
+    (i, j) pairs.  Nothing is subtracted or divided: deflating e_k(z)
+    instead cancels when a vector's coordinates span many orders of
+    magnitude.
+    """
+    r, d = Q.shape
+    z = Q.conj()[:, None, :] * Q[None, :, :]  # (r, r, d)
+    # pre[a][k] = e_k(z_c : c < a) and suf[a][k] = e_k(z_c : c > a)
+    pre = np.empty((d, m, r, r), dtype=complex)
+    suf = np.empty((d, m, r, r), dtype=complex)
+    fwd = np.zeros((m, r, r), dtype=complex)
+    fwd[0] = 1.0
+    bwd = fwd.copy()
+    for c in range(d):
+        pre[c] = fwd
+        fwd[1:] += z[:, :, c] * fwd[:-1]
+        suf[d - 1 - c] = bwd
+        bwd[1:] += z[:, :, d - 1 - c] * bwd[:-1]
+    # off[a, b] = e_{m-2}(z without a, b) for a < b, from
+    # left[a] = e(z_c : c < b, c != a) grown one coordinate b at a time
+    off = np.zeros((d, d, r, r), dtype=complex)
+    left = np.empty((d, m - 1, r, r), dtype=complex)
+    for b in range(d):
+        grown = left[:b]
+        off[:b, b] = sum(grown[:, p] * suf[b, m - 2 - p] for p in range(m - 1))
+        grown[:, 1:] += z[:, :, b] * grown[:, :-1]
+        left[b] = pre[b, : m - 1]
+    off += off.transpose(1, 0, 2, 3)
+    G = off.transpose(2, 0, 3, 1) * Q.conj()[:, None, None, :] * Q.T[None, :, :, None]
+    diag = np.arange(d)
+    G[:, diag, :, diag] = sum(pre[:, p] * suf[:, m - 1 - p] for p in range(m))
+    return G
+
+
 def _residual_builder(T: IncompleteSymmetricTensor, r: int):
-    """Real residual and analytic Jacobian over the stored keys for the
-    flattened [Re(Q); Im(Q)] parameterization."""
+    """Real residual over the stored keys for the flattened
+    [Re(Q); Im(Q)] parameterization, and its Gauss-Newton normal
+    equations without the Jacobian.
+
+    With Jc the complex Jacobian and G = Jc^H Jc, the real J.T @ J is
+    [[Re G, -Im G], [Im G, Re G]] and J.T @ f is [Re g; Im g] with
+    g = Jc^H f.  G comes in closed form over all distinct-index keys
+    (``_omega_gram``), plus the per-key Gram of any stored key with a
+    repeated index and minus that of any distinct-index key not stored.
+    g scatters the conjugated slot partials times f into the r*d slots.
+    """
     key_arr = T.key_array
     target = T.values
     d, m = T.d, T.m
     n_keys = key_arr.shape[0]
+    rd = r * d
+    distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
+    radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    absent = distinct[~np.isin(distinct @ radix, key_arr @ radix)]
+    repeated = key_arr[(key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)]
+    correction_keys = np.concatenate([repeated, absent])
+    correction_sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
+    slots = (key_arr[:, :, None] + d * np.arange(r)).ravel()  # slot of (k, t, i)
 
     def split(x):
-        half = r * d
-        return (x[:half] + 1j * x[half:]).reshape(r, d)
+        return (x[:rd] + 1j * x[rd:]).reshape(r, d)
 
     def residual(x):
         Q = split(x)
         vals = component_products(Q, key_arr).sum(axis=0) - target
         return np.concatenate([vals.real, vals.imag])
 
-    def jacobian(x):
+    def normal_equations(x, f):
         Q = split(x)
-        gathered = Q[:, key_arr]  # (r, n_keys, m)
-        # prefix/suffix products give the per-slot partial derivatives
-        prefix = np.ones_like(gathered)
-        suffix = np.ones_like(gathered)
-        for t in range(1, m):
-            prefix[:, :, t] = prefix[:, :, t - 1] * gathered[:, :, t - 1]
-            suffix[:, :, m - 1 - t] = suffix[:, :, m - t] * gathered[:, :, m - t]
-        partial = prefix * suffix  # d(value)/d Q[i, slot t of key]
-        # [[Re, -Im], [Im, Re]] of the complex Jacobian, filled in place
-        J = np.zeros((2 * n_keys, 2 * r * d))
-        rows = np.arange(n_keys)
-        for i in range(r):
-            for t in range(m):
-                cols = i * d + key_arr[:, t]
-                J[rows, cols] += partial[i, :, t].real
-                J[rows, r * d + cols] -= partial[i, :, t].imag
-                J[n_keys + rows, cols] += partial[i, :, t].imag
-                J[n_keys + rows, r * d + cols] += partial[i, :, t].real
-        return J
+        Jk = product_jacobian(Q, correction_keys).reshape(-1, rd)
+        G = _omega_gram(Q, m).reshape(rd, rd)
+        G += Jk.conj().T @ (correction_sign[:, None] * Jk)
+        # conj(g) sums partial * conj(f) over the slots holding each (i, a)
+        weighted = slot_partials(Q, key_arr).transpose(1, 2, 0)  # (n, m, r)
+        weighted *= (f[:n_keys] - 1j * f[n_keys:])[:, None, None]
+        g_re = np.bincount(slots, weighted.real.ravel(), minlength=rd)
+        g_im = -np.bincount(slots, weighted.imag.ravel(), minlength=rd)
+        JtJ = np.block([[G.real, -G.imag], [G.imag, G.real]])
+        return JtJ, np.concatenate([g_re, g_im])
 
     def pack(Q):
         return np.concatenate([Q.real.ravel(), Q.imag.ravel()])
 
-    return residual, jacobian, split, pack
+    return residual, normal_equations, split, pack
 
 
 def approximate(
@@ -306,18 +358,28 @@ def approximate(
 ) -> Decomposition:
     """Noisy pipeline: run the exact stages on the noisy subtensor, then
     refine all component entries by damped Gauss-Newton on the residual
-    over the stored keys.
+    over the stored keys.  diagnostics["lm_iterations"] counts the
+    normal-equation evaluations of the refinement.
 
     When ``truth`` is supplied the diagnostics carry abs_err (distance of
     the reconstruction to the exact tensor) and rel_err (distance to the
     noisy tensor relative to the noise norm).
     """
     base = decompose(T_noisy, params)
-    residual, jacobian, split, pack = _residual_builder(T_noisy, params.r)
+    residual, normal_equations, split, pack = _residual_builder(T_noisy, params.r)
+    lm_iterations = 0
+
+    def counted_normal_equations(x, f):
+        nonlocal lm_iterations
+        lm_iterations += 1
+        return normal_equations(x, f)
+
     opts = {"max_iters": 200, "grad_tol": 1e-10}
     opts.update(params.refine_opts)
     x0 = pack(base.components)
-    x_star = nlls_refine(residual, x0, jacobian=jacobian, **opts)
+    x_star = nlls_refine(
+        residual, x0, normal_equations=counted_normal_equations, **opts
+    )
     components = split(x_star)
     keys = T_noisy.key_array
     rec = from_components(ComponentList(components), T_noisy.m, keys)
@@ -325,6 +387,7 @@ def approximate(
     diagnostics = dict(base.diagnostics)
     diagnostics["decomp_err"] = _relative_err(T_noisy, diff_hat.values)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
+    diagnostics["lm_iterations"] = lm_iterations
     if truth is not None:
         truth_values = truth.gather(keys)
         diff_true = T_noisy.with_values(rec.values - truth_values)

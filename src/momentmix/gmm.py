@@ -37,7 +37,12 @@ from .errors import (
     OrderConflict,
 )
 from .numerics import nnls, rng_from, simplex_nlls
-from .tensor_store import IncompleteSymmetricTensor, omega_keys
+from .tensor_store import (
+    IncompleteSymmetricTensor,
+    component_products,
+    omega_keys,
+    product_jacobian,
+)
 
 TensorKey = tuple[int, ...]
 
@@ -249,6 +254,10 @@ def recover_weights(
 
 
 def _moment_residual(Mm: MomentSet, Mt: MomentSet, d: int):
+    """Residual of the weighted mean products against the order-m and
+    order-t distinct-index moments, and its analytic Jacobian: the
+    derivative in omega_i is component i's product at each key, and in
+    mu_ia omega_i times the key's slot partial at coordinate a."""
     keys_m = omega_keys(d, Mm.order)
     keys_t = omega_keys(d, Mt.order)
     arr_m = np.asarray(keys_m, dtype=int)
@@ -257,11 +266,21 @@ def _moment_residual(Mm: MomentSet, Mt: MomentSet, d: int):
     target_t = np.array([Mt[k] for k in keys_t])
 
     def residual(omega, mu):
-        vm = (omega[:, None] * np.prod(mu[:, arr_m], axis=2)).sum(0) - target_m
-        vt = (omega[:, None] * np.prod(mu[:, arr_t], axis=2)).sum(0) - target_t
+        vm = (omega[:, None] * component_products(mu, arr_m)).sum(0) - target_m
+        vt = (omega[:, None] * component_products(mu, arr_t)).sum(0) - target_t
         return np.concatenate([vm, vt])
 
-    return residual
+    def jacobian(omega, mu):
+        J_omega = np.concatenate(
+            [component_products(mu, arr_m).T, component_products(mu, arr_t).T]
+        )
+        J_mu = np.concatenate(
+            [product_jacobian(mu, arr_m), product_jacobian(mu, arr_t)]
+        )
+        J_mu *= omega[None, :, None]
+        return J_omega, J_mu.reshape(J_mu.shape[0], -1)
+
+    return residual, jacobian
 
 
 def refine_params(
@@ -272,10 +291,13 @@ def refine_params(
     max_iters: int = 200,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simplex-constrained refinement of weights and means on the two-term
-    moment-matching objective.  omega0 must already be on the simplex."""
+    moment-matching objective, with analytic derivatives.  omega0 must
+    already be on the simplex."""
     d = np.atleast_2d(mus0).shape[1]
-    residual = _moment_residual(Mm, Mt, d)
-    return simplex_nlls(residual, omega0, mus0, max_iters=max_iters)
+    residual, jacobian = _moment_residual(Mm, Mt, d)
+    return simplex_nlls(
+        residual, omega0, mus0, max_iters=max_iters, jacobian=jacobian
+    )
 
 
 def recover_covariances(
@@ -374,9 +396,7 @@ def em_baseline(
     N, d = Y.shape
     if r > N:
         raise ValueError("more components than samples")
-    if not np.isfinite(Y).all():
-        row, col = np.argwhere(~np.isfinite(Y))[0]
-        raise InvalidSamples(f"sample {row} is non-finite at coordinate {col}")
+    _reject_non_finite(Y)
     YY = Y * Y
     rng = rng_from(seed, "em")
     resp = rng.random((N, r))
@@ -448,12 +468,24 @@ def _logsumexp(a):
     return mx + np.log(total)
 
 
+def _reject_non_finite(Y):
+    bad = ~np.isfinite(Y)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise InvalidSamples(f"sample {row} is non-finite at coordinate {col}")
+
+
 def classify(model: GmmModel, samples: SampleSet) -> np.ndarray:
-    """Per-sample argmax of the weighted component likelihood."""
+    """Per-sample argmax of the weighted component likelihood.  Raises
+    InvalidSamples naming the first sample with a non-finite coordinate."""
     Y = np.ascontiguousarray(samples.data, dtype=float)
     log_prob = _log_component_densities(
         Y, Y * Y, model.weights, model.means, model.variances
     )
+    # A non-finite coordinate makes its row of log-densities non-finite,
+    # so the samples are searched only when that cheaper check fails.
+    if not np.isfinite(log_prob).all():
+        _reject_non_finite(Y)
     return np.argmax(log_prob, axis=1)
 
 

@@ -3,7 +3,10 @@ eigendecomposition, damped Gauss-Newton refinement, and simplex-constrained
 nonlinear least squares.
 
 All decomposition-path linear algebra is complex; the mixture-model weight
-and covariance solves are real.
+and covariance solves are real.  The Gauss-Newton loop takes the normal
+equations J.T @ J and J.T @ f from its caller, so a refinement with a
+closed form for them never builds its Jacobian; finite differences remain
+the default for a bare residual.
 """
 
 from __future__ import annotations
@@ -119,25 +122,32 @@ def nlls_refine(
     x0: Sequence[float],
     max_iters: int = 200,
     grad_tol: float = 1e-10,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+    normal_equations: Callable[[np.ndarray, np.ndarray], tuple] | None = None,
 ) -> np.ndarray:
     """Levenberg-Marquardt style damped Gauss-Newton minimization of
     ||residual(x)||^2 with a monotone safeguard: the returned point never
     has a larger objective than x0.
 
-    Jacobians are forward finite differences unless ``jacobian`` is given.
+    ``normal_equations(x, f)`` returns the Gauss-Newton matrix J.T @ J and
+    the gradient J.T @ f at x, where f = residual(x); a caller with a
+    closed form for them never forms J.  Without it, J is taken by forward
+    finite differences, one residual call per coordinate.
     """
+    if normal_equations is None:
+
+        def normal_equations(x, f):
+            J = _fd_jacobian(residual, x, f)
+            return J.T @ J, J.T @ f
+
     x = np.asarray(x0, dtype=float).copy()
     f = np.asarray(residual(x), dtype=float)
     cost = float(f @ f)
     best_x, best_cost = x.copy(), cost
     lam = 1e-3
     for _ in range(max_iters):
-        J = jacobian(x) if jacobian is not None else _fd_jacobian(residual, x, f)
-        grad = J.T @ f
+        JtJ, grad = normal_equations(x, f)
         if np.max(np.abs(grad)) <= grad_tol:
             break
-        JtJ = J.T @ J
         diag = np.eye(x.size)
         accepted = False
         for _ in range(30):
@@ -170,10 +180,18 @@ def simplex_nlls(
     mu0: np.ndarray,
     max_iters: int = 200,
     grad_tol: float = 1e-10,
+    jacobian: Callable[[np.ndarray, np.ndarray], tuple] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ||residual(omega, mu)||^2 with omega on the probability
     simplex, via the squared-variable reparameterization
     omega_i = t_i^2 / sum_j t_j^2 fed to ``nlls_refine``.
+
+    ``jacobian(omega, mu)`` returns the residual's derivatives
+    (J_omega, J_mu), of shapes (n, r) and (n, r * d) with mu flattened
+    row-major.  They are chained through the simplex map,
+    d omega_i / d t_k = 2 t_k (delta_ik - omega_i) / sum_j t_j^2, and the
+    small dense J.T @ J and J.T @ f go to ``nlls_refine``.  Without it,
+    ``nlls_refine`` differences the residual.
 
     The returned omega is exactly renormalized onto the simplex.
     """
@@ -199,8 +217,26 @@ def simplex_nlls(
         w, mu = unpack(x)
         return residual(w, mu)
 
+    normal_equations = None
+    if jacobian is not None:
+
+        def normal_equations(x, f):
+            t = x[:r]
+            s = t @ t
+            w, mu = unpack(x)
+            J_w, J_mu = jacobian(w, mu)
+            if s > 0:
+                J_t = (J_w - (J_w @ w)[:, None]) * (2.0 * t / s)
+            else:  # the uniform fallback of ``unpack`` does not move with t
+                J_t = np.zeros_like(J_w)
+            J = np.hstack([J_t, J_mu])
+            return J.T @ J, J.T @ f
+
     x0 = np.concatenate([np.sqrt(omega0), mu0.ravel()])
-    x_star = nlls_refine(wrapped, x0, max_iters=max_iters, grad_tol=grad_tol)
+    x_star = nlls_refine(
+        wrapped, x0, max_iters=max_iters, grad_tol=grad_tol,
+        normal_equations=normal_equations,
+    )
     omega, mu = unpack(x_star)
     omega = omega / omega.sum()
     return omega, mu

@@ -184,6 +184,39 @@ def component_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
+def slot_partials(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(r, n_keys, m) partial derivatives of each key's product: entry
+    [i, k, t] is the product of vectors[i] over every slot of key k but
+    slot t, the derivative with respect to the coordinate in slot t.
+
+    Built from prefix and suffix products, so nothing is divided.  The
+    result is a view whose memory runs (n_keys, m, r), C order.
+    """
+    gathered = vectors.T[keys]  # (n_keys, m, r), one block per slot
+    out = np.ones_like(gathered)
+    for t in range(1, keys.shape[1]):
+        np.multiply(out[:, t - 1], gathered[:, t - 1], out=out[:, t])
+    suffix = np.ones_like(gathered[:, 0])
+    for t in range(keys.shape[1] - 2, -1, -1):
+        suffix *= gathered[:, t + 1]
+        out[:, t] *= suffix
+    return out.transpose(2, 0, 1)
+
+
+def product_jacobian(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(n_keys, r, d) derivatives of each key's product with respect to
+    vectors[i, a]: the slot partials summed over the slots holding a."""
+    n = keys.shape[0]
+    r, d = vectors.shape
+    partials = slot_partials(vectors, keys)
+    J = np.zeros((n, r, d), dtype=partials.dtype)
+    rows = np.arange(n)
+    for t in range(keys.shape[1]):
+        # one slot per statement, so a repeated index accumulates
+        J[rows, :, keys[:, t]] += partials[:, :, t].T
+    return J
+
+
 def block_matrix(
     T: IncompleteSymmetricTensor,
     rows: list[IndexSubset],
@@ -240,7 +273,11 @@ def to_json(T: IncompleteSymmetricTensor) -> str:
             T.key_array.tolist(), T.values.real.tolist(), T.values.imag.tolist()
         )
     ]
-    return json.dumps({"d": T.d, "m": T.m, "entries": records}, indent=1)
+    # Unindented, json runs its C encoder; indenting runs the pure-Python
+    # one, several times slower on large tensors.
+    return json.dumps(
+        {"d": T.d, "m": T.m, "entries": records}, separators=(",", ":")
+    )
 
 
 def from_json(text: str) -> IncompleteSymmetricTensor:

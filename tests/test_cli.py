@@ -177,3 +177,28 @@ def test_gen_tensor_rejects_order_below_one(tmp_path, capsys, m):
                        "--out", str(tmp_path / "x.json"))
     assert code == 1
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_missing_tensor_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code, _, err = run(capsys, "decompose", "--tensor", str(missing), "--r", "2")
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_unparsable_tensor_file_exits_2(tmp_path, capsys):
+    tensor = tmp_path / "t.json"
+    tensor.write_text("{not json")
+    code, _, err = run(capsys, "approximate", "--tensor", str(tensor), "--r", "2")
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_invalid_p_flag_exits_2(tmp_path, capsys):
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen-tensor", "--d", "6", "--m", "3", "--r", "2",
+        "--out", str(tensor))
+    code, _, err = run(capsys, "decompose", "--tensor", str(tensor), "--r", "2",
+                       "--p", "5", "--k", "1")
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from momentmix.decomposition import (
     DecompositionParams,
+    _residual_builder,
     PreconditionWarning,
     approximate,
     brute_force_max_rank,
@@ -184,3 +185,90 @@ def test_decomposition_json_round_trip():
     dec = decompose(T, choose_params(5, 3, 2, seed=12))
     back = from_json(to_json(dec, 6, 3))
     assert np.allclose(back.components, dec.components)
+
+
+def dense_complex_jacobian(T, Q):
+    """Reference Jc[key, (i, a)]: the derivative of sum_i prod_t Q[i, key_t]
+    in Q[i, a], one key, component and slot at a time."""
+    r, d = Q.shape
+    Jc = np.zeros((len(T.key_array), r, d), dtype=complex)
+    for row, key in enumerate(T.key_array.tolist()):
+        for i in range(r):
+            for t, a in enumerate(key):
+                Jc[row, i, a] += np.prod(Q[i, key[:t] + key[t + 1:]])
+    return Jc.reshape(len(Jc), r * d)
+
+
+def spread_components(d, r, seed, across):
+    """Complex components whose norms (across=True) or coordinates
+    (across=False) span 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    Q = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+    if across:
+        return Q * np.logspace(-3, 3, r)[:, None]
+    return Q * np.logspace(-3, 3, d)[rng.permutation(d)]
+
+
+def dropped_tensor():
+    """d=10, m=4, r=3 planted tensor without three distinct-index keys
+    that ``approximate`` does not need."""
+    _, T = planted(10, 4, 3, seed=3)
+    entries = dict(T.entries)
+    for key in [(0, 1, 2, 3), (5, 6, 7, 8), (6, 7, 8, 9)]:
+        del entries[key]
+    return IncompleteSymmetricTensor(10, 4, entries)
+
+
+def repeated_tensor():
+    """d=7, m=3 planted tensor plus two stored repeated-index keys."""
+    _, T = planted(7, 3, 2, seed=4)
+    entries = dict(T.entries)
+    entries[(0, 0, 1)] = 0.3
+    entries[(2, 2, 2)] = -0.1
+    return IncompleteSymmetricTensor(7, 3, entries)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["m3", "m4", "m5", "m4-coordinates", "m5-coordinates", "dropped", "repeated"],
+)
+def test_normal_equations_match_dense_jacobian(case):
+    if case == "dropped":
+        T, r = dropped_tensor(), 3
+        approximate(T, choose_params(9, 4, 3, seed=3))  # accepted
+    elif case == "repeated":
+        T, r = repeated_tensor(), 2
+    else:
+        m = int(case[1])
+        _, T = planted(8, m, 3, seed=m)
+        r = 3
+    Q = spread_components(T.d, r, seed=len(case), across="-" not in case)
+    residual, normal_equations, split, pack = _residual_builder(T, r)
+    x = pack(Q)
+    f = residual(x)
+    JtJ, Jtf = normal_equations(x, f)
+    Jc = dense_complex_jacobian(T, Q)
+    J = np.block([[Jc.real, -Jc.imag], [Jc.imag, Jc.real]])
+    ref, ref_g = J.T @ J, J.T @ f
+    d = T.d
+    for bi in range(2 * r):
+        rows = slice(bi * d, (bi + 1) * d)
+        assert np.abs(Jtf[rows] - ref_g[rows]).max() <= 1e-12 * np.abs(ref_g[rows]).max()
+        for bj in range(2 * r):
+            cols = slice(bj * d, (bj + 1) * d)
+            block = ref[rows, cols]
+            assert np.abs(JtJ[rows, cols] - block).max() <= 1e-12 * np.abs(block).max()
+
+
+def test_approximate_counts_lm_iterations_exact():
+    comps, T = planted(8, 3, 2, seed=9)
+    dec = approximate(T, choose_params(7, 3, 2, seed=9))
+    assert dec.diagnostics["lm_iterations"] == 1
+
+
+def test_approximate_counts_lm_iterations_noisy():
+    comps, T = planted(15, 3, 6, seed=10)
+    Th = perturb(T, 0.01, 10)
+    dec = approximate(Th, choose_params(14, 3, 6, seed=10))
+    assert dec.diagnostics["lm_iterations"] >= 1
+    assert dec.diagnostics["decomp_err"] <= dec.diagnostics["pre_refine_decomp_err"]

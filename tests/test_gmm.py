@@ -33,7 +33,8 @@ from momentmix.gmm import (
     sample_moments,
     univariate_gaussian_moment,
 )
-from momentmix.numerics import rng_from
+from momentmix import numerics
+from momentmix.numerics import rng_from, simplex_nlls
 from momentmix.tensor_store import omega_keys
 
 
@@ -486,3 +487,61 @@ def test_gmm_model_rejects_non_finite(field, bad):
     params[field].flat[1] = bad
     with pytest.raises(ValueError):
         GmmModel(**params)
+
+
+@pytest.mark.parametrize("m,t", [(3, 1), (3, 2), (4, 2)])
+def test_moment_jacobian_through_simplex_matches_central_differences(
+    monkeypatch, m, t
+):
+    d, r = 6, 3
+    model = random_model(d, r, seed=30 + m + t)
+    Mm = exact_moments(model, omega_keys(d, m))
+    Mt = exact_moments(model, omega_keys(d, t))
+    residual, jacobian = gmm._moment_residual(Mm, Mt, d)
+    captured = {}
+
+    def capture(wrapped, x0, **kwargs):
+        captured.update(wrapped=wrapped, x0=x0, **kwargs)
+        return x0
+
+    monkeypatch.setattr(numerics, "nlls_refine", capture)
+    rng = np.random.default_rng(m * 10 + t)
+    w0 = model.weights + 0.05 * rng.random(r)
+    mu0 = model.means + 0.1 * rng.standard_normal((r, d))
+    simplex_nlls(residual, w0 / w0.sum(), mu0, jacobian=jacobian)
+    wrapped, x = captured["wrapped"], captured["x0"]
+    f = wrapped(x)
+    JtJ, Jtf = captured["normal_equations"](x, f)
+    J = np.empty((f.size, x.size))
+    for k in range(x.size):
+        h = 1e-6 * (1.0 + abs(x[k]))
+        step = np.zeros_like(x)
+        step[k] = h
+        J[:, k] = (wrapped(x + step) - wrapped(x - step)) / (2 * h)
+    assert np.abs(JtJ - J.T @ J).max() <= 1e-7 * np.abs(JtJ).max()
+    assert np.abs(Jtf - J.T @ f).max() <= 1e-7 * np.abs(Jtf).max()
+
+
+def test_refine_params_matches_finite_difference_path():
+    model = random_model(5, 2, seed=12)
+    samples = sample_gmm(model, 3000, seed=12)
+    Mm = sample_moments(samples, omega_keys(5, 3))
+    Mt = sample_moments(samples, omega_keys(5, 1))
+    rng = np.random.default_rng(1)
+    w0 = np.abs(model.weights + 0.02 * rng.standard_normal(2))
+    w0 /= w0.sum()
+    mu0 = model.means + 0.02 * rng.standard_normal(model.means.shape)
+    residual, _ = gmm._moment_residual(Mm, Mt, 5)
+    w_fd, mu_fd = simplex_nlls(residual, w0, mu0)
+    w, mu = refine_params(w0, mu0, Mm, Mt)
+    assert np.abs(w - w_fd).max() <= 1e-6
+    assert np.abs(mu - mu_fd).max() <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classify_rejects_non_finite_samples(bad):
+    model = random_model(4, 3, seed=1)
+    s = sample_gmm(model, 10, seed=1)
+    s.data[2, 1] = bad
+    with pytest.raises(InvalidSamples, match="sample 2 "):
+        classify(model, s)

@@ -103,6 +103,25 @@ def test_nlls_monotone_on_random_quartics():
         assert after <= before + 1e-12
 
 
+def test_nlls_normal_equations_monotone_on_random_quartics():
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(3)
+        x0 = rng.standard_normal(3)
+
+        def residual(x):
+            return x**2 - c
+
+        def normal_equations(x, f):
+            J = np.diag(2.0 * x)
+            return J.T @ J, J.T @ f
+
+        before = np.linalg.norm(residual(x0)) ** 2
+        x = nlls_refine(residual, x0, max_iters=30, normal_equations=normal_equations)
+        after = np.linalg.norm(residual(x)) ** 2
+        assert after <= before + 1e-12
+
+
 def test_simplex_nlls_r1():
     omega, mu = simplex_nlls(
         lambda w, m: (m - 2.0).ravel(), np.array([1.0]), np.array([[0.0]])

@@ -16,6 +16,8 @@ from momentmix.tensor_store import (
     omega_keys,
     omega_norm,
     perturb,
+    product_jacobian,
+    slot_partials,
     to_json,
 )
 
@@ -205,3 +207,32 @@ def test_from_components_rejects_order_below_one(m):
 def test_omega_keys_rejects_negative_order():
     with pytest.raises(InvalidTensor):
         omega_keys(5, -1)
+
+
+def test_json_round_trip_is_exact_and_compact():
+    rng = np.random.default_rng(4)
+    comps = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    T = from_components(ComponentList(comps), 4, omega_keys(7, 4))
+    text = to_json(T)
+    assert "\n" not in text and ", " not in text
+    back = from_json(text)
+    assert np.array_equal(back.key_array, T.key_array)
+    assert np.array_equal(back.values, T.values)
+    assert to_json(back) == text
+
+
+def test_slot_partials_and_product_jacobian_match_loops():
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    keys = np.array([(0, 1, 2), (0, 0, 3), (4, 4, 4), (1, 3, 4)])
+    P = slot_partials(V, keys)
+    J = product_jacobian(V, keys)
+    assert P.shape == (3, 4, 3) and J.shape == (4, 3, 5)
+    ref_J = np.zeros_like(J)
+    for i in range(3):
+        for k, key in enumerate(keys.tolist()):
+            for t, a in enumerate(key):
+                partial = np.prod(V[i, key[:t] + key[t + 1:]])
+                assert P[i, k, t] == pytest.approx(partial, rel=1e-14)
+                ref_J[k, i, a] += partial
+    assert np.allclose(J, ref_J, rtol=1e-14, atol=0)
