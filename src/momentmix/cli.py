@@ -2,8 +2,9 @@
 mixture learning, baselines, and experiment-table reproduction.
 
 Exit codes: 0 success, 1 other pipeline errors (such as a tensor file
-with a malformed key or value), 2 invalid flags, unreadable input files
-or infeasible rank, 3 missing tensor entry, 4 degenerate spectrum.
+with a missing field or a malformed key or value), 2 invalid flags,
+unreadable input files (a model file with a missing field among them) or
+infeasible rank, 3 missing tensor entry, 4 degenerate spectrum.
 Every command is deterministic given its flags and seed.
 """
 

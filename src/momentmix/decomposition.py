@@ -15,16 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg.blas import zherk
 
 from .combinatorics import binomial, subsets_lex
 from .errors import (
     HeadsDegenerate,
+    IllConditioned,
     RankTooLarge,
     ScalesDegenerate,
     TailsDegenerate,
 )
 from .generating import companion_matrices, extract_tails, solve_generating_matrix
-from .numerics import lstsq, nlls_refine
+from .numerics import _COND_LIMIT, lstsq, nlls_refine
 from .tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
@@ -191,24 +193,60 @@ def solve_scales(
     tails: np.ndarray,
     params: DecompositionParams,
 ) -> np.ndarray:
-    """Scales lambda_i from a least squares over all stored distinct-index
-    keys, each sorted key weighted once."""
+    """Scales lambda_i from a least squares over all stored keys, each
+    sorted key weighted once; solved on the r x r normal equations of the
+    equilibrated design with one correction step (see ``_scale_fit``)."""
     r = params.r
     full = np.concatenate(
         [np.ones((r, 1), dtype=complex), heads, tails], axis=1
     )
-    design = component_products(full, T.key_array).T  # (n_keys, r)
+    return _scale_fit(T, full)[0]
+
+
+def _scale_fit(
+    T: IncompleteSymmetricTensor, full: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Scales lambda minimizing ||sum_i lambda_i prod(full_i over key) - T||
+    over T's stored keys, the reconstruction at those keys, and the
+    condition number of the equilibrated design.
+
+    The design's columns are u_i^{(x)m} on the keys.  Equilibrated, their
+    cosines behave like |<u_i, u_j>|^m, so the design is close to
+    orthogonal and its r x r Gram is safe to solve: semi-normal equations
+    with one correction step (Bjorck 1996, section 2.9) are then as
+    accurate as an SVD of the tall design, at a fraction of its cost.
+    Raises ScalesDegenerate on a zero column or a numerically
+    rank-deficient design and warns IllConditioned above the condition
+    limit of ``numerics.lstsq``.
+    """
+    design = component_products(full, T.key_array)  # (r, n_keys)
     b = T.values
+    # design.T is Fortran-ordered, so zherk reads it without a copy and
+    # fills the upper triangle of its Gram (design.T)^H design.T.
+    upper = zherk(1.0, design.T, trans=2)
+    scale = np.sqrt(np.diag(upper).real)
+    if np.any(scale == 0):
+        raise ScalesDegenerate("scale design has a zero column")
     # Columns scale like u_i^m and spread over many orders of magnitude
     # when a component's leading coordinate is small; equilibrate so the
     # rank test and the solve see a well-scaled system.
-    col_norms = np.linalg.norm(design, axis=0)
-    if np.any(col_norms == 0):
-        raise ScalesDegenerate("scale design has a zero column")
-    report = lstsq(design / col_norms, b)
-    if report.rank < r:
+    unit = np.triu(upper, 1) / np.outer(scale, scale)
+    unit += unit.conj().T
+    np.fill_diagonal(unit, 1.0)
+    w, V = np.linalg.eigh(unit)
+    r = full.shape[0]
+    if not w[0] > r * np.finfo(float).eps * w[-1]:  # also catches NaN
         raise ScalesDegenerate("scale design rank-deficient")
-    return report.solution / col_norms
+    if w[-1] / w[0] > _COND_LIMIT:
+        warnings.warn("scale least-squares system is ill-conditioned", IllConditioned)
+
+    def solve(rhs):  # G^-1 design^H rhs for the unscaled Gram G
+        c = (design @ rhs.conj()).conj() / scale
+        return (V @ ((V.conj().T @ c) / w)) / scale
+
+    lambdas = solve(b)
+    lambdas += solve(b - lambdas @ design)
+    return lambdas, lambdas @ design, float(np.sqrt(w[-1] / w[0]))
 
 
 def decompose(
@@ -216,7 +254,11 @@ def decompose(
 ) -> Decomposition:
     """Exact pipeline: generating matrix, eigen tails, then the three
     least-squares stages; components are lambda^(1/m) (1, v_i, w_i) with
-    the principal m-th root."""
+    the principal m-th root.
+
+    The scale stage's design products also give the reconstruction behind
+    diagnostics["decomp_err"]; diagnostics["scale_cond"] is the condition
+    number of the equilibrated scale design."""
     n, m = T.d - 1, T.m
     params.validate(n, m)
     G = solve_generating_matrix(T, params.r, params.p, params.k)
@@ -224,18 +266,19 @@ def decompose(
     tails, _, gap = extract_tails(Ns, params.seed)
     gammas = solve_tail_products(T, tails, params)
     heads = solve_heads(T, tails, gammas, params)
-    lambdas = solve_scales(T, heads, tails, params)
     full = np.concatenate(
         [np.ones((params.r, 1), dtype=complex), heads, tails], axis=1
     )
+    lambdas, rec, scale_cond = _scale_fit(T, full)
     roots = np.power(lambdas.astype(complex), 1.0 / m)
     components = roots[:, None] * full
-    err = decomp_err(T, components)
+    err = _relative_err(T, rec - T.values)
     diagnostics = {
         "decomp_err": err,
         "eigen_gap": gap,
         "gen_residual_max": float(np.max(G.residuals)) if G.residuals.size else 0.0,
         "gen_rank_min": int(G.ranks.min()),
+        "scale_cond": scale_cond,
     }
     return Decomposition(components=components, diagnostics=diagnostics)
 

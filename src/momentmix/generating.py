@@ -169,11 +169,12 @@ def extract_tails(
             f"eigenvalue gap {best_gap:.2e} below {_GAP_TOL} after "
             f"{_MAX_XI_RETRIES} random combinations"
         )
-    tails = np.empty((r, n_tail), dtype=complex)
-    for i in range(r):
-        v = best_vecs[:, i]
-        for j in range(n_tail):
-            tails[i, j] = np.vdot(v, Ns.matrices[j] @ v)
+    # tails[i, j] = v_i^H N_j v_i for every (i, j) in two broadcast
+    # matmuls.  Each is a batch of matrix-vector and vector-vector
+    # products, the same ones a loop over (i, j) makes; a matrix-matrix
+    # product would round differently, and the later stages amplify that.
+    vecs = best_vecs.T[:, None, :, None]  # (r, 1, r, 1): v_i as a column
+    tails = (vecs.conj().swapaxes(-1, -2) @ (Ns.matrices @ vecs))[:, :, 0, 0]
     return tails, best_vecs, best_gap
 
 

@@ -526,9 +526,11 @@ def model_to_json(model: GmmModel) -> str:
 
 
 def model_from_json(text: str) -> GmmModel:
+    """Model from ``model_to_json`` text; raises ValueError naming a
+    missing field."""
     doc = json.loads(text)
-    return GmmModel(
-        weights=np.asarray(doc["weights"], dtype=float),
-        means=np.asarray(doc["means"], dtype=float),
-        variances=np.asarray(doc["variances"], dtype=float),
-    )
+    fields = ("weights", "means", "variances")
+    for name in fields:
+        if not isinstance(doc, dict) or name not in doc:
+            raise ValueError(f"model document has no {name!r} field")
+    return GmmModel(**{name: np.asarray(doc[name], dtype=float) for name in fields})

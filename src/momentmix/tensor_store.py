@@ -147,7 +147,7 @@ def _key_array(keys, m: int) -> np.ndarray:
     """(n, m) integer array of a sequence of keys."""
     try:
         return np.array(keys, dtype=np.int64).reshape(len(keys), m)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidTensor(f"keys must be sequences of {m} integers") from exc
 
 
@@ -281,12 +281,44 @@ def to_json(T: IncompleteSymmetricTensor) -> str:
 
 
 def from_json(text: str) -> IncompleteSymmetricTensor:
-    """Tensor from ``to_json`` text; keys must be strictly ascending."""
+    """Tensor from ``to_json`` text; keys must be strictly ascending.
+
+    Text that is not JSON raises ``json.JSONDecodeError``; a JSON document
+    with a missing or malformed field raises InvalidTensor naming it.
+    """
     doc = json.loads(text)
-    d, m = int(doc["d"]), int(doc["m"])
-    records = doc["entries"]
+    if not isinstance(doc, dict):
+        raise InvalidTensor("tensor document must be a JSON object")
+    d, m = (_int_field(doc, name) for name in ("d", "m"))
+    records = doc.get("entries")
+    if not isinstance(records, list):
+        raise InvalidTensor("tensor document needs an 'entries' list")
     values = np.empty(len(records), dtype=complex)
-    values.real = [rec["re"] for rec in records]
-    values.imag = [rec.get("im", 0.0) for rec in records]
-    keys = _key_array([rec["key"] for rec in records], m)
-    return IncompleteSymmetricTensor._from_arrays(d, m, keys, values)
+    try:
+        values.real = [rec["re"] for rec in records]
+        values.imag = [rec.get("im", 0.0) for rec in records]
+        keys = [rec["key"] for rec in records]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise InvalidTensor(_bad_record(records)) from None
+    return IncompleteSymmetricTensor._from_arrays(d, m, _key_array(keys, m), values)
+
+
+def _int_field(doc: dict, name: str) -> int:
+    value = doc.get(name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidTensor(f"tensor document needs an integer {name!r}")
+    return value
+
+
+def _bad_record(records: list) -> str:
+    """Why the first malformed entry record is malformed."""
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            return f"entry {i} is not an object"
+        for name in ("key", "re"):
+            if name not in rec:
+                return f"entry {i} has no {name!r}"
+        for name in ("re", "im"):
+            if not isinstance(rec.get(name, 0.0), (int, float)):
+                return f"entry {i} has a non-numeric {name!r}"
+    return "malformed entry record"

@@ -202,3 +202,24 @@ def test_invalid_p_flag_exits_2(tmp_path, capsys):
                        "--p", "5", "--k", "1")
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"m": 3, "entries": []},
+    {"d": 6, "m": 3, "entries": [{"key": [0, 1, 2]}]},
+    [{"key": [0, 1, 2], "re": 1.0}],
+], ids=["no-d", "no-re", "list"])
+def test_malformed_tensor_file_exits_1(tmp_path, capsys, doc):
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "decompose", "--tensor", str(tensor), "--r", "2")
+    assert code == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_model_file_missing_field_exits_2(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"r": 2}))
+    code, _, err = run(capsys, "sample", "--model", str(model), "--n", "10")
+    assert code == 2
+    assert err.startswith("error:") and "'weights'" in err

@@ -6,6 +6,7 @@ import pytest
 from momentmix.decomposition import (
     DecompositionParams,
     _residual_builder,
+    _scale_fit,
     PreconditionWarning,
     approximate,
     brute_force_max_rank,
@@ -20,10 +21,12 @@ from momentmix.decomposition import (
     solve_tail_products,
     to_json,
 )
-from momentmix.errors import RankTooLarge
+from momentmix.errors import RankTooLarge, ScalesDegenerate
+from momentmix.numerics import lstsq
 from momentmix.tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
+    component_products,
     from_components,
     omega_keys,
     perturb,
@@ -272,3 +275,69 @@ def test_approximate_counts_lm_iterations_noisy():
     dec = approximate(Th, choose_params(14, 3, 6, seed=10))
     assert dec.diagnostics["lm_iterations"] >= 1
     assert dec.diagnostics["decomp_err"] <= dec.diagnostics["pre_refine_decomp_err"]
+
+
+def scale_case(case):
+    """A tensor and the normalised components full_i = q_i / q_i0 whose
+    scales it is fitted with."""
+    if case == "dropped":
+        comps, T = planted(10, 4, 3, seed=3)[0], dropped_tensor()
+        approximate(T, choose_params(9, 4, 3, seed=3))  # accepted
+    elif case == "repeated":
+        comps, T = planted(7, 3, 2, seed=4)[0], repeated_tensor()
+    elif case == "perturbed":
+        comps, T = planted(12, 4, 6, seed=21)
+        T = perturb(T, 0.01, 21)
+    elif case == "spread":
+        comps = spread_components(8, 4, seed=22, across=True)
+        T = from_components(ComponentList(comps), 3, omega_keys(8, 3))
+    else:
+        d, m, r = {"m3": (15, 3, 6), "m4": (15, 4, 8), "m5": (12, 5, 10)}[case]
+        comps, T = planted(d, m, r, seed=20 + m)
+    full = (comps / comps[:, :1]).astype(complex)
+    full[:, 0] = 1.0  # complex x / x need not round to 1
+    return T, full
+
+
+@pytest.mark.parametrize(
+    "case", ["m3", "m4", "m5", "perturbed", "dropped", "repeated", "spread"]
+)
+def test_scale_fit_matches_equilibrated_lstsq(case):
+    T, full = scale_case(case)
+    design = component_products(full, T.key_array).T
+    norms = np.linalg.norm(design, axis=0)
+    ref = lstsq(design / norms, T.values)
+    ref_lambdas = ref.solution / norms
+    lambdas, rec, cond = _scale_fit(T, full)
+    b_norm = np.linalg.norm(T.values)
+    assert np.linalg.norm(lambdas - ref_lambdas) <= 1e-10 * np.linalg.norm(ref_lambdas)
+    assert abs(np.linalg.norm(rec - T.values) - ref.residual_norm) <= 1e-12 * b_norm
+    assert np.abs(rec - design @ lambdas).max() <= 1e-12 * np.abs(T.values).max()
+    assert 1.0 <= cond < 10.0
+    r = full.shape[0]
+    wrapped = solve_scales(
+        T, full[:, 1:2], full[:, 2:], DecompositionParams(r=r, p=1, k=1)
+    )
+    assert np.array_equal(wrapped, lambdas)
+
+
+def test_scale_fit_identical_components_degenerate():
+    comps, T = planted(8, 3, 2, seed=23)
+    full = comps / comps[:, :1]
+    with pytest.raises(ScalesDegenerate):
+        _scale_fit(T, full[[0, 0, 1]])
+
+
+def test_decompose_decomp_err_matches_decomp_err_noisy():
+    comps, T = planted(15, 5, 15, seed=24)
+    Th = perturb(T, 1e-3, 24)
+    dec = decompose(Th, choose_params(14, 5, 15, seed=24))
+    err = dec.diagnostics["decomp_err"]
+    assert abs(err - decomp_err(Th, dec.components)) <= 1e-12 * err
+
+
+def test_decompose_reports_scale_cond():
+    comps, T = planted(15, 5, 15, seed=25)
+    params = choose_params(14, 5, 15, seed=25)
+    assert 1.0 <= decompose(T, params).diagnostics["scale_cond"] < 10.0
+    assert "scale_cond" in approximate(T, params).diagnostics

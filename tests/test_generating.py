@@ -198,3 +198,16 @@ def test_extract_tails_seed_invariant_multiset():
     s1 = sorted(tuple(np.round(row.real, 6)) for row in t1)
     s2 = sorted(tuple(np.round(row.real, 6)) for row in t2)
     assert np.allclose(s1, s2, atol=1e-6)
+
+
+def test_extract_tails_matches_rayleigh_loop():
+    rng = np.random.default_rng(8)
+    comps = rng.standard_normal((15, 25)) + 1j * rng.standard_normal((15, 25))
+    T = from_components(ComponentList(comps), 5, omega_keys(25, 5))
+    params = choose_params(24, 5, 15, seed=8)
+    Ns = companion_matrices(solve_generating_matrix(T, 15, params.p, params.k))
+    tails, vecs, _ = extract_tails(Ns, seed=8)
+    loop = np.array([
+        [np.vdot(v, N @ v) for N in Ns.matrices] for v in vecs.T
+    ])
+    assert np.abs(tails - loop).max() <= 1e-13 * np.abs(loop).max()

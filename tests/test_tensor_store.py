@@ -236,3 +236,23 @@ def test_slot_partials_and_product_jacobian_match_loops():
                 assert P[i, k, t] == pytest.approx(partial, rel=1e-14)
                 ref_J[k, i, a] += partial
     assert np.allclose(J, ref_J, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([], "object"),
+    ({"m": 3, "entries": []}, "'d'"),
+    ({"d": 4, "entries": []}, "'m'"),
+    ({"d": 4, "m": 3}, "'entries'"),
+    ({"d": "4", "m": 3, "entries": []}, "'d'"),
+    ({"d": 4, "m": 3, "entries": [{"re": 1.0}]}, "'key'"),
+    ({"d": 4, "m": 3, "entries": [{"key": [0, 1, 2], "im": 1.0}]}, "'re'"),
+    ({"d": 4, "m": 3, "entries": [[0, 1, 2]]}, "entry 0"),
+    ({"d": 4, "m": 3, "entries": [{"key": [0, 1, 2], "re": "x"}]}, "'re'"),
+    ({"d": 4, "m": 3, "entries": [{"key": [0, 1, 2], "re": 1.0, "im": "x"}]},
+     "'im'"),
+    ({"d": 4, "m": 3, "entries": [{"key": [0, None, 2], "re": 1.0}]}, "keys"),
+], ids=["list", "no-d", "no-m", "no-entries", "text-d", "no-key", "no-re",
+        "record-list", "text-re", "text-im", "null-slot"])
+def test_json_malformed_document_rejected(doc, field):
+    with pytest.raises(InvalidTensor, match=field):
+        from_json(json.dumps(doc))
