@@ -89,7 +89,6 @@ class DecompositionParams:
     p: int
     k: int
     seed: int = 0
-    refine: bool = False
     refine_opts: dict = field(default_factory=dict)
 
     def validate(self, n: int, m: int):

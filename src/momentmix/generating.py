@@ -124,7 +124,7 @@ def solve_generating_matrix(
         B = block_matrix(T, support, [head + (j,) for head in heads])
         report = lstsq(A, B)
         values[:, :, t] = report.solution
-        residuals[:, t] = np.linalg.norm(A @ report.solution - B, axis=0)
+        residuals[:, t] = report.residual_norm
         ranks[t] = report.rank
     return GeneratingMatrix(
         values=values.reshape(r, len(B1)), row_labels=B0, col_labels=B1,

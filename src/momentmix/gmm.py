@@ -7,7 +7,9 @@ mixed moment factors into univariate Gaussian moments.  The recovery
 pipeline runs the incomplete tensor approximation on the order-m moment
 subtensor, phase-corrects the components to real vectors, then solves
 nonnegative and simplex-constrained least squares for the weights, means
-and variances.
+and variances.  Their designs, and the exact moments, are products over
+key arrays from the tensor path's ``component_products``, and each stage
+reads its moments with one ``MomentSet.gather``.
 
 The kernels that touch every sample are matrix products.  Sample moments
 group their sorted keys by the first m-1 slots: over row chunks of the
@@ -34,6 +36,7 @@ from .errors import (
     CovDesignDegenerate,
     DegenerateWeight,
     InvalidSamples,
+    MissingEntry,
     OrderConflict,
 )
 from .numerics import nnls, rng_from, simplex_nlls
@@ -100,11 +103,22 @@ class SampleSet:
 
 @dataclass
 class MomentSet:
+    """Moments of one order.  ``values``, keyed by sorted tuples, is the
+    record the tests and the benchmark read; the stages use ``gather``."""
+
     order: int
     values: dict[TensorKey, float]
 
     def __getitem__(self, key) -> float:
         return self.values[tuple(sorted(key))]
+
+    def gather(self, keys) -> np.ndarray:
+        """Values at an (n, order) key array; MissingEntry names an absent key."""
+        rows = map(tuple, np.sort(np.asarray(keys), axis=-1).tolist())
+        try:
+            return np.array(list(map(self.values.__getitem__, rows)))
+        except KeyError as exc:
+            raise MissingEntry(exc.args[0]) from None
 
 
 def sample_gmm(model: GmmModel, N: int, seed: int) -> SampleSet:
@@ -167,24 +181,22 @@ def univariate_gaussian_moment(mu: float, var: float, t: int) -> float:
 def exact_moments(model: GmmModel, keys: list[TensorKey]) -> MomentSet:
     """Population moments of a diagonal mixture: coordinates factor, so a
     key's value is a weight-sum of products of univariate moments at the
-    key's per-coordinate multiplicities."""
-    values = {}
-    order = len(keys[0]) if keys else 0
-    for key in keys:
-        skey = tuple(sorted(key))
-        mult: dict[int, int] = {}
-        for s in skey:
-            mult[s] = mult.get(s, 0) + 1
-        total = 0.0
-        for i in range(model.r):
-            prod = 1.0
-            for coord, t in mult.items():
-                prod *= univariate_gaussian_moment(
-                    model.means[i, coord], model.variances[i, coord], t
-                )
-            total += model.weights[i] * prod
-        values[skey] = total
-    return MomentSet(order=order, values=values)
+    key's per-coordinate multiplicities.  Column c * (m + 1) + t of the
+    table holds E[z_c^t]; a key's code is that column at the last slot of
+    each run of t slots equal to c, and column 0, E[z_0^0] = 1, elsewhere."""
+    if not keys:
+        return MomentSet(order=0, values={})
+    key_arr = np.sort(np.asarray(keys, dtype=np.intp), axis=1)
+    m = key_arr.shape[1]
+    mu, var = model.means, model.variances
+    per_order = [univariate_gaussian_moment(mu, var, t) for t in range(m + 1)]
+    table = np.stack(np.broadcast_arrays(*per_order), axis=2).reshape(model.r, -1)
+    run_length = (key_arr[:, :, None] == key_arr[:, None, :]).sum(axis=2)
+    run_end = np.diff(key_arr, axis=1, append=-1) != 0
+    codes = np.where(run_end, key_arr * (m + 1) + run_length, 0)
+    # summed one component at a time, as the per-key sum was
+    flat = (model.weights[:, None] * component_products(table, codes)).sum(axis=0)
+    return MomentSet(m, dict(zip(map(tuple, key_arr.tolist()), flat.tolist())))
 
 
 def covariance_keys(d: int, m: int, j: int) -> list[TensorKey]:
@@ -202,13 +214,15 @@ def realify(qs: np.ndarray, m: int) -> np.ndarray:
     its imaginary norm (ties to the smallest root index), then drop the
     imaginary part."""
     qs = np.atleast_2d(np.asarray(qs, dtype=complex))
-    out = np.empty(qs.shape, dtype=float)
     etas = np.exp(2j * np.pi * np.arange(m) / m)
-    for i, q in enumerate(qs):
-        imag_norms = [np.linalg.norm((eta * q).imag) for eta in etas]
-        best = int(np.argmin(imag_norms))
-        out[i] = (etas[best] * q).real
-    return out
+    rotated = etas[:, None, None] * qs  # (m, r, d)
+    imag = np.ascontiguousarray(rotated.imag)[:, :, None, :]
+    # Stacked dot products of contiguous rows, the sums np.linalg.norm
+    # forms for one vector: at even m, eta and -eta differ in imaginary
+    # norm only by rounding, so the sums must round alike for the same
+    # root to win.
+    best = np.argmin(np.sqrt(imag @ imag.swapaxes(2, 3)), axis=0)[:, 0, 0]
+    return rotated[best, np.arange(qs.shape[0])].real
 
 
 def choose_t(d: int, r: int) -> int:
@@ -228,12 +242,9 @@ def recover_weights(
     if t >= m:
         raise OrderConflict(f"t={t} must be smaller than m={m}")
     qs_real = np.atleast_2d(qs_real)
-    r, d = qs_real.shape
-    keys = omega_keys(d, t)
-    design = np.empty((len(keys), r))
-    for ki, key in enumerate(keys):
-        design[ki, :] = np.prod(qs_real[:, list(key)], axis=1)
-    b = np.array([Mt[k] for k in keys])
+    keys = np.array(omega_keys(qs_real.shape[1], t))
+    design = component_products(qs_real, keys).T
+    b = Mt.gather(keys)
     if m % 2 == 0 and t % 2 == 1:
         # Even-order entries cannot see a component's sign, so the scaled
         # vector may come out negated.  The odd-order moments can: a
@@ -258,12 +269,10 @@ def _moment_residual(Mm: MomentSet, Mt: MomentSet, d: int):
     order-t distinct-index moments, and its analytic Jacobian: the
     derivative in omega_i is component i's product at each key, and in
     mu_ia omega_i times the key's slot partial at coordinate a."""
-    keys_m = omega_keys(d, Mm.order)
-    keys_t = omega_keys(d, Mt.order)
-    arr_m = np.asarray(keys_m, dtype=int)
-    arr_t = np.asarray(keys_t, dtype=int)
-    target_m = np.array([Mm[k] for k in keys_m])
-    target_t = np.array([Mt[k] for k in keys_t])
+    arr_m = np.array(omega_keys(d, Mm.order))
+    arr_t = np.array(omega_keys(d, Mt.order))
+    target_m = Mm.gather(arr_m)
+    target_t = Mt.gather(arr_t)
 
     def residual(omega, mu):
         vm = (omega[:, None] * component_products(mu, arr_m)).sum(0) - target_m
@@ -312,20 +321,16 @@ def recover_covariances(
     mus = np.atleast_2d(mus)
     r, d = mus.shape
     m = Mm.order
+    # the (m-2)-subsets of range(d - 1), shifted past j, are those of the
+    # coordinates other than j in lexicographic order
+    subsets = np.array(list(itertools.combinations(range(d - 1), m - 2)))
     variances = np.empty((r, d))
     for j in range(d):
-        others = [s for s in range(d) if s != j]
-        gammas = list(itertools.combinations(others, m - 2))
-        response = np.empty(len(gammas))
-        design = np.empty((len(gammas), r))
-        for gi, gamma in enumerate(gammas):
-            key = tuple(sorted((j, j) + gamma))
-            recon = sum(
-                qs_real[i, j] ** 2 * np.prod(qs_real[i, list(gamma)])
-                for i in range(r)
-            )
-            response[gi] = Mm[key] - recon
-            design[gi, :] = omega * np.prod(mus[:, list(gamma)], axis=1)
+        gammas = subsets + (subsets >= j)
+        keys_j = np.column_stack([np.full((len(gammas), 2), j), gammas])
+        # the mean part q_ij^2 * prod_gamma q_i is the product over the key
+        response = Mm.gather(keys_j) - component_products(qs_real, keys_j).sum(0)
+        design = (omega[:, None] * component_products(mus, gammas)).T
         if np.linalg.matrix_rank(design) < r:
             raise CovDesignDegenerate(j)
         variances[:, j] = nnls(design, response)
@@ -345,8 +350,8 @@ def learn_from_moments(
     m = Mm.order
     t = Mt.order
     params = choose_params(d - 1, m, r, seed=seed)
-    entries = {k: complex(Mm[k]) for k in omega_keys(d, m)}
-    F_hat = IncompleteSymmetricTensor(d, m, entries)
+    keys = np.array(omega_keys(d, m), dtype=np.int64)
+    F_hat = IncompleteSymmetricTensor._from_arrays(d, m, keys, Mm.gather(keys))
     dec = approximate(F_hat, params)
     qs_real = realify(dec.components, m)
     omega_hat, mus_hat = recover_weights(qs_real, Mt, m, t)
@@ -479,11 +484,13 @@ def classify(model: GmmModel, samples: SampleSet) -> np.ndarray:
     """Per-sample argmax of the weighted component likelihood.  Raises
     InvalidSamples naming the first sample with a non-finite coordinate."""
     Y = np.ascontiguousarray(samples.data, dtype=float)
-    log_prob = _log_component_densities(
-        Y, Y * Y, model.weights, model.means, model.variances
-    )
-    # A non-finite coordinate makes its row of log-densities non-finite,
-    # so the samples are searched only when that cheaper check fails.
+    # A non-finite coordinate makes its row of log-densities non-finite
+    # (an infinite one through inf - inf, hence the errstate), so the
+    # samples are searched only when that cheaper check fails.
+    with np.errstate(invalid="ignore"):
+        log_prob = _log_component_densities(
+            Y, Y * Y, model.weights, model.means, model.variances
+        )
     if not np.isfinite(log_prob).all():
         _reject_non_finite(Y)
     return np.argmax(log_prob, axis=1)

@@ -47,7 +47,7 @@ def gaussian_vector(seed: int, length: int, *stream) -> np.ndarray:
 @dataclass
 class LstsqReport:
     solution: np.ndarray
-    residual_norm: float
+    residual_norm: float | np.ndarray  # per column for a 2-D right-hand side
     rank: int
     ill_conditioned: bool = False
 
@@ -67,7 +67,7 @@ def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
     if sv.size and sv[-1] > 0 and sv[0] / sv[-1] > _COND_LIMIT:
         ill = True
         warnings.warn("least-squares system is ill-conditioned", IllConditioned)
-    resid = float(np.linalg.norm(A @ x - b))
+    resid = np.linalg.norm(A @ x - b, axis=0 if b.ndim == 2 else None)
     return LstsqReport(solution=x, residual_norm=resid, rank=int(rank), ill_conditioned=ill)
 
 

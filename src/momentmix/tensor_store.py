@@ -295,8 +295,14 @@ def from_json(text: str) -> IncompleteSymmetricTensor:
         raise InvalidTensor("tensor document needs an 'entries' list")
     values = np.empty(len(records), dtype=complex)
     try:
-        values.real = [rec["re"] for rec in records]
-        values.imag = [rec.get("im", 0.0) for rec in records]
+        re = [rec["re"] for rec in records]
+        im = [rec.get("im", 0.0) for rec in records]
+        # numpy would read a numeric string, a bool or a one-item list as a
+        # number, so every value must be a JSON number
+        if not set(map(type, re)).union(map(type, im)) <= {int, float}:
+            raise TypeError
+        values.real = re
+        values.imag = im
         keys = [rec["key"] for rec in records]
     except (AttributeError, KeyError, TypeError, ValueError):
         raise InvalidTensor(_bad_record(records)) from None
@@ -319,6 +325,6 @@ def _bad_record(records: list) -> str:
             if name not in rec:
                 return f"entry {i} has no {name!r}"
         for name in ("re", "im"):
-            if not isinstance(rec.get(name, 0.0), (int, float)):
+            if type(rec.get(name, 0.0)) not in (int, float):
                 return f"entry {i} has a non-numeric {name!r}"
     return "malformed entry record"

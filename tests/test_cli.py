@@ -217,6 +217,17 @@ def test_malformed_tensor_file_exits_1(tmp_path, capsys, doc):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", [{"re": "1.5"}, {"re": True}, {"re": 1.0, "im": [0.0]}],
+                         ids=["numeric-string", "bool", "list"])
+def test_non_number_tensor_value_exits_1(tmp_path, capsys, value):
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"d": 6, "m": 3, "entries": [{"key": [0, 1, 2], **value}]}))
+    code, _, err = run(capsys, "decompose", "--tensor", str(tensor), "--r", "1")
+    assert code == 1
+    assert err.startswith("error:") and "entry 0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_model_file_missing_field_exits_2(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"r": 2}))

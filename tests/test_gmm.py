@@ -1,5 +1,7 @@
 """Mixture sampling, moments, parameter recovery, EM baseline, metrics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -8,11 +10,13 @@ from momentmix import gmm
 from momentmix.errors import (
     InvalidSamples,
     InvalidTensor,
+    MissingEntry,
     MomentmixError,
     OrderConflict,
 )
 from momentmix.gmm import (
     GmmModel,
+    MomentSet,
     SampleSet,
     accuracy,
     choose_t,
@@ -545,3 +549,109 @@ def test_classify_rejects_non_finite_samples(bad):
     s.data[2, 1] = bad
     with pytest.raises(InvalidSamples, match="sample 2 "):
         classify(model, s)
+
+
+# The moment-recovery stages on the shared product kernel against the
+# per-key loops they replaced.
+
+
+def _exact_moment_loop(model, key):
+    mult = {}
+    for s in sorted(key):
+        mult[s] = mult.get(s, 0) + 1
+    total = 0.0
+    for i in range(model.r):
+        prod = 1.0
+        for coord, t in mult.items():
+            prod *= univariate_gaussian_moment(
+                model.means[i, coord], model.variances[i, coord], t
+            )
+        total += model.weights[i] * prod
+    return total
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_exact_moments_equal_per_key_loop(order):
+    d = 6
+    model = random_model(d, 4, seed=40 + order)
+    rng = np.random.default_rng(order)
+    # one run of every length 1..order, then random keys with mixed runs
+    keys = [(d - 1,) * t + tuple(range(order - t)) for t in range(1, order + 1)]
+    keys += [tuple(rng.integers(0, d, order).tolist()) for _ in range(60)]
+    keys.append((0, 0, 2, 2, 2)[:order])
+    # unsorted orientations and duplicates, also duplicates after sorting
+    keys += [k[::-1] for k in keys[:10]] + keys[:5]
+    got = exact_moments(model, keys)
+    assert got.order == order
+    assert list(got.values) == list(dict.fromkeys(tuple(sorted(k)) for k in keys))
+    for key in keys:
+        want = _exact_moment_loop(model, key)
+        assert abs(got[key] - want) <= 1e-12 * abs(want)
+
+
+def _recover_covariances_loop(Mm, qs_real, omega, mus):
+    r, d = mus.shape
+    m = Mm.order
+    variances = np.empty((r, d))
+    for j in range(d):
+        others = [s for s in range(d) if s != j]
+        gammas = list(itertools.combinations(others, m - 2))
+        response = np.empty(len(gammas))
+        design = np.empty((len(gammas), r))
+        for gi, gamma in enumerate(gammas):
+            recon = sum(
+                qs_real[i, j] ** 2 * np.prod(qs_real[i, list(gamma)])
+                for i in range(r)
+            )
+            response[gi] = Mm[(j, j) + gamma] - recon
+            design[gi, :] = omega * np.prod(mus[:, list(gamma)], axis=1)
+        variances[:, j] = numerics.nnls(design, response)
+    return variances
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_recover_covariances_equal_per_key_loop(m):
+    d, r = 7, 3
+    model = random_model(d, r, seed=50 + m)
+    keys = set()
+    for j in range(d):
+        keys.update(covariance_keys(d, m, j))
+    Mm = exact_moments(model, sorted(keys))
+    # a perturbed start, so that the mean part does not cancel exactly
+    mus = model.means + 0.01 * rng_from(m, "cov-test").standard_normal((r, d))
+    qs = model.weights[:, None] ** (1 / m) * mus
+    got = recover_covariances(Mm, qs, model.weights, mus)
+    want = _recover_covariances_loop(Mm, qs, model.weights, mus)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _realify_loop(qs, m):
+    qs = np.atleast_2d(np.asarray(qs, dtype=complex))
+    out = np.empty(qs.shape, dtype=float)
+    etas = np.exp(2j * np.pi * np.arange(m) / m)
+    for i, q in enumerate(qs):
+        imag_norms = [np.linalg.norm((eta * q).imag) for eta in etas]
+        out[i] = (etas[int(np.argmin(imag_norms))] * q).real
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_realify_equals_row_loop(m, kind):
+    rng = np.random.default_rng(m)
+    qs = rng.standard_normal((5, 6))
+    if kind == "complex":
+        qs = qs + 1j * rng.standard_normal((5, 6))
+    got = realify(qs, m)
+    assert np.array_equal(got, _realify_loop(qs, m))
+    if kind == "real":
+        # the identity rotation wins over eta = -1 at even m
+        assert np.array_equal(got, qs)
+
+
+def test_moment_set_gather():
+    ms = MomentSet(order=2, values={(0, 1): 1.5, (1, 1): -2.0})
+    assert ms.gather(np.array([[1, 0], [1, 1], [0, 1]])).tolist() == [1.5, -2.0, 1.5]
+    with pytest.raises(MissingEntry, match=r"\(0, 2\)") as exc:
+        ms.gather([(1, 1), (2, 0)])
+    assert exc.value.key == (0, 2)

@@ -39,6 +39,18 @@ def test_lstsq_normal_equations_residual():
         assert np.linalg.norm(grad) <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(b)
 
 
+def test_lstsq_residual_norm_per_column():
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+    B = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    rep = lstsq(A, B)
+    assert rep.residual_norm.shape == (4,)
+    for c in range(4):
+        col = lstsq(A, B[:, c])
+        assert isinstance(col.residual_norm, float)
+        assert rep.residual_norm[c] == pytest.approx(col.residual_norm, rel=1e-12)
+
+
 def test_nnls_values():
     assert nnls(np.eye(2), np.array([1.0, -1.0])) == pytest.approx([1.0, 0.0])
     assert nnls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0])) == pytest.approx([2.0])

@@ -256,3 +256,22 @@ def test_slot_partials_and_product_jacobian_match_loops():
 def test_json_malformed_document_rejected(doc, field):
     with pytest.raises(InvalidTensor, match=field):
         from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entries, field", [
+    ([{"key": [0, 1, 2], "re": "1.5"}], "entry 0 has a non-numeric 're'"),
+    ([{"key": [0, 1, 2], "re": True}], "entry 0 has a non-numeric 're'"),
+    ([{"key": [0, 1, 2], "re": 1.0, "im": [0.0]}], "entry 0 has a non-numeric 'im'"),
+    ([{"key": [0, 1, 2], "re": 1.0}, {"key": [0, 1, 3], "re": 2.0, "im": False}],
+     "entry 1 has a non-numeric 'im'"),
+], ids=["numeric-string-re", "bool-re", "list-im", "bool-im-among-numbers"])
+def test_json_non_number_values_rejected(entries, field):
+    # numpy would read each of these as a number when filling the columns
+    with pytest.raises(InvalidTensor, match=field):
+        from_json(json.dumps({"d": 4, "m": 3, "entries": entries}))
+
+
+def test_json_integer_values_accepted():
+    T = from_json(json.dumps({"d": 4, "m": 3, "entries": [
+        {"key": [0, 1, 2], "re": 2, "im": -1}, {"key": [0, 1, 3], "re": 0.5}]}))
+    assert T.values.tolist() == [2 - 1j, 0.5]
