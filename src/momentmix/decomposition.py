@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -89,7 +89,6 @@ class DecompositionParams:
     p: int
     k: int
     seed: int = 0
-    refine_opts: dict = field(default_factory=dict)
 
     def validate(self, n: int, m: int):
         if not (1 <= self.p <= m - 2):
@@ -147,13 +146,13 @@ def solve_tail_products(
     T: IncompleteSymmetricTensor, tails: np.ndarray, params: DecompositionParams
 ) -> np.ndarray:
     """Coefficient vectors gamma_i over the head monomial set J1, from one
-    least squares per J1 row against the tail design."""
+    least squares per J1 row against the tail design, which needs rank r."""
     J1, J2, W = _tail_blocks(T, tails, params)
-    if np.linalg.matrix_rank(W) < params.r:
-        raise TailsDegenerate("tail design matrix is rank-deficient")
     B = block_matrix(T, J1, J2, pad_with_zero_label=True)
     # one shared design, all J1 rows as simultaneous right-hand sides
     report = lstsq(W, B.T)
+    if report.rank < params.r:
+        raise TailsDegenerate("tail design matrix is rank-deficient")
     return report.solution.T  # (|J1|, r)
 
 
@@ -288,14 +287,13 @@ def decomp_err(T: IncompleteSymmetricTensor, components: np.ndarray) -> float:
     return _relative_err(T, rec.values - T.values)
 
 
-def _relative_err(T: IncompleteSymmetricTensor, diff_values: np.ndarray) -> float:
-    """Norm of a difference tensor on T's keys relative to T's norm; the
-    absolute norm when T is zero."""
-    keys = T.key_array
-    err = omega_norm(T.with_values(diff_values), keys)
-    denom = omega_norm(T, keys)
+def _relative_err(T: IncompleteSymmetricTensor, diff: np.ndarray) -> float:
+    """||diff|| on T's keys relative to ||T||, whose m! weights cancel; the
+    weighted absolute norm when T is zero."""
+    err = float(np.linalg.norm(diff))
+    denom = float(np.linalg.norm(T.values))
     if denom == 0:
-        return err
+        return math.sqrt(math.factorial(T.m)) * err
     return err / denom
 
 
@@ -342,13 +340,13 @@ def _omega_gram(Q: np.ndarray, m: int) -> np.ndarray:
 
 
 def _residual_builder(T: IncompleteSymmetricTensor, r: int):
-    """Real residual over the stored keys for the flattened
-    [Re(Q); Im(Q)] parameterization, and its Gauss-Newton normal
-    equations without the Jacobian.
+    """Complex residual over the stored keys as a function of the flattened
+    components q = Q.ravel(), and its Gauss-Newton normal equations without
+    the Jacobian.
 
-    With Jc the complex Jacobian and G = Jc^H Jc, the real J.T @ J is
-    [[Re G, -Im G], [Im G, Re G]] and J.T @ f is [Re g; Im g] with
-    g = Jc^H f.  G comes in closed form over all distinct-index keys
+    With Jc the complex (n_keys, r*d) Jacobian, ``normal_equations(q, f)``
+    returns G = Jc^H Jc and g = Jc^H f, the rd x rd Hermitian system of the
+    damped step.  G comes in closed form over all distinct-index keys
     (``_omega_gram``), plus the per-key Gram of any stored key with a
     repeated index and minus that of any distinct-index key not stored.
     g scatters the conjugated slot partials times f into the r*d slots.
@@ -356,7 +354,6 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     key_arr = T.key_array
     target = T.values
     d, m = T.d, T.m
-    n_keys = key_arr.shape[0]
     rd = r * d
     distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
     radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
@@ -366,31 +363,23 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     correction_sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
     slots = (key_arr[:, :, None] + d * np.arange(r)).ravel()  # slot of (k, t, i)
 
-    def split(x):
-        return (x[:rd] + 1j * x[rd:]).reshape(r, d)
+    def residual(q):
+        return component_products(q.reshape(r, d), key_arr).sum(axis=0) - target
 
-    def residual(x):
-        Q = split(x)
-        vals = component_products(Q, key_arr).sum(axis=0) - target
-        return np.concatenate([vals.real, vals.imag])
-
-    def normal_equations(x, f):
-        Q = split(x)
+    def normal_equations(q, f):
+        Q = q.reshape(r, d)
         Jk = product_jacobian(Q, correction_keys).reshape(-1, rd)
         G = _omega_gram(Q, m).reshape(rd, rd)
         G += Jk.conj().T @ (correction_sign[:, None] * Jk)
         # conj(g) sums partial * conj(f) over the slots holding each (i, a)
         weighted = slot_partials(Q, key_arr).transpose(1, 2, 0)  # (n, m, r)
-        weighted *= (f[:n_keys] - 1j * f[n_keys:])[:, None, None]
-        g_re = np.bincount(slots, weighted.real.ravel(), minlength=rd)
-        g_im = -np.bincount(slots, weighted.imag.ravel(), minlength=rd)
-        JtJ = np.block([[G.real, -G.imag], [G.imag, G.real]])
-        return JtJ, np.concatenate([g_re, g_im])
+        weighted *= f.conj()[:, None, None]
+        g = np.empty(rd, dtype=complex)
+        g.real = np.bincount(slots, weighted.real.ravel(), minlength=rd)
+        g.imag = -np.bincount(slots, weighted.imag.ravel(), minlength=rd)
+        return G, g
 
-    def pack(Q):
-        return np.concatenate([Q.real.ravel(), Q.imag.ravel()])
-
-    return residual, normal_equations, split, pack
+    return residual, normal_equations
 
 
 def approximate(
@@ -399,8 +388,8 @@ def approximate(
     truth: IncompleteSymmetricTensor | None = None,
 ) -> Decomposition:
     """Noisy pipeline: run the exact stages on the noisy subtensor, then
-    refine all component entries by damped Gauss-Newton on the residual
-    over the stored keys.  diagnostics["lm_iterations"] counts the
+    refine all component entries by damped Gauss-Newton on the complex
+    residual over the stored keys.  diagnostics["lm_iterations"] counts the
     normal-equation evaluations of the refinement.
 
     When ``truth`` is supplied the diagnostics carry abs_err (distance of
@@ -408,36 +397,32 @@ def approximate(
     noisy tensor relative to the noise norm).
     """
     base = decompose(T_noisy, params)
-    residual, normal_equations, split, pack = _residual_builder(T_noisy, params.r)
+    residual, normal_equations = _residual_builder(T_noisy, params.r)
     lm_iterations = 0
 
-    def counted_normal_equations(x, f):
+    def counted_normal_equations(q, f):
         nonlocal lm_iterations
         lm_iterations += 1
-        return normal_equations(x, f)
+        return normal_equations(q, f)
 
-    opts = {"max_iters": 200, "grad_tol": 1e-10}
-    opts.update(params.refine_opts)
-    x0 = pack(base.components)
-    x_star = nlls_refine(
-        residual, x0, normal_equations=counted_normal_equations, **opts
+    q_star = nlls_refine(
+        residual, base.components.ravel(), normal_equations=counted_normal_equations
     )
-    components = split(x_star)
+    components = q_star.reshape(base.components.shape)
     keys = T_noisy.key_array
     rec = from_components(ComponentList(components), T_noisy.m, keys)
-    diff_hat = T_noisy.with_values(rec.values - T_noisy.values)
+    fit = rec.values - T_noisy.values
     diagnostics = dict(base.diagnostics)
-    diagnostics["decomp_err"] = _relative_err(T_noisy, diff_hat.values)
+    diagnostics["decomp_err"] = _relative_err(T_noisy, fit)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
     diagnostics["lm_iterations"] = lm_iterations
     if truth is not None:
         truth_values = truth.gather(keys)
-        diff_true = T_noisy.with_values(rec.values - truth_values)
-        noise = T_noisy.with_values(T_noisy.values - truth_values)
-        noise_norm = omega_norm(noise, keys)
+        noise_norm = np.linalg.norm(T_noisy.values - truth_values)
+        diff_true = rec.with_values(rec.values - truth_values)
         diagnostics["abs_err"] = omega_norm(diff_true, keys)
         diagnostics["rel_err"] = (
-            omega_norm(diff_hat, keys) / noise_norm if noise_norm > 0 else 0.0
+            float(np.linalg.norm(fit) / noise_norm) if noise_norm > 0 else 0.0
         )
     return Decomposition(components=components, diagnostics=diagnostics)
 

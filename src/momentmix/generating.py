@@ -12,14 +12,12 @@ eigenvectors reveal the tail coordinates of the components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .combinatorics import (
     IndexSubset,
-    basis_B0,
-    basis_B1,
     binomial,
     subsets_lex,
     support_O_alpha,
@@ -34,29 +32,21 @@ _MAX_XI_RETRIES = 5
 
 @dataclass
 class GeneratingMatrix:
-    """r x |B1| complex matrix with row labels B0 and column labels B1."""
+    """r x |B1| complex matrix.  Row b is the head monomial B0[b]; columns
+    are head-major, column h * (n - k) + (j - k - 1) holding heads[h] + (j,)
+    for the lexicographic degree-p heads of 1..k and the tail labels j in
+    k+1..n.  B0 is the first r heads."""
 
     values: np.ndarray
-    row_labels: list[IndexSubset]
-    col_labels: list[IndexSubset]
     residuals: np.ndarray  # per-column lstsq residual norms
     ranks: np.ndarray  # (n - k,) design rank per tail label k+1..n
     k: int
     p: int
     n: int
 
-    col_index: dict[IndexSubset, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.col_index:
-            self.col_index = {c: i for i, c in enumerate(self.col_labels)}
-
     @property
     def r(self) -> int:
         return self.values.shape[0]
-
-    def column(self, alpha: IndexSubset) -> np.ndarray:
-        return self.values[:, self.col_index[tuple(alpha)]]
 
 
 @dataclass
@@ -111,32 +101,29 @@ def solve_generating_matrix(
         raise ShapeCondition(
             f"need C({k},{p}) >= {r} and C({n - k - 1},{m - p - 1}) >= {r}"
         )
-    B0 = basis_B0(k, p, r)
-    B1 = basis_B1(k, p, n)
     heads = subsets_lex(1, k, p)
-    # B1 is head-major: column h * (n - k) + (j - k - 1) is heads[h] + (j,)
     values = np.empty((r, len(heads), n - k), dtype=complex)
     residuals = np.empty((len(heads), n - k))
     ranks = np.empty(n - k, dtype=int)
     for t, j in enumerate(range(k + 1, n + 1)):
         support = support_O_alpha(heads[0] + (j,), k, n, m, p)
-        A = block_matrix(T, support, B0, pad_with_zero_label=True)
+        A = block_matrix(T, support, heads[:r], pad_with_zero_label=True)  # B0
         B = block_matrix(T, support, [head + (j,) for head in heads])
         report = lstsq(A, B)
         values[:, :, t] = report.solution
         residuals[:, t] = report.residual_norm
         ranks[t] = report.rank
     return GeneratingMatrix(
-        values=values.reshape(r, len(B1)), row_labels=B0, col_labels=B1,
-        residuals=residuals.ravel(), ranks=ranks, k=k, p=p, n=n,
+        values=values.reshape(r, -1), residuals=residuals.ravel(), ranks=ranks,
+        k=k, p=p, n=n,
     )
 
 
 def companion_matrices(G: GeneratingMatrix) -> CompanionSet:
-    """Build N_l for l = k+1..n with N_l[nu, beta] = G(beta, nu + e_l)."""
-    tail_labels = range(G.k + 1, G.n + 1)
-    cols = [[G.col_index[nu + (l,)] for nu in G.row_labels] for l in tail_labels]
-    mats = np.ascontiguousarray(G.values[:, cols].transpose(1, 2, 0))  # (n - k, r, r)
+    """N_l for l = k+1..n with N_l[nu, beta] = G(beta, nu + e_l): the
+    columns of the first r heads in G's head-major layout."""
+    by_head = G.values.reshape(G.r, -1, G.n - G.k)[:, : G.r]  # [beta, nu, l]
+    mats = np.ascontiguousarray(by_head.transpose(2, 1, 0))  # (n - k, r, r)
     return CompanionSet(matrices=mats, k=G.k, p=G.p, n=G.n)
 
 

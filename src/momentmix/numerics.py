@@ -3,8 +3,9 @@ eigendecomposition, damped Gauss-Newton refinement, and simplex-constrained
 nonlinear least squares.
 
 All decomposition-path linear algebra is complex; the mixture-model weight
-and covariance solves are real.  The Gauss-Newton loop takes the normal
-equations J.T @ J and J.T @ f from its caller, so a refinement with a
+and covariance solves are real.  The Gauss-Newton loop solves
+(J^H J + lambda I) delta = -J^H f in the dtype of its start, real or
+complex, and takes J^H J and J^H f from its caller, so a refinement with a
 closed form for them never builds its Jacobian; finite differences remain
 the default for a bare residual.
 """
@@ -107,7 +108,7 @@ def eig(M: np.ndarray) -> EigenPairs:
 
 
 def _fd_jacobian(residual: Callable, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    J = np.empty((f0.size, x.size))
+    J = np.empty((f0.size, x.size), dtype=f0.dtype)
     h_base = np.sqrt(np.finfo(float).eps)
     for i in range(x.size):
         h = h_base * (1.0 + abs(x[i]))
@@ -128,25 +129,28 @@ def nlls_refine(
     ||residual(x)||^2 with a monotone safeguard: the returned point never
     has a larger objective than x0.
 
-    ``normal_equations(x, f)`` returns the Gauss-Newton matrix J.T @ J and
-    the gradient J.T @ f at x, where f = residual(x); a caller with a
-    closed form for them never forms J.  Without it, J is taken by forward
-    finite differences, one residual call per coordinate.
+    x keeps the dtype of x0.  A complex x needs a residual holomorphic in
+    it; each step solves (J^H J + lambda I) step = -J^H f with the complex
+    Jacobian J, the realified [Re; Im] step at half the size (Sorber, Van
+    Barel & De Lathauwer 2012).  ``normal_equations(x, f)`` returns J^H J
+    and J^H f at x, where f = residual(x); a caller with a closed form for
+    them never forms J.  Without it, J is taken by forward finite
+    differences, one residual call per coordinate.
     """
     if normal_equations is None:
 
         def normal_equations(x, f):
             J = _fd_jacobian(residual, x, f)
-            return J.T @ J, J.T @ f
+            return J.conj().T @ J, J.conj().T @ f
 
-    x = np.asarray(x0, dtype=float).copy()
-    f = np.asarray(residual(x), dtype=float)
-    cost = float(f @ f)
+    x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
+    f = np.asarray(residual(x), dtype=x.dtype)
+    cost = float(np.vdot(f, f).real)
     best_x, best_cost = x.copy(), cost
     lam = 1e-3
     for _ in range(max_iters):
         JtJ, grad = normal_equations(x, f)
-        if np.max(np.abs(grad)) <= grad_tol:
+        if np.maximum(np.abs(grad.real), np.abs(grad.imag)).max() <= grad_tol:
             break
         diag = np.eye(x.size)
         accepted = False
@@ -157,8 +161,8 @@ def nlls_refine(
                 lam *= 10.0
                 continue
             x_new = x + step
-            f_new = np.asarray(residual(x_new), dtype=float)
-            cost_new = float(f_new @ f_new)
+            f_new = np.asarray(residual(x_new), dtype=x.dtype)
+            cost_new = float(np.vdot(f_new, f_new).real)
             if cost_new < cost:
                 x, f, cost = x_new, f_new, cost_new
                 lam = max(lam / 3.0, 1e-14)

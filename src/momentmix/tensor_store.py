@@ -144,9 +144,16 @@ class IncompleteSymmetricTensor:
 
 
 def _key_array(keys, m: int) -> np.ndarray:
-    """(n, m) integer array of a sequence of keys."""
+    """(n, m) integer array of a sequence of keys; a slot that is not an
+    integer raises InvalidTensor.  The inferred dtype catches floats; bools
+    among integers infer as integers and need a pass over the slot types."""
     try:
-        return np.array(keys, dtype=np.int64).reshape(len(keys), m)
+        arr = np.asarray(keys)
+        bools = not isinstance(keys, np.ndarray) and {bool, np.bool_} & set(
+            map(type, itertools.chain.from_iterable(keys)))
+        if (arr.size and arr.dtype.kind not in "iu") or bools:
+            raise TypeError
+        return arr.astype(np.int64, copy=False).reshape(len(keys), m)
     except (TypeError, ValueError) as exc:
         raise InvalidTensor(f"keys must be sequences of {m} integers") from exc
 

@@ -32,6 +32,15 @@ def test_maxrank_infeasible(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("d, m, guaranteed", [
+    (10, 5, True), (9, 5, False), (6, 3, True), (5, 3, False),
+])
+def test_maxrank_guaranteed_at_threshold(capsys, d, m, guaranteed):
+    code, out, _ = run(capsys, "maxrank", "--d", str(d), "--m", str(m))
+    assert code == 0
+    assert f"guaranteed={guaranteed}" in out
+
+
 def test_params(capsys):
     code, out, _ = run(capsys, "params", "--d", "15", "--m", "3", "--r", "6")
     assert code == 0
@@ -234,3 +243,23 @@ def test_model_file_missing_field_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "sample", "--model", str(model), "--n", "10")
     assert code == 2
     assert err.startswith("error:") and "'weights'" in err
+
+
+@pytest.mark.parametrize("key", [[0, 1, 2.7], [False, True, 3]], ids=["fraction", "bools"])
+def test_non_integer_key_slot_exits_1(tmp_path, capsys, key):
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"d": 6, "m": 3, "entries": [{"key": key, "re": 1.0}]}))
+    code, _, err = run(capsys, "decompose", "--tensor", str(tensor), "--r", "1")
+    assert code == 1
+    assert err.startswith("error:") and "integers" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_decompose_without_free_head_monomial_exits_1(tmp_path, capsys):
+    # with k = p = 1 every head monomial holds label 1
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen-tensor", "--d", "6", "--m", "3", "--r", "1", "--out", str(tensor))
+    code, _, err = run(capsys, "decompose", "--tensor", str(tensor), "--r", "1",
+                       "--p", "1", "--k", "1")
+    assert code == 1
+    assert err.startswith("error:") and "no head monomials avoid label 1" in err

@@ -1,5 +1,7 @@
 """Rank bounds, parameter selection, and the decomposition pipelines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,12 @@ from momentmix.decomposition import (
     solve_tail_products,
     to_json,
 )
-from momentmix.errors import RankTooLarge, ScalesDegenerate
+from momentmix.errors import (
+    IllConditioned,
+    RankTooLarge,
+    ScalesDegenerate,
+    TailsDegenerate,
+)
 from momentmix.numerics import lstsq
 from momentmix.tensor_store import (
     ComponentList,
@@ -155,6 +162,18 @@ def test_solve_scales_rank_one_weight():
     assert lam[0] == pytest.approx(2.0, abs=1e-10)
 
 
+def test_solve_tail_products_equal_tails_degenerate():
+    comps, T = planted(10, 3, 3, seed=24)
+    params = choose_params(9, 3, 3, seed=24)
+    tails = (comps[:, params.k + 1:] / comps[:, :1]).astype(complex)
+    solve_tail_products(T, tails, params)  # distinct tails solve
+    tails[1] = tails[0]
+    # the solve may also report the vanishing singular value as ill-conditioned
+    with warnings.catch_warnings(), pytest.raises(TailsDegenerate):
+        warnings.simplefilter("ignore", IllConditioned)
+        solve_tail_products(T, tails, params)
+
+
 def test_approximate_noiseless_fixed_point():
     comps, T = planted(8, 3, 2, seed=9)
     params = choose_params(7, 3, 2, seed=9)
@@ -246,21 +265,20 @@ def test_normal_equations_match_dense_jacobian(case):
         _, T = planted(8, m, 3, seed=m)
         r = 3
     Q = spread_components(T.d, r, seed=len(case), across="-" not in case)
-    residual, normal_equations, split, pack = _residual_builder(T, r)
-    x = pack(Q)
-    f = residual(x)
-    JtJ, Jtf = normal_equations(x, f)
+    residual, normal_equations = _residual_builder(T, r)
+    q = Q.ravel()
+    f = residual(q)
+    G, g = normal_equations(q, f)
     Jc = dense_complex_jacobian(T, Q)
-    J = np.block([[Jc.real, -Jc.imag], [Jc.imag, Jc.real]])
-    ref, ref_g = J.T @ J, J.T @ f
+    ref, ref_g = Jc.conj().T @ Jc, Jc.conj().T @ f
     d = T.d
-    for bi in range(2 * r):
+    for bi in range(r):
         rows = slice(bi * d, (bi + 1) * d)
-        assert np.abs(Jtf[rows] - ref_g[rows]).max() <= 1e-12 * np.abs(ref_g[rows]).max()
-        for bj in range(2 * r):
+        assert np.abs(g[rows] - ref_g[rows]).max() <= 1e-12 * np.abs(ref_g[rows]).max()
+        for bj in range(r):
             cols = slice(bj * d, (bj + 1) * d)
             block = ref[rows, cols]
-            assert np.abs(JtJ[rows, cols] - block).max() <= 1e-12 * np.abs(block).max()
+            assert np.abs(G[rows, cols] - block).max() <= 1e-12 * np.abs(block).max()
 
 
 def test_approximate_counts_lm_iterations_exact():

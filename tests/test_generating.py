@@ -59,9 +59,9 @@ def test_assemble_system_shapes():
 def test_solve_generating_matrix_rank_one():
     T = rank_one_tensor()
     G = solve_generating_matrix(T, r=1, p=1, k=1)
-    # G column at alpha={1,j} is [u_j]
-    assert G.column((1, 2)) == pytest.approx([3.0])
-    assert G.column((1, 3)) == pytest.approx([4.0])
+    # G column at alpha={1,j}, index j - 2 (head-major, k=1), is [u_j]
+    assert G.values[:, 0] == pytest.approx([3.0])
+    assert G.values[:, 1] == pytest.approx([4.0])
     assert np.all(G.residuals <= 1e-10)
 
 

@@ -134,6 +134,24 @@ def test_nlls_normal_equations_monotone_on_random_quartics():
         assert after <= before + 1e-12
 
 
+@pytest.mark.parametrize("analytic", [False, True], ids=["differences", "normal-equations"])
+def test_nlls_complex_square_roots(analytic):
+    # z**2 - c is holomorphic, so the complex step reaches a root
+    rng = np.random.default_rng(6)
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    z0 = np.sqrt(c) + 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+
+    def normal_equations(z, f):
+        J = np.diag(2.0 * z)
+        return J.conj().T @ J, J.conj().T @ f
+
+    z = nlls_refine(
+        lambda z: z**2 - c, z0, normal_equations=normal_equations if analytic else None
+    )
+    assert z.dtype == complex
+    assert np.abs(z**2 - c).max() <= 1e-8
+
+
 def test_simplex_nlls_r1():
     omega, mu = simplex_nlls(
         lambda w, m: (m - 2.0).ravel(), np.array([1.0]), np.array([[0.0]])

@@ -179,12 +179,29 @@ def _tensor_json(*records):
     lambda: from_json(_tensor_json(([1, 0, 2], 1.0))),
     lambda: from_json(_tensor_json(([0, 1, 3], 1.0), ([0, 1, 2], 1.0))),
     lambda: from_json(_tensor_json(([0, 1, 2], float("nan")))),
+    # non-integer slots, once truncated or read as 0/1 to a valid key
+    lambda: from_json(_tensor_json(([0, 1, 2.7], 1.0))),
+    lambda: from_json(_tensor_json(([0, 1, 2.0], 1.0))),
+    lambda: from_json(_tensor_json(([False, True, 3], 1.0))),
+    lambda: from_json(_tensor_json(([0, 1, 2], 1.0), ([True, 2, 3], 1.0))),
+    lambda: IncompleteSymmetricTensor(4, 3, {(0, 1, 2.5): 1.0}),
+    lambda: IncompleteSymmetricTensor(4, 3, {(0, 1, 2): 1.0, (np.True_, 2, 3): 1.0}),
+    lambda: from_components(ComponentList(np.ones((1, 4))), 3, np.array([[0.0, 1.0, 2.0]])),
 ], ids=["slots", "ragged-slots", "range", "negative", "unsorted", "nan", "inf",
         "json-slots", "json-ragged-slots", "json-range", "json-unsorted",
-        "json-descending", "json-nan"])
+        "json-descending", "json-nan", "json-fraction", "json-float", "json-bools",
+        "json-bool-among-ints", "fraction", "numpy-bool", "components-float-array"])
 def test_malformed_tensor_rejected(build):
     with pytest.raises(InvalidTensor):
         build()
+
+
+def test_numpy_integer_key_slots_accepted():
+    T = IncompleteSymmetricTensor(4, 3, {(np.int64(0), np.int32(1), 2): 1.5})
+    assert T.keys() == [(0, 1, 2)] and T[0, 1, 2] == 1.5
+    keys = np.array([[0, 1, 3], [0, 1, 2]], dtype=np.uint8)
+    R = from_components(ComponentList(np.ones((1, 4))), 3, keys)
+    assert R.keys() == [(0, 1, 2), (0, 1, 3)]
 
 
 def test_json_rejects_bad_keys():
