@@ -1,6 +1,11 @@
 """Command-line driver: synthetic data generation, decomposition,
 mixture learning, baselines, and experiment-table reproduction.
 
+Each command declares only the flags it reads: ``--seed`` where it draws
+or seeds something, ``--out`` where it writes a file, and ``--format``
+only on ``experiment table2|table3|table4``, whose tables each take their
+own grid flags.  Any other flag is an argparse error (exit 2).
+
 Exit codes: 0 success, 1 other pipeline errors (such as a tensor file
 with a missing field or a malformed key or value), 2 invalid flags,
 unreadable input files (a model file with a missing field among them) or
@@ -54,7 +59,7 @@ def cmd_maxrank(args):
 
 
 def cmd_params(args):
-    p = decomposition.choose_params(args.d - 1, args.m, args.r, seed=args.seed)
+    p = decomposition.choose_params(args.d - 1, args.m, args.r)
     print(f"d={args.d} m={args.m} r={args.r} p={p.p} k={p.k}")
 
 
@@ -122,12 +127,11 @@ def cmd_sample(args):
 
 def cmd_moments(args):
     samples = _load_samples(args.samples)
-    d = samples.d
-    keys = set(omega_keys(d, args.m))
     if args.with_pairs:
-        for j in range(d):
-            keys.update(gmm.covariance_keys(d, args.m, j))
-    ms = gmm.sample_moments(samples, sorted(keys))
+        keys = gmm.learning_keys(samples.d, args.m)
+    else:
+        keys = omega_keys(samples.d, args.m)
+    ms = gmm.sample_moments(samples, keys)
     records = [
         {"key": list(k), "value": v} for k, v in sorted(ms.values.items())
     ]
@@ -161,8 +165,6 @@ def cmd_em(args):
 def cmd_evaluate(args):
     model = gmm.model_from_json(Path(args.model).read_text())
     samples = _load_samples(args.samples, args.labels)
-    if samples.labels is None:
-        raise SystemExit(2)
     acc = gmm.accuracy(gmm.classify(model, samples), samples.labels)
     print(f"accuracy: {acc:.4f}")
 
@@ -202,28 +204,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def seed_and_out(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("json", "csv", "md"), default="md")
 
     p = sub.add_parser("maxrank", help="largest computable rank for (d, m)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_maxrank)
 
     p = sub.add_parser("params", help="feasible (p, k) for a rank")
     for flag in ("--d", "--m", "--r"):
         p.add_argument(flag, type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("gen-tensor", help="random planted rank-r tensor")
     for flag in ("--d", "--m", "--r"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--components-out", type=str, default=None)
-    common(p)
+    seed_and_out(p)
     p.set_defaults(func=cmd_gen_tensor)
 
     for name, fn in (("decompose", cmd_decompose), ("approximate", cmd_approximate)):
@@ -235,27 +234,27 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "approximate":
             p.add_argument("--epsilon", type=float, default=0.0,
                            help="synthetic noise level added before solving")
-        common(p)
+        seed_and_out(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("gen-gmm", help="random diagonal mixture model")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    common(p)
+    seed_and_out(p)
     p.set_defaults(func=cmd_gen_gmm)
 
     p = sub.add_parser("sample", help="draw samples from a model file")
     p.add_argument("--model", type=str, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--labels-out", type=str, default=None)
-    common(p)
+    seed_and_out(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("moments", help="sample moments of a CSV sample set")
     p.add_argument("--samples", type=str, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--with-pairs", action="store_true")
-    common(p)
+    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("learn", help="moment-based mixture learning")
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=str, default=None)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    common(p)
+    seed_and_out(p)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("em", help="EM baseline for diagonal mixtures")
@@ -272,27 +271,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--reg-value", type=float, default=1e-3)
-    common(p)
+    seed_and_out(p)
     p.set_defaults(func=cmd_em)
 
     p = sub.add_parser("evaluate", help="accuracy of a model on labeled samples")
     p.add_argument("--model", type=str, required=True)
     p.add_argument("--samples", type=str, required=True)
     p.add_argument("--labels", type=str, required=True)
-    common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("experiment", help="rerun an experiment grid")
-    p.add_argument("name", choices=("table2", "table3", "table4"))
-    p.add_argument("--d", type=int, default=15)
-    p.add_argument("--orders", type=_int_list, default=[3, 4])
-    p.add_argument("--epsilons", type=_float_list, default=[0.1, 0.01, 0.001])
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--n-samples", type=int, default=100_000)
-    common(p)
-    p.set_defaults(func=cmd_experiment)
+    tables = p.add_subparsers(dest="name", required=True)
+    t2 = tables.add_parser("table2", help="exact decomposition at the largest rank")
+    t3 = tables.add_parser("table3", help="approximation of noisy tensors")
+    t4 = tables.add_parser("table4", help="mixture learning against EM")
+    for t in (t2, t3):
+        t.add_argument("--orders", type=_int_list, default=[3, 4])
+    t3.add_argument("--epsilons", type=_float_list, default=[0.1, 0.01, 0.001])
+    t4.add_argument("--m", type=int, default=3)
+    t4.add_argument("--r", type=int, default=None)
+    t4.add_argument("--n-samples", type=int, default=100_000)
+    for t in (t2, t3, t4):
+        t.add_argument("--d", type=int, default=15)
+        t.add_argument("--trials", type=int, default=5)
+        seed_and_out(t)
+        t.add_argument("--format", choices=("json", "csv", "md"), default="md")
+        t.set_defaults(func=cmd_experiment)
 
     return parser
 

@@ -109,7 +109,7 @@ def choose_params(n: int, m: int, r: int, seed: int = 0) -> DecompositionParams:
     least squares needs."""
     if r < 1:
         raise ValueError("rank must be positive")
-    _, p_star, _ = max_rank_quiet(n, m)
+    p_star = (m - 1) // 2  # the p* of ``max_rank``
     candidates = [p_star] + [p for p in range(1, m - 1) if p != p_star]
     for p in candidates:
         for k in range(p + 1, n - m + p + 1):

@@ -1,16 +1,15 @@
 """Seeded experiment grids: exact decomposition accuracy, noisy
 approximation stability, and the mixture-learning comparison against EM.
 
-Trials run in a worker pool capped by the MOMENTMIX_THREADS environment
-variable; per-trial seeds are derived from (base seed, trial index) so
-results do not depend on execution order.
+Trials run in order in one process; trial i of a grid cell uses seed
+base + i.  A trial whose solve raises counts as failed instead of
+stopping the grid.  Tables 2 and 3 draw the same planted tensor per seed
+and summarize each cell with the same min/average/max columns.
 """
 
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -33,31 +32,36 @@ from .tensor_store import (
 DEFAULT_SEED = 2024
 
 
-def _pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("MOMENTMIX_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, args_list):
-    workers = _pool_size()
-    if workers == 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, args_list))
-
-
 def random_components(d: int, r: int, seed: int) -> np.ndarray:
     """Real Gaussian component vectors, one row per component."""
     return rng_from(seed, "components").standard_normal((r, d))
 
 
-def _decomp_trial(args):
-    d, m, r, seed = args
+def _planted(d: int, m: int, r: int, seed: int):
+    """Planted components, their exact order-m tensor on the distinct-index
+    keys, and the parameters that decompose it at rank r."""
     comps = random_components(d, r, seed)
     T = from_components(ComponentList(comps), m, omega_keys(d, m))
-    params = choose_params(d - 1, m, r, seed=seed)
+    return comps, T, choose_params(d - 1, m, r, seed=seed)
+
+
+def _tally(head: dict, results: list[dict]) -> tuple[dict, list[dict]]:
+    """A summary row holding ``head`` and the trial and failure counts,
+    and the results of the trials that did not fail."""
+    ok = [x for x in results if "error" not in x]
+    return {**head, "trials": len(results), "failed": len(results) - len(ok)}, ok
+
+
+def _stats(values: list[float], prefix: str = "") -> dict:
+    return {
+        f"{prefix}min": float(np.min(values)),
+        f"{prefix}average": float(np.mean(values)),
+        f"{prefix}max": float(np.max(values)),
+    }
+
+
+def _decomp_trial(d, m, r, seed):
+    comps, T, params = _planted(d, m, r, seed)
     try:
         dec = decompose(T, params)
     except Exception as exc:  # aggregate partial failures, keep the grid going
@@ -77,36 +81,19 @@ def run_table2(
     rows = []
     for m in orders:
         r, _, _ = max_rank_quiet(d - 1, m)
-        results = _map_trials(
-            _decomp_trial, [(d, m, r, seed + i) for i in range(trials)]
-        )
-        rows.append(_summarize_decomp(d, m, r, results))
+        results = [_decomp_trial(d, m, r, seed + i) for i in range(trials)]
+        row, ok = _tally({"d": d, "m": m, "r": r}, results)
+        if ok:
+            row.update(_stats([x["decomp_err"] for x in ok]))
+            # the mean over trials of each trial's worst component error
+            row["vec_err_max"] = float(np.mean([x["vec_err_max"] for x in ok]))
+        rows.append(row)
     return rows
 
 
-def _summarize_decomp(d, m, r, results):
-    errs = [x["decomp_err"] for x in results if "error" not in x]
-    vecs = [x["vec_err_max"] for x in results if "error" not in x]
-    failed = sum(1 for x in results if "error" in x)
-    row = {"d": d, "m": m, "r": r, "trials": len(results), "failed": failed}
-    if errs:
-        row.update(
-            {
-                "min": float(np.min(errs)),
-                "average": float(np.mean(errs)),
-                "max": float(np.max(errs)),
-                "vec_err_max": float(np.mean(vecs)),
-            }
-        )
-    return row
-
-
-def _approx_trial(args):
-    d, m, r, epsilon, seed = args
-    comps = random_components(d, r, seed)
-    T = from_components(ComponentList(comps), m, omega_keys(d, m))
+def _approx_trial(d, m, r, epsilon, seed):
+    _, T, params = _planted(d, m, r, seed)
     T_hat = perturb(T, epsilon, seed)
-    params = choose_params(d - 1, m, r, seed=seed)
     try:
         dec = approximate(T_hat, params, truth=T)
     except Exception as exc:
@@ -128,37 +115,18 @@ def run_table3(
     for m in orders:
         r, _, _ = max_rank_quiet(d - 1, m)
         for epsilon in epsilons:
-            results = _map_trials(
-                _approx_trial,
-                [(d, m, r, epsilon, seed + i) for i in range(trials)],
-            )
-            rel = [x["rel_err"] for x in results if "error" not in x]
-            ab = [x["abs_err"] for x in results if "error" not in x]
-            row = {
-                "d": d,
-                "m": m,
-                "r": r,
-                "epsilon": epsilon,
-                "trials": len(results),
-                "failed": sum(1 for x in results if "error" in x),
-            }
-            if rel:
-                row.update(
-                    {
-                        "rel_min": float(np.min(rel)),
-                        "rel_average": float(np.mean(rel)),
-                        "rel_max": float(np.max(rel)),
-                        "abs_min": float(np.min(ab)),
-                        "abs_average": float(np.mean(ab)),
-                        "abs_max": float(np.max(ab)),
-                    }
-                )
+            results = [
+                _approx_trial(d, m, r, epsilon, seed + i) for i in range(trials)
+            ]
+            row, ok = _tally({"d": d, "m": m, "r": r, "epsilon": epsilon}, results)
+            if ok:
+                row.update(_stats([x["rel_err"] for x in ok], "rel_"))
+                row.update(_stats([x["abs_err"] for x in ok], "abs_"))
             rows.append(row)
     return rows
 
 
-def _gmm_trial(args):
-    d, m, r, n_samples, seed = args
+def _gmm_trial(d, m, r, n_samples, seed):
     model = gmm.random_model(d, r, seed)
     samples = gmm.sample_gmm(model, n_samples, seed)
     try:
@@ -181,26 +149,17 @@ def run_table4(
 ) -> list[dict]:
     if r is None:
         r, _, _ = max_rank_quiet(d - 1, m)
-    results = _map_trials(
-        _gmm_trial, [(d, m, r, n_samples, seed + i) for i in range(trials)]
-    )
-    rows = []
-    for i, x in enumerate(results):
-        row = {"d": d, "m": m, "r": r, "trial": i}
-        row.update(x)
-        rows.append(row)
+    head = {"d": d, "m": m, "r": r}
+    results = [_gmm_trial(d, m, r, n_samples, seed + i) for i in range(trials)]
+    rows = [{**head, "trial": i, **x} for i, x in enumerate(results)]
     ok = [x for x in results if "error" not in x]
     if ok:
-        rows.append(
-            {
-                "d": d,
-                "m": m,
-                "r": r,
-                "trial": "average",
-                "accuracy_alg": float(np.mean([x["accuracy_alg"] for x in ok])),
-                "accuracy_em": float(np.mean([x["accuracy_em"] for x in ok])),
-            }
-        )
+        rows.append({
+            **head,
+            "trial": "average",
+            "accuracy_alg": float(np.mean([x["accuracy_alg"] for x in ok])),
+            "accuracy_em": float(np.mean([x["accuracy_em"] for x in ok])),
+        })
     return rows
 
 

@@ -209,6 +209,15 @@ def covariance_keys(d: int, m: int, j: int) -> list[TensorKey]:
     ]
 
 
+def learning_keys(d: int, m: int) -> list[TensorKey]:
+    """The order-m keys that learning reads, sorted: the distinct-index
+    keys and the repeated-pair keys of ``covariance_keys``."""
+    keys = set(omega_keys(d, m))
+    for j in range(d):
+        keys.update(covariance_keys(d, m, j))
+    return sorted(keys)
+
+
 def realify(qs: np.ndarray, m: int) -> np.ndarray:
     """Rotate each complex component by the m-th root of unity minimizing
     its imaginary norm (ties to the smallest root index), then drop the
@@ -377,10 +386,7 @@ def learn(samples: SampleSet, r: int, m: int, seed: int = 0) -> GmmModel:
         raise ValueError("moment order m must be at least 3")
     d = samples.d
     t = choose_t(d, r)
-    keys_m = set(omega_keys(d, m))
-    for j in range(d):
-        keys_m.update(covariance_keys(d, m, j))
-    Mm = sample_moments(samples, sorted(keys_m))
+    Mm = sample_moments(samples, learning_keys(d, m))
     Mt = sample_moments(samples, omega_keys(d, t))
     return learn_from_moments(Mm, Mt, d, r, seed=seed)
 

@@ -56,8 +56,9 @@ class LstsqReport:
 def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
     """Minimum-norm least-squares solution of A x = b via SVD.
 
-    Emits an ``IllConditioned`` warning (solution still returned) when the
-    condition estimate of A exceeds 1e12.
+    Emits an ``IllConditioned`` warning (solution still returned) when A
+    has full column rank and its condition estimate exceeds 1e12.  A
+    rank-deficient A is reported by ``rank`` alone, which callers check.
     """
     A = np.atleast_2d(np.asarray(A))
     b = np.asarray(b)
@@ -65,7 +66,7 @@ def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
         raise ValueError("A must have at least one column")
     x, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
     ill = False
-    if sv.size and sv[-1] > 0 and sv[0] / sv[-1] > _COND_LIMIT:
+    if rank == A.shape[1] and sv[0] / sv[-1] > _COND_LIMIT:
         ill = True
         warnings.warn("least-squares system is ill-conditioned", IllConditioned)
     resid = np.linalg.norm(A @ x - b, axis=0 if b.ndim == 2 else None)
@@ -126,8 +127,8 @@ def nlls_refine(
     normal_equations: Callable[[np.ndarray, np.ndarray], tuple] | None = None,
 ) -> np.ndarray:
     """Levenberg-Marquardt style damped Gauss-Newton minimization of
-    ||residual(x)||^2 with a monotone safeguard: the returned point never
-    has a larger objective than x0.
+    ||residual(x)||^2.  A step is taken only when it lowers the objective,
+    so the returned point never has a larger objective than x0.
 
     x keeps the dtype of x0.  A complex x needs a residual holomorphic in
     it; each step solves (J^H J + lambda I) step = -J^H f with the complex
@@ -146,7 +147,6 @@ def nlls_refine(
     x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
     f = np.asarray(residual(x), dtype=x.dtype)
     cost = float(np.vdot(f, f).real)
-    best_x, best_cost = x.copy(), cost
     lam = 1e-3
     for _ in range(max_iters):
         JtJ, grad = normal_equations(x, f)
@@ -171,11 +171,9 @@ def nlls_refine(
             lam *= 4.0
         if not accepted:
             break
-        if cost < best_cost:
-            best_x, best_cost = x.copy(), cost
         if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
             break
-    return best_x
+    return x
 
 
 def simplex_nlls(

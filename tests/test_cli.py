@@ -1,11 +1,12 @@
 """Command-line driver: exit codes, file formats, determinism."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from momentmix.cli import main
+from momentmix.cli import build_parser, main
 from momentmix.decomposition import from_json as dec_from_json
 from momentmix.gmm import model_from_json
 from momentmix.tensor_store import from_json as tensor_from_json
@@ -263,3 +264,64 @@ def test_decompose_without_free_head_monomial_exits_1(tmp_path, capsys):
                        "--p", "1", "--k", "1")
     assert code == 1
     assert err.startswith("error:") and "no head monomials avoid label 1" in err
+
+
+# The flags each command reads; a change to a command's flags updates this.
+COMMAND_OPTIONS = {
+    "maxrank": {"--d", "--m"},
+    "params": {"--d", "--m", "--r"},
+    "gen-tensor": {"--d", "--m", "--r", "--components-out", "--seed", "--out"},
+    "decompose": {"--tensor", "--r", "--p", "--k", "--seed", "--out"},
+    "approximate": {"--tensor", "--r", "--p", "--k", "--epsilon", "--seed", "--out"},
+    "gen-gmm": {"--d", "--r", "--seed", "--out"},
+    "sample": {"--model", "--n", "--labels-out", "--seed", "--out"},
+    "moments": {"--samples", "--m", "--with-pairs", "--out"},
+    "learn": {"--samples", "--labels", "--r", "--m", "--seed", "--out"},
+    "em": {"--samples", "--labels", "--r", "--max-iters", "--reg-value",
+           "--seed", "--out"},
+    "evaluate": {"--model", "--samples", "--labels"},
+    "experiment table2": {"--d", "--orders", "--trials", "--seed", "--out",
+                          "--format"},
+    "experiment table3": {"--d", "--orders", "--epsilons", "--trials", "--seed",
+                          "--out", "--format"},
+    "experiment table4": {"--d", "--m", "--r", "--n-samples", "--trials",
+                          "--seed", "--out", "--format"},
+}
+
+
+def _command_options(parser, prefix=""):
+    """{command path: option strings} over the leaf subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix: {
+            s for a in parser._actions for s in a.option_strings
+            if s not in ("-h", "--help")
+        }}
+    found = {}
+    for name, sub in subs[0].choices.items():
+        found.update(_command_options(sub, f"{prefix} {name}".strip()))
+    return found
+
+
+def test_parser_options_match_table():
+    found = _command_options(build_parser())
+    assert found == COMMAND_OPTIONS
+    assert sum(len(v) for k, v in found.items() if " " not in k) == 53
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxrank", "--d", "15", "--m", "3", "--format", "json"],
+    ["params", "--d", "15", "--m", "3", "--r", "6", "--seed", "1"],
+    ["evaluate", "--model", "m.json", "--samples", "s.csv", "--labels", "l.csv",
+     "--out", "x"],
+    ["moments", "--samples", "s.csv", "--m", "3", "--seed", "1"],
+    ["experiment", "table2", "--epsilons", "0.1"],
+    ["experiment", "table3", "--n-samples", "10"],
+    ["experiment", "table4", "--orders", "3"],
+], ids=["maxrank-format", "params-seed", "evaluate-out", "moments-seed",
+        "table2-epsilons", "table3-n-samples", "table4-orders"])
+def test_unread_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err

@@ -7,6 +7,7 @@ from momentmix.experiments import (
     random_components,
     run_table2,
     run_table3,
+    run_table4,
 )
 
 
@@ -39,6 +40,17 @@ def test_run_table3_small():
     assert row["failed"] == 0
     assert row["rel_max"] <= 1.0
     assert row["abs_average"] <= 0.01
+
+
+def test_run_table4_small():
+    rows = run_table4(d=8, m=3, r=2, n_samples=3000, trials=2, seed=1)
+    assert [row["trial"] for row in rows] == [0, 1, "average"]
+    for row in rows[:2]:
+        assert "error" not in row
+        assert 0.5 <= row["accuracy_alg"] <= 1 and 0.5 <= row["accuracy_em"] <= 1
+    for col in ("accuracy_alg", "accuracy_em"):
+        assert rows[2][col] == np.mean([row[col] for row in rows[:2]])
+    assert run_table4(d=8, m=3, r=2, n_samples=3000, trials=2, seed=1) == rows
 
 
 def test_format_rows():

@@ -26,6 +26,7 @@ from momentmix.gmm import (
     exact_moments,
     learn,
     learn_from_moments,
+    learning_keys,
     model_from_json,
     model_to_json,
     random_model,
@@ -157,6 +158,19 @@ def test_covariance_keys():
     assert keys == [(0, 1, 1), (1, 1, 2), (1, 1, 3)]
     for k in keys:
         assert sorted(k) == list(k)
+
+
+@pytest.mark.parametrize("d, m", [(4, 3), (6, 3), (7, 4)])
+def test_learning_keys(d, m):
+    keys = learning_keys(d, m)
+    union = set(omega_keys(d, m))
+    for j in range(d):
+        union.update(covariance_keys(d, m, j))
+    assert keys == sorted(union)
+    # the repeated pair fixes j, so the two key families never overlap
+    n_distinct = len(list(itertools.combinations(range(d), m)))
+    n_pairs = d * len(list(itertools.combinations(range(d - 1), m - 2)))
+    assert len(keys) == n_distinct + n_pairs
 
 
 def test_realify():

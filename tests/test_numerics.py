@@ -1,8 +1,11 @@
 """Numerical kernels: least squares, NNLS, eigenpairs, refinement, RNG."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from momentmix.errors import IllConditioned
 from momentmix.numerics import (
     eig,
     gaussian_vector,
@@ -49,6 +52,21 @@ def test_lstsq_residual_norm_per_column():
         col = lstsq(A, B[:, c])
         assert isinstance(col.residual_norm, float)
         assert rep.residual_norm[c] == pytest.approx(col.residual_norm, rel=1e-12)
+
+
+def test_lstsq_full_rank_ill_conditioned_warns():
+    A = np.diag([1.0, 1e-13])
+    with pytest.warns(IllConditioned):
+        rep = lstsq(A, np.ones(2))
+    assert rep.rank == 2 and rep.ill_conditioned
+
+
+def test_lstsq_rank_deficient_reports_rank_without_warning():
+    A = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = lstsq(A, np.array([1.0, 2.0, 3.0]))
+    assert rep.rank == 1 and not rep.ill_conditioned
 
 
 def test_nnls_values():
