@@ -50,6 +50,8 @@ def _load_samples(path: str, labels_path: str | None = None) -> gmm.SampleSet:
 
 def cmd_maxrank(args):
     if args.d < args.m:
+        print(f"error: --d {args.d} is below --m {args.m}; maxrank needs "
+              "--d >= --m", file=sys.stderr)
         raise SystemExit(2)
     n = args.d - 1
     r_max, p_star, k_star = decomposition.max_rank_quiet(n, args.m)
@@ -169,7 +171,20 @@ def cmd_evaluate(args):
     print(f"accuracy: {acc:.4f}")
 
 
+def _check_grid_flags(args):
+    """Reject grid flags the tables cannot run, before any trial."""
+    if args.trials < 0:
+        raise ValueError(f"--trials {args.trials} must be >= 0")
+    top = args.d - 1
+    for m in getattr(args, "orders", ()):
+        if not 3 <= m <= top:
+            raise ValueError(
+                f"--orders {m} must be between 3 and d-1 = {top} (--d {args.d})"
+            )
+
+
 def cmd_experiment(args):
+    _check_grid_flags(args)
     if args.name == "table2":
         rows = experiments.run_table2(
             d=args.d, orders=tuple(args.orders), trials=args.trials,

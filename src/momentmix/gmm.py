@@ -15,9 +15,15 @@ The kernels that touch every sample are matrix products.  Sample moments
 group their sorted keys by the first m-1 slots: over row chunks of the
 samples, the products of each prefix's coordinates form a (chunk, prefixes)
 matrix whose product with the chunk gives every last slot at once, so the
-working memory is O(chunk * prefixes) whatever the number of samples.  The
-EM E-step and ``classify`` expand the diagonal quadratic form into two
-(N, d) x (d, r) products instead of building an (N, r, d) difference.
+working memory is O(chunk * prefixes) whatever the number of samples.
+The log-density of every component is linear in [y, y * y] with one
+constant, so it is a product with one (r, 2d) coefficient matrix instead
+of an (N, r, d) difference.  EM runs each iteration as one pass over the
+same row chunks, component-major: per chunk, one (r, 2d) x (2d, chunk)
+product gives the log-densities, and one (r, chunk) x (chunk, 2d) product
+adds the chunk's responsibilities to the next M-step, so no array of N
+rows is built.  ``classify`` keeps the (N, r) layout of its argmax and
+forms it as two (N, d) x (d, r) products.
 """
 
 from __future__ import annotations
@@ -50,9 +56,10 @@ from .tensor_store import (
 TensorKey = tuple[int, ...]
 
 _BETA_FLOOR = 1e-12
-# Rows per chunk of the sample-moment products: large enough that each
-# product is a BLAS call of useful size, small enough that the (chunk,
-# n_prefix) prefix matrix stays a few megabytes for the Table-4 moment set.
+# Rows per chunk of the sample-moment products and of the EM passes: large
+# enough that each product is a BLAS call of useful size, small enough that
+# the (chunk, n_prefix) prefix matrix stays a few megabytes for the Table-4
+# moment set and EM's two chunk buffers stay under a megabyte at d=15.
 _MOMENT_CHUNK = 2048
 
 
@@ -400,35 +407,66 @@ def em_baseline(
 ) -> GmmModel:
     """Standard EM for diagonal mixtures, initialized by seeded random
     responsibilities; the regularization value is added to every variance
-    each M-step.  Returns the best-likelihood iterate."""
-    # The samples are the right operand of the M-step products, which run
-    # about 3x slower on a strided one.
+    each M-step.  Returns the best-likelihood iterate.
+
+    Each iteration is one fused pass over row chunks of at most
+    ``_MOMENT_CHUNK`` samples, held component-major: the chunk is copied
+    into z = [Y_b, Y_b * Y_b]^T, its (r, b) log-densities are one product
+    ``W @ z`` plus a per-component constant, and each column is normalised
+    into responsibilities R that at once add the chunk's share of the
+    log-likelihood and of the next M-step's sums ``R.sum(1)`` and
+    ``R @ z^T``.  The first M-step reads the random responsibilities
+    chunk by chunk from one stream, so they equal a single (N, r) draw.
+    Memory beyond the samples is O(_MOMENT_CHUNK * (2d + r)).
+    """
     Y = np.ascontiguousarray(samples.data, dtype=float)
     N, d = Y.shape
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
     if r > N:
         raise ValueError("more components than samples")
-    _reject_non_finite(Y)
-    YY = Y * Y
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    # a non-finite coordinate makes the sum non-finite; only then are the
+    # samples searched, which needs an (N, d) mask
+    if not math.isfinite(Y.sum()):
+        _reject_non_finite(Y)
     rng = rng_from(seed, "em")
-    resp = rng.random((N, r))
-    resp /= resp.sum(axis=1, keepdims=True)
+    nk = np.zeros(r)
+    sums = np.zeros((r, 2 * d))
+    for z, R in _em_chunks(Y, r):
+        R[...] = rng.random((z.shape[1], r)).T
+        R /= R.sum(axis=0)
+        nk += R.sum(axis=1)
+        sums += R @ z.T
     history: list[float] = []
     best = None
     for _ in range(max_iters):
-        # M-step
-        nk = resp.sum(axis=0)
+        # M-step from the sums of the previous pass
         weights = nk / N
-        means = (resp.T @ Y) / nk[:, None]
-        sq = resp.T @ YY / nk[:, None]
-        variances = sq - means**2 + reg_value
-        # E-step / likelihood under the fresh parameters
-        log_prob = _log_component_densities(Y, YY, weights, means, variances)
-        log_norm = _logsumexp(log_prob)
-        ll = float(log_norm.sum())
+        means = sums[:, :d] / nk[:, None]
+        variances = sums[:, d:] / nk[:, None] - means**2 + reg_value
+        # E-step and likelihood under the fresh parameters, fused with the
+        # next M-step's sums
+        W, c = _density_coefficients(weights, means, variances)
+        c = c[:, None]
+        nk = np.zeros(r)
+        sums = np.zeros((r, 2 * d))
+        ll = 0.0
+        for z, R in _em_chunks(Y, r):
+            np.matmul(W, z, out=R)
+            R += c
+            top = R.max(axis=0)
+            R -= top
+            np.exp(R, out=R)
+            total = R.sum(axis=0)
+            ll += float((top + np.log(total)).sum())
+            R /= total
+            nk += R.sum(axis=1)
+            sums += R @ z.T
         history.append(ll)
         if best is None or ll >= best[0]:
-            best = (ll, weights.copy(), means.copy(), variances.copy())
-        resp = np.exp(log_prob - log_norm[:, None])
+            best = (ll, weights, means, variances)
     _, weights, means, variances = best
     return GmmModel(
         weights=weights / weights.sum(),
@@ -438,12 +476,28 @@ def em_baseline(
     )
 
 
+def _em_chunks(Y, r):
+    """Per row chunk of the (N, d) samples, views (z, R) of two buffers
+    reused across chunks: z = [Y_b, Y_b * Y_b]^T filled in, and an (r, b)
+    R for the caller."""
+    d = Y.shape[1]
+    z_buf = np.empty((2 * d, _MOMENT_CHUNK))
+    R_buf = np.empty((r, _MOMENT_CHUNK))
+    for start in range(0, Y.shape[0], _MOMENT_CHUNK):
+        chunk = Y[start : start + _MOMENT_CHUNK]
+        z = z_buf[:, : chunk.shape[0]]
+        z[:d] = chunk.T
+        np.multiply(z[:d], z[:d], out=z[d:])
+        yield z, R_buf[:, : chunk.shape[0]]
+
+
 _VAR_FLOOR = 1e-3
 
 
-def _log_component_densities(Y, YY, weights, means, variances):
-    """(N, r) log omega_i + log N(y; mu_i, diag var_i) for (N, d) samples
-    Y and their squares YY."""
+def _density_coefficients(weights, means, variances):
+    """(W, c) with log omega_i + log N(y; mu_i, diag var_i) equal to
+    W[i] . [y, y * y] + c[i]: W = [mu / var, -1 / (2 var)] and
+    c = log omega - (sum mu^2 / var + sum log var + d log 2 pi) / 2."""
     # Nonnegative least squares can return exactly-zero variances for
     # coordinates whose true spread is below the sampling noise; the
     # Gaussian density is singular there, so likelihoods are evaluated
@@ -451,32 +505,24 @@ def _log_component_densities(Y, YY, weights, means, variances):
     # its variance regularization.
     var = np.maximum(variances, _VAR_FLOOR)
     inv = 1.0 / var
-    # sum_j (y_j - mu_ij)^2 / var_ij expanded into two (N, d) x (d, r)
-    # products.
-    out = YY @ inv.T
-    out += Y @ (-2.0 * means * inv).T
-    out += (
+    W = np.hstack([means * inv, -0.5 * inv])
+    c = np.log(np.maximum(weights, 1e-300)) - 0.5 * (
         (means * means * inv).sum(axis=1)
         + np.log(var).sum(axis=1)
-        + Y.shape[1] * math.log(2 * math.pi)
+        + means.shape[1] * math.log(2 * math.pi)
     )
-    out *= -0.5
-    out += np.log(np.maximum(weights, 1e-300))
+    return W, c
+
+
+def _log_component_densities(Y, YY, weights, means, variances):
+    """(N, r) log omega_i + log N(y; mu_i, diag var_i) for (N, d) samples
+    Y and their squares YY, as two (N, d) x (d, r) products."""
+    W, c = _density_coefficients(weights, means, variances)
+    d = Y.shape[1]
+    out = Y @ W[:, :d].T
+    out += YY @ W[:, d:].T
+    out += c
     return out
-
-
-def _logsumexp(a):
-    # Row-wise log-sum-exp of an (N, r) array, reduced one column at a time:
-    # with few components, numpy's per-row reductions cost several times
-    # more than r whole-column passes.
-    cols = a.T
-    mx = cols[0].copy()
-    for c in cols[1:]:
-        np.maximum(mx, c, out=mx)
-    total = np.exp(cols[0] - mx)
-    for c in cols[1:]:
-        total += np.exp(c - mx)
-    return mx + np.log(total)
 
 
 def _reject_non_finite(Y):

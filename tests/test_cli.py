@@ -325,3 +325,44 @@ def test_unread_flag_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_em_max_iters_zero_exits_2(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    np.savetxt(samples, np.random.default_rng(0).standard_normal((50, 3)),
+               delimiter=",")
+    code, _, err = run(capsys, "em", "--samples", str(samples), "--r", "2",
+                       "--max-iters", "0")
+    assert code == 2
+    assert len(_error_lines(err)) == 1
+    assert "max_iters" in err
+    assert "Traceback" not in err
+
+
+def test_maxrank_infeasible_says_why(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["maxrank", "--d", "3", "--m", "5"])
+    assert exc.value.code == 2
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "--d 3" in line and "--m 5" in line and "--d >= --m" in line
+
+
+@pytest.mark.parametrize("argv, flag, bound", [
+    (["table2", "--d", "8", "--orders", "3", "--trials", "-2"], "--trials -2", ">= 0"),
+    (["table3", "--d", "8", "--orders", "3", "--trials", "-1"], "--trials -1", ">= 0"),
+    (["table4", "--d", "8", "--trials", "-1"], "--trials -1", ">= 0"),
+    (["table2", "--d", "4", "--orders", "5"], "--orders 5", "d-1 = 3"),
+    (["table3", "--d", "8", "--orders", "3,2"], "--orders 2", "between 3 and d-1 = 7"),
+], ids=["table2-trials", "table3-trials", "table4-trials", "table2-order-above",
+        "table3-order-below"])
+def test_experiment_grid_flag_out_of_range_exits_2(capsys, argv, flag, bound):
+    code, out, err = run(capsys, "experiment", *argv, "--format", "csv")
+    assert code == 2
+    (line,) = _error_lines(err)
+    assert flag in line and bound in line
+    # nothing ran: no table row was printed
+    assert out.splitlines()[-1].startswith("config:")

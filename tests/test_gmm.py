@@ -669,3 +669,65 @@ def test_moment_set_gather():
     with pytest.raises(MissingEntry, match=r"\(0, 2\)") as exc:
         ms.gather([(1, 1), (2, 0)])
     assert exc.value.key == (0, 2)
+
+
+# The chunked, component-major EM against the row-major diff-form loop.
+
+
+def _diff_form_em_history(Y, r, iters, seed, reg_value=1e-3):
+    """Log-likelihood of each iterate of the row-major diff-form EM."""
+    N = Y.shape[0]
+    resp = rng_from(seed, "em").random((N, r))
+    resp /= resp.sum(axis=1, keepdims=True)
+    history = []
+    for _ in range(iters):
+        nk = resp.sum(axis=0)
+        means = (resp.T @ Y) / nk[:, None]
+        variances = resp.T @ (Y * Y) / nk[:, None] - means**2 + reg_value
+        log_prob = _diff_form_log_densities(Y, nk / N, means, variances)
+        mx = log_prob.max(axis=1)
+        log_norm = mx + np.log(np.exp(log_prob - mx[:, None]).sum(axis=1))
+        history.append(log_norm.sum())
+        resp = np.exp(log_prob - log_norm[:, None])
+    return np.array(history)
+
+
+@pytest.mark.parametrize("rows", ["below", "equal", "ragged"])
+def test_chunked_em_matches_diff_form(rows):
+    chunk = gmm._MOMENT_CHUNK
+    n = {"below": chunk - 1, "equal": chunk, "ragged": 2 * chunk + 37}[rows]
+    s = sample_gmm(random_model(5, 3, seed=27), n, seed=27)
+    em, again = (em_baseline(s, 3, max_iters=6, seed=27) for _ in range(2))
+    assert np.abs(em.means - _diff_form_em_means(s.data, 3, 6, 27)).max() <= 1e-10
+    want = _diff_form_em_history(s.data, 3, 6, 27)
+    got = np.array(em.meta["loglik_history"])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # bit for bit per seed
+    for name in ("weights", "means", "variances"):
+        assert np.array_equal(getattr(em, name), getattr(again, name))
+    assert em.meta["loglik_history"] == again.meta["loglik_history"]
+
+
+def test_em_memory_stays_chunk_sized():
+    import tracemalloc
+
+    s = sample_gmm(random_model(15, 6, seed=29), 100_000, seed=29)
+    tracemalloc.start()
+    try:
+        em_baseline(s, 6, max_iters=2, seed=29)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (N, 6) float array alone is 4.6 MiB
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"r": 0}, "r"), ({"r": -1}, "r"),
+    ({"r": 2, "max_iters": 0}, "max_iters"),
+    ({"r": 2, "max_iters": -3}, "max_iters"),
+])
+def test_em_rejects_empty_rank_and_iterations(kwargs, name):
+    s = sample_gmm(random_model(4, 2, seed=30), 200, seed=30)
+    with pytest.raises(ValueError, match=rf"^{name} must be at least 1"):
+        em_baseline(s, **kwargs)
