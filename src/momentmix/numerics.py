@@ -24,6 +24,9 @@ import scipy.optimize
 from .errors import EigenFailure, IllConditioned, MaxIterations
 
 _COND_LIMIT = 1e12
+# ``nlls_refine`` stops once every gradient entry is at most this in
+# magnitude (real and imaginary parts alike).
+_GRAD_TOL = 1e-10
 
 
 def rng_from(seed: int, *stream) -> np.random.Generator:
@@ -123,7 +126,6 @@ def nlls_refine(
     residual: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     max_iters: int = 200,
-    grad_tol: float = 1e-10,
     normal_equations: Callable[[np.ndarray, np.ndarray], tuple] | None = None,
 ) -> np.ndarray:
     """Levenberg-Marquardt style damped Gauss-Newton minimization of
@@ -150,7 +152,7 @@ def nlls_refine(
     lam = 1e-3
     for _ in range(max_iters):
         JtJ, grad = normal_equations(x, f)
-        if np.maximum(np.abs(grad.real), np.abs(grad.imag)).max() <= grad_tol:
+        if np.maximum(np.abs(grad.real), np.abs(grad.imag)).max() <= _GRAD_TOL:
             break
         diag = np.eye(x.size)
         accepted = False
@@ -180,13 +182,11 @@ def simplex_nlls(
     residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     omega0: np.ndarray,
     mu0: np.ndarray,
-    max_iters: int = 200,
-    grad_tol: float = 1e-10,
     jacobian: Callable[[np.ndarray, np.ndarray], tuple] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ||residual(omega, mu)||^2 with omega on the probability
     simplex, via the squared-variable reparameterization
-    omega_i = t_i^2 / sum_j t_j^2 fed to ``nlls_refine``.
+    omega_i = t_i^2 / sum_j t_j^2 fed to ``nlls_refine`` at its defaults.
 
     ``jacobian(omega, mu)`` returns the residual's derivatives
     (J_omega, J_mu), of shapes (n, r) and (n, r * d) with mu flattened
@@ -235,10 +235,7 @@ def simplex_nlls(
             return J.T @ J, J.T @ f
 
     x0 = np.concatenate([np.sqrt(omega0), mu0.ravel()])
-    x_star = nlls_refine(
-        wrapped, x0, max_iters=max_iters, grad_tol=grad_tol,
-        normal_equations=normal_equations,
-    )
+    x_star = nlls_refine(wrapped, x0, normal_equations=normal_equations)
     omega, mu = unpack(x_star)
     omega = omega / omega.sum()
     return omega, mu

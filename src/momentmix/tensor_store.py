@@ -77,8 +77,7 @@ class IncompleteSymmetricTensor:
     value is checked in one vectorised pass.
     """
 
-    def __init__(self, d: int, m: int, entries: Mapping | None = None):
-        entries = entries or {}
+    def __init__(self, d: int, m: int, entries: Mapping):
         keys = _key_array(list(entries), m)
         order = np.lexsort(keys.T[::-1])
         values = np.array(list(entries.values()), dtype=complex)

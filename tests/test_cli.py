@@ -366,3 +366,46 @@ def test_experiment_grid_flag_out_of_range_exits_2(capsys, argv, flag, bound):
     assert flag in line and bound in line
     # nothing ran: no table row was printed
     assert out.splitlines()[-1].startswith("config:")
+
+
+@pytest.mark.parametrize("d, m", [(3, 3), (4, 3), (5, 5)])
+def test_maxrank_agrees_with_params_at_small_d(capsys, d, m):
+    code, out, _ = run(capsys, "maxrank", "--d", str(d), "--m", str(m))
+    assert code == 0
+    assert "r_max=0" in out
+    code, _, err = run(capsys, "params", "--d", str(d), "--m", str(m), "--r", "1")
+    assert code == 2
+    (line,) = _error_lines(err)
+    assert "maximum feasible rank is 0" in line
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["table2", "--d", "4", "--orders", "3"], 3),
+    (["table3", "--d", "5", "--orders", "3,4"], 4),
+    (["table4", "--d", "4", "--m", "3"], 3),
+], ids=["table2", "table3", "table4"])
+def test_experiment_without_feasible_rank_exits_2(capsys, argv, order):
+    code, out, err = run(capsys, "experiment", *argv, "--trials", "1",
+                         "--format", "csv")
+    assert code == 2
+    (line,) = _error_lines(err)
+    assert f"order {order} has no feasible rank at --d" in line
+    assert out.splitlines()[-1].startswith("config:")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gen-gmm", "--d", "3", "--r", "0"], "r"),
+    (["gen-gmm", "--d", "0", "--r", "2"], "d"),
+    (["sample", "--n", "-1"], "N"),
+], ids=["gen-gmm-r", "gen-gmm-d", "sample-n"])
+def test_bad_model_or_sample_size_exits_2(tmp_path, capsys, argv, name):
+    model = tmp_path / "model.json"
+    run(capsys, "gen-gmm", "--d", "3", "--r", "2", "--out", str(model))
+    if argv[0] == "sample":
+        argv = argv + ["--model", str(model)]
+    out_file = tmp_path / "out.txt"
+    code, _, err = run(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    (line,) = _error_lines(err)
+    assert line.startswith(f"error: {name} must be")
+    assert not out_file.exists()

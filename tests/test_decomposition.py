@@ -9,6 +9,7 @@ from momentmix.decomposition import (
     DecompositionParams,
     _residual_builder,
     _scale_fit,
+    _threshold,
     PreconditionWarning,
     approximate,
     brute_force_max_rank,
@@ -35,6 +36,7 @@ from momentmix.tensor_store import (
     component_products,
     from_components,
     omega_keys,
+    omega_norm,
     perturb,
 )
 
@@ -67,6 +69,35 @@ def test_max_rank_matches_brute_force_sample():
         lo = max(2 * m - 1, -(-m * m // 4) - 1)
         for n in range(lo, lo + 6):
             assert max_rank_quiet(n, m)[0] == brute_force_max_rank(n, m)
+
+
+def test_max_rank_below_threshold_is_accepted_by_choose_params():
+    for m in range(3, 9):
+        for n in range(1, _threshold(m) + 5):
+            r = max_rank_quiet(n, m)[0]
+            assert r <= brute_force_max_rank(n, m)
+            if r >= 1:
+                assert choose_params(n, m, r).r == r
+
+
+def test_rank_too_large_names_an_accepted_rank():
+    for m in range(3, 9):
+        for n in range(m - 1, 40):
+            r_max = brute_force_max_rank(n, m)
+            with pytest.raises(RankTooLarge) as exc:
+                choose_params(n, m, r_max + 1)
+            assert exc.value.r_max == r_max
+            if r_max >= 1:
+                assert choose_params(n, m, r_max).r == r_max
+
+
+def test_max_rank_is_zero_on_an_empty_k_range():
+    # n = m leaves no k with p* + 1 <= k <= n - m + p*; n = m - 1 used to
+    # raise on a negative binomial argument
+    for m in range(3, 9):
+        for n in (m - 1, m):
+            assert max_rank_quiet(n, m)[0] == 0
+            assert brute_force_max_rank(n, m) == 0
 
 
 def test_choose_params():
@@ -201,6 +232,15 @@ def test_approximate_decomp_err_matches_decomp_err():
     Th = perturb(T, 0.01, 11)
     dec = approximate(Th, choose_params(9, 3, 3, seed=11))
     assert dec.diagnostics["decomp_err"] == decomp_err(Th, dec.components)
+    # the array-form diagnostics equal the tensor-form ones bit for bit
+    dec = approximate(Th, choose_params(9, 3, 3, seed=11), truth=T)
+    assert dec.diagnostics["decomp_err"] == decomp_err(Th, dec.components)
+    rec = from_components(ComponentList(dec.components), 3, Th.key_array)
+    diff = rec.with_values(rec.values - T.gather(rec.key_array))
+    assert dec.diagnostics["abs_err"] == omega_norm(diff, Th.key_array)
+    fit = np.linalg.norm(rec.values - Th.values)
+    noise = np.linalg.norm(Th.values - T.values)
+    assert dec.diagnostics["rel_err"] == float(fit / noise)
 
 
 def test_decomposition_json_round_trip():

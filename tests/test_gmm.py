@@ -78,6 +78,16 @@ def test_sample_gmm_degenerate_weight():
     assert np.all(s.labels == 0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: random_model(3, 0, seed=1), "r"),
+    (lambda: random_model(0, 2, seed=1), "d"),
+    (lambda: sample_gmm(random_model(3, 2, seed=1), -1, seed=1), "N"),
+], ids=["r-zero", "d-zero", "N-negative"])
+def test_random_model_and_sample_gmm_reject_bad_sizes(make, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        make()
+
+
 def test_sample_gmm_zero_variance():
     model = GmmModel(
         weights=np.array([0.5, 0.5]),
