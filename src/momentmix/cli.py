@@ -194,7 +194,10 @@ def _check_grid_flags(args):
             raise ValueError(
                 f"--orders {m} must be between 3 and d-1 = {top} (--d {args.d})"
             )
-    ranked = [args.m] * (args.r is None) if args.name == "table4" else args.orders
+    if args.name == "table4":  # at the largest rank only when --r is not given
+        ranked = [args.m] if args.r is None else []
+    else:
+        ranked = args.orders
     for m in ranked:
         if decomposition.max_rank_quiet(top, m)[0] == 0:
             raise ValueError(f"order {m} has no feasible rank at --d {args.d}")
