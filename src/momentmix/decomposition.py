@@ -32,6 +32,7 @@ from .tensor_store import (
     block_matrix,
     component_products,
     omega_keys,
+    prefix_products,
     product_jacobian,
     slot_partials,
 )
@@ -58,9 +59,12 @@ def max_rank(n: int, m: int) -> tuple[int, int, int]:
     """Largest computable rank with its selecting (p*, k*).
 
     p* = floor((m-1)/2); k* is the largest k in ``_k_range(n, m, p*)``
-    with C(k, p*) <= C(n-k-1, m-p*-1), found by integer search (p* if
-    none is); the bound is max(C(k*, p*), C(n-2-k*, m-1-p*)), or 0 when
-    that range is empty.
+    with C(k, p*) <= C(n-k-1, m-p*-1), found by integer search, and the
+    bound is max(C(k*, p*), C(n-2-k*, m-1-p*)).  When no k of the range
+    satisfies the inequality (n = m+1 for m >= 3), C(k, p*) exceeds the
+    tail count from the first k on, so k* is that first k and the bound
+    is min(C(k*, p*), C(n-k*-1, m-p*-1)).  The bound is 0, with k* = p*,
+    when the range is empty.
     """
     if n < _threshold(m):
         warnings.warn(
@@ -69,13 +73,14 @@ def max_rank(n: int, m: int) -> tuple[int, int, int]:
             PreconditionWarning,
         )
     p_star = (m - 1) // 2
-    k_star = p_star
     ks = _k_range(n, m, p_star)
     if not ks:
-        return 0, p_star, k_star
-    for k in ks:
-        if binomial(k, p_star) <= binomial(n - k - 1, m - p_star - 1):
-            k_star = k
+        return 0, p_star, p_star
+    fits = [k for k in ks if binomial(k, p_star) <= binomial(n - k - 1, m - p_star - 1)]
+    if not fits:
+        k = ks[0]
+        return min(binomial(k, p_star), binomial(n - k - 1, m - p_star - 1)), p_star, k
+    k_star = fits[-1]
     r_max = max(binomial(k_star, p_star), binomial(n - 2 - k_star, m - 1 - p_star))
     return r_max, p_star, k_star
 
@@ -136,24 +141,37 @@ class Decomposition:
     diagnostics: dict
 
 
-def _tail_blocks(
-    T: IncompleteSymmetricTensor, tails: np.ndarray, params: DecompositionParams
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], np.ndarray]:
-    """Head monomials J1, tail monomials J2, and the tail design
-    W[row, i] = product of tail entries of component i over J2[row]."""
+def _monomials(
+    T: IncompleteSymmetricTensor, params: DecompositionParams
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Head monomials J1 (degree p over labels 1..k) and tail monomials J2
+    (degree m-p-1 over labels k+1..n), lexicographic order."""
     k, p = params.k, params.p
-    J1 = subsets_lex(1, k, p)
-    J2 = subsets_lex(k + 1, T.d - 1, T.m - p - 1)
-    W = component_products(tails, np.array(J2) - (k + 1)).T
-    return J1, J2, W
+    return subsets_lex(1, k, p), subsets_lex(k + 1, T.d - 1, T.m - p - 1)
+
+
+def _tail_design(
+    T: IncompleteSymmetricTensor, tails: np.ndarray, params: DecompositionParams
+) -> np.ndarray:
+    """(|J2|, r) tail design W[row, i]: the product of component i's tail
+    entries over J2[row]."""
+    J2 = _monomials(T, params)[1]
+    return component_products(tails, np.array(J2) - (params.k + 1)).T
 
 
 def solve_tail_products(
-    T: IncompleteSymmetricTensor, tails: np.ndarray, params: DecompositionParams
+    T: IncompleteSymmetricTensor,
+    tails: np.ndarray,
+    params: DecompositionParams,
+    W: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coefficient vectors gamma_i over the head monomial set J1, from one
-    least squares per J1 row against the tail design, which needs rank r."""
-    J1, J2, W = _tail_blocks(T, tails, params)
+    least squares per J1 row against the tail design, which needs rank r.
+    W, the tail design of ``tails``, is built here unless the caller
+    already holds it."""
+    J1, J2 = _monomials(T, params)
+    if W is None:
+        W = _tail_design(T, tails, params)
     B = block_matrix(T, J1, J2, pad_with_zero_label=True)
     # one shared design, all J1 rows as simultaneous right-hand sides
     report = lstsq(W, B.T)
@@ -164,16 +182,28 @@ def solve_tail_products(
 
 def solve_heads(
     T: IncompleteSymmetricTensor,
-    tails: np.ndarray,
+    W: np.ndarray,
     gammas: np.ndarray,
     params: DecompositionParams,
-) -> np.ndarray:
-    """Head coordinates: for each head label j, a joint least squares in
-    the r unknowns (v_i)_j with design columns gamma_i|_{J1 without j}
-    outer the tail design."""
+) -> tuple[np.ndarray, float]:
+    """(r, k) head coordinates and the largest equilibrated condition
+    number of their designs.
+
+    For each head label j, the r unknowns (v_i)_j solve a joint least
+    squares whose design is the row-wise Khatri-Rao product of
+    Gamma = gammas restricted to the J1 rows avoiding j and the tail design
+    W: row (a, b), column i is Gamma[a, i] W[b, i].  Its Gram is the
+    Hadamard product (Gamma^H Gamma) * (W^H W), and its right-hand side
+    and residual are products with Gamma and W, so the design is never
+    formed (see ``_gram_lstsq``).  Raises HeadsDegenerate when a label has
+    no avoiding rows or its design is numerically rank-deficient.
+    """
     k, p, r = params.k, params.p, params.r
-    J1, J2, W = _tail_blocks(T, tails, params)
+    J1, J2 = _monomials(T, params)
+    W_conj = W.conj()
+    tail_gram = W_conj.T @ W
     heads = np.empty((r, k), dtype=complex)
+    cond = 1.0
     for j in range(1, k + 1):
         row_idx = [i for i, beta in enumerate(J1) if j not in beta]
         if not row_idx:
@@ -183,12 +213,17 @@ def solve_heads(
         B = block_matrix(
             T, [(j,) + J1[i] for i in row_idx], J2, pad_with_zero_label=False
         )
-        design = (gammas[row_idx][:, None, :] * W[None, :, :]).reshape(-1, r)
-        report = lstsq(design, B.ravel())
-        if report.rank < r:
-            raise HeadsDegenerate(f"head design rank-deficient at label {j}")
-        heads[:, j - 1] = report.solution
-    return heads
+        Gamma = gammas[row_idx]
+        heads[:, j - 1], cond_j = _gram_lstsq(
+            (Gamma.conj().T @ Gamma) * tail_gram,
+            B,
+            lambda rhs: (Gamma.conj() * (rhs @ W_conj)).sum(axis=0),
+            lambda x: (Gamma * x) @ W.T,
+            "head",
+            lambda _: HeadsDegenerate(f"head design rank-deficient at label {j}"),
+        )
+        cond = max(cond, cond_j)
+    return heads, cond
 
 
 def solve_scales(
@@ -209,6 +244,43 @@ def _unscaled(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
     return np.concatenate([ones, heads, tails], axis=1)
 
 
+def _gram_lstsq(gram, b, adjoint, apply, name, degenerate):
+    """Least-squares solution x of A x = b for a tall (n, r) design A known
+    through its Gram A^H A (only the upper triangle is read), x -> A x
+    (``apply``) and rhs -> A^H rhs (``adjoint``); returns x and the
+    condition number of the column-equilibrated A.
+
+    Equilibrated by its diagonal, the Gram is solved by one Hermitian
+    eigendecomposition, then once more on the residual: semi-normal
+    equations with one correction step (Bjorck 1996, section 2.9) are as
+    accurate as an SVD of A while the equilibrated A is well conditioned.
+    Raises ``degenerate(reason)`` on a zero column or a numerically
+    rank-deficient A, and warns IllConditioned, naming the ``name`` system,
+    above the condition limit of ``numerics.lstsq``.
+    """
+    scale = np.sqrt(np.diag(gram).real)
+    if np.any(scale == 0):
+        raise degenerate("has a zero column")
+    # Columns can spread over many orders of magnitude; equilibrate so the
+    # rank test and the solve see a well-scaled system.
+    unit = np.triu(gram, 1) / np.outer(scale, scale)
+    unit += unit.conj().T
+    np.fill_diagonal(unit, 1.0)
+    w, V = np.linalg.eigh(unit)
+    if not w[0] > len(scale) * np.finfo(float).eps * w[-1]:  # also catches NaN
+        raise degenerate("rank-deficient")
+    if w[-1] / w[0] > _COND_LIMIT:
+        warnings.warn(f"{name} least-squares system is ill-conditioned", IllConditioned)
+
+    def solve(rhs):  # G^-1 A^H rhs for the unscaled Gram G
+        c = adjoint(rhs) / scale
+        return (V @ ((V.conj().T @ c) / w)) / scale
+
+    x = solve(b)
+    x += solve(b - apply(x))
+    return x, float(np.sqrt(w[-1] / w[0]))
+
+
 def _scale_fit(
     T: IncompleteSymmetricTensor, full: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -218,41 +290,26 @@ def _scale_fit(
 
     The design's columns are u_i^{(x)m} on the keys.  Equilibrated, their
     cosines behave like |<u_i, u_j>|^m, so the design is close to
-    orthogonal and its r x r Gram is safe to solve: semi-normal equations
-    with one correction step (Bjorck 1996, section 2.9) are then as
-    accurate as an SVD of the tall design, at a fraction of its cost.
-    Raises ScalesDegenerate on a zero column or a numerically
-    rank-deficient design and warns IllConditioned above the condition
-    limit of ``numerics.lstsq``.
+    orthogonal and its r x r Gram is safe to solve (``_gram_lstsq``).  The
+    design is built row-major by ``prefix_products``.  Raises
+    ScalesDegenerate on a zero column or a numerically rank-deficient
+    design and warns IllConditioned above the condition limit of
+    ``numerics.lstsq``.
     """
-    design = component_products(full, T.key_array)  # (r, n_keys)
-    b = T.values
-    # design.T is Fortran-ordered, so zherk reads it without a copy and
-    # fills the upper triangle of its Gram (design.T)^H design.T.
-    upper = zherk(1.0, design.T, trans=2)
-    scale = np.sqrt(np.diag(upper).real)
-    if np.any(scale == 0):
-        raise ScalesDegenerate("scale design has a zero column")
-    # Columns scale like u_i^m and spread over many orders of magnitude
-    # when a component's leading coordinate is small; equilibrate so the
-    # rank test and the solve see a well-scaled system.
-    unit = np.triu(upper, 1) / np.outer(scale, scale)
-    unit += unit.conj().T
-    np.fill_diagonal(unit, 1.0)
-    w, V = np.linalg.eigh(unit)
-    r = full.shape[0]
-    if not w[0] > r * np.finfo(float).eps * w[-1]:  # also catches NaN
-        raise ScalesDegenerate("scale design rank-deficient")
-    if w[-1] / w[0] > _COND_LIMIT:
-        warnings.warn("scale least-squares system is ill-conditioned", IllConditioned)
-
-    def solve(rhs):  # G^-1 design^H rhs for the unscaled Gram G
-        c = (design @ rhs.conj()).conj() / scale
-        return (V @ ((V.conj().T @ c) / w)) / scale
-
-    lambdas = solve(b)
-    lambdas += solve(b - lambdas @ design)
-    return lambdas, lambdas @ design, float(np.sqrt(w[-1] / w[0]))
+    design = prefix_products(full, T.key_array)  # (n_keys, r), C order
+    # design.T is Fortran-ordered, so zherk reads it without a copy; with
+    # trans=0 it fills the upper triangle of design.T design.T^H, the
+    # conjugate of the Gram design^H design.
+    gram = zherk(1.0, design.T, trans=0).conj()
+    lambdas, cond = _gram_lstsq(
+        gram,
+        T.values,
+        lambda rhs: (rhs.conj() @ design).conj(),
+        lambda x: design @ x,
+        "scale",
+        lambda why: ScalesDegenerate(f"scale design {why}"),
+    )
+    return lambdas, design @ lambdas, cond
 
 
 def decompose(
@@ -262,16 +319,19 @@ def decompose(
     least-squares stages; components are lambda^(1/m) (1, v_i, w_i) with
     the principal m-th root.
 
-    The scale stage's design products also give the reconstruction behind
-    diagnostics["decomp_err"]; diagnostics["scale_cond"] is the condition
-    number of the equilibrated scale design."""
+    The tail design is built once and serves the tail-product and head
+    stages.  The scale stage's design products also give the reconstruction
+    behind diagnostics["decomp_err"]; diagnostics["heads_cond"] is the
+    largest condition number of the k equilibrated head designs and
+    diagnostics["scale_cond"] that of the equilibrated scale design."""
     n, m = T.d - 1, T.m
     params.validate(n, m)
     G = solve_generating_matrix(T, params.r, params.p, params.k)
     Ns = companion_matrices(G)
     tails, _, gap = extract_tails(Ns, params.seed)
-    gammas = solve_tail_products(T, tails, params)
-    heads = solve_heads(T, tails, gammas, params)
+    W = _tail_design(T, tails, params)
+    gammas = solve_tail_products(T, tails, params, W)
+    heads, heads_cond = solve_heads(T, W, gammas, params)
     full = _unscaled(heads, tails)
     lambdas, rec, scale_cond = _scale_fit(T, full)
     roots = np.power(lambdas.astype(complex), 1.0 / m)
@@ -282,6 +342,7 @@ def decompose(
         "eigen_gap": gap,
         "gen_residual_max": float(np.max(G.residuals)) if G.residuals.size else 0.0,
         "gen_rank_min": int(G.ranks.min()),
+        "heads_cond": heads_cond,
         "scale_cond": scale_cond,
     }
     return Decomposition(components=components, diagnostics=diagnostics)

@@ -190,6 +190,37 @@ def component_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
+def prefix_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(n_keys, r) C-order products over the rows of a strictly ascending
+    (n_keys, m) key array: ``component_products(vectors, keys).T``, bit for
+    bit, with each distinct key prefix multiplied once.
+
+    Ascending keys that share a prefix are consecutive.  Level s holds the
+    product of every distinct (s+1)-slot prefix: its parent's product at
+    level s-1 times one gathered row of ``vectors.T``, the same left-to-right
+    fold as ``component_products``.  The last level fills one row per key in
+    place after the level above it is released, so at most two key-sized
+    arrays are alive at once.
+    """
+    rows = np.ascontiguousarray(vectors.T)  # row a: coordinate a of every vector
+    n, m = keys.shape
+    # ids[i] is key i's prefix row in prods; level 0 is rows itself
+    prods, ids = rows, keys[:, 0]
+    new = np.ones(n, dtype=bool)  # new[i]: key i's prefix differs from key i-1's
+    new[1:] = keys[1:, 0] != keys[:-1, 0]
+    for s in range(1, m - 1):
+        new[1:] |= keys[1:, s] != keys[:-1, s]
+        starts = np.flatnonzero(new)
+        prods = prods[ids[starts]]
+        prods *= rows[keys[starts, s]]
+        ids = np.cumsum(new) - 1
+    out = prods[ids]
+    del prods, ids  # the last factor's gather is the only other key-sized array
+    if m > 1:
+        out *= rows[keys[:, m - 1]]
+    return out
+
+
 def slot_partials(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """(r, n_keys, m) partial derivatives of each key's product: entry
     [i, k, t] is the product of vectors[i] over every slot of key k but

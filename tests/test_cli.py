@@ -33,6 +33,17 @@ def test_maxrank_infeasible(capsys):
     assert exc.value.code == 2
 
 
+def test_maxrank_k_star_is_the_k_params_picks(capsys):
+    # at d = m + 2 no k satisfies max_rank's inequality; the one k of the
+    # range is reported, not p*
+    code, out, _ = run(capsys, "maxrank", "--d", "5", "--m", "3")
+    assert code == 0
+    assert "r_max=1 p_star=1 k_star=2" in out
+    code, out, _ = run(capsys, "params", "--d", "5", "--m", "3", "--r", "1")
+    assert code == 0
+    assert "p=1 k=2" in out
+
+
 @pytest.mark.parametrize("d, m, guaranteed", [
     (10, 5, True), (9, 5, False), (6, 3, True), (5, 3, False),
 ])

@@ -1,14 +1,20 @@
 """Rank bounds, parameter selection, and the decomposition pipelines."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from momentmix.combinatorics import binomial, subsets_lex
 from momentmix.decomposition import (
     DecompositionParams,
+    _k_range,
     _residual_builder,
     _scale_fit,
+    _tail_design,
     _threshold,
     PreconditionWarning,
     approximate,
@@ -20,11 +26,13 @@ from momentmix.decomposition import (
     from_json,
     max_rank,
     max_rank_quiet,
+    solve_heads,
     solve_scales,
     solve_tail_products,
     to_json,
 )
 from momentmix.errors import (
+    HeadsDegenerate,
     RankTooLarge,
     ScalesDegenerate,
     TailsDegenerate,
@@ -33,6 +41,7 @@ from momentmix.numerics import lstsq
 from momentmix.tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
+    block_matrix,
     component_products,
     from_components,
     omega_keys,
@@ -400,3 +409,125 @@ def test_decompose_reports_scale_cond():
     params = choose_params(14, 5, 15, seed=25)
     assert 1.0 <= decompose(T, params).diagnostics["scale_cond"] < 10.0
     assert "scale_cond" in approximate(T, params).diagnostics
+    assert 1.0 <= decompose(T, params).diagnostics["heads_cond"] < 10.0
+    assert "heads_cond" in approximate(T, params).diagnostics
+
+
+def closed_form_rank(n, m):
+    """``max_rank``'s bound as first written: max(C(k*, p*), C(n-2-k*,
+    m-1-p*)) with k* the largest k of the range satisfying C(k, p*) <=
+    C(n-k-1, m-p*-1), or p* when none does; 0 on an empty range."""
+    p = (m - 1) // 2
+    ks = _k_range(n, m, p)
+    if not ks:
+        return 0
+    k = max((k for k in ks if binomial(k, p) <= binomial(n - k - 1, m - p - 1)),
+            default=p)
+    return max(binomial(k, p), binomial(n - 2 - k, m - 1 - p))
+
+
+def test_max_rank_k_star_lies_in_the_k_range():
+    for m in range(3, 9):
+        for n in range(1, 61):
+            r_max, p_star, k_star = max_rank_quiet(n, m)
+            assert r_max == closed_form_rank(n, m), (n, m)
+            if r_max > 0:
+                assert k_star in _k_range(n, m, p_star), (n, m)
+        # at n = m + 1 no k satisfies the inequality; the one k of the range
+        # is reported, with bound 1
+        assert max_rank_quiet(m + 1, m) == (1, (m - 1) // 2, (m - 1) // 2 + 1)
+
+
+def head_case(case, m):
+    """A tensor, its (p, k) and the normalised tails its heads are solved
+    with: exact planted, perturbed by 1e-3, or with coordinates spanning
+    1e-3 to 1e3."""
+    d, r = 12, {3: 4, 4: 6, 5: 10}[m]
+    seed = 30 + m
+    if case == "spread":
+        comps = spread_components(d, r, seed, across=False)
+        T = from_components(ComponentList(comps), m, omega_keys(d, m))
+    else:
+        comps, T = planted(d, m, r, seed)
+        if case == "perturbed":
+            T = perturb(T, 1e-3, seed)
+    params = choose_params(d - 1, m, r, seed=seed)
+    tails = (comps[:, params.k + 1:] / comps[:, :1]).astype(complex)
+    return T, params, tails
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("case", ["exact", "perturbed", "spread"])
+def test_solve_heads_matches_equilibrated_lstsq(case, m):
+    T, params, tails = head_case(case, m)
+    k, p, r = params.k, params.p, params.r
+    W = _tail_design(T, tails, params)
+    gammas = solve_tail_products(T, tails, params, W)
+    assert np.array_equal(gammas, solve_tail_products(T, tails, params))
+    heads, cond = solve_heads(T, W, gammas, params)
+    J1 = subsets_lex(1, k, p)
+    J2 = subsets_lex(k + 1, T.d - 1, T.m - p - 1)
+    ref_cond = 0.0
+    for j in range(1, k + 1):
+        rows = [i for i, beta in enumerate(J1) if j not in beta]
+        B = block_matrix(T, [(j,) + J1[i] for i in rows], J2)
+        # the row-wise Khatri-Rao design the Gram solve never forms
+        design = (gammas[rows][:, None, :] * W[None, :, :]).reshape(-1, r)
+        norms = np.linalg.norm(design, axis=0)
+        ref = lstsq(design / norms, B.ravel()).solution / norms
+        err = np.linalg.norm(heads[:, j - 1] - ref)
+        assert err <= 1e-10 * np.linalg.norm(ref), j
+        ref_cond = max(ref_cond, np.linalg.cond(design / norms))
+    assert abs(cond - ref_cond) <= 1e-8 * ref_cond
+
+
+def test_solve_heads_duplicate_columns_degenerate():
+    T, params, tails = head_case("exact", 4)
+    W = _tail_design(T, tails, params)
+    gammas = solve_tail_products(T, tails, params, W)
+    solve_heads(T, W, gammas, params)  # distinct columns solve
+    W[:, 1] = W[:, 0]
+    gammas[:, 1] = gammas[:, 0]
+    # the rank test raises before any IllConditioned warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(HeadsDegenerate, match="head design rank-deficient"):
+            solve_heads(T, W, gammas, params)
+    assert caught == []
+
+
+def test_scale_fit_peak_memory_is_two_designs():
+    # the product design and one gathered factor; no third design-sized
+    # array while the last slot is multiplied in
+    d, m, r = 20, 5, 30
+    comps, T = planted(d, m, r, seed=27)
+    full = (comps / comps[:, :1]).astype(complex)
+    design_bytes = len(T.values) * r * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        _scale_fit(T, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.05 * design_bytes
+
+
+@st.composite
+def feasible_problems(draw):
+    """(d, m, r, seed) with d <= 10 and 1 <= r <= the computable rank."""
+    m = draw(st.integers(3, 5))
+    d = draw(st.integers(m + 2, 10))  # n >= m + 1 keeps the k range nonempty
+    r = draw(st.integers(1, max_rank_quiet(d - 1, m)[0]))
+    return d, m, r, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(feasible_problems())
+def test_decompose_recovers_planted_components_property(problem):
+    d, m, r, seed = problem
+    comps, T = planted(d, m, r, seed)
+    params = choose_params(d - 1, m, r, seed=seed)
+    first, second = decompose(T, params), decompose(T, params)
+    assert component_error(comps, first.components, m) <= 1e-6
+    assert np.array_equal(first.components, second.components)
+    assert first.diagnostics == second.diagnostics

@@ -1,5 +1,6 @@
 """Incomplete tensor storage, block extraction, norms, and JSON round trips."""
 
+import itertools
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from momentmix.tensor_store import (
     omega_keys,
     omega_norm,
     perturb,
+    prefix_products,
     product_jacobian,
     slot_partials,
     to_json,
@@ -292,3 +294,26 @@ def test_json_integer_values_accepted():
     T = from_json(json.dumps({"d": 4, "m": 3, "entries": [
         {"key": [0, 1, 2], "re": 2, "im": -1}, {"key": [0, 1, 3], "re": 0.5}]}))
     assert T.values.tolist() == [2 - 1j, 0.5]
+
+
+def _key_sets(d, m, rng):
+    """Strictly ascending key arrays: the distinct-index keys, every sorted
+    key (repeated indices included), and a random half of the latter."""
+    distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
+    every = np.array(
+        list(itertools.combinations_with_replacement(range(d), m)), dtype=np.int64
+    )
+    dropped = every[rng.random(len(every)) < 0.5]
+    return {"omega": distinct, "repeated": every, "dropped": dropped}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_prefix_products_equal_component_products(m):
+    rng = np.random.default_rng(40 + m)
+    d, r = 9, 7
+    vectors = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+    vectors[2] *= 1e-3  # a small component, so products span magnitudes
+    for name, keys in _key_sets(d, m, rng).items():
+        got = prefix_products(vectors, keys)
+        assert got.flags.c_contiguous, name
+        assert np.array_equal(got, component_products(vectors, keys).T), name
