@@ -141,37 +141,24 @@ class Decomposition:
     diagnostics: dict
 
 
-def _monomials(
-    T: IncompleteSymmetricTensor, params: DecompositionParams
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Head monomials J1 (degree p over labels 1..k) and tail monomials J2
-    (degree m-p-1 over labels k+1..n), lexicographic order."""
-    k, p = params.k, params.p
-    return subsets_lex(1, k, p), subsets_lex(k + 1, T.d - 1, T.m - p - 1)
-
-
-def _tail_design(
+def _tail_blocks(
     T: IncompleteSymmetricTensor, tails: np.ndarray, params: DecompositionParams
-) -> np.ndarray:
-    """(|J2|, r) tail design W[row, i]: the product of component i's tail
-    entries over J2[row]."""
-    J2 = _monomials(T, params)[1]
-    return component_products(tails, np.array(J2) - (params.k + 1)).T
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], np.ndarray]:
+    """Head monomials J1, tail monomials J2, and the tail design
+    W[row, i] = product of tail entries of component i over J2[row]."""
+    k, p = params.k, params.p
+    J1 = subsets_lex(1, k, p)
+    J2 = subsets_lex(k + 1, T.d - 1, T.m - p - 1)
+    W = component_products(tails, np.array(J2) - (k + 1)).T
+    return J1, J2, W
 
 
 def solve_tail_products(
-    T: IncompleteSymmetricTensor,
-    tails: np.ndarray,
-    params: DecompositionParams,
-    W: np.ndarray | None = None,
+    T: IncompleteSymmetricTensor, tails: np.ndarray, params: DecompositionParams
 ) -> np.ndarray:
     """Coefficient vectors gamma_i over the head monomial set J1, from one
-    least squares per J1 row against the tail design, which needs rank r.
-    W, the tail design of ``tails``, is built here unless the caller
-    already holds it."""
-    J1, J2 = _monomials(T, params)
-    if W is None:
-        W = _tail_design(T, tails, params)
+    least squares per J1 row against the tail design, which needs rank r."""
+    J1, J2, W = _tail_blocks(T, tails, params)
     B = block_matrix(T, J1, J2, pad_with_zero_label=True)
     # one shared design, all J1 rows as simultaneous right-hand sides
     report = lstsq(W, B.T)
@@ -182,7 +169,7 @@ def solve_tail_products(
 
 def solve_heads(
     T: IncompleteSymmetricTensor,
-    W: np.ndarray,
+    tails: np.ndarray,
     gammas: np.ndarray,
     params: DecompositionParams,
 ) -> tuple[np.ndarray, float]:
@@ -192,14 +179,14 @@ def solve_heads(
     For each head label j, the r unknowns (v_i)_j solve a joint least
     squares whose design is the row-wise Khatri-Rao product of
     Gamma = gammas restricted to the J1 rows avoiding j and the tail design
-    W: row (a, b), column i is Gamma[a, i] W[b, i].  Its Gram is the
+    W of ``tails``: row (a, b), column i is Gamma[a, i] W[b, i].  Its Gram is the
     Hadamard product (Gamma^H Gamma) * (W^H W), and its right-hand side
     and residual are products with Gamma and W, so the design is never
     formed (see ``_gram_lstsq``).  Raises HeadsDegenerate when a label has
     no avoiding rows or its design is numerically rank-deficient.
     """
     k, p, r = params.k, params.p, params.r
-    J1, J2 = _monomials(T, params)
+    J1, J2, W = _tail_blocks(T, tails, params)
     W_conj = W.conj()
     tail_gram = W_conj.T @ W
     heads = np.empty((r, k), dtype=complex)
@@ -319,8 +306,7 @@ def decompose(
     least-squares stages; components are lambda^(1/m) (1, v_i, w_i) with
     the principal m-th root.
 
-    The tail design is built once and serves the tail-product and head
-    stages.  The scale stage's design products also give the reconstruction
+    The scale stage's design products also give the reconstruction
     behind diagnostics["decomp_err"]; diagnostics["heads_cond"] is the
     largest condition number of the k equilibrated head designs and
     diagnostics["scale_cond"] that of the equilibrated scale design."""
@@ -329,9 +315,8 @@ def decompose(
     G = solve_generating_matrix(T, params.r, params.p, params.k)
     Ns = companion_matrices(G)
     tails, _, gap = extract_tails(Ns, params.seed)
-    W = _tail_design(T, tails, params)
-    gammas = solve_tail_products(T, tails, params, W)
-    heads, heads_cond = solve_heads(T, W, gammas, params)
+    gammas = solve_tail_products(T, tails, params)
+    heads, heads_cond = solve_heads(T, tails, gammas, params)
     full = _unscaled(heads, tails)
     lambdas, rec, scale_cond = _scale_fit(T, full)
     roots = np.power(lambdas.astype(complex), 1.0 / m)

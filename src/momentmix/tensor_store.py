@@ -200,7 +200,8 @@ def prefix_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
     level s-1 times one gathered row of ``vectors.T``, the same left-to-right
     fold as ``component_products``.  The last level fills one row per key in
     place after the level above it is released, so at most two key-sized
-    arrays are alive at once.
+    arrays are alive at once.  ``component_products`` stays for unsorted
+    keys (sample moments) and for callers that want its (r, n_keys) layout.
     """
     rows = np.ascontiguousarray(vectors.T)  # row a: coordinate a of every vector
     n, m = keys.shape

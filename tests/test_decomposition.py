@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentmix.combinatorics import binomial, subsets_lex
+from momentmix.combinatorics import binomial
 from momentmix.decomposition import (
     DecompositionParams,
     _k_range,
     _residual_builder,
     _scale_fit,
-    _tail_design,
+    _tail_blocks,
     _threshold,
     PreconditionWarning,
     approximate,
@@ -460,13 +460,10 @@ def head_case(case, m):
 @pytest.mark.parametrize("case", ["exact", "perturbed", "spread"])
 def test_solve_heads_matches_equilibrated_lstsq(case, m):
     T, params, tails = head_case(case, m)
-    k, p, r = params.k, params.p, params.r
-    W = _tail_design(T, tails, params)
-    gammas = solve_tail_products(T, tails, params, W)
-    assert np.array_equal(gammas, solve_tail_products(T, tails, params))
-    heads, cond = solve_heads(T, W, gammas, params)
-    J1 = subsets_lex(1, k, p)
-    J2 = subsets_lex(k + 1, T.d - 1, T.m - p - 1)
+    k, r = params.k, params.r
+    gammas = solve_tail_products(T, tails, params)
+    heads, cond = solve_heads(T, tails, gammas, params)
+    J1, J2, W = _tail_blocks(T, tails, params)
     ref_cond = 0.0
     for j in range(1, k + 1):
         rows = [i for i, beta in enumerate(J1) if j not in beta]
@@ -483,16 +480,15 @@ def test_solve_heads_matches_equilibrated_lstsq(case, m):
 
 def test_solve_heads_duplicate_columns_degenerate():
     T, params, tails = head_case("exact", 4)
-    W = _tail_design(T, tails, params)
-    gammas = solve_tail_products(T, tails, params, W)
-    solve_heads(T, W, gammas, params)  # distinct columns solve
-    W[:, 1] = W[:, 0]
+    gammas = solve_tail_products(T, tails, params)
+    solve_heads(T, tails, gammas, params)  # distinct columns solve
+    tails[1] = tails[0]
     gammas[:, 1] = gammas[:, 0]
     # the rank test raises before any IllConditioned warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(HeadsDegenerate, match="head design rank-deficient"):
-            solve_heads(T, W, gammas, params)
+            solve_heads(T, tails, gammas, params)
     assert caught == []
 
 

@@ -24,7 +24,6 @@ KNOBS = {
     "decomposition.DecompositionParams": ("r", "p", "k", "seed"),
     "decomposition.choose_params": ("seed",),
     "decomposition.Decomposition": ("components", "diagnostics"),
-    "decomposition.solve_tail_products": ("W",),
     "decomposition.approximate": ("truth",),
     "tensor_store.ComponentList": ("vectors", "weights"),
     "tensor_store.block_matrix": ("pad_with_zero_label",),
@@ -63,4 +62,4 @@ def _knobs():
 
 def test_knobs_match_table():
     assert _knobs() == KNOBS
-    assert sum(map(len, KNOBS.values())) == 38
+    assert sum(map(len, KNOBS.values())) == 37
