@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 from scipy.linalg.blas import zherk
 
 from .combinatorics import binomial, subsets_lex
@@ -29,12 +30,12 @@ from .generating import companion_matrices, extract_tails, solve_generating_matr
 from .numerics import _COND_LIMIT, lstsq, nlls_refine
 from .tensor_store import (
     IncompleteSymmetricTensor,
+    _prefix_tree,
     block_matrix,
     component_products,
     omega_keys,
     prefix_products,
     product_jacobian,
-    slot_partials,
 )
 # Not called here: the benchmark's span tracer wraps these by name in this module.
 from .tensor_store import from_components, omega_norm  # noqa: F401
@@ -182,24 +183,26 @@ def solve_heads(
     W of ``tails``: row (a, b), column i is Gamma[a, i] W[b, i].  Its Gram is the
     Hadamard product (Gamma^H Gamma) * (W^H W), and its right-hand side
     and residual are products with Gamma and W, so the design is never
-    formed (see ``_gram_lstsq``).  Raises HeadsDegenerate when a label has
-    no avoiding rows or its design is numerically rank-deficient.
+    formed (see ``_gram_lstsq``).  The right-hand sides are rows of one
+    gather of the C(k, p+1) x |J2| distinct head keys: the head part
+    {j} + beta of a key is a (p+1)-subset of the labels.  Raises
+    HeadsDegenerate when no head monomial avoids a label (k <= p) or a
+    label's design is numerically rank-deficient.
     """
     k, p, r = params.k, params.p, params.r
+    if k <= p:  # every head monomial holds every label
+        raise HeadsDegenerate(f"no head monomials avoid label 1 (k={k}, p={p})")
     J1, J2, W = _tail_blocks(T, tails, params)
+    head_keys = subsets_lex(1, k, p + 1)
+    position = {key: a for a, key in enumerate(head_keys)}
+    block = block_matrix(T, head_keys, J2, pad_with_zero_label=False)
     W_conj = W.conj()
     tail_gram = W_conj.T @ W
     heads = np.empty((r, k), dtype=complex)
     cond = 1.0
     for j in range(1, k + 1):
         row_idx = [i for i, beta in enumerate(J1) if j not in beta]
-        if not row_idx:
-            raise HeadsDegenerate(
-                f"no head monomials avoid label {j} (k={k}, p={p})"
-            )
-        B = block_matrix(
-            T, [(j,) + J1[i] for i in row_idx], J2, pad_with_zero_label=False
-        )
+        B = block[[position[tuple(sorted((j,) + J1[i]))] for i in row_idx]]
         Gamma = gammas[row_idx]
         heads[:, j - 1], cond_j = _gram_lstsq(
             (Gamma.conj().T @ Gamma) * tail_gram,
@@ -335,9 +338,35 @@ def decompose(
 
 def decomp_err(T: IncompleteSymmetricTensor, components: np.ndarray) -> float:
     """Relative reconstruction error of (r, d) components over the stored
-    keys, from the summed key products without building a tensor."""
-    rec = component_products(components, T.key_array).sum(axis=0)
-    return _relative_err(T, rec - T.values)
+    keys (order m >= 2), from ``_reconstruction`` without building a
+    tensor."""
+    return _relative_err(T, _reconstruction(T, components) - T.values)
+
+
+def _level_products(Q: np.ndarray, levels: list) -> list[np.ndarray]:
+    """[Q.T, P_1, ..., P_{m-2}]: row j of P_s is the product of each of Q's
+    components over prefix j of level s of a ``_prefix_tree``, its parent's
+    product times one row of Q.T (the fold of ``component_products``)."""
+    rows = np.ascontiguousarray(Q.T)
+    prods = [rows]
+    for parent, coord in levels:
+        prods.append(prods[-1][parent] * rows[coord])
+    return prods
+
+
+def _reconstruction(T: IncompleteSymmetricTensor, Q: np.ndarray) -> np.ndarray:
+    """sum_i prod_t Q[i, key_t] on T's keys (order m >= 2), summed over the
+    components in order, so it is ``component_products(Q, T.key_array)
+    .sum(axis=0)`` bit for bit, with each leaf prefix multiplied once.
+    The reported errors come from it; the refinement's residual sums by a
+    GEMM instead, equal to rounding."""
+    levels, leaf = _prefix_tree(T.key_array)
+    last = T.key_array[:, -1]
+    prods = _level_products(Q, levels)[-1]
+    rec = prods[leaf, 0] * Q[0, last]
+    for i in range(1, len(Q)):
+        rec += prods[leaf, i] * Q[i, last]
+    return rec
 
 
 def _relative_err(T: IncompleteSymmetricTensor, diff: np.ndarray) -> float:
@@ -383,54 +412,88 @@ def _omega_gram(Q: np.ndarray, m: int) -> np.ndarray:
     for b in range(d):
         grown = left[:b]
         off[:b, b] = sum(grown[:, p] * suf[b, m - 2 - p] for p in range(m - 1))
+        off[b, :b] = off[:b, b]
         grown[:, 1:] += z[:, :, b] * grown[:, :-1]
         left[b] = pre[b, : m - 1]
-    off += off.transpose(1, 0, 2, 3)
-    G = off.transpose(2, 0, 3, 1) * Q.conj()[:, None, None, :] * Q.T[None, :, :, None]
+    # G[i, a, j, b] = off[a, b, i, j] conj(q_ib) q_ja, formed in place
+    off *= Q.conj().T[None, :, :, None]
+    off *= Q.T[:, None, None, :]
     diag = np.arange(d)
-    G[:, diag, :, diag] = sum(pre[:, p] * suf[:, m - 1 - p] for p in range(m))
-    return G
+    off[diag, diag] = sum(pre[:, p] * suf[:, m - 1 - p] for p in range(m))
+    return off.transpose(2, 0, 3, 1)
 
 
 def _residual_builder(T: IncompleteSymmetricTensor, r: int):
-    """Complex residual over the stored keys as a function of the flattened
-    components q = Q.ravel(), and its Gauss-Newton normal equations without
-    the Jacobian.
+    """Complex residual over the stored keys (order m >= 2) as a function
+    of the flattened components q = Q.ravel(), and its Gauss-Newton normal
+    equations without the Jacobian.
+
+    Both run on the prefix tree of the ascending keys (``_prefix_tree``).
+    The forward pass multiplies each distinct prefix once, level by level,
+    up to the leaf prefixes (every slot but the last), whose (n_leaf, r)
+    products P give the reconstruction in one GEMM: key k is cell
+    (leaf_k, last_k) of P @ Q.
 
     With Jc the complex (n_keys, r*d) Jacobian, ``normal_equations(q, f)``
     returns G = Jc^H Jc and g = Jc^H f, the rd x rd Hermitian system of the
     damped step.  G comes in closed form over all distinct-index keys
     (``_omega_gram``), plus the per-key Gram of any stored key with a
     repeated index and minus that of any distinct-index key not stored.
-    g scatters the conjugated slot partials times f into the r*d slots.
+    g is a reverse sweep over the tree: with f scattered into the
+    (n_leaf, d) matrix F, the last slot's part is F^T conj(P) and the leaf
+    adjoint F conj(Q)^T; each level adds its adjoint times the conjugated
+    parent products into its own coordinates, then folds the adjoint,
+    times the conjugated coordinate rows, into the parents, which are
+    consecutive runs; level 0 adds what is left.
     """
     key_arr = T.key_array
     target = T.values
     d, m = T.d, T.m
     rd = r * d
-    distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
-    radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    absent = distinct[~np.isin(distinct @ radix, key_arr @ radix)]
     repeated = key_arr[(key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)]
+    absent = key_arr[:0]
+    if len(key_arr) - len(repeated) < binomial(d, m):  # a distinct-index key is absent
+        distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
+        radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        absent = distinct[~np.isin(distinct @ radix, key_arr @ radix)]
     correction_keys = np.concatenate([repeated, absent])
     correction_sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
-    slots = (key_arr[:, :, None] + d * np.arange(r)).ravel()  # slot of (k, t, i)
+    levels, leaf = _prefix_tree(key_arr)
+    cells = leaf * d + key_arr[:, -1]  # key k's cell in the (n_leaf, d) grid
+    n_leaf = len(levels[-1][0]) if levels else d
+    # per level: the runs of children sharing a parent, and the incidence
+    # (d, n_level) that sums a level's rows into their coordinates
+    runs = [np.flatnonzero(np.diff(parent, prepend=-1)) for parent, _ in levels]
+    incidence = [
+        scipy.sparse.csr_array(
+            (np.ones(len(coord)), (coord, np.arange(len(coord)))), shape=(d, len(coord))
+        )
+        for _, coord in levels
+    ]
+    top = levels[0][0][runs[0]] if levels else np.arange(d)  # level-0 rows of the last fold
 
     def residual(q):
-        return component_products(q.reshape(r, d), key_arr).sum(axis=0) - target
+        Q = q.reshape(r, d)
+        return (_level_products(Q, levels)[-1] @ Q).ravel()[cells] - target
 
     def normal_equations(q, f):
         Q = q.reshape(r, d)
         Jk = product_jacobian(Q, correction_keys).reshape(-1, rd)
         G = _omega_gram(Q, m).reshape(rd, rd)
-        G += Jk.conj().T @ (correction_sign[:, None] * Jk)
-        # conj(g) sums partial * conj(f) over the slots holding each (i, a)
-        weighted = slot_partials(Q, key_arr).transpose(1, 2, 0)  # (n, m, r)
-        weighted *= f.conj()[:, None, None]
-        g = np.empty(rd, dtype=complex)
-        g.real = np.bincount(slots, weighted.real.ravel(), minlength=rd)
-        g.imag = -np.bincount(slots, weighted.imag.ravel(), minlength=rd)
-        return G, g
+        if len(correction_keys):
+            G += Jk.conj().T @ (correction_sign[:, None] * Jk)
+        prods = _level_products(Q, levels)
+        F = np.zeros(n_leaf * d, dtype=complex)
+        F[cells] = f
+        F = F.reshape(n_leaf, d)
+        grad = F.T @ prods[-1].conj()  # (d, r): g of the last slot, transposed
+        adjoint = F @ Q.conj().T  # (n_leaf, r)
+        for s in range(len(levels), 0, -1):
+            parent, coord = levels[s - 1]
+            grad += incidence[s - 1] @ (adjoint * prods[s - 1][parent].conj())
+            adjoint = np.add.reduceat(adjoint * prods[0][coord].conj(), runs[s - 1])
+        grad[top] += adjoint
+        return G, grad.T.ravel()
 
     return residual, normal_equations
 
@@ -443,7 +506,9 @@ def approximate(
     """Noisy pipeline: run the exact stages on the noisy subtensor, then
     refine all component entries by damped Gauss-Newton on the complex
     residual over the stored keys.  diagnostics["lm_iterations"] counts the
-    normal-equation evaluations of the refinement.
+    normal-equation evaluations of the refinement and
+    diagnostics["lm_residual_calls"] its residual evaluations, one per tried
+    damping.
 
     When ``truth`` is supplied the diagnostics carry abs_err (the
     ``omega_norm`` distance of the reconstruction to the exact tensor) and
@@ -452,24 +517,28 @@ def approximate(
     """
     base = decompose(T_noisy, params)
     residual, normal_equations = _residual_builder(T_noisy, params.r)
-    lm_iterations = 0
+    calls = {"lm_iterations": 0, "lm_residual_calls": 0}
 
-    def counted_normal_equations(q, f):
-        nonlocal lm_iterations
-        lm_iterations += 1
-        return normal_equations(q, f)
+    def counted(fn, name):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
 
     q_star = nlls_refine(
-        residual, base.components.ravel(), normal_equations=counted_normal_equations
+        counted(residual, "lm_residual_calls"),
+        base.components.ravel(),
+        normal_equations=counted(normal_equations, "lm_iterations"),
     )
     components = q_star.reshape(base.components.shape)
     keys = T_noisy.key_array
-    rec = component_products(components, keys).sum(axis=0)
+    rec = _reconstruction(T_noisy, components)
     fit = rec - T_noisy.values
     diagnostics = dict(base.diagnostics)
     diagnostics["decomp_err"] = _relative_err(T_noisy, fit)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
-    diagnostics["lm_iterations"] = lm_iterations
+    diagnostics.update(calls)
     if truth is not None:
         truth_values = truth.gather(keys)
         noise_norm = np.linalg.norm(T_noisy.values - truth_values)

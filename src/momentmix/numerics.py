@@ -27,6 +27,12 @@ _COND_LIMIT = 1e12
 # ``nlls_refine`` stops once every gradient entry is at most this in
 # magnitude (real and imaginary parts alike).
 _GRAD_TOL = 1e-10
+# ``nlls_refine`` stops when a rejected step's objective is within this
+# fraction of the current one.  The objective's rounding error is eps times
+# the ratio of the residual's terms to the residual itself, not eps alone:
+# noisy order-4 fits at 4e-6 relative error show objectives that differ
+# by up to 1.3e-12 relative from one rounding to the next, about 6e3 eps.
+_FLOOR_RTOL = 1e4 * np.finfo(float).eps
 
 
 def rng_from(seed: int, *stream) -> np.random.Generator:
@@ -137,8 +143,15 @@ def nlls_refine(
     Jacobian J, the realified [Re; Im] step at half the size (Sorber, Van
     Barel & De Lathauwer 2012).  ``normal_equations(x, f)`` returns J^H J
     and J^H f at x, where f = residual(x); a caller with a closed form for
-    them never forms J.  Without it, J is taken by forward finite
-    differences, one residual call per coordinate.
+    them never forms J.  The loop adds lambda to the diagonal of the J^H J
+    it is handed, in place, and solves by Cholesky, by LU only when the
+    Cholesky factorisation fails.  Without ``normal_equations``, J is
+    taken by forward finite differences, one residual call per coordinate.
+
+    Besides the gradient, step and iteration limits, the refinement ends
+    at the objective's rounding floor: when a rejected step's objective
+    exceeds the current one by at most ``_FLOOR_RTOL`` of it, no damping
+    can show a decrease that rounding does not swamp.
     """
     if normal_equations is None:
 
@@ -154,11 +167,12 @@ def nlls_refine(
         JtJ, grad = normal_equations(x, f)
         if np.maximum(np.abs(grad.real), np.abs(grad.imag)).max() <= _GRAD_TOL:
             break
-        diag = np.eye(x.size)
+        diag = JtJ.diagonal().copy()
         accepted = False
         for _ in range(30):
+            np.fill_diagonal(JtJ, diag + lam)
             try:
-                step = np.linalg.solve(JtJ + lam * diag, -grad)
+                step = _damped_solve(JtJ, -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -170,12 +184,25 @@ def nlls_refine(
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
                 break
+            if cost_new - cost <= _FLOOR_RTOL * cost:  # the rounding floor
+                break
             lam *= 4.0
         if not accepted:
             break
         if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
             break
     return x
+
+
+def _damped_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for the damped Hermitian system of ``nlls_refine``: by
+    Cholesky (upper triangle), by LU when A is not numerically positive
+    definite.  Raises LinAlgError when A is singular."""
+    try:
+        factor = scipy.linalg.cho_factor(A, check_finite=False)
+    except np.linalg.LinAlgError:
+        return np.linalg.solve(A, b)
+    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def simplex_nlls(

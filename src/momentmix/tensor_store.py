@@ -190,35 +190,55 @@ def component_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prefix_tree(keys: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The distinct key prefixes of a strictly ascending (n_keys, m) key
+    array, level by level, and each key's prefix one slot short of it.
+
+    Ascending keys that share a prefix are consecutive.  Level 0 is the
+    coordinates themselves; level s (1 <= s <= m-2) lists the distinct
+    (s+1)-slot prefixes in key order as ``(parent, coord)``: prefix j is
+    prefix ``parent[j]`` of level s-1 followed by coordinate ``coord[j]``.
+    ``parent`` never decreases, so the children of one prefix are
+    consecutive and every level-(s-1) prefix above level 0 has one.  The
+    returned ``leaf[i]`` is key i's prefix at level max(m-2, 0): its first
+    m-1 slots (its first slot when m = 1).
+    """
+    n, m = keys.shape
+    leaf = keys[:, 0]
+    new = np.ones(n, dtype=bool)  # new[i]: key i's prefix differs from key i-1's
+    new[1:] = keys[1:, 0] != keys[:-1, 0]
+    levels = []
+    for s in range(1, m - 1):
+        new[1:] |= keys[1:, s] != keys[:-1, s]
+        starts = np.flatnonzero(new)
+        levels.append((leaf[starts], keys[starts, s]))
+        leaf = np.cumsum(new) - 1
+    return levels, leaf
+
+
 def prefix_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """(n_keys, r) C-order products over the rows of a strictly ascending
     (n_keys, m) key array: ``component_products(vectors, keys).T``, bit for
     bit, with each distinct key prefix multiplied once.
 
-    Ascending keys that share a prefix are consecutive.  Level s holds the
-    product of every distinct (s+1)-slot prefix: its parent's product at
-    level s-1 times one gathered row of ``vectors.T``, the same left-to-right
-    fold as ``component_products``.  The last level fills one row per key in
-    place after the level above it is released, so at most two key-sized
-    arrays are alive at once.  ``component_products`` stays for unsorted
-    keys (sample moments) and for callers that want its (r, n_keys) layout.
+    The product of a prefix of ``_prefix_tree(keys)`` is its parent's
+    product times one gathered row of ``vectors.T``, the same left-to-right
+    fold as ``component_products``.  The last slot fills one row per key in
+    place after the leaf prefixes' products are released, so at most two
+    key-sized arrays are alive at once.  ``component_products`` stays for
+    unsorted keys (sample moments) and for callers that want its
+    (r, n_keys) layout.
     """
     rows = np.ascontiguousarray(vectors.T)  # row a: coordinate a of every vector
-    n, m = keys.shape
-    # ids[i] is key i's prefix row in prods; level 0 is rows itself
-    prods, ids = rows, keys[:, 0]
-    new = np.ones(n, dtype=bool)  # new[i]: key i's prefix differs from key i-1's
-    new[1:] = keys[1:, 0] != keys[:-1, 0]
-    for s in range(1, m - 1):
-        new[1:] |= keys[1:, s] != keys[:-1, s]
-        starts = np.flatnonzero(new)
-        prods = prods[ids[starts]]
-        prods *= rows[keys[starts, s]]
-        ids = np.cumsum(new) - 1
-    out = prods[ids]
-    del prods, ids  # the last factor's gather is the only other key-sized array
-    if m > 1:
-        out *= rows[keys[:, m - 1]]
+    levels, leaf = _prefix_tree(keys)
+    prods = rows
+    for parent, coord in levels:
+        prods = prods[parent]
+        prods *= rows[coord]
+    out = prods[leaf]
+    del prods, levels, leaf  # the last factor's gather is the only other key-sized array
+    if keys.shape[1] > 1:
+        out *= rows[keys[:, -1]]
     return out
 
 

@@ -1,5 +1,6 @@
 """Rank bounds, parameter selection, and the decomposition pipelines."""
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from momentmix.combinatorics import binomial
 from momentmix.decomposition import (
     DecompositionParams,
+    _gram_lstsq,
     _k_range,
     _residual_builder,
     _scale_fit,
@@ -47,6 +49,7 @@ from momentmix.tensor_store import (
     omega_keys,
     omega_norm,
     perturb,
+    product_jacobian,
 )
 
 
@@ -335,6 +338,8 @@ def test_approximate_counts_lm_iterations_exact():
     comps, T = planted(8, 3, 2, seed=9)
     dec = approximate(T, choose_params(7, 3, 2, seed=9))
     assert dec.diagnostics["lm_iterations"] == 1
+    # the gradient test ends the refinement before any damping is tried
+    assert dec.diagnostics["lm_residual_calls"] == 1
 
 
 def test_approximate_counts_lm_iterations_noisy():
@@ -343,6 +348,9 @@ def test_approximate_counts_lm_iterations_noisy():
     dec = approximate(Th, choose_params(14, 3, 6, seed=10))
     assert dec.diagnostics["lm_iterations"] >= 1
     assert dec.diagnostics["decomp_err"] <= dec.diagnostics["pre_refine_decomp_err"]
+    # the start, then at least one damping per iteration but a last one
+    # that meets the gradient test
+    assert dec.diagnostics["lm_residual_calls"] >= dec.diagnostics["lm_iterations"]
 
 
 def scale_case(case):
@@ -527,3 +535,83 @@ def test_decompose_recovers_planted_components_property(problem):
     assert component_error(comps, first.components, m) <= 1e-6
     assert np.array_equal(first.components, second.components)
     assert first.diagnostics == second.diagnostics
+
+
+def tree_key_sets(d, m, rng):
+    """Strictly ascending key arrays: the distinct-index keys, every sorted
+    key (repeated indices included), and a random half of the latter
+    without any key starting at 1 or 3, so the first slots are sparse."""
+    distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
+    every = np.array(
+        list(itertools.combinations_with_replacement(range(d), m)), dtype=np.int64
+    )
+    keep = (rng.random(len(every)) < 0.5) & ~np.isin(every[:, 0], [1, 3])
+    return {"omega": distinct, "repeated": every, "dropped": every[keep]}
+
+
+@pytest.mark.parametrize("keyset", ["omega", "repeated", "dropped"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_tree_residual_and_gradient_match_product_jacobian(m, keyset):
+    rng = np.random.default_rng(50 + m)
+    d, r = 8, 3
+    keys = tree_key_sets(d, m, rng)[keyset]
+    values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    T = IncompleteSymmetricTensor(d, m, dict(zip(map(tuple, keys.tolist()), values)))
+    Q = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+    residual, normal_equations = _residual_builder(T, r)
+    q = Q.ravel()
+    f = residual(q)
+    ref_f = component_products(Q, T.key_array).sum(axis=0) - T.values
+    assert np.abs(f - ref_f).max() <= 1e-12 * np.abs(ref_f).max()
+    _, g = normal_equations(q, f)
+    J = product_jacobian(Q, T.key_array).reshape(len(keys), r * d)
+    ref_g = J.conj().T @ f
+    assert np.abs(g - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
+
+
+def test_normal_equations_peak_memory_below_slot_partials():
+    # no (n_keys, m, r) array of slot partials, nor anything that large
+    d, m, r = 25, 4, 16
+    comps, T = planted(d, m, r, seed=28)
+    rng = np.random.default_rng(28)
+    Q = comps + 0.01 * (rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d)))
+    residual, normal_equations = _residual_builder(T, r)
+    q = Q.ravel()
+    f = residual(q)
+    tracemalloc.start()
+    try:
+        normal_equations(q, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(T.values) * m * r * np.dtype(complex).itemsize / 2
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("case", ["exact", "perturbed", "spread"])
+def test_solve_heads_equals_per_label_block_reference(case, m):
+    # one gather of the distinct head keys gives the same right-hand sides,
+    # so the heads equal the per-label block_matrix solve bit for bit
+    T, params, tails = head_case(case, m)
+    gammas = solve_tail_products(T, tails, params)
+    heads, cond = solve_heads(T, tails, gammas, params)
+    J1, J2, W = _tail_blocks(T, tails, params)
+    W_conj = W.conj()
+    tail_gram = W_conj.T @ W
+    ref = np.empty_like(heads)
+    ref_cond = 1.0
+    for j in range(1, params.k + 1):
+        rows = [i for i, beta in enumerate(J1) if j not in beta]
+        B = block_matrix(T, [(j,) + J1[i] for i in rows], J2)
+        Gamma = gammas[rows]
+        ref[:, j - 1], cond_j = _gram_lstsq(
+            (Gamma.conj().T @ Gamma) * tail_gram,
+            B,
+            lambda rhs: (Gamma.conj() * (rhs @ W_conj)).sum(axis=0),
+            lambda x: (Gamma * x) @ W.T,
+            "head",
+            lambda _: HeadsDegenerate("unexpected"),
+        )
+        ref_cond = max(ref_cond, cond_j)
+    assert np.array_equal(heads, ref)
+    assert cond == ref_cond

@@ -210,3 +210,26 @@ def test_rng_streams_independent():
     a = rng_from(1, "s1").standard_normal(4)
     b = rng_from(1, "s2").standard_normal(4)
     assert not np.array_equal(a, b)
+
+
+def test_nlls_stops_at_the_rounding_floor():
+    # A linear least squares scaled so that its gradient at the minimum,
+    # rounding error times |J| |f|, stays far above the gradient tolerance:
+    # one step reaches the minimum, and every later objective differs from
+    # it by rounding only.  The refinement must end there, not try every
+    # damping on steps that rounding decides.
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((200, 4))
+    b = rng.standard_normal(200)
+    J = 1e6 * A
+    costs = []
+
+    def residual(x):
+        f = 1e6 * (A @ x - b)
+        costs.append(float(f @ f))
+        return f
+
+    x = nlls_refine(residual, np.zeros(4), normal_equations=lambda x, f: (J.T @ J, J.T @ f))
+    accepted = [i for i, cost in enumerate(costs) if cost < min(costs[:i], default=np.inf)]
+    assert len(costs) - 1 - accepted[-1] <= 3
+    assert np.allclose(x, np.linalg.lstsq(A, b, rcond=None)[0], rtol=1e-10, atol=1e-12)
