@@ -67,7 +67,7 @@ def cmd_maxrank(args):
         raise SystemExit(2)
     n = args.d - 1
     r_max, p_star, k_star = decomposition.max_rank_quiet(n, args.m)
-    guaranteed = n >= decomposition._threshold(args.m)
+    guaranteed = n >= decomposition.rank_threshold(args.m)
     print(f"d={args.d} m={args.m} r_max={r_max} p_star={p_star} "
           f"k_star={k_star} guaranteed={guaranteed}")
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse
 from scipy.linalg.blas import zherk
 
 from .combinatorics import binomial, subsets_lex
@@ -27,14 +26,12 @@ from .errors import (
     TailsDegenerate,
 )
 from .generating import companion_matrices, extract_tails, solve_generating_matrix
-from .numerics import _COND_LIMIT, lstsq, nlls_refine
+from .numerics import COND_LIMIT, lstsq, nlls_refine
 from .tensor_store import (
     IncompleteSymmetricTensor,
-    _prefix_tree,
     block_matrix,
     component_products,
     omega_keys,
-    prefix_products,
     product_jacobian,
 )
 # Not called here: the benchmark's span tracer wraps these by name in this module.
@@ -46,7 +43,8 @@ class PreconditionWarning(UserWarning):
     rank bound; the value is computed anyway."""
 
 
-def _threshold(m: int) -> int:
+def rank_threshold(m: int) -> int:
+    """The n from which ``max_rank``'s closed form holds at order m."""
     return max(2 * m - 1, math.ceil(m * m / 4) - 1)
 
 
@@ -67,9 +65,9 @@ def max_rank(n: int, m: int) -> tuple[int, int, int]:
     is min(C(k*, p*), C(n-k*-1, m-p*-1)).  The bound is 0, with k* = p*,
     when the range is empty.
     """
-    if n < _threshold(m):
+    if n < rank_threshold(m):
         warnings.warn(
-            f"n={n} below threshold {_threshold(m)} for order {m}; "
+            f"n={n} below threshold {rank_threshold(m)} for order {m}; "
             "the closed-form rank bound is not guaranteed",
             PreconditionWarning,
         )
@@ -259,7 +257,7 @@ def _gram_lstsq(gram, b, adjoint, apply, name, degenerate):
     w, V = np.linalg.eigh(unit)
     if not w[0] > len(scale) * np.finfo(float).eps * w[-1]:  # also catches NaN
         raise degenerate("rank-deficient")
-    if w[-1] / w[0] > _COND_LIMIT:
+    if w[-1] / w[0] > COND_LIMIT:
         warnings.warn(f"{name} least-squares system is ill-conditioned", IllConditioned)
 
     def solve(rhs):  # G^-1 A^H rhs for the unscaled Gram G
@@ -281,12 +279,12 @@ def _scale_fit(
     The design's columns are u_i^{(x)m} on the keys.  Equilibrated, their
     cosines behave like |<u_i, u_j>|^m, so the design is close to
     orthogonal and its r x r Gram is safe to solve (``_gram_lstsq``).  The
-    design is built row-major by ``prefix_products``.  Raises
+    design is built row-major by ``T.tree.design``.  Raises
     ScalesDegenerate on a zero column or a numerically rank-deficient
     design and warns IllConditioned above the condition limit of
     ``numerics.lstsq``.
     """
-    design = prefix_products(full, T.key_array)  # (n_keys, r), C order
+    design = T.tree.design(full)  # (n_keys, r), C order
     # design.T is Fortran-ordered, so zherk reads it without a copy; with
     # trans=0 it fills the upper triangle of design.T design.T^H, the
     # conjugate of the Gram design^H design.
@@ -343,29 +341,15 @@ def decomp_err(T: IncompleteSymmetricTensor, components: np.ndarray) -> float:
     return _relative_err(T, _reconstruction(T, components) - T.values)
 
 
-def _level_products(Q: np.ndarray, levels: list) -> list[np.ndarray]:
-    """[Q.T, P_1, ..., P_{m-2}]: row j of P_s is the product of each of Q's
-    components over prefix j of level s of a ``_prefix_tree``, its parent's
-    product times one row of Q.T (the fold of ``component_products``)."""
-    rows = np.ascontiguousarray(Q.T)
-    prods = [rows]
-    for parent, coord in levels:
-        prods.append(prods[-1][parent] * rows[coord])
-    return prods
-
-
 def _reconstruction(T: IncompleteSymmetricTensor, Q: np.ndarray) -> np.ndarray:
-    """sum_i prod_t Q[i, key_t] on T's keys (order m >= 2), summed over the
-    components in order, so it is ``component_products(Q, T.key_array)
-    .sum(axis=0)`` bit for bit, with each leaf prefix multiplied once.
-    The reported errors come from it; the refinement's residual sums by a
-    GEMM instead, equal to rounding."""
-    levels, leaf = _prefix_tree(T.key_array)
-    last = T.key_array[:, -1]
-    prods = _level_products(Q, levels)[-1]
-    rec = prods[leaf, 0] * Q[0, last]
+    """sum_i prod_t Q[i, key_t] on T's keys (order m >= 2): the columns of
+    ``T.tree.design(Q)``, each formed as it is added, in component order;
+    the refinement's GEMM residual agrees with it to rounding."""
+    tree = T.tree
+    leaf_products = tree.products(Q)[-1]
+    rec = leaf_products[tree.leaf, 0] * Q[0, tree.last]
     for i in range(1, len(Q)):
-        rec += prods[leaf, i] * Q[i, last]
+        rec += leaf_products[tree.leaf, i] * Q[i, tree.last]
     return rec
 
 
@@ -428,26 +412,14 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     of the flattened components q = Q.ravel(), and its Gauss-Newton normal
     equations without the Jacobian.
 
-    Both run on the prefix tree of the ascending keys (``_prefix_tree``).
-    The forward pass multiplies each distinct prefix once, level by level,
-    up to the leaf prefixes (every slot but the last), whose (n_leaf, r)
-    products P give the reconstruction in one GEMM: key k is cell
-    (leaf_k, last_k) of P @ Q.
-
-    With Jc the complex (n_keys, r*d) Jacobian, ``normal_equations(q, f)``
-    returns G = Jc^H Jc and g = Jc^H f, the rd x rd Hermitian system of the
-    damped step.  G comes in closed form over all distinct-index keys
-    (``_omega_gram``), plus the per-key Gram of any stored key with a
-    repeated index and minus that of any distinct-index key not stored.
-    g is a reverse sweep over the tree: with f scattered into the
-    (n_leaf, d) matrix F, the last slot's part is F^T conj(P) and the leaf
-    adjoint F conj(Q)^T; each level adds its adjoint times the conjugated
-    parent products into its own coordinates, then folds the adjoint,
-    times the conjugated coordinate rows, into the parents, which are
-    consecutive runs; level 0 adds what is left.
+    The residual is ``T.tree.reconstruction`` minus the values.  With Jc
+    the complex (n_keys, r*d) Jacobian, ``normal_equations(q, f)`` returns
+    the damped step's G = Jc^H Jc and g = Jc^H f (``T.tree.adjoint``).  G
+    is closed-form over all distinct-index keys (``_omega_gram``), plus the
+    per-key Gram of each stored repeated-index key, minus that of each
+    distinct-index key not stored.
     """
-    key_arr = T.key_array
-    target = T.values
+    key_arr, target, tree = T.key_array, T.values, T.tree
     d, m = T.d, T.m
     rd = r * d
     repeated = key_arr[(key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)]
@@ -458,23 +430,9 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
         absent = distinct[~np.isin(distinct @ radix, key_arr @ radix)]
     correction_keys = np.concatenate([repeated, absent])
     correction_sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
-    levels, leaf = _prefix_tree(key_arr)
-    cells = leaf * d + key_arr[:, -1]  # key k's cell in the (n_leaf, d) grid
-    n_leaf = len(levels[-1][0]) if levels else d
-    # per level: the runs of children sharing a parent, and the incidence
-    # (d, n_level) that sums a level's rows into their coordinates
-    runs = [np.flatnonzero(np.diff(parent, prepend=-1)) for parent, _ in levels]
-    incidence = [
-        scipy.sparse.csr_array(
-            (np.ones(len(coord)), (coord, np.arange(len(coord)))), shape=(d, len(coord))
-        )
-        for _, coord in levels
-    ]
-    top = levels[0][0][runs[0]] if levels else np.arange(d)  # level-0 rows of the last fold
 
     def residual(q):
-        Q = q.reshape(r, d)
-        return (_level_products(Q, levels)[-1] @ Q).ravel()[cells] - target
+        return tree.reconstruction(q.reshape(r, d)) - target
 
     def normal_equations(q, f):
         Q = q.reshape(r, d)
@@ -482,18 +440,7 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
         G = _omega_gram(Q, m).reshape(rd, rd)
         if len(correction_keys):
             G += Jk.conj().T @ (correction_sign[:, None] * Jk)
-        prods = _level_products(Q, levels)
-        F = np.zeros(n_leaf * d, dtype=complex)
-        F[cells] = f
-        F = F.reshape(n_leaf, d)
-        grad = F.T @ prods[-1].conj()  # (d, r): g of the last slot, transposed
-        adjoint = F @ Q.conj().T  # (n_leaf, r)
-        for s in range(len(levels), 0, -1):
-            parent, coord = levels[s - 1]
-            grad += incidence[s - 1] @ (adjoint * prods[s - 1][parent].conj())
-            adjoint = np.add.reduceat(adjoint * prods[0][coord].conj(), runs[s - 1])
-        grad[top] += adjoint
-        return G, grad.T.ravel()
+        return G, tree.adjoint(Q, f).ravel()
 
     return residual, normal_equations
 

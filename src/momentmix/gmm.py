@@ -12,10 +12,10 @@ key arrays from the tensor path's ``component_products``, and each stage
 reads its moments with one ``MomentSet.gather``.
 
 The kernels that touch every sample are matrix products.  Sample moments
-group their sorted keys by the first m-1 slots: over row chunks of the
-samples, the products of each prefix's coordinates form a (chunk, prefixes)
-matrix whose product with the chunk gives every last slot at once, so the
-working memory is O(chunk * prefixes) whatever the number of samples.
+walk the tensor path's ``PrefixTree`` over row chunks of the samples:
+each distinct prefix of the first m-1 slots costs one multiply per
+sample, and the leaf products times the chunk give every last slot at
+once, so the working memory is O(chunk * prefixes) whatever N is.
 The log-density of every component is linear in [y, y * y] with one
 constant, so it is a product with one (r, 2d) coefficient matrix instead
 of an (N, r, d) difference.  EM runs each iteration as one pass over the
@@ -48,6 +48,7 @@ from .errors import (
 from .numerics import nnls, rng_from, simplex_nlls
 from .tensor_store import (
     IncompleteSymmetricTensor,
+    PrefixTree,
     component_products,
     omega_keys,
     product_jacobian,
@@ -58,7 +59,7 @@ TensorKey = tuple[int, ...]
 _BETA_FLOOR = 1e-12
 # Rows per chunk of the sample-moment products and of the EM passes: large
 # enough that each product is a BLAS call of useful size, small enough that
-# the (chunk, n_prefix) prefix matrix stays a few megabytes for the Table-4
+# the (n_prefix, chunk) prefix products stay a few megabytes for the Table-4
 # moment set and EM's two chunk buffers stay under a megabyte at d=15.
 _MOMENT_CHUNK = 2048
 
@@ -140,12 +141,12 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
     """Empirical moments: for each key (all of one order m), the mean over
     samples of the product of the indexed coordinates.
 
-    Order 1 is the column mean.  Above it, the sorted keys are grouped by
-    their first m-1 slots.  For each chunk of at most ``_MOMENT_CHUNK``
-    rows, the products of every prefix's coordinates are folded one slot
-    at a time into a (chunk, n_prefix) matrix P, and ``P.T @ chunk``
-    accumulates the prefix times every coordinate; a key's moment is the
-    entry at its prefix and last slot, divided by N.  Memory beyond the
+    Order 1 is the column mean.  Above it, for each chunk of at most
+    ``_MOMENT_CHUNK`` rows, the ``PrefixTree`` of the keys multiplies each
+    distinct prefix of their first m-1 slots once per sample, parent
+    times one coordinate, and its (n_prefix, chunk) leaf products times
+    the chunk accumulate the prefix times every coordinate; a key's
+    moment is the sum at its cell, divided by N.  Memory beyond the
     samples is O(_MOMENT_CHUNK * n_prefix + n_prefix * d).
     """
     Y = np.ascontiguousarray(samples.data, dtype=float)
@@ -156,15 +157,12 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
             return np.ones(key_arr.shape[0])
         if order == 1:
             return Y.mean(axis=0)[key_arr[:, 0]]
-        prefixes, row = np.unique(key_arr[:, :-1], axis=0, return_inverse=True)
-        sums = np.zeros((prefixes.shape[0], Y.shape[1]))
-        for start in range(0, Y.shape[0], _MOMENT_CHUNK):
-            chunk = Y[start : start + _MOMENT_CHUNK]
-            P = chunk[:, prefixes[:, 0]]
-            for t in range(1, order - 1):
-                P *= chunk[:, prefixes[:, t]]
-            sums += P.T @ chunk
-        return sums[row.ravel(), key_arr[:, -1]] / Y.shape[0]
+        tree = PrefixTree(key_arr)
+        # no samples still make one empty chunk, so the moments are 0 / 0
+        starts = range(0, max(len(Y), 1), _MOMENT_CHUNK)
+        chunks = (Y[start : start + _MOMENT_CHUNK] for start in starts)
+        sums = sum(tree.products(chunk)[-1] @ chunk for chunk in chunks)
+        return tree.cells(sums) / len(Y)
 
     return _moment_set(keys, values_at)
 

@@ -23,7 +23,7 @@ import scipy.optimize
 
 from .errors import EigenFailure, IllConditioned, MaxIterations
 
-_COND_LIMIT = 1e12
+COND_LIMIT = 1e12
 # ``nlls_refine`` stops once every gradient entry is at most this in
 # magnitude (real and imaginary parts alike).
 _GRAD_TOL = 1e-10
@@ -75,7 +75,7 @@ def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
         raise ValueError("A must have at least one column")
     x, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
     ill = False
-    if rank == A.shape[1] and sv[0] / sv[-1] > _COND_LIMIT:
+    if rank == A.shape[1] and sv[0] / sv[-1] > COND_LIMIT:
         ill = True
         warnings.warn("least-squares system is ill-conditioned", IllConditioned)
     resid = np.linalg.norm(A @ x - b, axis=0 if b.ndim == 2 else None)

@@ -9,6 +9,11 @@ significant, so lexicographic order is code order and ``gather`` finds a
 batch of keys with one ``np.searchsorted``.  ``entries``, a tuple-keyed
 dict of the same entries, is derived from the arrays on first access.
 
+Products over many keys walk one ``PrefixTree``, which multiplies each
+distinct prefix of ascending keys once: the scale design, both
+reconstructions and the refinement's J^H f of ``decomposition`` use the
+tensor's cached ``tree``, and ``gmm``'s sample moments a tree of theirs.
+
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
 on subtensors.
@@ -141,6 +146,11 @@ class IncompleteSymmetricTensor:
         arrays stay the tensor, so writing to the view changes no lookup."""
         return dict(zip(self.keys(), self.values.tolist()))
 
+    @cached_property
+    def tree(self) -> PrefixTree:
+        """The ``PrefixTree`` of the read-only keys, built on first use."""
+        return PrefixTree(self.key_array)
+
 
 def _key_array(keys, m: int) -> np.ndarray:
     """(n, m) integer array of a sequence of keys; a slot that is not an
@@ -190,56 +200,105 @@ def component_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefix_tree(keys: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """The distinct key prefixes of a strictly ascending (n_keys, m) key
-    array, level by level, and each key's prefix one slot short of it.
+class PrefixTree:
+    """The distinct prefixes of an (n_keys, m) key array, and the products
+    of (r, d) vectors over its keys that walk them.  Adjacent keys with a
+    common prefix share its node: ascending keys multiply each distinct
+    prefix once; other row orders, repeated rows or unsorted slots give
+    the same products with less sharing.
 
-    Ascending keys that share a prefix are consecutive.  Level 0 is the
-    coordinates themselves; level s (1 <= s <= m-2) lists the distinct
-    (s+1)-slot prefixes in key order as ``(parent, coord)``: prefix j is
-    prefix ``parent[j]`` of level s-1 followed by coordinate ``coord[j]``.
-    ``parent`` never decreases, so the children of one prefix are
-    consecutive and every level-(s-1) prefix above level 0 has one.  The
-    returned ``leaf[i]`` is key i's prefix at level max(m-2, 0): its first
-    m-1 slots (its first slot when m = 1).
-    """
-    n, m = keys.shape
-    leaf = keys[:, 0]
-    new = np.ones(n, dtype=bool)  # new[i]: key i's prefix differs from key i-1's
-    new[1:] = keys[1:, 0] != keys[:-1, 0]
-    levels = []
-    for s in range(1, m - 1):
-        new[1:] |= keys[1:, s] != keys[:-1, s]
-        starts = np.flatnonzero(new)
-        levels.append((leaf[starts], keys[starts, s]))
-        leaf = np.cumsum(new) - 1
-    return levels, leaf
+    Level 0 is the coordinates; level s (1 <= s <= m-2) lists (s+1)-slot
+    prefixes as ``(parent, coord)``: prefix ``parent[j]`` of level s-1,
+    then coordinate ``coord[j]``.  Above level 1 ``parent`` never
+    decreases, so each prefix's children are one run.  Key k's first m-1
+    slots (first slot when m = 1) are prefix ``leaf[k]`` of level
+    max(m-2, 0); for m >= 2 its product is cell ``(leaf[k], last[k])`` of a
+    leaf-prefix x coordinate grid."""
+
+    def __init__(self, keys: np.ndarray):
+        n, self.m = keys.shape
+        leaf = keys[:, 0]
+        new = np.ones(n, dtype=bool)  # new[k]: key k's prefix differs from key k-1's
+        new[1:] = keys[1:, 0] != keys[:-1, 0]
+        self.levels = []
+        for s in range(1, self.m - 1):
+            new[1:] |= keys[1:, s] != keys[:-1, s]
+            starts = np.flatnonzero(new)
+            self.levels.append((leaf[starts], keys[starts, s]))
+            leaf = np.cumsum(new) - 1
+        self.leaf, self.last = leaf, keys[:, -1]
+
+    def products(self, vectors: np.ndarray) -> list[np.ndarray]:
+        """[vectors.T, P_1, ..., P_{m-2}] in C order: row j of P_s is each
+        vector's product over prefix j of level s, its parent's product
+        times one row of vectors.T (the fold of ``component_products``)."""
+        rows = np.ascontiguousarray(vectors.T)
+        prods = [rows]
+        for parent, coord in self.levels:
+            level = prods[-1][parent]
+            level *= rows[coord]
+            prods.append(level)
+        return prods
+
+    def design(self, vectors: np.ndarray) -> np.ndarray:
+        """(n_keys, r) C-order ``component_products(vectors, keys).T``, bit
+        for bit.  The leaf products are released before the last slot's
+        gather, so at most two key-sized arrays are alive at once."""
+        prods = self.products(vectors)
+        rows, out = prods[0], prods[-1][self.leaf]
+        del prods
+        if self.m > 1:
+            out *= rows[self.last]
+        return out
+
+    def cells(self, grid: np.ndarray) -> np.ndarray:
+        """Each key's cell of an (n_leaf, d, ...) grid (order m >= 2)."""
+        return grid.reshape(-1, *grid.shape[2:])[self.leaf * grid.shape[1] + self.last]
+
+    def reconstruction(self, vectors: np.ndarray) -> np.ndarray:
+        """sum_i prod_t vectors[i, key_t] per key (order m >= 2), one GEMM
+        of the leaf products and the vectors read at the cells; the
+        in-order sum of ``design``'s columns up to rounding."""
+        return self.cells(self.products(vectors)[-1] @ vectors)
+
+    def adjoint(self, vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """(r, d) J^H f, J the complex Jacobian of ``reconstruction`` (order
+        m >= 2); needs strictly ascending keys, or repeated cells and first
+        slots are dropped.  With f in the (n_leaf, d) grid F, the last slot
+        gives F^T conj(P_leaf) and the leaf adjoint F conj(vectors)^T; each
+        level adds its adjoint times the parents' conjugated products into
+        its coordinates (summed in key order from zero) and folds it, times
+        its coordinates' conjugated rows, into the parents."""
+        d = vectors.shape[1]
+        prods = self.products(vectors)
+        F = np.zeros((len(prods[-1]), d), dtype=complex)
+        F.reshape(-1)[self.leaf * d + self.last] = f  # a view: F is contiguous
+        grad = F.T @ prods[-1].conj()  # (d, r)
+        adjoint = F @ vectors.conj().T  # (n_leaf, r)
+        del F
+        top = np.arange(d)  # each adjoint row's coordinate
+        for s in range(len(self.levels), 0, -1):
+            parent, coord = self.levels[s - 1]
+            grad += _coordinate_sums(adjoint * prods[s - 1][parent].conj(), coord, d)
+            runs = np.flatnonzero(np.diff(parent, prepend=-1))
+            adjoint = np.add.reduceat(adjoint * prods[0][coord].conj(), runs)
+            top = parent[runs]
+        grad[top] += adjoint
+        return grad.T
+
+
+def _coordinate_sums(rows: np.ndarray, coord: np.ndarray, d: int) -> np.ndarray:
+    """(d, r) sums of an (n, r) complex array's rows by coordinate, each in
+    row order from zero, as bin sums of the real and imaginary parts."""
+    width = 2 * rows.shape[1]
+    bins = (coord[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, rows.view(float).ravel(), d * width)
+    return sums.view(complex).reshape(d, -1)
 
 
 def prefix_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """(n_keys, r) C-order products over the rows of a strictly ascending
-    (n_keys, m) key array: ``component_products(vectors, keys).T``, bit for
-    bit, with each distinct key prefix multiplied once.
-
-    The product of a prefix of ``_prefix_tree(keys)`` is its parent's
-    product times one gathered row of ``vectors.T``, the same left-to-right
-    fold as ``component_products``.  The last slot fills one row per key in
-    place after the leaf prefixes' products are released, so at most two
-    key-sized arrays are alive at once.  ``component_products`` stays for
-    unsorted keys (sample moments) and for callers that want its
-    (r, n_keys) layout.
-    """
-    rows = np.ascontiguousarray(vectors.T)  # row a: coordinate a of every vector
-    levels, leaf = _prefix_tree(keys)
-    prods = rows
-    for parent, coord in levels:
-        prods = prods[parent]
-        prods *= rows[coord]
-    out = prods[leaf]
-    del prods, levels, leaf  # the last factor's gather is the only other key-sized array
-    if keys.shape[1] > 1:
-        out *= rows[keys[:, -1]]
-    return out
+    """``PrefixTree(keys).design(vectors)``."""
+    return PrefixTree(keys).design(vectors)
 
 
 def slot_partials(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -315,8 +374,8 @@ def perturb(
 ) -> IncompleteSymmetricTensor:
     """Add a real Gaussian noise tensor on the same keys, rescaled so its
     weighted norm equals ``epsilon``.  Deterministic per seed."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if epsilon == 0:
         return T.with_values(T.values)
     noise = rng_from(seed, "perturb").standard_normal(len(T.values))

@@ -126,6 +126,13 @@ def test_approximate_with_synthetic_noise(tmp_path, capsys):
     )
     assert code == 0
     assert "abs-err" in out and "rel-err" in out
+    # a bad flag value is reported as such, not as a bad tensor file
+    for epsilon in ("nan", "inf", "-inf", "-0.1"):
+        code, _, err = run(capsys, "approximate", "--tensor", str(tensor),
+                           "--r", "3", f"--epsilon={epsilon}")
+        assert code == 2
+        (line,) = _error_lines(err)
+        assert f"epsilon must be finite and nonnegative, got {epsilon}" in line
 
 
 def test_gmm_pipeline(tmp_path, capsys):
@@ -368,8 +375,11 @@ def test_maxrank_infeasible_says_why(capsys):
     (["table4", "--d", "8", "--trials", "-1"], "--trials -1", ">= 0"),
     (["table2", "--d", "4", "--orders", "5"], "--orders 5", "d-1 = 3"),
     (["table3", "--d", "8", "--orders", "3,2"], "--orders 2", "between 3 and d-1 = 7"),
+    (["table3", "--d", "8", "--orders", "3", "--epsilons", "nan"], "epsilon", "got nan"),
+    (["table3", "--d", "8", "--orders", "3", "--epsilons", "0.1,inf"], "epsilon",
+     "finite and nonnegative, got inf"),
 ], ids=["table2-trials", "table3-trials", "table4-trials", "table2-order-above",
-        "table3-order-below"])
+        "table3-order-below", "table3-epsilon-nan", "table3-epsilon-inf"])
 def test_experiment_grid_flag_out_of_range_exits_2(capsys, argv, flag, bound):
     code, out, err = run(capsys, "experiment", *argv, "--format", "csv")
     assert code == 2

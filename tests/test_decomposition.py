@@ -17,7 +17,6 @@ from momentmix.decomposition import (
     _residual_builder,
     _scale_fit,
     _tail_blocks,
-    _threshold,
     PreconditionWarning,
     approximate,
     brute_force_max_rank,
@@ -28,6 +27,7 @@ from momentmix.decomposition import (
     from_json,
     max_rank,
     max_rank_quiet,
+    rank_threshold,
     solve_heads,
     solve_scales,
     solve_tail_products,
@@ -43,6 +43,7 @@ from momentmix.numerics import lstsq
 from momentmix.tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
+    PrefixTree,
     block_matrix,
     component_products,
     from_components,
@@ -85,7 +86,7 @@ def test_max_rank_matches_brute_force_sample():
 
 def test_max_rank_below_threshold_is_accepted_by_choose_params():
     for m in range(3, 9):
-        for n in range(1, _threshold(m) + 5):
+        for n in range(1, rank_threshold(m) + 5):
             r = max_rank_quiet(n, m)[0]
             assert r <= brute_force_max_rank(n, m)
             if r >= 1:
@@ -567,6 +568,29 @@ def test_tree_residual_and_gradient_match_product_jacobian(m, keyset):
     J = product_jacobian(Q, T.key_array).reshape(len(keys), r * d)
     ref_g = J.conj().T @ f
     assert np.abs(g - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
+    # the tree's adjoint on its own, at any f
+    f = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    ref_g = (J.conj().T @ f).reshape(r, d)
+    g = T.tree.adjoint(Q, f)
+    assert np.abs(g - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
+
+
+def test_approximate_builds_one_prefix_tree(monkeypatch):
+    # the scale fit, the residual, J^H f and the final reconstruction
+    # share the noisy tensor's cached tree
+    built = []
+    init = PrefixTree.__init__
+
+    def counted(tree, keys):
+        built.append(len(keys))
+        init(tree, keys)
+
+    monkeypatch.setattr(PrefixTree, "__init__", counted)
+    comps, T = planted(10, 4, 3, seed=41)
+    Th = perturb(T, 0.01, 41)
+    dec = approximate(Th, choose_params(9, 4, 3, seed=41), truth=T)
+    assert dec.diagnostics["lm_iterations"] >= 1
+    assert built == [len(Th.values)]
 
 
 def test_normal_equations_peak_memory_below_slot_partials():

@@ -409,7 +409,7 @@ def _moment_keys(d, order):
     return [k[::-1] if i % 3 == 0 else k for i, k in enumerate(sorted(keys))]
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("rows", ["below", "equal", "ragged"])
 def test_sample_moments_equal_per_key_products(order, rows):
     chunk = gmm._MOMENT_CHUNK

@@ -1,0 +1,76 @@
+"""No module of the package imports or reads an underscored name of a
+sibling module: what one module shares with another is public."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import momentmix
+
+PACKAGE = Path(momentmix.__file__).parent
+SIBLINGS = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _source_module(node: ast.ImportFrom) -> str | None:
+    """'' for an import from the package itself, the sibling's name for an
+    import from a sibling, None otherwise."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "momentmix":
+        return node.module.partition(".")[2]
+    return None
+
+
+def private_sibling_reads(source: str) -> list[tuple[int, str]]:
+    """(line, 'module.name') for each underscored name of a sibling module
+    that the source imports or reads as an attribute of the module."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> sibling module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sibling = _source_module(node)
+            for alias in node.names if sibling is not None else ():
+                if sibling == "" and alias.name in SIBLINGS:
+                    modules[alias.asname or alias.name] = alias.name
+                elif sibling and _private(alias.name):
+                    found.append((node.lineno, f"{sibling}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, sibling = alias.name.partition(".")
+                if package == "momentmix" and sibling in SIBLINGS and alias.asname:
+                    modules[alias.asname] = sibling
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return sorted(found)
+
+
+def test_checker_finds_imports_and_reads():
+    source = "\n".join([
+        "from .numerics import _COND_LIMIT, lstsq",
+        "from . import decomposition, gmm as mixtures",
+        "x = decomposition._threshold(3) + mixtures._MOMENT_CHUNK",
+        "from momentmix.tensor_store import _prefix_tree",
+        "import momentmix.generating as gen",
+        "y = gen._GAP_TOL + decomposition.max_rank(5, 3)[0] + x.__class__",
+        "from numpy import _private_numpy_name",
+    ])
+    assert private_sibling_reads(source) == [
+        (1, "numerics._COND_LIMIT"),
+        (3, "decomposition._threshold"),
+        (3, "gmm._MOMENT_CHUNK"),
+        (4, "tensor_store._prefix_tree"),
+        (6, "generating._GAP_TOL"),
+    ]
+
+
+@pytest.mark.parametrize("module", SIBLINGS + ["__init__"])
+def test_no_private_sibling_reads(module):
+    assert private_sibling_reads((PACKAGE / f"{module}.py").read_text()) == []

@@ -10,6 +10,7 @@ from momentmix.errors import InvalidTensor, KeyCollision, MissingEntry, OrderExc
 from momentmix.tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
+    PrefixTree,
     block_matrix,
     component_products,
     from_components,
@@ -149,6 +150,9 @@ def test_perturb():
     assert again.entries == Th.entries
     other = perturb(T, 0.1, 4)
     assert other.entries != Th.entries
+    for bad in (-0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            perturb(T, bad, 3)
 
 
 def test_json_round_trip():
@@ -317,3 +321,29 @@ def test_prefix_products_equal_component_products(m):
         got = prefix_products(vectors, keys)
         assert got.flags.c_contiguous, name
         assert np.array_equal(got, component_products(vectors, keys).T), name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_prefix_tree_products_in_any_row_order(m):
+    # shuffled rows, some repeated apart and some side by side, then every
+    # row's slots shuffled too: the tree shares fewer prefixes but every
+    # product is the same bit for bit
+    rng = np.random.default_rng(60 + m)
+    d, r = 7, 4
+    vectors = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+    every = np.array(list(itertools.combinations_with_replacement(range(d), m)))
+    rows = np.concatenate([every, every[rng.integers(len(every), size=40)]])
+    rows = rows[rng.permutation(len(rows))]
+    rows = np.repeat(rows, rng.integers(1, 3, size=len(rows)), axis=0)
+    for name, keys in {"rows": rows, "slots": rng.permuted(rows, axis=1)}.items():
+        tree = PrefixTree(keys)
+        want = component_products(vectors, keys).T
+        assert np.array_equal(tree.design(vectors), want), name
+        leaf = tree.products(vectors)[-1]
+        if m == 1:
+            assert np.array_equal(leaf[tree.leaf], want), name
+            continue
+        prefix = component_products(vectors, keys[:, :-1]).T
+        assert np.array_equal(leaf[tree.leaf], prefix), name
+        grid = leaf[:, None, :] * vectors.T[None, :, :]
+        assert np.array_equal(tree.cells(grid), want), name
