@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-from scipy.linalg.blas import zherk
 
 from .combinatorics import binomial, subsets_lex
 from .errors import (
@@ -273,31 +271,61 @@ def _scale_fit(
     T: IncompleteSymmetricTensor, full: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Scales lambda minimizing ||sum_i lambda_i prod(full_i over key) - T||
-    over T's stored keys, the reconstruction at those keys, and the
-    condition number of the equilibrated design.
-
-    The design's columns are u_i^{(x)m} on the keys.  Equilibrated, their
-    cosines behave like |<u_i, u_j>|^m, so the design is close to
-    orthogonal and its r x r Gram is safe to solve (``_gram_lstsq``).  The
-    design is built row-major by ``T.tree.design``.  Raises
-    ScalesDegenerate on a zero column or a numerically rank-deficient
-    design and warns IllConditioned above the condition limit of
-    ``numerics.lstsq``.
+    over T's stored keys (order m >= 2), the reconstruction there, and the
+    condition number of the equilibrated design, whose columns' cosines
+    behave like |<u_i, u_j>|^m: ``_gram_lstsq`` on ``_scale_gram``.  Design
+    row k is P[leaf_k] * full[:, last_k], P the leaf products of
+    ``T.tree``, so A x is a GEMM read at the cells and A^H b the conjugated
+    rows of P^T conj(F) dotted with full, F the (n_leaf, d) cell grid of b.
+    Raises ScalesDegenerate on a zero column or a numerically
+    rank-deficient design; warns IllConditioned as ``numerics.lstsq`` does.
     """
-    design = T.tree.design(full)  # (n_keys, r), C order
-    # design.T is Fortran-ordered, so zherk reads it without a copy; with
-    # trans=0 it fills the upper triangle of design.T design.T^H, the
-    # conjugate of the Gram design^H design.
-    gram = zherk(1.0, design.T, trans=0).conj()
+    tree, d = T.tree, T.d
+    leaf_products = tree.products(full)[-1]  # (n_leaf, r)
+
+    def adjoint(rhs):
+        F = np.zeros((len(leaf_products), d), dtype=complex)
+        F.reshape(-1)[tree.leaf * d + tree.last] = rhs.conj()  # a view: F is contiguous
+        return ((leaf_products.T @ F) * full).sum(axis=1).conj()
+
+    def apply(x):
+        return tree.cells(leaf_products @ (x[:, None] * full))
+
     lambdas, cond = _gram_lstsq(
-        gram,
-        T.values,
-        lambda rhs: (rhs.conj() @ design).conj(),
-        lambda x: design @ x,
-        "scale",
+        _scale_gram(T, full), T.values, adjoint, apply, "scale",
         lambda why: ScalesDegenerate(f"scale design {why}"),
     )
-    return lambdas, design @ lambdas, cond
+    return lambdas, apply(lambdas), cond
+
+
+def _scale_gram(T: IncompleteSymmetricTensor, full: np.ndarray) -> np.ndarray:
+    """(r, r) Gram A^H A of the scale design A[k, i] = prod(full_i over
+    stored key k): e_m(conj(u_i) * u_j) over all distinct-index keys plus
+    the signed per-key Gram of the ``_correction_keys``; with fewer keys
+    stored than those, the stored keys' own, cheaper and free of cancellation."""
+    keys, sign = _correction_keys(T)
+    if len(T.key_array) < len(keys):
+        keys, sign, gram = T.key_array, 1.0, 0.0
+    else:
+        *_, e = _elementary_sums(full.conj()[:, None, :] * full[None, :, :], T.m)
+        gram = e[-1]
+    design = component_products(full, keys)  # (r, n_keys)
+    return gram + (design.conj() * sign) @ design.T
+
+
+def _correction_keys(T: IncompleteSymmetricTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and signs that turn a sum over ``omega_keys(d, m)`` into one
+    over T's keys: each stored repeated-index key with +1, then each
+    distinct-index key not stored with -1."""
+    key_arr, d, m = T.key_array, T.d, T.m
+    repeated = key_arr[(key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)]
+    absent = key_arr[:0]
+    if len(key_arr) - len(repeated) < binomial(d, m):  # a distinct-index key is absent
+        distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
+        radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        absent = distinct[~np.isin(distinct @ radix, key_arr @ radix)]
+    sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
+    return np.concatenate([repeated, absent]), sign
 
 
 def decompose(
@@ -307,8 +335,8 @@ def decompose(
     least-squares stages; components are lambda^(1/m) (1, v_i, w_i) with
     the principal m-th root.
 
-    The scale stage's design products also give the reconstruction
-    behind diagnostics["decomp_err"]; diagnostics["heads_cond"] is the
+    The scale stage's leaf products also give the reconstruction behind
+    diagnostics["decomp_err"]; diagnostics["heads_cond"] is the
     largest condition number of the k equilibrated head designs and
     diagnostics["scale_cond"] that of the equilibrated scale design."""
     n, m = T.d - 1, T.m
@@ -320,11 +348,9 @@ def decompose(
     heads, heads_cond = solve_heads(T, tails, gammas, params)
     full = _unscaled(heads, tails)
     lambdas, rec, scale_cond = _scale_fit(T, full)
-    roots = np.power(lambdas.astype(complex), 1.0 / m)
-    components = roots[:, None] * full
-    err = _relative_err(T, rec - T.values)
+    components = np.power(lambdas.astype(complex), 1.0 / m)[:, None] * full
     diagnostics = {
-        "decomp_err": err,
+        "decomp_err": _relative_err(T, rec - T.values),
         "eigen_gap": gap,
         "gen_residual_max": float(np.max(G.residuals)) if G.residuals.size else 0.0,
         "gen_rank_min": int(G.ranks.min()),
@@ -336,21 +362,9 @@ def decompose(
 
 def decomp_err(T: IncompleteSymmetricTensor, components: np.ndarray) -> float:
     """Relative reconstruction error of (r, d) components over the stored
-    keys (order m >= 2), from ``_reconstruction`` without building a
+    keys (order m >= 2), from ``T.tree.reconstruction`` without building a
     tensor."""
-    return _relative_err(T, _reconstruction(T, components) - T.values)
-
-
-def _reconstruction(T: IncompleteSymmetricTensor, Q: np.ndarray) -> np.ndarray:
-    """sum_i prod_t Q[i, key_t] on T's keys (order m >= 2): the columns of
-    ``T.tree.design(Q)``, each formed as it is added, in component order;
-    the refinement's GEMM residual agrees with it to rounding."""
-    tree = T.tree
-    leaf_products = tree.products(Q)[-1]
-    rec = leaf_products[tree.leaf, 0] * Q[0, tree.last]
-    for i in range(1, len(Q)):
-        rec += leaf_products[tree.leaf, i] * Q[i, tree.last]
-    return rec
+    return _relative_err(T, T.tree.reconstruction(components) - T.values)
 
 
 def _relative_err(T: IncompleteSymmetricTensor, diff: np.ndarray) -> float:
@@ -361,6 +375,17 @@ def _relative_err(T: IncompleteSymmetricTensor, diff: np.ndarray) -> float:
     if denom == 0:
         return math.sqrt(math.factorial(T.m)) * err
     return err / denom
+
+
+def _elementary_sums(z: np.ndarray, m: int):
+    """For c = 0..d, the elementary symmetric polynomials e_0..e_m of z[..., :c]
+    in one array updated in place by e_k += z_c e_{k-1}, with no subtraction."""
+    e = np.zeros((m + 1,) + z.shape[:-1], dtype=complex)
+    e[0] = 1.0
+    yield e
+    for c in range(z.shape[-1]):
+        e[1:] += z[..., c] * e[:-1]
+        yield e
 
 
 def _omega_gram(Q: np.ndarray, m: int) -> np.ndarray:
@@ -381,14 +406,9 @@ def _omega_gram(Q: np.ndarray, m: int) -> np.ndarray:
     # pre[a][k] = e_k(z_c : c < a) and suf[a][k] = e_k(z_c : c > a)
     pre = np.empty((d, m, r, r), dtype=complex)
     suf = np.empty((d, m, r, r), dtype=complex)
-    fwd = np.zeros((m, r, r), dtype=complex)
-    fwd[0] = 1.0
-    bwd = fwd.copy()
-    for c in range(d):
-        pre[c] = fwd
-        fwd[1:] += z[:, :, c] * fwd[:-1]
-        suf[d - 1 - c] = bwd
-        bwd[1:] += z[:, :, d - 1 - c] * bwd[:-1]
+    fwd, bwd = _elementary_sums(z, m - 1), _elementary_sums(z[:, :, ::-1], m - 1)
+    for c, e_pre, e_suf in zip(range(d), fwd, bwd):
+        pre[c], suf[d - 1 - c] = e_pre, e_suf
     # off[a, b] = e_{m-2}(z without a, b) for a < b, from
     # left[a] = e(z_c : c < b, c != a) grown one coordinate b at a time
     off = np.zeros((d, d, r, r), dtype=complex)
@@ -417,25 +437,16 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     the damped step's G = Jc^H Jc and g = Jc^H f (``T.tree.adjoint``).  G
     is closed-form over all distinct-index keys (``_omega_gram``), plus the
     per-key Gram of each stored repeated-index key, minus that of each
-    distinct-index key not stored.
+    distinct-index key not stored (``_correction_keys``).
     """
-    key_arr, target, tree = T.key_array, T.values, T.tree
-    d, m = T.d, T.m
-    rd = r * d
-    repeated = key_arr[(key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)]
-    absent = key_arr[:0]
-    if len(key_arr) - len(repeated) < binomial(d, m):  # a distinct-index key is absent
-        distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
-        radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        absent = distinct[~np.isin(distinct @ radix, key_arr @ radix)]
-    correction_keys = np.concatenate([repeated, absent])
-    correction_sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
+    target, tree, m, rd = T.values, T.tree, T.m, r * T.d
+    correction_keys, correction_sign = _correction_keys(T)
 
     def residual(q):
-        return tree.reconstruction(q.reshape(r, d)) - target
+        return tree.reconstruction(q.reshape(r, -1)) - target
 
     def normal_equations(q, f):
-        Q = q.reshape(r, d)
+        Q = q.reshape(r, -1)
         Jk = product_jacobian(Q, correction_keys).reshape(-1, rd)
         G = _omega_gram(Q, m).reshape(rd, rd)
         if len(correction_keys):
@@ -479,15 +490,14 @@ def approximate(
         normal_equations=counted(normal_equations, "lm_iterations"),
     )
     components = q_star.reshape(base.components.shape)
-    keys = T_noisy.key_array
-    rec = _reconstruction(T_noisy, components)
+    rec = T_noisy.tree.reconstruction(components)
     fit = rec - T_noisy.values
     diagnostics = dict(base.diagnostics)
     diagnostics["decomp_err"] = _relative_err(T_noisy, fit)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
     diagnostics.update(calls)
     if truth is not None:
-        truth_values = truth.gather(keys)
+        truth_values = truth.gather(T_noisy.key_array)
         noise_norm = np.linalg.norm(T_noisy.values - truth_values)
         diff_true = rec - truth_values
         diagnostics["abs_err"] = math.sqrt(
@@ -504,18 +514,13 @@ def component_error(
 ) -> float:
     """Max relative vector error after optimal matching, minimizing over
     component permutations and m-th roots of unity per component."""
+    import scipy.optimize
+
     truth = np.atleast_2d(truth)
-    recovered = np.atleast_2d(recovered)
-    r = truth.shape[0]
-    phases = np.exp(2j * np.pi * np.arange(m) / m)
-    cost = np.empty((r, r))
-    for i in range(r):
-        norm_i = np.linalg.norm(truth[i])
-        for j in range(r):
-            errs = [
-                np.linalg.norm(truth[i] - eta * recovered[j]) for eta in phases
-            ]
-            cost[i, j] = min(errs) / (norm_i if norm_i > 0 else 1.0)
+    phases = np.exp(2j * np.pi * np.arange(m) / m)[:, None, None, None]
+    diff = truth[:, None, :] - phases * np.atleast_2d(recovered)  # (m, r, r, d)
+    norms = np.linalg.norm(truth, axis=1, keepdims=True)
+    cost = np.linalg.norm(diff, axis=-1).min(axis=0) / np.where(norms > 0, norms, 1.0)
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 

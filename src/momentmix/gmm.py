@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .combinatorics import binomial
 from .decomposition import approximate, choose_params
@@ -146,10 +145,13 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
     distinct prefix of their first m-1 slots once per sample, parent
     times one coordinate, and its (n_prefix, chunk) leaf products times
     the chunk accumulate the prefix times every coordinate; a key's
-    moment is the sum at its cell, divided by N.  Memory beyond the
-    samples is O(_MOMENT_CHUNK * n_prefix + n_prefix * d).
+    moment is the sum at its cell, divided by N >= 1 (InvalidSamples
+    otherwise).  Memory beyond the samples is O(_MOMENT_CHUNK * n_prefix +
+    n_prefix * d).
     """
     Y = np.ascontiguousarray(samples.data, dtype=float)
+    if not len(Y):
+        raise InvalidSamples("no samples: moments need at least one")
 
     def values_at(key_arr):
         order = key_arr.shape[1]
@@ -158,9 +160,7 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
         if order == 1:
             return Y.mean(axis=0)[key_arr[:, 0]]
         tree = PrefixTree(key_arr)
-        # no samples still make one empty chunk, so the moments are 0 / 0
-        starts = range(0, max(len(Y), 1), _MOMENT_CHUNK)
-        chunks = (Y[start : start + _MOMENT_CHUNK] for start in starts)
+        chunks = (Y[s : s + _MOMENT_CHUNK] for s in range(0, len(Y), _MOMENT_CHUNK))
         sums = sum(tree.products(chunk)[-1] @ chunk for chunk in chunks)
         return tree.cells(sums) / len(Y)
 
@@ -388,8 +388,8 @@ def learn_from_moments(
 
 def learn(samples: SampleSet, r: int, m: int, seed: int = 0) -> GmmModel:
     """Moment-based learning from samples: estimate the order-m moments on
-    the distinct-index and repeated-pair keys plus the order-t moments,
-    then recover all parameters."""
+    the distinct-index and repeated-pair keys plus the order-t moments
+    (InvalidSamples without samples), then recover all parameters."""
     if m < 3:
         raise ValueError("moment order m must be at least 3")
     d = samples.d
@@ -552,6 +552,8 @@ def classify(model: GmmModel, samples: SampleSet) -> np.ndarray:
 def accuracy(labels: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of correct assignments after the maximum-agreement
     matching of predicted components to true components."""
+    import scipy.optimize
+
     labels = np.asarray(labels)
     truth = np.asarray(truth)
     if labels.size != truth.size:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
+# scipy is imported inside the functions that call it, here and across the
+# package, so that ``import momentmix`` and the exact pipeline never load it.
 from .errors import EigenFailure, IllConditioned, MaxIterations
 
 COND_LIMIT = 1e12
@@ -85,6 +85,8 @@ def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Nonnegative least squares min ||Ax - b||^2 s.t. x >= 0 via the
     Lawson-Hanson active-set method."""
+    import scipy.optimize
+
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
     try:
@@ -198,6 +200,8 @@ def _damped_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^-1 b for the damped Hermitian system of ``nlls_refine``: by
     Cholesky (upper triangle), by LU when A is not numerically positive
     definite.  Raises LinAlgError when A is singular."""
+    import scipy.linalg
+
     try:
         factor = scipy.linalg.cho_factor(A, check_finite=False)
     except np.linalg.LinAlgError:

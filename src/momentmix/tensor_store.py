@@ -10,9 +10,9 @@ batch of keys with one ``np.searchsorted``.  ``entries``, a tuple-keyed
 dict of the same entries, is derived from the arrays on first access.
 
 Products over many keys walk one ``PrefixTree``, which multiplies each
-distinct prefix of ascending keys once: the scale design, both
-reconstructions and the refinement's J^H f of ``decomposition`` use the
-tensor's cached ``tree``, and ``gmm``'s sample moments a tree of theirs.
+distinct prefix of ascending keys once: ``decomposition``'s scale stage,
+reconstructions and J^H f use the tensor's cached ``tree``, and ``gmm``'s
+sample moments a tree of theirs.
 
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
@@ -294,11 +294,6 @@ def _coordinate_sums(rows: np.ndarray, coord: np.ndarray, d: int) -> np.ndarray:
     bins = (coord[:, None] * width + np.arange(width)).ravel()
     sums = np.bincount(bins, rows.view(float).ravel(), d * width)
     return sums.view(complex).reshape(d, -1)
-
-
-def prefix_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``PrefixTree(keys).design(vectors)``."""
-    return PrefixTree(keys).design(vectors)
 
 
 def slot_partials(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:

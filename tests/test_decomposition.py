@@ -16,6 +16,7 @@ from momentmix.decomposition import (
     _k_range,
     _residual_builder,
     _scale_fit,
+    _scale_gram,
     _tail_blocks,
     PreconditionWarning,
     approximate,
@@ -248,7 +249,11 @@ def test_approximate_decomp_err_matches_decomp_err():
     # the array-form diagnostics equal the tensor-form ones bit for bit
     dec = approximate(Th, choose_params(9, 3, 3, seed=11), truth=T)
     assert dec.diagnostics["decomp_err"] == decomp_err(Th, dec.components)
-    rec = from_components(ComponentList(dec.components), 3, Th.key_array)
+    # the reconstruction is the tree's GEMM form, which agrees with the
+    # per-component sum of ``from_components`` to rounding
+    rec = Th.with_values(Th.tree.reconstruction(dec.components))
+    summed = from_components(ComponentList(dec.components), 3, Th.key_array)
+    assert np.abs(rec.values - summed.values).max() <= 1e-12 * np.abs(Th.values).max()
     diff = rec.with_values(rec.values - T.gather(rec.key_array))
     assert dec.diagnostics["abs_err"] == omega_norm(diff, Th.key_array)
     fit = np.linalg.norm(rec.values - Th.values)
@@ -515,6 +520,67 @@ def test_scale_fit_peak_memory_is_two_designs():
     finally:
         tracemalloc.stop()
     assert peak <= 2.05 * design_bytes
+
+
+def test_scale_fit_peak_memory_below_one_design():
+    # the Gram is closed-form and A x, A^H b go through the leaf products,
+    # so no (n_keys, r) design is formed
+    d, m, r = 20, 5, 30
+    comps, T = planted(d, m, r, seed=27)
+    full = (comps / comps[:, :1]).astype(complex)
+    design_bytes = len(T.values) * r * np.dtype(complex).itemsize
+    T.tree  # built once per tensor, outside the scale stage
+    tracemalloc.start()
+    try:
+        _scale_fit(T, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * design_bytes
+
+
+def gram_case(name):
+    """A d=14, m=4 tensor of noisy rank-6 values and complex components, on
+    the distinct-index keys, every sorted key, a random half of those, or
+    a sparse 5% of the distinct-index keys with one component scaled x3."""
+    rng = np.random.default_rng(70)
+    d, m, r = 14, 4, 6
+    full = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+    distinct = np.array(omega_keys(d, m), dtype=np.int64)
+    every = np.array(
+        list(itertools.combinations_with_replacement(range(d), m)), dtype=np.int64
+    )
+    if name == "omega":
+        keys = distinct
+    elif name == "repeated":
+        keys = every
+    elif name == "dropped":
+        keys = every[rng.random(len(every)) < 0.5]
+    else:
+        keys = distinct[np.sort(rng.choice(len(distinct), len(distinct) // 20, replace=False))]
+        full[2] *= 3.0
+    design = component_products(full, keys).T
+    values = design @ rng.standard_normal(r) + 0.01 * rng.standard_normal(len(keys))
+    T = IncompleteSymmetricTensor(d, m, dict(zip(map(tuple, keys.tolist()), values)))
+    return T, full, design
+
+
+@pytest.mark.parametrize("name", ["omega", "repeated", "dropped", "sparse"])
+def test_scale_gram_equals_design_gram(name):
+    T, full, design = gram_case(name)
+    want = design.conj().T @ design
+    got = _scale_gram(T, full)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_scale_fit_sparse_matches_equilibrated_lstsq():
+    T, full, design = gram_case("sparse")
+    assert len(T.values) <= 0.05 * binomial(T.d, T.m)
+    norms = np.linalg.norm(design, axis=0)
+    ref_lambdas = lstsq(design / norms, T.values).solution / norms
+    lambdas, rec, _ = _scale_fit(T, full)
+    assert np.linalg.norm(lambdas - ref_lambdas) <= 1e-10 * np.linalg.norm(ref_lambdas)
+    assert np.abs(rec - design @ lambdas).max() <= 1e-12 * np.abs(T.values).max()
 
 
 @st.composite

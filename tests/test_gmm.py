@@ -1,6 +1,7 @@
 """Mixture sampling, moments, parameter recovery, EM baseline, metrics."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -564,6 +565,22 @@ def test_refine_params_matches_finite_difference_path():
     w, mu = refine_params(w0, mu0, Mm, Mt)
     assert np.abs(w - w_fd).max() <= 1e-6
     assert np.abs(mu - mu_fd).max() <= 1e-6
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_sample_moments_reject_empty_samples(order):
+    empty = SampleSet(data=np.empty((0, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN moments behind a RuntimeWarning
+        with pytest.raises(InvalidSamples, match="no samples"):
+            sample_moments(empty, omega_keys(4, order))
+
+
+def test_learn_rejects_empty_samples():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSamples, match="no samples"):
+            learn(SampleSet(data=np.empty((0, 6))), 2, 3, seed=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -2,6 +2,9 @@
 sibling module: what one module shares with another is public."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,37 @@ def test_checker_finds_imports_and_reads():
 @pytest.mark.parametrize("module", SIBLINGS + ["__init__"])
 def test_no_private_sibling_reads(module):
     assert private_sibling_reads((PACKAGE / f"{module}.py").read_text()) == []
+
+
+# A fresh interpreter imports the package, checks that no scipy module that
+# costs import time is loaded, then runs the exact path through the CLI and
+# checks again.
+_SCIPY_FREE = """
+import sys
+import momentmix
+from momentmix.cli import main
+
+def loaded():
+    return sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules)
+
+print("import", loaded())
+out = sys.argv[1]
+assert main(["maxrank", "--d", "8", "--m", "4"]) == 0
+assert main(["gen-tensor", "--d", "8", "--m", "4", "--r", "3", "--seed", "4",
+             "--out", out + "/t.json"]) == 0
+assert main(["decompose", "--tensor", out + "/t.json", "--r", "3", "--seed", "4",
+             "--out", out + "/d.json"]) == 0
+print("cli", loaded())
+"""
+
+
+def test_import_and_exact_cli_leave_scipy_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if line.startswith(("import", "cli"))]
+    assert lines == ["import []", "cli []"]

@@ -18,7 +18,6 @@ from momentmix.tensor_store import (
     omega_keys,
     omega_norm,
     perturb,
-    prefix_products,
     product_jacobian,
     slot_partials,
     to_json,
@@ -318,7 +317,7 @@ def test_prefix_products_equal_component_products(m):
     vectors = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
     vectors[2] *= 1e-3  # a small component, so products span magnitudes
     for name, keys in _key_sets(d, m, rng).items():
-        got = prefix_products(vectors, keys)
+        got = PrefixTree(keys).design(vectors)
         assert got.flags.c_contiguous, name
         assert np.array_equal(got, component_products(vectors, keys).T), name
 
