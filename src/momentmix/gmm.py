@@ -43,6 +43,7 @@ from .errors import (
     InvalidSamples,
     MissingEntry,
     OrderConflict,
+    RankTooLarge,
 )
 from .numerics import nnls, rng_from, simplex_nlls
 from .tensor_store import (
@@ -148,12 +149,17 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
     moment is the sum at its cell, divided by N >= 1 (InvalidSamples
     otherwise).  Memory beyond the samples is O(_MOMENT_CHUNK * n_prefix +
     n_prefix * d).
+
+    A non-finite sample coordinate makes every moment whose key holds it
+    non-finite, so the samples are searched only when a moment is; that
+    raises InvalidSamples naming the first bad sample, or, with finite
+    samples, saying that their products overflow.
     """
     Y = np.ascontiguousarray(samples.data, dtype=float)
     if not len(Y):
         raise InvalidSamples("no samples: moments need at least one")
 
-    def values_at(key_arr):
+    def moments(key_arr):
         order = key_arr.shape[1]
         if order == 0:
             return np.ones(key_arr.shape[0])
@@ -163,6 +169,18 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
         chunks = (Y[s : s + _MOMENT_CHUNK] for s in range(0, len(Y), _MOMENT_CHUNK))
         sums = sum(tree.products(chunk)[-1] @ chunk for chunk in chunks)
         return tree.cells(sums) / len(Y)
+
+    def values_at(key_arr):
+        # inf * 0 and inf - inf are invalid, a product past 1e308 overflows
+        with np.errstate(invalid="ignore", over="ignore"):
+            values = moments(key_arr)
+        if not np.isfinite(values).all():
+            _reject_non_finite(Y)
+            raise InvalidSamples(
+                f"order-{key_arr.shape[1]} sample moments overflow: the samples are "
+                "finite but too large for their products"
+            )
+        return values
 
     return _moment_set(keys, values_at)
 
@@ -246,9 +264,12 @@ def realify(qs: np.ndarray, m: int) -> np.ndarray:
 
 
 def choose_t(d: int, r: int) -> int:
-    """Smallest moment order t with C(d, t) >= r."""
+    """Smallest moment order t with C(d, t) >= r; RankTooLarge when no
+    order t <= d has one."""
     t = 1
     while binomial(d, t) < r:
+        if t >= d:
+            raise RankTooLarge(r)
         t += 1
     return t
 

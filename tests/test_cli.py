@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,35 @@ def test_moments_command(tmp_path, capsys):
     keys = [tuple(e["key"]) for e in payload["entries"]]
     assert (0, 1, 2) in keys
     assert (0, 0, 1) in keys
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_moments_rejects_non_finite_samples(tmp_path, capsys, bad):
+    samples = tmp_path / "s.csv"
+    samples.write_text(f"0,1,2,3\n4,{bad},6,7\n8,9,10,11\n")
+    out_file = tmp_path / "m.json"
+    code, _, err = run(capsys, "moments", "--samples", str(samples),
+                       "--m", "3", "--out", str(out_file))
+    assert code == 1
+    assert "sample 1 is non-finite at coordinate 1" in err
+    assert not out_file.exists()
+
+
+def test_learn_rank_above_every_binomial_exits_2(tmp_path):
+    # choose_t once looped forever here, so the CLI runs in a child process
+    # that a timeout ends
+    samples = tmp_path / "s.csv"
+    np.savetxt(samples, np.random.default_rng(0).standard_normal((50, 3)), delimiter=",")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, "-m", "momentmix.cli", "learn", "--samples", str(samples),
+         "--r", "5", "--m", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "rank 5 too large" in done.stderr
 
 
 def test_experiment_table2(capsys):

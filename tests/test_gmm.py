@@ -10,10 +10,10 @@ from scipy.optimize import linear_sum_assignment
 from momentmix import gmm
 from momentmix.errors import (
     InvalidSamples,
-    InvalidTensor,
     MissingEntry,
     MomentmixError,
     OrderConflict,
+    RankTooLarge,
 )
 from momentmix.gmm import (
     GmmModel,
@@ -221,6 +221,13 @@ def test_choose_t():
     assert choose_t(4, 5) == 2
 
 
+def test_choose_t_rejects_rank_above_every_binomial():
+    # C(3, t) is at most 3, so no order holds 5 components
+    with pytest.raises(RankTooLarge, match="rank 5"):
+        choose_t(3, 5)
+    assert choose_t(3, 3) == 1
+
+
 def test_recover_weights_round_trip():
     omega = np.array([0.25, 0.75])
     mus = np.array([[1.0, 2.0, -1.0], [0.5, -0.5, 2.0]])
@@ -313,7 +320,8 @@ def test_learn_single_gaussian():
 def test_learn_rejects_nan_samples():
     s = sample_gmm(random_model(6, 2, seed=21), 2000, seed=21)
     s.data[5, 3] = np.nan
-    with pytest.raises(InvalidTensor):
+    # a sample fault, not a fault of the moment tensor built from them
+    with pytest.raises(InvalidSamples, match="sample 5 is non-finite at coordinate 3"):
         learn(s, 2, 3, seed=21)
 
 
@@ -581,6 +589,38 @@ def test_learn_rejects_empty_samples():
         warnings.simplefilter("error")
         with pytest.raises(InvalidSamples, match="no samples"):
             learn(SampleSet(data=np.empty((0, 6))), 2, 3, seed=1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_moments_reject_non_finite_samples(order, bad):
+    s = sample_gmm(random_model(6, 2, seed=5), 300, seed=5)
+    s.data[7, 2] = bad
+    s.data[9, 4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN moments behind a RuntimeWarning
+        with pytest.raises(InvalidSamples, match="sample 7 is non-finite at coordinate 2"):
+            sample_moments(s, omega_keys(6, order))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_learn_rejects_non_finite_samples(bad):
+    s = sample_gmm(random_model(6, 2, seed=5), 300, seed=5)
+    s.data[0, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSamples, match="sample 0 is non-finite at coordinate 5"):
+            learn(s, 2, 3, seed=5)
+
+
+def test_sample_moments_reject_overflowing_products():
+    s = sample_gmm(random_model(6, 2, seed=5), 300, seed=5)
+    s.data *= 1e120  # finite, but cubes pass 1e308
+    assert np.isfinite(sample_moments(s, omega_keys(6, 2)).values[(0, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSamples, match="finite but too large"):
+            sample_moments(s, omega_keys(6, 3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

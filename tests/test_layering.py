@@ -79,6 +79,27 @@ def test_no_private_sibling_reads(module):
     assert private_sibling_reads((PACKAGE / f"{module}.py").read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports in the source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_tensor_store_imports_gc():
+    # pausing the garbage collector is tensor_store's JSON read and write
+    # alone; nothing else may switch it
+    assert imported_modules(
+        "import os.path, gc\nfrom gc import disable\nfrom . import gc") == {"os", "gc"}
+    users = [m for m in SIBLINGS + ["__init__"]
+             if "gc" in imported_modules((PACKAGE / f"{m}.py").read_text())]
+    assert users == ["tensor_store"]
+
+
 # A fresh interpreter imports the package, checks that no scipy module that
 # costs import time is loaded, then runs the exact path through the CLI and
 # checks again.

@@ -1,10 +1,13 @@
 """Incomplete tensor storage, block extraction, norms, and JSON round trips."""
 
+import gc
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentmix.errors import InvalidTensor, KeyCollision, MissingEntry, OrderExceedsDim
 from momentmix.tensor_store import (
@@ -346,3 +349,93 @@ def test_prefix_tree_products_in_any_row_order(m):
         assert np.array_equal(leaf[tree.leaf], prefix), name
         grid = leaf[:, None, :] * vectors.T[None, :, :]
         assert np.array_equal(tree.cells(grid), want), name
+
+
+# The JSON read and write pause the cyclic garbage collector and leave it
+# as they found it, on success and on every failure.
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector's state on entry to the call under test."""
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    gc.enable()
+
+
+def test_json_round_trip_keeps_collector_state(collector):
+    T = from_components(ComponentList(np.ones((2, 6))), 3, omega_keys(6, 3))
+    text = to_json(T)
+    assert gc.isenabled() is collector
+    assert np.array_equal(from_json(text).values, T.values)
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"d": 4, "m": 3, "entries": [', json.JSONDecodeError),
+    ('{"d": 4, "m": 3}', InvalidTensor),
+    (_tensor_json(([0, 2, 1], 1.0)), InvalidTensor),
+    (_tensor_json(([0, 1, 2], float("nan"))), InvalidTensor),
+], ids=["not-json", "malformed", "bad-key", "non-finite"])
+def test_json_read_failure_keeps_collector_state(collector, text, error):
+    with pytest.raises(error):
+        from_json(text)
+    assert gc.isenabled() is collector
+
+
+def test_json_write_failure_keeps_collector_state(collector):
+    with pytest.raises(AttributeError):
+        to_json(None)
+    assert gc.isenabled() is collector
+
+
+def test_json_read_and_write_run_no_collection():
+    # 2,380 records allocate several thousand containers, past the young
+    # generation's threshold of a few hundred
+    T = from_components(ComponentList(np.ones((1, 17))), 4, omega_keys(17, 4))
+    runs = []
+
+    def record(phase, info):
+        runs.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        from_json(to_json(T))
+    finally:
+        gc.callbacks.remove(record)
+    assert runs == []
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 2.0**53]
+
+
+@st.composite
+def tensor_documents(draw):
+    """``to_json`` text of an order-m, dimension-d tensor on a strictly
+    ascending subset of the sorted keys (repeated indices included), with
+    its key and value arrays."""
+    d, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    every = list(itertools.combinations_with_replacement(range(d), m))
+    picked = sorted(draw(st.sets(st.sampled_from(every), max_size=40)))
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    re = draw(st.lists(floats, min_size=len(picked), max_size=len(picked)))
+    im = draw(st.lists(floats, min_size=len(picked), max_size=len(picked)))
+    records = [{"key": list(k), "re": a, "im": b} for k, a, b in zip(picked, re, im)]
+    text = json.dumps({"d": d, "m": m, "entries": records}, separators=(",", ":"))
+    keys = np.array(picked, dtype=np.int64).reshape(len(picked), m)
+    values = np.empty(len(picked), dtype=complex)
+    values.real, values.imag = re, im
+    return text, keys, values
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tensor_documents())
+def test_json_round_trip_property(document):
+    text, keys, values = document
+    T = from_json(text)
+    assert to_json(T) == text
+    assert T.key_array.dtype == np.int64 and T.values.dtype == complex
+    assert np.array_equal(T.key_array, keys)
+    # bit for bit, so -0.0 stays negative
+    assert T.values.tobytes() == values.tobytes()
