@@ -464,9 +464,9 @@ def approximate(
     """Noisy pipeline: run the exact stages on the noisy subtensor, then
     refine all component entries by damped Gauss-Newton on the complex
     residual over the stored keys.  diagnostics["lm_iterations"] counts the
-    normal-equation evaluations of the refinement and
+    normal-equation evaluations of the refinement,
     diagnostics["lm_residual_calls"] its residual evaluations, one per tried
-    damping.
+    damping, and diagnostics["lm_stop"] names why it ended (``Refined``).
 
     When ``truth`` is supplied the diagnostics carry abs_err (the
     ``omega_norm`` distance of the reconstruction to the exact tensor) and
@@ -489,13 +489,13 @@ def approximate(
         base.components.ravel(),
         normal_equations=counted(normal_equations, "lm_iterations"),
     )
-    components = q_star.reshape(base.components.shape)
+    components = np.asarray(q_star).reshape(base.components.shape)
     rec = T_noisy.tree.reconstruction(components)
     fit = rec - T_noisy.values
     diagnostics = dict(base.diagnostics)
     diagnostics["decomp_err"] = _relative_err(T_noisy, fit)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
-    diagnostics.update(calls)
+    diagnostics.update(calls, lm_stop=q_star.stop)
     if truth is not None:
         truth_values = truth.gather(T_noisy.key_array)
         noise_norm = np.linalg.norm(T_noisy.values - truth_values)

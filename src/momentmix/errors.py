@@ -93,4 +93,14 @@ class CovDesignDegenerate(MomentmixError):
 
 
 class InvalidSamples(MomentmixError, ValueError):
-    """Sample data with a non-finite value."""
+    """Sample data with a non-finite value, or too few samples."""
+
+
+class TooFewSamples(InvalidSamples):
+    """Fewer samples than ``learn`` estimates moments: at least one sample
+    per order-m learning key is required."""
+
+
+class InvalidMomentKey(MomentmixError, ValueError):
+    """Moment keys of more than one order, or a moment key with a slot
+    that is not an integer or lies outside the coordinates."""

@@ -12,18 +12,23 @@ key arrays from the tensor path's ``component_products``, and each stage
 reads its moments with one ``MomentSet.gather``.
 
 The kernels that touch every sample are matrix products.  Sample moments
-walk the tensor path's ``PrefixTree`` over row chunks of the samples:
-each distinct prefix of the first m-1 slots costs one multiply per
-sample, and the leaf products times the chunk give every last slot at
-once, so the working memory is O(chunk * prefixes) whatever N is.
+walk the tensor path's ``PrefixTree`` over row chunks of the samples in
+power coordinates, where a run of t equal slots c is one slot reading
+column c of Y^t: each distinct prefix costs one multiply per sample, and
+each level's prefix products times the chunk's powers give every last
+slot at once, so the working memory is O(chunk * prefixes) whatever N is.
+A repeated-pair key (j, j, gamma) reads the product over gamma, one level
+above the distinct keys' leaves, times y_j^2.
+
 The log-density of every component is linear in [y, y * y] with one
 constant, so it is a product with one (r, 2d) coefficient matrix instead
 of an (N, r, d) difference.  EM runs each iteration as one pass over the
 same row chunks, component-major: per chunk, one (r, 2d) x (2d, chunk)
-product gives the log-densities, and one (r, chunk) x (chunk, 2d) product
-adds the chunk's responsibilities to the next M-step, so no array of N
-rows is built.  ``classify`` keeps the (N, r) layout of its argmax and
-forms it as two (N, d) x (d, r) products.
+product gives the log-densities, floored at e^-500 below each column's
+largest before they are exponentiated, and one (r, chunk) x (chunk, 2d)
+product adds the chunk's responsibilities to the next M-step, so no
+array of N rows is built.  ``classify`` keeps the (N, r) layout of its
+argmax and forms it as two (N, d) x (d, r) products.
 """
 
 from __future__ import annotations
@@ -40,10 +45,12 @@ from .decomposition import approximate, choose_params
 from .errors import (
     CovDesignDegenerate,
     DegenerateWeight,
+    InvalidMomentKey,
     InvalidSamples,
     MissingEntry,
     OrderConflict,
     RankTooLarge,
+    TooFewSamples,
 )
 from .numerics import nnls, rng_from, simplex_nlls
 from .tensor_store import (
@@ -62,6 +69,13 @@ _BETA_FLOOR = 1e-12
 # the (n_prefix, chunk) prefix products stay a few megabytes for the Table-4
 # moment set and EM's two chunk buffers stay under a megabyte at d=15.
 _MOMENT_CHUNK = 2048
+# Floor of EM's log-ratios to a column's largest term, applied before they
+# are exponentiated: exp takes a slow path on inputs that underflow (below
+# about -708 its result is subnormal, below -745 zero), and subnormal
+# responsibilities slow the M-step product too.  A term e^-500 below its
+# column's largest is under 1e-200 of the column sum, so flooring it moves
+# no likelihood or sum that has a component's weight in it.
+_EM_LOG_FLOOR = -500.0
 
 
 @dataclass
@@ -141,23 +155,34 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
     """Empirical moments: for each key (all of one order m), the mean over
     samples of the product of the indexed coordinates.
 
-    Order 1 is the column mean.  Above it, for each chunk of at most
-    ``_MOMENT_CHUNK`` rows, the ``PrefixTree`` of the keys multiplies each
-    distinct prefix of their first m-1 slots once per sample, parent
-    times one coordinate, and its (n_prefix, chunk) leaf products times
-    the chunk accumulate the prefix times every coordinate; a key's
-    moment is the sum at its cell, divided by N >= 1 (InvalidSamples
-    otherwise).  Memory beyond the samples is O(_MOMENT_CHUNK * n_prefix +
-    n_prefix * d).
+    Order 1 is the column mean.  Above it every key is a distinct-index
+    key over power coordinates (``_run_codes``): a run of t slots equal to
+    c is one slot reading column (t-1)*d + c of Z = [Y, Y^2, ..., Y^T], T
+    the longest run.  Sorted, its power-1 slots come first, so a
+    repeated-pair key (j, j, gamma) is the distinct key gamma followed by
+    the Y^2 column of j, and one ``PrefixTree`` holds the prefixes of
+    every key: the (m-2)-subsets gamma sit one level above the leaves of
+    the distinct keys, which share them.  For each chunk of at most
+    ``_MOMENT_CHUNK`` rows the tree multiplies each of its prefixes once
+    per sample, parent times one column of Z, and for each level that
+    keys' prefixes end at, its (n_prefix, chunk) products times the chunk's
+    columns of Z that those keys' last slots read accumulate the sums of
+    every such prefix times every such column; one-slot keys, such as
+    (j, j, j), take the column sums.  A key's moment is the sum at its
+    cell, divided by N >= 1 (InvalidSamples otherwise).  Memory beyond the
+    samples is O(_MOMENT_CHUNK * (n_prefix + T * d) + n_prefix * T * d).
 
-    A non-finite sample coordinate makes every moment whose key holds it
-    non-finite, so the samples are searched only when a moment is; that
-    raises InvalidSamples naming the first bad sample, or, with finite
-    samples, saying that their products overflow.
+    Keys of more than one order, non-integer slots and a slot outside
+    range(d) raise InvalidMomentKey.  A non-finite sample coordinate makes
+    every moment whose key holds it non-finite, so the samples are
+    searched only when a moment is; that raises InvalidSamples naming the
+    first bad sample, or, with finite samples, saying that their products
+    overflow.
     """
     Y = np.ascontiguousarray(samples.data, dtype=float)
     if not len(Y):
         raise InvalidSamples("no samples: moments need at least one")
+    d = Y.shape[1]
 
     def moments(key_arr):
         order = key_arr.shape[1]
@@ -165,10 +190,44 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
             return np.ones(key_arr.shape[0])
         if order == 1:
             return Y.mean(axis=0)[key_arr[:, 0]]
-        tree = PrefixTree(key_arr)
-        chunks = (Y[s : s + _MOMENT_CHUNK] for s in range(0, len(Y), _MOMENT_CHUNK))
-        sums = sum(tree.products(chunk)[-1] @ chunk for chunk in chunks)
-        return tree.cells(sums) / len(Y)
+        codes = _run_codes(key_arr, d)
+        # the codes of each key ascending, then its absent slots
+        top = codes.max() + 1
+        walk = np.sort(np.where(codes < 0, top, codes), axis=1)
+        walk[walk == top] = -1
+        row_order = np.lexsort(walk.T[::-1])
+        tree = PrefixTree(walk[row_order])
+        width = (codes.max() // d + 1) * d  # the columns of Z
+        # per prefix level that keys end at: those keys, and the columns
+        # [lo, hi) of Z that their last slots read, widened to a multiple of
+        # 8 where Z allows (OpenBLAS multiplies 16 columns faster than 13 or
+        # 15 on one thread)
+        ends = []
+        for depth in np.unique(tree.depth).tolist():
+            at = np.flatnonzero(tree.depth == depth)
+            lo, hi = tree.last[at].min(), tree.last[at].max() + 1
+            padded = -((lo - hi) // 8) * 8
+            hi = min(lo + padded, width)
+            ends.append((depth, at, max(hi - padded, 0), hi))
+        sums = [0.0] * len(ends)
+        Z = np.empty((min(len(Y), _MOMENT_CHUNK), width))
+        for start in range(0, len(Y), _MOMENT_CHUNK):
+            chunk = Y[start : start + _MOMENT_CHUNK]
+            z = Z[: len(chunk)]
+            z[:, :d] = chunk
+            for t in range(d, z.shape[1], d):
+                np.multiply(z[:, t - d : t], chunk, out=z[:, t : t + d])
+            prods = tree.products(z)
+            for e, (depth, _, lo, hi) in enumerate(ends):
+                if depth < 0:
+                    sums[e] = sums[e] + z[:, lo:hi].sum(axis=0, keepdims=True)
+                else:
+                    sums[e] = sums[e] + prods[depth] @ z[:, lo:hi]
+        values = np.empty(len(walk))
+        for (depth, at, lo, _), grid in zip(ends, sums):
+            node = tree.leaf[at] if depth >= 0 else 0
+            values[row_order[at]] = grid.reshape(-1)[node * grid.shape[1] + tree.last[at] - lo]
+        return values / len(Y)
 
     def values_at(key_arr):
         # inf * 0 and inf - inf are invalid, a product past 1e308 overflows
@@ -182,17 +241,40 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
             )
         return values
 
-    return _moment_set(keys, values_at)
+    return _moment_set(keys, d, values_at)
 
 
-def _moment_set(keys: list[TensorKey], values_at) -> MomentSet:
+def _moment_set(keys: list[TensorKey], d: int, values_at) -> MomentSet:
     """Moments at ``keys``, each sorted, from ``values_at`` of their sorted
-    (n, order) array; no keys give an empty order-0 set."""
-    if not keys:
+    (n, order) array; no keys give an empty order-0 set.  Keys of more than
+    one order, a slot that is not an integer and a slot outside range(d)
+    each raise InvalidMomentKey naming the first key at fault."""
+    if not len(keys):
         return MomentSet(order=0, values={})
-    key_arr = np.sort(np.asarray(keys, dtype=np.intp), axis=1)
+    try:
+        key_arr = np.asarray(keys)
+    except ValueError:  # keys of more than one order
+        key = next(k for k in keys if len(k) != len(keys[0]))
+        raise InvalidMomentKey(f"moment key {tuple(key)} is not of order {len(keys[0])}") from None
+    if key_arr.dtype.kind not in "iu":
+        raise InvalidMomentKey(
+            f"moment keys must have integer slots, not {key_arr.dtype}: {tuple(keys[0])}"
+        )
+    outside = ((key_arr < 0) | (key_arr >= d)).any(axis=1)
+    if outside.any():
+        key = tuple(key_arr[np.argmax(outside)].tolist())
+        raise InvalidMomentKey(f"moment key {key} has a slot outside range({d})")
+    key_arr = np.sort(key_arr.astype(np.intp, copy=False), axis=1)
     values = dict(zip(map(tuple, key_arr.tolist()), values_at(key_arr).tolist()))
     return MomentSet(order=key_arr.shape[1], values=values)
+
+
+def _run_codes(key_arr: np.ndarray, d: int) -> np.ndarray:
+    """The power coordinates of sorted (n, m) keys: (t-1) * d + c at the
+    last slot of each run of t slots equal to c, -1 at the other slots."""
+    run_length = (key_arr[:, :, None] == key_arr[:, None, :]).sum(axis=2)
+    run_end = np.diff(key_arr, axis=1, append=-1) != 0
+    return np.where(run_end, (run_length - 1) * d + key_arr, -1)
 
 
 def univariate_gaussian_moment(mu: float, var: float, t: int) -> float:
@@ -210,22 +292,21 @@ def univariate_gaussian_moment(mu: float, var: float, t: int) -> float:
 def exact_moments(model: GmmModel, keys: list[TensorKey]) -> MomentSet:
     """Population moments of a diagonal mixture: coordinates factor, so a
     key's value is a weight-sum of products of univariate moments at the
-    key's per-coordinate multiplicities.  Column c * (m + 1) + t of the
-    table holds E[z_c^t]; a key's code is that column at the last slot of
-    each run of t slots equal to c, and column 0, E[z_0^0] = 1, elsewhere."""
+    key's per-coordinate multiplicities.  Column (t-1) * d + c of the table
+    holds E[z_c^t] and its last column E[z^0] = 1, so a key's power
+    coordinates (``_run_codes``, with -1 reading the last column) index
+    its factors.  Keys are checked as by ``sample_moments``."""
 
     def values_at(key_arr):
         m = key_arr.shape[1]
         mu, var = model.means, model.variances
-        per_order = [univariate_gaussian_moment(mu, var, t) for t in range(m + 1)]
-        table = np.stack(np.broadcast_arrays(*per_order), axis=2).reshape(model.r, -1)
-        run_length = (key_arr[:, :, None] == key_arr[:, None, :]).sum(axis=2)
-        run_end = np.diff(key_arr, axis=1, append=-1) != 0
-        codes = np.where(run_end, key_arr * (m + 1) + run_length, 0)
+        per_order = [univariate_gaussian_moment(mu, var, t) for t in range(1, m + 1)]
+        table = np.hstack(per_order + [np.ones((model.r, 1))])
+        codes = _run_codes(key_arr, model.d)
         # summed one component at a time, as the per-key sum was
         return (model.weights[:, None] * component_products(table, codes)).sum(axis=0)
 
-    return _moment_set(keys, values_at)
+    return _moment_set(keys, model.d, values_at)
 
 
 def covariance_keys(d: int, m: int, j: int) -> list[TensorKey]:
@@ -384,7 +465,9 @@ def learn_from_moments(
 ) -> GmmModel:
     """Full recovery from moment sets: tensor approximation on the order-m
     distinct-index subtensor, phase correction, weight/mean recovery,
-    simplex refinement, then covariance recovery."""
+    simplex refinement, then covariance recovery.  meta["decomp"] holds
+    the approximation's diagnostics and meta["lm_stop"] why each
+    refinement ended, ``{"tensor": ..., "simplex": ...}`` (``Refined``)."""
     m = Mm.order
     t = Mt.order
     params = choose_params(d - 1, m, r, seed=seed)
@@ -403,19 +486,33 @@ def learn_from_moments(
         weights=omega_star,
         means=mus_star,
         variances=variances,
-        meta={"decomp": dec.diagnostics},
+        meta={
+            "decomp": dec.diagnostics,
+            "lm_stop": {"tensor": dec.diagnostics["lm_stop"], "simplex": omega_star.stop},
+        },
     )
 
 
 def learn(samples: SampleSet, r: int, m: int, seed: int = 0) -> GmmModel:
     """Moment-based learning from samples: estimate the order-m moments on
-    the distinct-index and repeated-pair keys plus the order-t moments
-    (InvalidSamples without samples), then recover all parameters."""
+    the distinct-index and repeated-pair keys plus the order-t moments,
+    then recover all parameters.
+
+    It needs at least one sample per order-m moment it estimates, N >=
+    len(learning_keys(d, m)) (50 at d=6, m=3; 665 at d=15, m=3): fewer
+    raise TooFewSamples, an InvalidSamples, and no samples at all
+    InvalidSamples."""
     if m < 3:
         raise ValueError("moment order m must be at least 3")
     d = samples.d
     t = choose_t(d, r)
-    Mm = sample_moments(samples, learning_keys(d, m))
+    keys = learning_keys(d, m)
+    if 0 < len(samples.data) < len(keys):
+        raise TooFewSamples(
+            f"{len(samples.data)} samples for {len(keys)} order-{m} moments: "
+            "learn needs at least one sample per moment"
+        )
+    Mm = sample_moments(samples, keys)
     Mt = sample_moments(samples, omega_keys(d, t))
     return learn_from_moments(Mm, Mt, d, r, seed=seed)
 
@@ -437,9 +534,14 @@ def em_baseline(
     ``W @ z`` plus a per-component constant, and each column is normalised
     into responsibilities R that at once add the chunk's share of the
     log-likelihood and of the next M-step's sums ``R.sum(1)`` and
-    ``R @ z^T``.  The first M-step reads the random responsibilities
-    chunk by chunk from one stream, so they equal a single (N, r) draw.
-    Memory beyond the samples is O(_MOMENT_CHUNK * (2d + r)).
+    ``R @ z^T``.  Before each column is exponentiated, its log-densities
+    less the column's largest are floored at ``_EM_LOG_FLOOR`` (-500): a
+    term below e^-500 relative to its column's largest term counts as
+    e^-500, so no exponential underflows into numpy's slow path and no
+    responsibility is subnormal.  The first M-step reads the random
+    responsibilities chunk by chunk from one stream, so they equal a
+    single (N, r) draw.  Memory beyond the samples is
+    O(_MOMENT_CHUNK * (2d + r)).
     """
     Y = np.ascontiguousarray(samples.data, dtype=float)
     N, d = Y.shape
@@ -480,6 +582,7 @@ def em_baseline(
             R += c
             top = R.max(axis=0)
             R -= top
+            np.maximum(R, _EM_LOG_FLOOR, out=R)
             np.exp(R, out=R)
             total = R.sum(axis=0)
             ll += float((top + np.log(total)).sum())

@@ -130,12 +130,33 @@ def _fd_jacobian(residual: Callable, x: np.ndarray, f0: np.ndarray) -> np.ndarra
     return J
 
 
+class Refined(np.ndarray):
+    """The point ``nlls_refine`` returns: an array whose ``stop`` says why
+    the refinement ended, one of
+
+    - ``"gradient"``: every gradient entry is at most ``_GRAD_TOL``;
+    - ``"step"``: an accepted step is below 1e-15 of the point's norm;
+    - ``"floor"``: a rejected step's objective is within the rounding
+      floor, ``_FLOOR_RTOL``, of the current one;
+    - ``"no-descent"``: 30 dampings in a row were rejected above the floor;
+    - ``"iterations"``: ``max_iters`` normal-equation evaluations ran out.
+    """
+
+    def __new__(cls, x, stop):
+        out = np.asarray(x).view(cls)
+        out.stop = stop
+        return out
+
+    def __array_finalize__(self, obj):
+        self.stop = getattr(obj, "stop", None)
+
+
 def nlls_refine(
     residual: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     max_iters: int = 200,
     normal_equations: Callable[[np.ndarray, np.ndarray], tuple] | None = None,
-) -> np.ndarray:
+) -> Refined:
     """Levenberg-Marquardt style damped Gauss-Newton minimization of
     ||residual(x)||^2.  A step is taken only when it lowers the objective,
     so the returned point never has a larger objective than x0.
@@ -153,7 +174,8 @@ def nlls_refine(
     Besides the gradient, step and iteration limits, the refinement ends
     at the objective's rounding floor: when a rejected step's objective
     exceeds the current one by at most ``_FLOOR_RTOL`` of it, no damping
-    can show a decrease that rounding does not swamp.
+    can show a decrease that rounding does not swamp.  The returned
+    ``Refined`` point names the one of these that ended it in ``stop``.
     """
     if normal_equations is None:
 
@@ -168,9 +190,10 @@ def nlls_refine(
     for _ in range(max_iters):
         JtJ, grad = normal_equations(x, f)
         if np.maximum(np.abs(grad.real), np.abs(grad.imag)).max() <= _GRAD_TOL:
+            stop = "gradient"
             break
         diag = JtJ.diagonal().copy()
-        accepted = False
+        stop = "no-descent"
         for _ in range(30):
             np.fill_diagonal(JtJ, diag + lam)
             try:
@@ -184,16 +207,20 @@ def nlls_refine(
             if cost_new < cost:
                 x, f, cost = x_new, f_new, cost_new
                 lam = max(lam / 3.0, 1e-14)
-                accepted = True
+                stop = None
                 break
             if cost_new - cost <= _FLOOR_RTOL * cost:  # the rounding floor
+                stop = "floor"
                 break
             lam *= 4.0
-        if not accepted:
+        if stop is not None:
             break
         if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
+            stop = "step"
             break
-    return x
+    else:
+        stop = "iterations"
+    return Refined(x, stop)
 
 
 def _damped_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,7 +253,8 @@ def simplex_nlls(
     small dense J.T @ J and J.T @ f go to ``nlls_refine``.  Without it,
     ``nlls_refine`` differences the residual.
 
-    The returned omega is exactly renormalized onto the simplex.
+    The returned omega is exactly renormalized onto the simplex, a
+    ``Refined`` array carrying the ``stop`` of ``nlls_refine``.
     """
     omega0 = np.asarray(omega0, dtype=float)
     mu0 = np.atleast_2d(np.asarray(mu0, dtype=float))
@@ -267,6 +295,5 @@ def simplex_nlls(
 
     x0 = np.concatenate([np.sqrt(omega0), mu0.ravel()])
     x_star = nlls_refine(wrapped, x0, normal_equations=normal_equations)
-    omega, mu = unpack(x_star)
-    omega = omega / omega.sum()
-    return omega, mu
+    omega, mu = unpack(np.asarray(x_star))
+    return Refined(omega / omega.sum(), getattr(x_star, "stop", None)), mu

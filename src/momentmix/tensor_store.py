@@ -221,20 +221,39 @@ class PrefixTree:
     decreases, so each prefix's children are one run.  Key k's first m-1
     slots (first slot when m = 1) are prefix ``leaf[k]`` of level
     max(m-2, 0); for m >= 2 its product is cell ``(leaf[k], last[k])`` of a
-    leaf-prefix x coordinate grid."""
+    leaf-prefix x coordinate grid.
+
+    A key may be shorter than m: its trailing slots are then -1, absent.
+    Key k's prefix, all its slots but the last one ``last[k]``, is prefix
+    ``leaf[k]`` of level ``depth[k]``, the key's length minus 2; a
+    one-slot key has depth -1 and no prefix.  Full-length keys all have depth m-2, and
+    only they have the cells that ``cells``, ``design``,
+    ``reconstruction`` and ``adjoint`` read."""
 
     def __init__(self, keys: np.ndarray):
         n, self.m = keys.shape
+        length = np.full(n, self.m)
+        short = np.flatnonzero(keys[:, -1] < 0)
+        length[short] = (keys[short] >= 0).sum(axis=1)
         leaf = keys[:, 0]
         new = np.ones(n, dtype=bool)  # new[k]: key k's prefix differs from key k-1's
         new[1:] = keys[1:, 0] != keys[:-1, 0]
         self.levels = []
         for s in range(1, self.m - 1):
             new[1:] |= keys[1:, s] != keys[:-1, s]
-            starts = np.flatnonzero(new)
+            # keys whose prefix ends above level s keep their leaf, and the
+            # key after one has no node of its own to share from here on
+            ended = short[length[short] <= s + 1]
+            new[ended[ended < n - 1] + 1] = True
+            start = new.copy()
+            start[ended] = False
+            starts = np.flatnonzero(start)
             self.levels.append((leaf[starts], keys[starts, s]))
-            leaf = np.cumsum(new) - 1
-        self.leaf, self.last = leaf, keys[:, -1]
+            index = np.cumsum(start) - 1
+            index[ended] = leaf[ended]
+            leaf = index
+        self.leaf, self.depth = leaf, length - 2
+        self.last = keys[np.arange(n), length - 1] if len(short) else keys[:, -1]
 
     def products(self, vectors: np.ndarray) -> list[np.ndarray]:
         """[vectors.T, P_1, ..., P_{m-2}] in C order: row j of P_s is each

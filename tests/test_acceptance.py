@@ -150,6 +150,26 @@ def test_exact_moment_gmm_recovery():
         print(f"PASS oracle gmm (d={d},r={r},m={m}): worst joint err {worst:.2e}")
 
 
+def test_exact_moment_gmm_recovery_m5():
+    # the paper's headline: order 5 learns twice the m=3 bound's rank
+    d, r, m = 15, 12, 5
+    t = choose_t(d, r)
+    keys_m = set(omega_keys(d, m))
+    for j in range(d):
+        keys_m.update(covariance_keys(d, m, j))
+    worst = 0.0
+    for seed in range(1, 9):
+        model = random_model(d, r, seed=seed)
+        Mm = exact_moments(model, sorted(keys_m))
+        Mt = exact_moments(model, omega_keys(d, t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            learned = learn_from_moments(Mm, Mt, d, r, seed=3)
+        worst = max(worst, _joint_error(model, learned))
+    assert worst <= 1e-6
+    print(f"PASS oracle gmm (d={d},r={r},m={m}): worst joint err {worst:.2e}")
+
+
 def test_sampled_gmm_vs_em():
     start = time.time()
     accs, ems = [], []

@@ -139,6 +139,27 @@ def test_approximate_with_synthetic_noise(tmp_path, capsys):
         assert f"epsilon must be finite and nonnegative, got {epsilon}" in line
 
 
+def test_approximate_out_records_the_lm_stop(tmp_path, capsys):
+    tensor, out_file = tmp_path / "t.json", tmp_path / "dec.json"
+    run(capsys, "gen-tensor", "--d", "10", "--m", "3", "--r", "3",
+        "--seed", "2", "--out", str(tensor))
+    code, _, _ = run(capsys, "approximate", "--tensor", str(tensor), "--r", "3",
+                     "--epsilon", "0.01", "--seed", "2", "--out", str(out_file))
+    assert code == 0
+    stop = json.loads(out_file.read_text())["diagnostics"]["lm_stop"]
+    assert stop in {"gradient", "step", "floor", "no-descent", "iterations"}
+    assert dec_from_json(out_file.read_text()).diagnostics["lm_stop"] == stop
+
+
+def test_learn_with_fewer_samples_than_moments_exits_1(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    np.savetxt(samples, np.random.default_rng(0).standard_normal((20, 6)), delimiter=",")
+    code, _, err = run(capsys, "learn", "--samples", str(samples), "--r", "2", "--m", "3")
+    assert code == 1
+    (line,) = _error_lines(err)
+    assert "20 samples for 50 order-3 moments" in line
+
+
 def test_gmm_pipeline(tmp_path, capsys):
     model_file = tmp_path / "model.json"
     samples = tmp_path / "samples.csv"

@@ -359,6 +359,17 @@ def test_approximate_counts_lm_iterations_noisy():
     assert dec.diagnostics["lm_residual_calls"] >= dec.diagnostics["lm_iterations"]
 
 
+def test_approximate_names_why_the_refinement_stopped():
+    comps, T = planted(8, 3, 2, seed=9)
+    assert approximate(T, choose_params(7, 3, 2, seed=9)).diagnostics["lm_stop"] == "gradient"
+    # a draw of the noisy order-4 setting ends well before the cap
+    comps, T = planted(25, 4, 16, seed=12)
+    dec = approximate(perturb(T, 0.01, 12), choose_params(24, 4, 16, seed=12))
+    assert dec.diagnostics["lm_stop"] in {"gradient", "step", "floor", "no-descent"}
+    assert dec.diagnostics["lm_iterations"] < 200
+    assert type(dec.components) is np.ndarray
+
+
 def scale_case(case):
     """A tensor and the normalised components full_i = q_i / q_i0 whose
     scales it is fitted with."""

@@ -9,11 +9,13 @@ from scipy.optimize import linear_sum_assignment
 
 from momentmix import gmm
 from momentmix.errors import (
+    InvalidMomentKey,
     InvalidSamples,
     MissingEntry,
     MomentmixError,
     OrderConflict,
     RankTooLarge,
+    TooFewSamples,
 )
 from momentmix.gmm import (
     GmmModel,
@@ -798,3 +800,140 @@ def test_em_rejects_empty_rank_and_iterations(kwargs, name):
     s = sample_gmm(random_model(4, 2, seed=30), 200, seed=30)
     with pytest.raises(ValueError, match=rf"^{name} must be at least 1"):
         em_baseline(s, **kwargs)
+
+
+# Power-coordinate sample moments: keys with runs of every length, in any
+# slot order, against per-key products.
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("rows", ["below", "equal", "ragged"])
+def test_power_coordinate_moments_equal_per_key_products(order, rows):
+    chunk = gmm._MOMENT_CHUNK
+    n = {"below": chunk - 1, "equal": chunk, "ragged": 2 * chunk + 37}[rows]
+    s = sample_gmm(random_model(5, 2, seed=31), n, seed=31)
+    rng = np.random.default_rng(31 + order)
+    # every multiset of slots: runs of length 1..order, several runs per key
+    keys = [tuple(rng.permutation(k).tolist())
+            for k in itertools.combinations_with_replacement(range(5), order)]
+    got = sample_moments(s, keys)
+    assert sorted(got.values) == sorted({tuple(sorted(k)) for k in keys})
+    for key in keys:
+        want = np.prod(s.data[:, list(key)], axis=1).mean()
+        assert abs(got[key] - want) <= 1e-12 * abs(want), key
+
+
+@pytest.mark.parametrize("bad", [(0, 1, -1), (0, 4, 1), (2, 2, 7)])
+def test_moment_keys_outside_the_coordinates_fail_loudly(bad):
+    model = random_model(4, 2, seed=32)
+    s = sample_gmm(model, 100, seed=32)
+    keys = [(0, 1, 2), bad]
+    for moments in (lambda: sample_moments(s, keys), lambda: exact_moments(model, keys)):
+        with pytest.raises(InvalidMomentKey, match=rf"moment key \({bad[0]}, {bad[1]}, {bad[2]}\) "
+                                                   r"has a slot outside range\(4\)"):
+            moments()
+
+
+def test_moment_keys_of_mixed_orders_or_fractional_slots_fail_loudly():
+    model = random_model(4, 2, seed=32)
+    s = sample_gmm(model, 100, seed=32)
+    for keys, message in (([(0, 1, 2), (3,)], r"moment key \(3,\) is not of order 3"),
+                          ([(0.5, 1.7, 2)], "moment keys must have integer slots, not float64")):
+        for moments in (lambda: sample_moments(s, keys), lambda: exact_moments(model, keys)):
+            with pytest.raises(InvalidMomentKey, match=message):
+                moments()
+
+
+def test_learn_rejects_fewer_samples_than_moments():
+    s = sample_gmm(random_model(6, 2, seed=33), 20, seed=33)
+    n_keys = len(learning_keys(6, 3))
+    assert n_keys == 50
+    with pytest.raises(TooFewSamples, match="20 samples for 50 order-3 moments"):
+        learn(s, 2, 3, seed=33)
+    assert issubclass(TooFewSamples, InvalidSamples)
+    # the rule's boundary: one sample per moment passes it
+    s = sample_gmm(random_model(6, 2, seed=33), n_keys, seed=33)
+    try:
+        learn(s, 2, 3, seed=33)
+    except TooFewSamples:
+        pytest.fail("N equal to the number of learning moments is enough")
+    except MomentmixError:
+        pass
+
+
+def test_learn_records_why_each_refinement_stopped():
+    # model 93's tensor refinement runs into its 200-iteration cap
+    s = sample_gmm(random_model(15, 6, seed=93), 100_000, seed=93)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        learned = learn(s, 6, 3, seed=93)
+    reasons = {"gradient", "step", "floor", "no-descent", "iterations"}
+    assert learned.meta["lm_stop"]["tensor"] == "iterations"
+    assert learned.meta["decomp"]["lm_stop"] == "iterations"
+    assert learned.meta["decomp"]["lm_iterations"] == 200
+    assert learned.meta["lm_stop"]["simplex"] in reasons
+    assert type(learned.weights) is np.ndarray
+
+
+# The floored EM pass: no underflow, and the same iterates as without it.
+
+
+def _readme_samples():
+    return sample_gmm(random_model(15, 6, seed=1), 100_000, seed=1)
+
+
+def test_em_pass_does_not_underflow():
+    s = _readme_samples()
+    with np.errstate(under="raise"):
+        em = em_baseline(s, 6, max_iters=20, seed=1)
+    assert len(em.meta["loglik_history"]) == 20
+
+
+def _unfloored_em(Y, r, max_iters, seed, reg_value=1e-3):
+    """The fused EM loop without the log-ratio floor, as it was before it."""
+    N, d = Y.shape
+    rng = rng_from(seed, "em")
+    nk = np.zeros(r)
+    sums = np.zeros((r, 2 * d))
+    for z, R in gmm._em_chunks(Y, r):
+        R[...] = rng.random((z.shape[1], r)).T
+        R /= R.sum(axis=0)
+        nk += R.sum(axis=1)
+        sums += R @ z.T
+    history, best = [], None
+    for _ in range(max_iters):
+        weights = nk / N
+        means = sums[:, :d] / nk[:, None]
+        variances = sums[:, d:] / nk[:, None] - means**2 + reg_value
+        W, c = gmm._density_coefficients(weights, means, variances)
+        c = c[:, None]
+        nk = np.zeros(r)
+        sums = np.zeros((r, 2 * d))
+        ll = 0.0
+        with np.errstate(under="ignore"):
+            for z, R in gmm._em_chunks(Y, r):
+                np.matmul(W, z, out=R)
+                R += c
+                top = R.max(axis=0)
+                R -= top
+                np.exp(R, out=R)
+                total = R.sum(axis=0)
+                ll += float((top + np.log(total)).sum())
+                R /= total
+                nk += R.sum(axis=1)
+                sums += R @ z.T
+        history.append(ll)
+        if best is None or ll >= best[0]:
+            best = (ll, weights, means, variances)
+    return best[1] / best[1].sum(), best[2], best[3], history
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_floored_em_is_bit_identical_to_the_unfloored_loop(seed):
+    s = _readme_samples()
+    em = em_baseline(s, 6, max_iters=20, seed=seed)
+    weights, means, variances, history = _unfloored_em(s.data, 6, 20, seed)
+    assert np.array_equal(em.weights, weights)
+    assert np.array_equal(em.means, means)
+    assert np.array_equal(em.variances, variances)
+    assert em.meta["loglik_history"] == history

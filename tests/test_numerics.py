@@ -233,3 +233,41 @@ def test_nlls_stops_at_the_rounding_floor():
     accepted = [i for i, cost in enumerate(costs) if cost < min(costs[:i], default=np.inf)]
     assert len(costs) - 1 - accepted[-1] <= 3
     assert np.allclose(x, np.linalg.lstsq(A, b, rcond=None)[0], rtol=1e-10, atol=1e-12)
+
+
+def test_nlls_names_why_it_stopped():
+    # at the minimum the gradient is zero
+    assert nlls_refine(lambda x: x - 3.0, np.array([3.0])).stop == "gradient"
+    # the cap, before and after one normal-equation evaluation
+    assert nlls_refine(lambda x: x - 3.0, np.array([0.0]), max_iters=0).stop == "iterations"
+    quartic = nlls_refine(lambda x: x**4 - 2.0, np.array([5.0]), max_iters=1)
+    assert quartic.stop == "iterations" and quartic[0] < 5.0
+    # a cliff off the start: every damping's objective is far above the floor
+    cliff = nlls_refine(lambda x: np.where(x == 0.0, 1.0, 1e100), np.array([0.0]),
+                        normal_equations=lambda x, f: (np.eye(1), f))
+    assert cliff.stop == "no-descent" and cliff[0] == 0.0
+    # one unit in the last place from the minimum: a gradient of 1e-8, and
+    # an accepted step below 1e-15 of the point
+    last_place = nlls_refine(lambda x: 10.0 * (x - 1e6), np.array([np.nextafter(1e6, 2e6)]))
+    assert last_place.stop == "step" and last_place[0] == 1e6
+
+
+def test_nlls_rounding_floor_is_named():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((200, 4))
+    b = rng.standard_normal(200)
+    J = 1e6 * A
+    x = nlls_refine(lambda x: 1e6 * (A @ x - b), np.zeros(4),
+                    normal_equations=lambda x, f: (J.T @ J, J.T @ f))
+    assert x.stop == "floor"
+
+
+def test_simplex_nlls_weights_carry_the_stop():
+    target = np.array([0.3, 0.7, 1.0, 2.0])
+
+    def residual(omega, mu):
+        return np.concatenate([omega, mu[:, 0]]) - target
+
+    omega, _ = simplex_nlls(residual, np.array([0.5, 0.5]), np.zeros((2, 1)))
+    assert omega.stop in {"gradient", "step", "floor", "no-descent", "iterations"}
+    assert omega.sum() == pytest.approx(1.0)

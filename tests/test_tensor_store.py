@@ -351,6 +351,35 @@ def test_prefix_tree_products_in_any_row_order(m):
         assert np.array_equal(tree.cells(grid), want), name
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_prefix_tree_of_shorter_keys(m):
+    # keys of every length 1..m, trailing slots -1, in sorted and in
+    # shuffled row order: each key's prefix product sits at its depth, and
+    # sorted rows hold each distinct prefix once
+    rng = np.random.default_rng(80 + m)
+    d, r = 6, 3
+    vectors = rng.standard_normal((r, d))
+    rows = [k + (-1,) * (m - len(k)) for n in range(1, m + 1)
+            for k in itertools.combinations(range(d), n)]
+    rows = np.array(sorted(rows), dtype=np.int64)
+    for name, keys in {"sorted": rows, "shuffled": rows[rng.permutation(len(rows))]}.items():
+        tree = PrefixTree(keys)
+        prods = tree.products(vectors)
+        length = (keys >= 0).sum(axis=1)
+        assert np.array_equal(tree.depth, length - 2), name
+        assert np.array_equal(tree.last, keys[np.arange(len(keys)), length - 1]), name
+        for k, key in enumerate(keys.tolist()):
+            n = length[k]
+            if n > 1:
+                want = component_products(vectors, np.array([key[: n - 1]])).T[0]
+                assert np.array_equal(prods[n - 2][tree.leaf[k]], want), (name, key)
+        if name == "sorted":
+            for s, (parent, coord) in enumerate(tree.levels, start=1):
+                prefixes = {tuple(k[: s + 1]) for k in keys.tolist()
+                            if len(k) - k.count(-1) > s + 1}
+                assert len(coord) == len(prefixes), s
+
+
 # The JSON read and write pause the cyclic garbage collector and leave it
 # as they found it, on success and on every failure.
 
