@@ -379,8 +379,9 @@ def _relative_err(T: IncompleteSymmetricTensor, diff: np.ndarray) -> float:
 
 def _elementary_sums(z: np.ndarray, m: int):
     """For c = 0..d, the elementary symmetric polynomials e_0..e_m of z[..., :c]
-    in one array updated in place by e_k += z_c e_{k-1}, with no subtraction."""
-    e = np.zeros((m + 1,) + z.shape[:-1], dtype=complex)
+    in one array of z's dtype updated in place by e_k += z_c e_{k-1}, with
+    no subtraction."""
+    e = np.zeros((m + 1,) + z.shape[:-1], dtype=z.dtype)
     e[0] = 1.0
     yield e
     for c in range(z.shape[-1]):
@@ -388,9 +389,10 @@ def _elementary_sums(z: np.ndarray, m: int):
         yield e
 
 
-def _omega_gram(Q: np.ndarray, m: int) -> np.ndarray:
-    """(r, d, r, d) Gram G = Jc^H Jc of the complex Jacobian Jc of
-    key -> sum_i prod_t Q[i, key_t] over all of ``omega_keys(d, m)``.
+def omega_gram(Q: np.ndarray, m: int) -> np.ndarray:
+    """(r, d, r, d) Gram G = Jc^H Jc of the Jacobian Jc of
+    key -> sum_i prod_t Q[i, key_t] over all of ``omega_keys(d, m)``,
+    complex or real as Q is.
 
     With z = conj(q_i) * q_j and e_k its elementary symmetric
     polynomials, G[i, a, j, b] is conj(q_ib) q_ja e_{m-2}(z without a, b)
@@ -404,15 +406,15 @@ def _omega_gram(Q: np.ndarray, m: int) -> np.ndarray:
     r, d = Q.shape
     z = Q.conj()[:, None, :] * Q[None, :, :]  # (r, r, d)
     # pre[a][k] = e_k(z_c : c < a) and suf[a][k] = e_k(z_c : c > a)
-    pre = np.empty((d, m, r, r), dtype=complex)
-    suf = np.empty((d, m, r, r), dtype=complex)
+    pre = np.empty((d, m, r, r), dtype=z.dtype)
+    suf = np.empty((d, m, r, r), dtype=z.dtype)
     fwd, bwd = _elementary_sums(z, m - 1), _elementary_sums(z[:, :, ::-1], m - 1)
     for c, e_pre, e_suf in zip(range(d), fwd, bwd):
         pre[c], suf[d - 1 - c] = e_pre, e_suf
     # off[a, b] = e_{m-2}(z without a, b) for a < b, from
     # left[a] = e(z_c : c < b, c != a) grown one coordinate b at a time
-    off = np.zeros((d, d, r, r), dtype=complex)
-    left = np.empty((d, m - 1, r, r), dtype=complex)
+    off = np.zeros((d, d, r, r), dtype=z.dtype)
+    left = np.empty((d, m - 1, r, r), dtype=z.dtype)
     for b in range(d):
         grown = left[:b]
         off[:b, b] = sum(grown[:, p] * suf[b, m - 2 - p] for p in range(m - 1))
@@ -435,7 +437,7 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     The residual is ``T.tree.reconstruction`` minus the values.  With Jc
     the complex (n_keys, r*d) Jacobian, ``normal_equations(q, f)`` returns
     the damped step's G = Jc^H Jc and g = Jc^H f (``T.tree.adjoint``).  G
-    is closed-form over all distinct-index keys (``_omega_gram``), plus the
+    is closed-form over all distinct-index keys (``omega_gram``), plus the
     per-key Gram of each stored repeated-index key, minus that of each
     distinct-index key not stored (``_correction_keys``).
     """
@@ -448,7 +450,7 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     def normal_equations(q, f):
         Q = q.reshape(r, -1)
         Jk = product_jacobian(Q, correction_keys).reshape(-1, rd)
-        G = _omega_gram(Q, m).reshape(rd, rd)
+        G = omega_gram(Q, m).reshape(rd, rd)
         if len(correction_keys):
             G += Jk.conj().T @ (correction_sign[:, None] * Jk)
         return G, tree.adjoint(Q, f).ravel()

@@ -9,7 +9,9 @@ subtensor, phase-corrects the components to real vectors, then solves
 nonnegative and simplex-constrained least squares for the weights, means
 and variances.  Their designs, and the exact moments, are products over
 key arrays from the tensor path's ``component_products``, and each stage
-reads its moments with one ``MomentSet.gather``.
+reads its moments with one ``MomentSet.gather``.  The simplex refinement
+takes its normal equations in closed form from the tensor LM's Gram
+``omega_gram`` and ``PrefixTree.adjoint``, so no Jacobian is formed.
 
 The kernels that touch every sample are matrix products.  Sample moments
 walk the tensor path's ``PrefixTree`` over row chunks of the samples in
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import binomial
-from .decomposition import approximate, choose_params
+from .decomposition import approximate, choose_params, omega_gram
 from .errors import (
     CovDesignDegenerate,
     DegenerateWeight,
@@ -58,7 +60,6 @@ from .tensor_store import (
     PrefixTree,
     component_products,
     omega_keys,
-    product_jacobian,
 )
 
 TensorKey = tuple[int, ...]
@@ -127,7 +128,8 @@ class MomentSet:
     values: dict[TensorKey, float]
 
     def __getitem__(self, key) -> float:
-        return self.values[tuple(sorted(key))]
+        """The moment at a key in any slot order; MissingEntry when absent."""
+        return float(self.gather([key])[0])
 
     def gather(self, keys) -> np.ndarray:
         """Values at an (n, order) key array; MissingEntry names an absent key."""
@@ -388,30 +390,45 @@ def recover_weights(
 
 def _moment_residual(Mm: MomentSet, Mt: MomentSet, d: int):
     """Residual of the weighted mean products against the order-m and
-    order-t distinct-index moments, and its analytic Jacobian: the
-    derivative in omega_i is component i's product at each key, and in
-    mu_ia omega_i times the key's slot partial at coordinate a."""
-    arr_m = np.array(omega_keys(d, Mm.order))
-    arr_t = np.array(omega_keys(d, Mt.order))
-    target_m = Mm.gather(arr_m)
-    target_t = Mt.gather(arr_t)
+    order-t distinct-index moments, and its Gauss-Newton normal equations
+    in (omega, mu) without the Jacobian.  Per order o, J = D B: D is the
+    Jacobian of the unweighted products in mu, and B scales column (i, a)
+    by omega_i and gives omega_i the column sum_a (mu_ia / o) D[:, (i, a)]
+    (Euler's identity for degree-o products).  So J^T J = B^T (D^T D) B and
+    J^T f = B^T (D^T f), with D^T D from ``omega_gram`` and D^T f from the
+    order's ``PrefixTree.adjoint``, or f for every component at order 1."""
+    orders = []
+    for M in (Mm, Mt):
+        keys = np.array(omega_keys(d, M.order))
+        tree = PrefixTree(keys) if M.order > 1 else None
+        orders.append((M.order, keys, tree, M.gather(keys)))
 
     def residual(omega, mu):
-        vm = (omega[:, None] * component_products(mu, arr_m)).sum(0) - target_m
-        vt = (omega[:, None] * component_products(mu, arr_t)).sum(0) - target_t
-        return np.concatenate([vm, vt])
+        return np.concatenate([
+            (omega[:, None] * component_products(mu, keys)).sum(0) - target
+            for _, keys, _, target in orders
+        ])
 
-    def jacobian(omega, mu):
-        J_omega = np.concatenate(
-            [component_products(mu, arr_m).T, component_products(mu, arr_t).T]
-        )
-        J_mu = np.concatenate(
-            [product_jacobian(mu, arr_m), product_jacobian(mu, arr_t)]
-        )
-        J_mu *= omega[None, :, None]
-        return J_omega, J_mu.reshape(J_mu.shape[0], -1)
+    def normal_equations(omega, mu, f):
+        r = len(omega)
+        H = np.zeros((r * (d + 1), r * (d + 1)))
+        g = np.zeros(r * (d + 1))
+        wide = np.repeat(omega, d)  # omega_i at each column (i, a)
+        for o, keys, tree, _ in orders:
+            f_o, f = f[: len(keys)], f[len(keys) :]
+            DtD = omega_gram(mu, o).reshape(r * d, r * d)
+            Dtf = tree.adjoint(mu, f_o) if tree else np.broadcast_to(f_o, (r, d))
+            c = mu / o
+            cDtD = (c.reshape(-1, 1) * DtD).reshape(r, d, -1).sum(axis=1)  # (r, r * d)
+            H[:r, :r] += (cDtD.reshape(r, r, d) * c).sum(axis=2)
+            H[:r, r:] += cDtD * wide
+            H[r:, r:] += wide[:, None] * DtD * wide
+            g[:r] += (c * Dtf).sum(axis=1)
+            g[r:] += wide * Dtf.ravel()
+        H[r:, :r] = H[:r, r:].T
+        return H, g
 
-    return residual, jacobian
+    return residual, normal_equations
 
 
 def refine_params(
@@ -421,11 +438,12 @@ def refine_params(
     Mt: MomentSet,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simplex-constrained refinement of weights and means on the two-term
-    moment-matching objective, with analytic derivatives, by ``simplex_nlls``
-    at its defaults.  omega0 must already be on the simplex."""
+    moment-matching objective, with closed-form Gauss-Newton normal
+    equations (``_moment_residual``), by ``simplex_nlls`` at its defaults.
+    omega0 must already be on the simplex."""
     d = np.atleast_2d(mus0).shape[1]
-    residual, jacobian = _moment_residual(Mm, Mt, d)
-    return simplex_nlls(residual, omega0, mus0, jacobian=jacobian)
+    residual, normal_equations = _moment_residual(Mm, Mt, d)
+    return simplex_nlls(residual, omega0, mus0, normal_equations=normal_equations)
 
 
 def recover_covariances(

@@ -6,8 +6,9 @@ All decomposition-path linear algebra is complex; the mixture-model weight
 and covariance solves are real.  The Gauss-Newton loop solves
 (J^H J + lambda I) delta = -J^H f in the dtype of its start, real or
 complex, and takes J^H J and J^H f from its caller, so a refinement with a
-closed form for them never builds its Jacobian; finite differences remain
-the default for a bare residual.
+closed form for them never builds its Jacobian (``simplex_nlls`` chains
+its caller's through the simplex map); finite differences remain the
+default for a bare residual.
 """
 
 from __future__ import annotations
@@ -240,18 +241,17 @@ def simplex_nlls(
     residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     omega0: np.ndarray,
     mu0: np.ndarray,
-    jacobian: Callable[[np.ndarray, np.ndarray], tuple] | None = None,
+    normal_equations: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ||residual(omega, mu)||^2 with omega on the probability
     simplex, via the squared-variable reparameterization
     omega_i = t_i^2 / sum_j t_j^2 fed to ``nlls_refine`` at its defaults.
 
-    ``jacobian(omega, mu)`` returns the residual's derivatives
-    (J_omega, J_mu), of shapes (n, r) and (n, r * d) with mu flattened
-    row-major.  They are chained through the simplex map,
-    d omega_i / d t_k = 2 t_k (delta_ik - omega_i) / sum_j t_j^2, and the
-    small dense J.T @ J and J.T @ f go to ``nlls_refine``.  Without it,
-    ``nlls_refine`` differences the residual.
+    ``normal_equations(omega, mu, f)`` returns J^T J and J^T f in
+    (omega, mu), mu flattened row-major, at f = residual(omega, mu).  They
+    are chained through the simplex map as K^T (J^T J) K and K^T (J^T f),
+    K = blockdiag((I - omega 1^T) diag(2 t / sum_j t_j^2), I).  Without
+    it, ``nlls_refine`` differences the residual.
 
     The returned omega is exactly renormalized onto the simplex, a
     ``Refined`` array carrying the ``stop`` of ``nlls_refine``.
@@ -278,22 +278,22 @@ def simplex_nlls(
         w, mu = unpack(x)
         return residual(w, mu)
 
-    normal_equations = None
-    if jacobian is not None:
+    chained = None
+    if normal_equations is not None:
 
-        def normal_equations(x, f):
+        def chained(x, f):
             t = x[:r]
             s = t @ t
             w, mu = unpack(x)
-            J_w, J_mu = jacobian(w, mu)
-            if s > 0:
-                J_t = (J_w - (J_w @ w)[:, None]) * (2.0 * t / s)
-            else:  # the uniform fallback of ``unpack`` does not move with t
-                J_t = np.zeros_like(J_w)
-            J = np.hstack([J_t, J_mu])
-            return J.T @ J, J.T @ f
+            H, g = normal_equations(w, mu, f)
+            # the uniform fallback of ``unpack`` does not move with t
+            K = (np.eye(r) - w[:, None]) * (2.0 * t / s) if s > 0 else np.zeros((r, r))
+            H[:r] = K.T @ H[:r]
+            H[:, :r] = H[:, :r] @ K
+            g[:r] = K.T @ g[:r]
+            return H, g
 
     x0 = np.concatenate([np.sqrt(omega0), mu0.ravel()])
-    x_star = nlls_refine(wrapped, x0, normal_equations=normal_equations)
+    x_star = nlls_refine(wrapped, x0, normal_equations=chained)
     omega, mu = unpack(np.asarray(x_star))
     return Refined(omega / omega.sum(), getattr(x_star, "stop", None)), mu

@@ -12,7 +12,7 @@ dict of the same entries, is derived from the arrays on first access.
 Products over many keys walk one ``PrefixTree``, which multiplies each
 distinct prefix of ascending keys once: ``decomposition``'s scale stage,
 reconstructions and J^H f use the tensor's cached ``tree``, and ``gmm``'s
-sample moments a tree of theirs.
+sample moments and moment refinement trees of theirs.
 
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
@@ -227,8 +227,8 @@ class PrefixTree:
     Key k's prefix, all its slots but the last one ``last[k]``, is prefix
     ``leaf[k]`` of level ``depth[k]``, the key's length minus 2; a
     one-slot key has depth -1 and no prefix.  Full-length keys all have depth m-2, and
-    only they have the cells that ``cells``, ``design``,
-    ``reconstruction`` and ``adjoint`` read."""
+    only they have the cells that ``cells``, ``reconstruction`` and
+    ``adjoint`` read."""
 
     def __init__(self, keys: np.ndarray):
         n, self.m = keys.shape
@@ -267,17 +267,6 @@ class PrefixTree:
             prods.append(level)
         return prods
 
-    def design(self, vectors: np.ndarray) -> np.ndarray:
-        """(n_keys, r) C-order ``component_products(vectors, keys).T``, bit
-        for bit.  The leaf products are released before the last slot's
-        gather, so at most two key-sized arrays are alive at once."""
-        prods = self.products(vectors)
-        rows, out = prods[0], prods[-1][self.leaf]
-        del prods
-        if self.m > 1:
-            out *= rows[self.last]
-        return out
-
     def cells(self, grid: np.ndarray) -> np.ndarray:
         """Each key's cell of an (n_leaf, d, ...) grid (order m >= 2)."""
         return grid.reshape(-1, *grid.shape[2:])[self.leaf * grid.shape[1] + self.last]
@@ -285,20 +274,22 @@ class PrefixTree:
     def reconstruction(self, vectors: np.ndarray) -> np.ndarray:
         """sum_i prod_t vectors[i, key_t] per key (order m >= 2), one GEMM
         of the leaf products and the vectors read at the cells; the
-        in-order sum of ``design``'s columns up to rounding."""
+        in-order sum of ``component_products`` over the components up to
+        rounding."""
         return self.cells(self.products(vectors)[-1] @ vectors)
 
     def adjoint(self, vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """(r, d) J^H f, J the complex Jacobian of ``reconstruction`` (order
-        m >= 2); needs strictly ascending keys, or repeated cells and first
-        slots are dropped.  With f in the (n_leaf, d) grid F, the last slot
-        gives F^T conj(P_leaf) and the leaf adjoint F conj(vectors)^T; each
-        level adds its adjoint times the parents' conjugated products into
-        its coordinates (summed in key order from zero) and folds it, times
-        its coordinates' conjugated rows, into the parents."""
+        """(r, d) J^H f, J the Jacobian of ``reconstruction`` (order m >= 2),
+        complex or real as the vectors and f are; needs strictly ascending
+        keys, or repeated cells and first slots are dropped.  With f in the
+        (n_leaf, d) grid F, the last slot gives F^T conj(P_leaf) and the
+        leaf adjoint F conj(vectors)^T; each level adds its adjoint times
+        the parents' conjugated products into its coordinates (summed in key
+        order from zero) and folds it, times its coordinates' conjugated
+        rows, into the parents."""
         d = vectors.shape[1]
         prods = self.products(vectors)
-        F = np.zeros((len(prods[-1]), d), dtype=complex)
+        F = np.zeros((len(prods[-1]), d), dtype=np.result_type(vectors, f))
         F.reshape(-1)[self.leaf * d + self.last] = f  # a view: F is contiguous
         grad = F.T @ prods[-1].conj()  # (d, r)
         adjoint = F @ vectors.conj().T  # (n_leaf, r)
@@ -315,44 +306,26 @@ class PrefixTree:
 
 
 def _coordinate_sums(rows: np.ndarray, coord: np.ndarray, d: int) -> np.ndarray:
-    """(d, r) sums of an (n, r) complex array's rows by coordinate, each in
-    row order from zero, as bin sums of the real and imaginary parts."""
-    width = 2 * rows.shape[1]
+    """(d, r) sums of an (n, r) real or complex array's rows by coordinate,
+    each in row order from zero, as bin sums of the real (and imaginary)
+    parts."""
+    parts = rows.view(float)
+    width = parts.shape[1]
     bins = (coord[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, rows.view(float).ravel(), d * width)
-    return sums.view(complex).reshape(d, -1)
-
-
-def slot_partials(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """(r, n_keys, m) partial derivatives of each key's product: entry
-    [i, k, t] is the product of vectors[i] over every slot of key k but
-    slot t, the derivative with respect to the coordinate in slot t.
-
-    Built from prefix and suffix products, so nothing is divided.  The
-    result is a view whose memory runs (n_keys, m, r), C order.
-    """
-    gathered = vectors.T[keys]  # (n_keys, m, r), one block per slot
-    out = np.ones_like(gathered)
-    for t in range(1, keys.shape[1]):
-        np.multiply(out[:, t - 1], gathered[:, t - 1], out=out[:, t])
-    suffix = np.ones_like(gathered[:, 0])
-    for t in range(keys.shape[1] - 2, -1, -1):
-        suffix *= gathered[:, t + 1]
-        out[:, t] *= suffix
-    return out.transpose(2, 0, 1)
+    sums = np.bincount(bins, parts.ravel(), d * width)
+    return sums.view(rows.dtype).reshape(d, -1)
 
 
 def product_jacobian(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """(n_keys, r, d) derivatives of each key's product with respect to
-    vectors[i, a]: the slot partials summed over the slots holding a."""
+    """(n_keys, r, d) derivatives of each key's product (order m >= 2) with
+    respect to vectors[i, a]: per slot, the product over the key without
+    that slot, summed over the slots holding a."""
     n = keys.shape[0]
-    r, d = vectors.shape
-    partials = slot_partials(vectors, keys)
-    J = np.zeros((n, r, d), dtype=partials.dtype)
+    J = np.zeros((n,) + vectors.shape, dtype=vectors.dtype)
     rows = np.arange(n)
     for t in range(keys.shape[1]):
         # one slot per statement, so a repeated index accumulates
-        J[rows, :, keys[:, t]] += partials[:, :, t].T
+        J[rows, :, keys[:, t]] += component_products(vectors, np.delete(keys, t, axis=1)).T
     return J
 
 

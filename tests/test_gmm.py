@@ -43,7 +43,7 @@ from momentmix.gmm import (
 )
 from momentmix import numerics
 from momentmix.numerics import rng_from, simplex_nlls
-from momentmix.tensor_store import omega_keys
+from momentmix.tensor_store import component_products, omega_keys, product_jacobian
 
 
 def match_error(model, learned):
@@ -528,7 +528,7 @@ def test_gmm_model_rejects_non_finite(field, bad):
         GmmModel(**params)
 
 
-@pytest.mark.parametrize("m,t", [(3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("m,t", [(3, 1), (3, 2), (4, 2), (5, 1), (5, 3)])
 def test_moment_jacobian_through_simplex_matches_central_differences(
     monkeypatch, m, t
 ):
@@ -536,7 +536,7 @@ def test_moment_jacobian_through_simplex_matches_central_differences(
     model = random_model(d, r, seed=30 + m + t)
     Mm = exact_moments(model, omega_keys(d, m))
     Mt = exact_moments(model, omega_keys(d, t))
-    residual, jacobian = gmm._moment_residual(Mm, Mt, d)
+    residual, normal_equations = gmm._moment_residual(Mm, Mt, d)
     captured = {}
 
     def capture(wrapped, x0, **kwargs):
@@ -547,7 +547,7 @@ def test_moment_jacobian_through_simplex_matches_central_differences(
     rng = np.random.default_rng(m * 10 + t)
     w0 = model.weights + 0.05 * rng.random(r)
     mu0 = model.means + 0.1 * rng.standard_normal((r, d))
-    simplex_nlls(residual, w0 / w0.sum(), mu0, jacobian=jacobian)
+    simplex_nlls(residual, w0 / w0.sum(), mu0, normal_equations=normal_equations)
     wrapped, x = captured["wrapped"], captured["x0"]
     f = wrapped(x)
     JtJ, Jtf = captured["normal_equations"](x, f)
@@ -559,6 +559,65 @@ def test_moment_jacobian_through_simplex_matches_central_differences(
         J[:, k] = (wrapped(x + step) - wrapped(x - step)) / (2 * h)
     assert np.abs(JtJ - J.T @ J).max() <= 1e-7 * np.abs(JtJ).max()
     assert np.abs(Jtf - J.T @ f).max() <= 1e-7 * np.abs(Jtf).max()
+
+
+def dense_moment_jacobian(Mm, Mt, omega, mu):
+    """Reference (n_keys, r + r * d) Jacobian of the moment residual in
+    (omega, mu): component i's product at each key, and omega_i times the
+    product's derivative in mu_ia (the identity at order 1)."""
+    r, d = mu.shape
+    blocks = []
+    for M in (Mm, Mt):
+        keys = np.array(omega_keys(d, M.order))
+        if M.order == 1:
+            D = np.zeros((d, r, d))
+            D[np.arange(d), :, np.arange(d)] = 1.0
+        else:
+            D = product_jacobian(mu, keys)
+        D *= omega[None, :, None]
+        blocks.append(np.hstack([component_products(mu, keys).T, D.reshape(len(keys), -1)]))
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("d,r,m,t", [
+    (15, 6, 3, 1), (15, 8, 4, 1), (15, 12, 5, 1), (8, 5, 4, 2), (9, 4, 5, 3),
+])
+def test_moment_normal_equations_match_dense_jacobian(d, r, m, t):
+    model = random_model(d, r, seed=d + r + m + t)
+    samples = sample_gmm(model, 5000, seed=m + t)
+    Mm = sample_moments(samples, omega_keys(d, m))
+    Mt = sample_moments(samples, omega_keys(d, t))
+    residual, normal_equations = gmm._moment_residual(Mm, Mt, d)
+    rng = np.random.default_rng(d * r)
+    omega = model.weights + 0.05 * rng.random(r)
+    omega /= omega.sum()
+    mu = model.means + 0.1 * rng.standard_normal((r, d))
+    f = residual(omega, mu)
+    JtJ, Jtf = normal_equations(omega, mu, f)
+    J = dense_moment_jacobian(Mm, Mt, omega, mu)
+    assert np.abs(JtJ - J.T @ J).max() <= 1e-12 * np.abs(J.T @ J).max()
+    assert np.abs(Jtf - J.T @ f).max() <= 1e-12 * np.abs(J.T @ f).max()
+
+
+def test_moment_normal_equations_peak_memory_below_dense_jacobian():
+    # no (n_keys, r * (d + 1)) Jacobian, nor anything half that large
+    import tracemalloc
+
+    d, r, m = 15, 12, 5
+    model = random_model(d, r, seed=15)
+    Mm = exact_moments(model, omega_keys(d, m))
+    Mt = exact_moments(model, omega_keys(d, 1))
+    residual, normal_equations = gmm._moment_residual(Mm, Mt, d)
+    f = residual(model.weights, model.means)
+    n_keys = len(Mm.values) + len(Mt.values)
+    tracemalloc.start()
+    try:
+        normal_equations(model.weights, model.means, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_keys == 3018
+    assert peak < n_keys * r * (d + 1) * np.dtype(float).itemsize / 2
 
 
 def test_refine_params_matches_finite_difference_path():
@@ -738,6 +797,14 @@ def test_moment_set_gather():
     with pytest.raises(MissingEntry, match=r"\(0, 2\)") as exc:
         ms.gather([(1, 1), (2, 0)])
     assert exc.value.key == (0, 2)
+
+
+def test_moment_set_getitem_raises_missing_entry():
+    ms = sample_moments(SampleSet(data=np.arange(12.0).reshape(3, 4)), [(0, 1, 2)])
+    assert ms[(2, 0, 1)] == ms.values[(0, 1, 2)]
+    with pytest.raises(MissingEntry, match=r"\(0, 1, 3\)") as exc:
+        ms[(0, 1, 3)]
+    assert exc.value.key == (0, 1, 3)
 
 
 # The chunked, component-major EM against the row-major diff-form loop.

@@ -14,7 +14,7 @@ KNOBS = {
     "numerics.LstsqReport": ("solution", "residual_norm", "rank", "ill_conditioned"),
     "numerics.EigenPairs": ("values", "vectors"),
     "numerics.nlls_refine": ("max_iters", "normal_equations"),
-    "numerics.simplex_nlls": ("jacobian",),
+    "numerics.simplex_nlls": ("normal_equations",),
     "gmm.GmmModel": ("weights", "means", "variances", "meta"),
     "gmm.SampleSet": ("data", "labels"),
     "gmm.MomentSet": ("order", "values"),

@@ -22,7 +22,6 @@ from momentmix.tensor_store import (
     omega_norm,
     perturb,
     product_jacobian,
-    slot_partials,
     to_json,
 )
 
@@ -250,16 +249,13 @@ def test_slot_partials_and_product_jacobian_match_loops():
     rng = np.random.default_rng(5)
     V = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     keys = np.array([(0, 1, 2), (0, 0, 3), (4, 4, 4), (1, 3, 4)])
-    P = slot_partials(V, keys)
     J = product_jacobian(V, keys)
-    assert P.shape == (3, 4, 3) and J.shape == (4, 3, 5)
+    assert J.shape == (4, 3, 5)
     ref_J = np.zeros_like(J)
     for i in range(3):
         for k, key in enumerate(keys.tolist()):
             for t, a in enumerate(key):
-                partial = np.prod(V[i, key[:t] + key[t + 1:]])
-                assert P[i, k, t] == pytest.approx(partial, rel=1e-14)
-                ref_J[k, i, a] += partial
+                ref_J[k, i, a] += np.prod(V[i, key[:t] + key[t + 1:]])
     assert np.allclose(J, ref_J, rtol=1e-14, atol=0)
 
 
@@ -313,6 +309,16 @@ def _key_sets(d, m, rng):
     return {"omega": distinct, "repeated": every, "dropped": dropped}
 
 
+def tree_products(tree, vectors):
+    """(n_keys, r) products over the tree's keys from its leaf products:
+    the leaf prefix at m = 1, else the leaf prefix times the last slot at
+    each key's cell."""
+    leaf = tree.products(vectors)[-1]
+    if tree.m == 1:
+        return leaf[tree.leaf]
+    return tree.cells(leaf[:, None, :] * vectors.T[None, :, :])
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_prefix_products_equal_component_products(m):
     rng = np.random.default_rng(40 + m)
@@ -320,9 +326,8 @@ def test_prefix_products_equal_component_products(m):
     vectors = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
     vectors[2] *= 1e-3  # a small component, so products span magnitudes
     for name, keys in _key_sets(d, m, rng).items():
-        got = PrefixTree(keys).design(vectors)
-        assert got.flags.c_contiguous, name
-        assert np.array_equal(got, component_products(vectors, keys).T), name
+        assert np.array_equal(tree_products(PrefixTree(keys), vectors),
+                              component_products(vectors, keys).T), name
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -340,7 +345,6 @@ def test_prefix_tree_products_in_any_row_order(m):
     for name, keys in {"rows": rows, "slots": rng.permuted(rows, axis=1)}.items():
         tree = PrefixTree(keys)
         want = component_products(vectors, keys).T
-        assert np.array_equal(tree.design(vectors), want), name
         leaf = tree.products(vectors)[-1]
         if m == 1:
             assert np.array_equal(leaf[tree.leaf], want), name
