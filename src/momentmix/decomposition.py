@@ -275,21 +275,20 @@ def _scale_fit(
     condition number of the equilibrated design, whose columns' cosines
     behave like |<u_i, u_j>|^m: ``_gram_lstsq`` on ``_scale_gram``.  Design
     row k is P[leaf_k] * full[:, last_k], P the leaf products of
-    ``T.tree``, so A x is a GEMM read at the cells and A^H b the conjugated
-    rows of P^T conj(F) dotted with full, F the (n_leaf, d) cell grid of b.
+    ``T.tree``, so on the tree's ``RaggedCells`` A x is one GEMM per
+    group read at the keys' cells and A^H b the conjugated rows of
+    P^T conj(F) dotted with full, F the cells holding b.
     Raises ScalesDegenerate on a zero column or a numerically
     rank-deficient design; warns IllConditioned as ``numerics.lstsq`` does.
     """
-    tree, d = T.tree, T.d
-    leaf_products = tree.products(full)[-1]  # (n_leaf, r)
+    cells = T.tree.ragged_cells
+    leaf_products = cells.products(full)
 
     def adjoint(rhs):
-        F = np.zeros((len(leaf_products), d), dtype=complex)
-        F.reshape(-1)[tree.leaf * d + tree.last] = rhs.conj()  # a view: F is contiguous
-        return ((leaf_products.T @ F) * full).sum(axis=1).conj()
+        return (cells.gemm_adjoint(leaf_products, rhs.conj(), T.d) * full).sum(axis=1).conj()
 
     def apply(x):
-        return tree.cells(leaf_products @ (x[:, None] * full))
+        return cells.gemm(leaf_products, x[:, None] * full)
 
     lambdas, cond = _gram_lstsq(
         _scale_gram(T, full), T.values, adjoint, apply, "scale",
@@ -300,23 +299,23 @@ def _scale_fit(
 
 def _scale_gram(T: IncompleteSymmetricTensor, full: np.ndarray) -> np.ndarray:
     """(r, r) Gram A^H A of the scale design A[k, i] = prod(full_i over
-    stored key k): e_m(conj(u_i) * u_j) over all distinct-index keys plus
-    the signed per-key Gram of the ``_correction_keys``; with fewer keys
-    stored than those, the stored keys' own, cheaper and free of cancellation."""
-    keys, sign = _correction_keys(T)
-    if len(T.key_array) < len(keys):
-        keys, sign, gram = T.key_array, 1.0, 0.0
-    else:
+    stored key k): e_m(conj(u_i) * u_j) over all distinct-index keys and
+    the signed per-key Gram of the keys, as ``_gram_terms`` says."""
+    closed, keys, sign = _gram_terms(T)
+    gram = 0.0
+    if closed:
         *_, e = _elementary_sums(full.conj()[:, None, :] * full[None, :, :], T.m)
         gram = e[-1]
     design = component_products(full, keys)  # (r, n_keys)
     return gram + (design.conj() * sign) @ design.T
 
 
-def _correction_keys(T: IncompleteSymmetricTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and signs that turn a sum over ``omega_keys(d, m)`` into one
-    over T's keys: each stored repeated-index key with +1, then each
-    distinct-index key not stored with -1."""
+def _gram_terms(T: IncompleteSymmetricTensor) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(closed, keys, sign): a Gram over T's stored keys is the closed form
+    over all ``omega_keys(d, m)`` when ``closed``, plus sign times each
+    key's own Gram, +1 per stored repeated-index key and -1 per absent
+    distinct-index key; with fewer keys stored than those, the stored
+    keys' own Gram alone (signs +1), cheaper and free of cancellation."""
     key_arr, d, m = T.key_array, T.d, T.m
     repeated = key_arr[(key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)]
     absent = key_arr[:0]
@@ -324,8 +323,10 @@ def _correction_keys(T: IncompleteSymmetricTensor) -> tuple[np.ndarray, np.ndarr
         distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
         radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
         absent = distinct[~np.isin(distinct @ radix, key_arr @ radix)]
+    if len(key_arr) < len(repeated) + len(absent):
+        return False, key_arr, np.ones(len(key_arr))
     sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
-    return np.concatenate([repeated, absent]), sign
+    return True, np.concatenate([repeated, absent]), sign
 
 
 def decompose(
@@ -437,22 +438,23 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     The residual is ``T.tree.reconstruction`` minus the values.  With Jc
     the complex (n_keys, r*d) Jacobian, ``normal_equations(q, f)`` returns
     the damped step's G = Jc^H Jc and g = Jc^H f (``T.tree.adjoint``).  G
-    is closed-form over all distinct-index keys (``omega_gram``), plus the
-    per-key Gram of each stored repeated-index key, minus that of each
-    distinct-index key not stored (``_correction_keys``).
+    is closed-form over all distinct-index keys (``omega_gram``) plus
+    signed per-key Grams, or the stored keys' own, as ``_gram_terms`` says.
     """
     target, tree, m, rd = T.values, T.tree, T.m, r * T.d
-    correction_keys, correction_sign = _correction_keys(T)
+    closed, gram_keys, gram_sign = _gram_terms(T)
 
     def residual(q):
         return tree.reconstruction(q.reshape(r, -1)) - target
 
     def normal_equations(q, f):
         Q = q.reshape(r, -1)
-        Jk = product_jacobian(Q, correction_keys).reshape(-1, rd)
-        G = omega_gram(Q, m).reshape(rd, rd)
-        if len(correction_keys):
-            G += Jk.conj().T @ (correction_sign[:, None] * Jk)
+        Jk = product_jacobian(Q, gram_keys).reshape(-1, rd)
+        G = omega_gram(Q, m).reshape(rd, rd) if closed else np.zeros((rd, rd), Q.dtype)
+        if len(gram_keys):
+            signed = Jk.conj()
+            signed *= gram_sign[:, None]
+            G += signed.T @ Jk
         return G, tree.adjoint(Q, f).ravel()
 
     return residual, normal_equations

@@ -4,10 +4,12 @@ extraction by eigendecomposition.
 The matrix ``G`` has one column per monomial in the mixed basis (head
 subset plus one tail label) and one row per monomial in the head basis.
 A column's linear system has a design matrix that depends only on its
-tail label, so ``G`` is solved as one least-squares system per tail
-label with every head subset as a right-hand side.  Its r x r slices
-indexed by a tail label form a commuting family whose common
-eigenvectors reveal the tail coordinates of the components.
+tail label, and every tail label's design has the same shape, so ``G``
+is one stacked least squares: one gather of the tensor entries for the
+designs of all tail labels, one for their right-hand sides (every head
+subset's column), and one stacked SVD solve.  Its r x r slices indexed
+by a tail label form a commuting family whose common eigenvectors reveal
+the tail coordinates of the components.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .combinatorics import (
 )
 from .errors import DegenerateSpectrum, ShapeCondition
 from .numerics import eig, gaussian_vector, lstsq
-from .tensor_store import IncompleteSymmetricTensor, block_matrix
+from .tensor_store import IncompleteSymmetricTensor, block_keys, block_matrix
 
 _GAP_TOL = 1e-8
 _MAX_XI_RETRIES = 5
@@ -81,13 +83,17 @@ def assemble_system(
 def solve_generating_matrix(
     T: IncompleteSymmetricTensor, r: int, p: int, k: int
 ) -> GeneratingMatrix:
-    """Solve one least-squares system per tail label to build G.
+    """Solve the least-squares systems of all tail labels as one stack to
+    build G.
 
     The columns alpha = head + (j,) that share a tail label j share the
     design matrix of ``assemble_system``, whose rows are the support
-    tuples of j; their right-hand sides are solved together.  On exact
-    rank-r generic input every per-column residual vanishes; on noisy
-    input the same code path yields the least-squares G.
+    tuples of j: the (m-p-1)-subsets of the tail labels avoiding j, as
+    many for every j.  The designs A (n - k, S, r) and the right-hand
+    sides B (n - k, S, |heads|) of all labels are two gathers, solved by
+    one stacked ``lstsq``.  On exact rank-r generic input every
+    per-column residual vanishes; on noisy input the same code path
+    yields the least-squares G.
     """
     n = T.d - 1
     m = T.m
@@ -96,19 +102,19 @@ def solve_generating_matrix(
             f"need C({k},{p}) >= {r} and C({n - k - 1},{m - p - 1}) >= {r}"
         )
     heads = subsets_lex(1, k, p)
-    values = np.empty((r, len(heads), n - k), dtype=complex)
-    residuals = np.empty((len(heads), n - k))
-    ranks = np.empty(n - k, dtype=int)
-    for t, j in enumerate(range(k + 1, n + 1)):
-        support = support_O_alpha(heads[0] + (j,), k, n, m, p)
-        A = block_matrix(T, support, heads[:r], pad_with_zero_label=True)  # B0
-        B = block_matrix(T, support, [head + (j,) for head in heads])
-        report = lstsq(A, B)
-        values[:, :, t] = report.solution
-        residuals[:, t] = report.residual_norm
-        ranks[t] = report.rank
+    labels = np.arange(k + 1, n + 1)
+    pool = np.array(subsets_lex(k + 1, n, m - p - 1))
+    # label index t and support tuple of every row, label by label
+    t, row = np.nonzero((pool[None, :, :] != labels[:, None, None]).all(axis=2))
+    support = pool[row]
+    # heads lie in 1..k and tail labels in k+1..n, so no key repeats a label
+    A = T.gather(block_keys(support, [(0,) + b for b in heads[:r]]))
+    B = T.gather(block_keys(np.column_stack([support, labels[t]]), heads))
+    report = lstsq(A.reshape(len(labels), -1, r), B.reshape(len(labels), -1, len(heads)))
     return GeneratingMatrix(
-        values=values.reshape(r, -1), residuals=residuals.ravel(), ranks=ranks
+        values=report.solution.transpose(1, 2, 0).reshape(r, -1),
+        residuals=report.residual_norm.T.ravel(),
+        ranks=report.rank,
     )
 
 

@@ -59,28 +59,40 @@ def gaussian_vector(seed: int, length: int, *stream) -> np.ndarray:
 class LstsqReport:
     solution: np.ndarray
     residual_norm: float | np.ndarray  # per column for a 2-D right-hand side
-    rank: int
-    ill_conditioned: bool = False
+    rank: int | np.ndarray  # per system of a stack, as is ill_conditioned
+    ill_conditioned: bool | np.ndarray = False
 
 
 def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
-    """Minimum-norm least-squares solution of A x = b via SVD.
+    """Minimum-norm least-squares solution of A x = b via one SVD, for an
+    (M, N) A or a stack (..., M, N), b (..., M) or (..., M, K).
 
-    Emits an ``IllConditioned`` warning (solution still returned) when A
-    has full column rank and its condition estimate exceeds 1e12.  A
-    rank-deficient A is reported by ``rank`` alone, which callers check.
+    Singular values at most eps * max(M, N) of their system's largest
+    count as zero, as in numpy's ``lstsq``.  Warns ``IllConditioned`` once
+    (solutions still returned) when a system of full column rank has a
+    condition estimate above 1e12; a rank-deficient one is reported by
+    ``rank`` alone, which callers check.
     """
     A = np.atleast_2d(np.asarray(A))
     b = np.asarray(b)
-    if A.shape[1] < 1:
+    M, N = A.shape[-2:]
+    if N < 1:
         raise ValueError("A must have at least one column")
-    x, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
-    ill = False
-    if rank == A.shape[1] and sv[0] / sv[-1] > COND_LIMIT:
-        ill = True
+    B = b[..., None] if b.ndim < A.ndim else b
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    kept = s > np.finfo(float).eps * max(M, N) * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    x = Vh.conj().swapaxes(-1, -2) @ (inv[..., None] * (U.conj().swapaxes(-1, -2) @ B))
+    rank = kept.sum(axis=-1)
+    ill = (rank == N) & (s[..., 0] > COND_LIMIT * s[..., -1])
+    if ill.any():
         warnings.warn("least-squares system is ill-conditioned", IllConditioned)
-    resid = np.linalg.norm(A @ x - b, axis=0 if b.ndim == 2 else None)
-    return LstsqReport(solution=x, residual_norm=resid, rank=int(rank), ill_conditioned=ill)
+    resid = np.linalg.norm(A @ x - B, axis=-2)
+    if b.ndim < A.ndim:
+        x, resid = x[..., 0], resid[..., 0]
+    if A.ndim == 2:  # one system
+        rank, ill, resid = int(rank), bool(ill), resid if b.ndim == 2 else float(resid)
+    return LstsqReport(solution=x, residual_norm=resid, rank=rank, ill_conditioned=ill)
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ batch of keys with one ``np.searchsorted``.  ``entries``, a tuple-keyed
 dict of the same entries, is derived from the arrays on first access.
 
 Products over many keys walk one ``PrefixTree``, which multiplies each
-distinct prefix of ascending keys once: ``decomposition``'s scale stage,
-reconstructions and J^H f use the tensor's cached ``tree``, and ``gmm``'s
-sample moments and moment refinement trees of theirs.
+distinct prefix of ascending keys once: ``decomposition``'s scale stage
+(on the tree's ``RaggedCells``), reconstructions and J^H f use the
+tensor's cached ``tree``, and ``gmm``'s sample moments and moment
+refinement trees of theirs.
 
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
@@ -259,13 +260,13 @@ class PrefixTree:
         """[vectors.T, P_1, ..., P_{m-2}] in C order: row j of P_s is each
         vector's product over prefix j of level s, its parent's product
         times one row of vectors.T (the fold of ``component_products``)."""
-        rows = np.ascontiguousarray(vectors.T)
-        prods = [rows]
-        for parent, coord in self.levels:
-            level = prods[-1][parent]
-            level *= rows[coord]
-            prods.append(level)
-        return prods
+        return _level_products(vectors, self.levels)
+
+    @cached_property
+    def ragged_cells(self) -> RaggedCells:
+        """The ``RaggedCells`` of full-length keys (order m >= 2), built on
+        first use."""
+        return RaggedCells(self)
 
     def cells(self, grid: np.ndarray) -> np.ndarray:
         """Each key's cell of an (n_leaf, d, ...) grid (order m >= 2)."""
@@ -305,6 +306,89 @@ class PrefixTree:
         return grad.T
 
 
+def _level_products(vectors: np.ndarray, levels: list) -> list[np.ndarray]:
+    """``PrefixTree.products`` over the given (parent, coord) levels."""
+    rows = np.ascontiguousarray(vectors.T)
+    prods = [rows]
+    for parent, coord in levels:
+        level = prods[-1][parent]
+        level *= rows[coord]
+        prods.append(level)
+    return prods
+
+
+class RaggedCells:
+    """The cells of a ``PrefixTree``'s leaf-prefix x coordinate grid that
+    its full-length keys (order m >= 2) occupy, laid out without the rest.
+
+    The leaf prefixes that keys use are grouped by their last coordinate
+    (the coordinate itself at m = 2), each group in tree order.  A sorted
+    key's last slot is at least its prefix's last coordinate, so a group
+    needs only the columns [lo, hi) that its keys' last slots span.  Each
+    ``blocks`` entry is a group's (rows, columns, cells): its rows of the
+    leaf products in group order (``products``), its columns, and its
+    (rows x columns) block of one flat buffer of ``size`` cells, where key
+    k's cell is ``slot[k]``.  On ascending distinct-index keys the blocks
+    hold the keys' cells and no others."""
+
+    def __init__(self, tree: PrefixTree):
+        leaf, last = tree.leaf, tree.last
+        n_prefix = len(tree.levels[-1][0]) if tree.levels else int(leaf.max(initial=-1)) + 1
+        lo = np.full(n_prefix, np.iinfo(np.int64).max)
+        np.minimum.at(lo, leaf, last)
+        hi = np.full(n_prefix, -1)
+        np.maximum.at(hi, leaf, last)
+        used = np.flatnonzero(hi >= 0)
+        ends = tree.levels[-1][1][used] if tree.levels else used
+        by_end = np.argsort(ends, kind="stable")
+        self.order = used[by_end]
+        self.levels = None  # at m = 2 the leaf prefixes are the coordinates
+        if tree.levels:  # the top level's nodes regrouped
+            parent, coord = tree.levels[-1]
+            self.levels = tree.levels[:-1] + [(parent[self.order], coord[self.order])]
+        starts = np.flatnonzero(np.diff(ends[by_end], prepend=-1))
+        rows = np.append(starts, len(by_end))
+        lo = np.minimum.reduceat(lo[self.order], starts)
+        width = np.maximum.reduceat(hi[self.order], starts) + 1 - lo
+        offsets = np.concatenate([[0], np.cumsum(np.diff(rows) * width)])
+        self.size = int(offsets[-1])
+        self.blocks = [
+            (slice(r0, r1), slice(c0, c0 + w), slice(o0, o1))
+            for r0, r1, c0, w, o0, o1 in zip(rows.tolist(), rows[1:].tolist(), lo.tolist(),
+                                             width.tolist(), offsets.tolist(), offsets[1:].tolist())
+        ]
+        group = np.repeat(np.arange(len(starts)), np.diff(rows))
+        cell_0 = np.empty(n_prefix, dtype=np.int64)  # each prefix's cell at column 0
+        cell_0[self.order] = (offsets[group] - lo[group]
+                              + (np.arange(len(by_end)) - rows[group]) * width[group])
+        self.slot = cell_0[leaf] + last
+
+    def products(self, vectors: np.ndarray) -> np.ndarray:
+        """(n_rows, r) leaf products of (r, d) vectors in group order."""
+        if self.levels is None:
+            return np.ascontiguousarray(vectors.T[self.order])
+        return _level_products(vectors, self.levels)[-1]
+
+    def gemm(self, leaf_products: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Each key's cell of leaf_products @ right, (r, d) right, one GEMM
+        per group into its block."""
+        out = np.empty(self.size, dtype=np.result_type(leaf_products, right))
+        for rows, cols, cells in self.blocks:
+            block = out[cells].reshape(-1, cols.stop - cols.start)
+            np.matmul(leaf_products[rows], right[:, cols], out=block)
+        return out[self.slot]
+
+    def gemm_adjoint(self, leaf_products: np.ndarray, f: np.ndarray, d: int) -> np.ndarray:
+        """(r, d) leaf_products^T F, F the grid holding f at the keys' cells
+        and 0 elsewhere, one GEMM per group."""
+        F = np.zeros(self.size, dtype=f.dtype)
+        F[self.slot] = f
+        out = np.zeros((leaf_products.shape[1], d), dtype=np.result_type(leaf_products, f))
+        for rows, cols, cells in self.blocks:
+            out[:, cols] += leaf_products[rows].T @ F[cells].reshape(-1, cols.stop - cols.start)
+        return out
+
+
 def _coordinate_sums(rows: np.ndarray, coord: np.ndarray, d: int) -> np.ndarray:
     """(d, r) sums of an (n, r) real or complex array's rows by coordinate,
     each in row order from zero, as bin sums of the real (and imaginary)
@@ -329,6 +413,15 @@ def product_jacobian(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return J
 
 
+def block_keys(rows, cols) -> np.ndarray:
+    """(n_rows, n_cols, a + b) keys: each of the (n_rows, a) rows joined to
+    each of the (n_cols, b) columns, slots in that order."""
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    shape = (len(rows), len(cols))
+    return np.concatenate([np.broadcast_to(rows[:, None], shape + rows.shape[1:]),
+                           np.broadcast_to(cols[None], shape + cols.shape[1:])], axis=2)
+
+
 def block_matrix(
     T: IncompleteSymmetricTensor,
     rows: list[IndexSubset],
@@ -342,10 +435,7 @@ def block_matrix(
     """
     if pad_with_zero_label:
         rows = [(0,) + row for row in rows]
-    row_arr = np.array(rows, dtype=np.int64)[:, None, :]
-    col_arr = np.array(cols, dtype=np.int64)[None, :, :]
-    parts = [row_arr.repeat(len(cols), axis=1), col_arr.repeat(len(rows), axis=0)]
-    labels = np.sort(np.concatenate(parts, axis=2), axis=2)
+    labels = np.sort(block_keys(rows, cols), axis=2)
     shared = (labels[:, :, 1:] == labels[:, :, :-1]).any(axis=2)
     if shared.any():
         i, j = np.argwhere(shared)[0]

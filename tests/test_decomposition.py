@@ -13,6 +13,7 @@ from momentmix.combinatorics import binomial
 from momentmix.decomposition import (
     DecompositionParams,
     _gram_lstsq,
+    _gram_terms,
     _k_range,
     _residual_builder,
     _scale_fit,
@@ -686,6 +687,91 @@ def test_normal_equations_peak_memory_below_slot_partials():
     finally:
         tracemalloc.stop()
     assert peak < len(T.values) * m * r * np.dtype(complex).itemsize / 2
+
+
+def stored_fraction(d, m, r, fraction, seed):
+    """A planted rank-r tensor on a random ``fraction`` of its
+    distinct-index keys."""
+    comps, T = planted(d, m, r, seed)
+    rng = np.random.default_rng(seed)
+    keep = np.sort(rng.choice(len(T.values), round(fraction * len(T.values)), replace=False))
+    keys = map(tuple, T.key_array[keep].tolist())
+    return comps, IncompleteSymmetricTensor(d, m, dict(zip(keys, T.values[keep])))
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.1])
+def test_normal_equations_on_sparse_tensors_match_dense_jacobian(fraction):
+    # half stored: the closed form less the absent keys' Gram; a tenth
+    # stored: fewer keys than absent ones, so the stored keys' own Gram
+    d, m, r = 12, 4, 4
+    comps, T = stored_fraction(d, m, r, fraction, seed=29)
+    assert _gram_terms(T)[0] == (fraction == 0.5)
+    rng = np.random.default_rng(29)
+    Q = comps + 0.1 * (rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d)))
+    residual, normal_equations = _residual_builder(T, r)
+    q = Q.ravel()
+    f = residual(q)
+    G, g = normal_equations(q, f)
+    J = product_jacobian(Q, T.key_array).reshape(len(T.values), r * d)
+    ref, ref_g = J.conj().T @ J, J.conj().T @ f
+    assert np.linalg.norm(G - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(g - ref_g) <= 1e-12 * np.linalg.norm(ref_g)
+
+
+def test_normal_equations_on_a_tenth_stored_pay_for_the_stored_keys():
+    # the 11,385 absent keys' Jacobian alone would take 73 MB; the stored
+    # keys' 1,265 rows take 8.1 MB
+    d, m, r = 25, 4, 16
+    comps, T = stored_fraction(d, m, r, 0.1, seed=28)
+    rng = np.random.default_rng(28)
+    Q = comps + 0.01 * (rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d)))
+    residual, normal_equations = _residual_builder(T, r)
+    q = Q.ravel()
+    f = residual(q)
+    tracemalloc.start()
+    try:
+        normal_equations(q, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(T.values) * r * d * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("case", ["m2", "m2-repeated", "empty-groups", "repeated-absent"])
+def test_scale_fit_on_ragged_cells_matches_equilibrated_lstsq(case):
+    # m = 2, where the tree has no levels and the coordinates are the leaf
+    # prefixes; keys leaving whole coordinate groups empty; and keys with
+    # repeated indices stored and distinct-index keys absent
+    rng = np.random.default_rng(31)
+    d, m, r = {"m2": (10, 2, 4), "m2-repeated": (10, 2, 4)}.get(case, (11, 4, 5))
+    full = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+    full[:, 0] = 1.0
+    every = np.array(list(itertools.combinations_with_replacement(range(d), m)))
+    distinct = np.array(omega_keys(d, m))
+    if case == "m2":
+        keys = distinct
+    elif case == "m2-repeated":
+        keys = every[every[:, 0] != 3]
+    elif case == "empty-groups":  # no prefix ends at 2, 5, 6 or 7
+        keys = distinct[~np.isin(distinct[:, -2], [2, 5, 6, 7])]
+    else:
+        keys = every[rng.random(len(every)) < 0.5]
+    design = component_products(full, keys).T
+    values = design @ rng.standard_normal(r) + 0.01 * rng.standard_normal(len(keys))
+    T = IncompleteSymmetricTensor(d, m, dict(zip(map(tuple, keys.tolist()), values)))
+    norms = np.linalg.norm(design, axis=0)
+    ref = lstsq(design / norms, T.values)
+    ref_lambdas = ref.solution / norms
+    lambdas, rec, _ = _scale_fit(T, full)
+    assert np.linalg.norm(lambdas - ref_lambdas) <= 1e-10 * np.linalg.norm(ref_lambdas)
+    assert abs(np.linalg.norm(rec - T.values) - ref.residual_norm) <= 1e-12 * np.linalg.norm(values)
+    assert np.abs(rec - design @ lambdas).max() <= 1e-12 * np.abs(T.values).max()
+
+
+def test_scale_fit_of_an_empty_tensor_is_degenerate():
+    T = IncompleteSymmetricTensor(6, 3, {})
+    with pytest.raises(ScalesDegenerate):
+        _scale_fit(T, np.ones((2, 6), dtype=complex))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from momentmix import gmm
@@ -691,6 +693,44 @@ def test_classify_rejects_non_finite_samples(bad):
     s.data[2, 1] = bad
     with pytest.raises(InvalidSamples, match="sample 2 "):
         classify(model, s)
+
+
+_SAMPLE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                           st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@st.composite
+def sample_arrays(draw):
+    """(N, d) finite samples, N <= 12 and d <= 5, zeros included."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    cells = draw(st.lists(_SAMPLE_FLOATS, min_size=n * d, max_size=n * d))
+    return np.array(cells, dtype=float).reshape(n, d)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sample_arrays(), st.integers(1, 4), st.data())
+def test_sample_moments_slot_permutation_property(Y, m, data):
+    # keys with their slots shuffled have the moments of the sorted keys
+    every = list(itertools.combinations_with_replacement(range(Y.shape[1]), m))
+    keys = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=15, unique=True))
+    shuffled = [tuple(data.draw(st.permutations(key))) for key in keys]
+    sorted_set = sample_moments(SampleSet(Y), keys)
+    shuffled_set = sample_moments(SampleSet(Y), shuffled)
+    assert shuffled_set.values == sorted_set.values
+    assert np.array_equal(sorted_set.gather(shuffled), sorted_set.gather(keys))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sample_arrays(), st.integers(1, 4), st.data())
+def test_sample_moments_reject_non_finite_at_any_position_property(Y, m, data):
+    i = data.draw(st.integers(0, len(Y) - 1))
+    j = data.draw(st.integers(0, Y.shape[1] - 1))
+    Y[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    keys = list(itertools.combinations_with_replacement(range(Y.shape[1]), m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN moments behind a RuntimeWarning
+        with pytest.raises(InvalidSamples, match=f"sample {i} is non-finite at coordinate {j}$"):
+            sample_moments(SampleSet(Y), keys)
 
 
 # The moment-recovery stages on the shared product kernel against the

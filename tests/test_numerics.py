@@ -69,6 +69,59 @@ def test_lstsq_rank_deficient_reports_rank_without_warning():
     assert rep.rank == 1 and not rep.ill_conditioned
 
 
+def lstsq_stack(rng, dtype):
+    """Four 9 x 4 systems: two of full rank, one of rank 2 and an all-zero
+    one."""
+    def draw(*shape):
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if dtype is complex else out
+
+    A = draw(4, 9, 4)
+    A[2] = draw(9, 2) @ draw(2, 4)
+    A[3] = 0.0
+    return A
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("rhs", [(), (3,)])
+def test_stacked_lstsq_matches_per_system_numpy(dtype, rhs):
+    rng = np.random.default_rng(13)
+    A = lstsq_stack(rng, dtype)
+    B = rng.standard_normal((4, 9) + rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = lstsq(A, B)
+    assert rep.solution.shape == (4, 4) + rhs
+    assert rep.residual_norm.shape == (4,) + rhs
+    assert not np.isnan(rep.solution).any() and not np.isnan(rep.residual_norm).any()
+    assert rep.rank.tolist() == [4, 4, 2, 0]
+    assert not rep.ill_conditioned.any()
+    for t in range(4):
+        x, _, rank, _ = np.linalg.lstsq(A[t], B[t], rcond=None)
+        resid = np.linalg.norm(A[t] @ x - B[t], axis=0)
+        assert rep.rank[t] == rank
+        scale = np.linalg.norm(x) or 1.0  # the zero system has x = 0
+        assert np.linalg.norm(rep.solution[t] - x) <= 1e-12 * scale
+        assert np.all(np.abs(rep.residual_norm[t] - resid) <= 1e-12 * resid)
+        one = lstsq(A[t], B[t])  # the 2-D call's report
+        assert one.rank == rank and isinstance(one.rank, int)
+        assert np.linalg.norm(one.solution - x) <= 1e-12 * scale
+    assert np.array_equal(rep.solution[3], np.zeros((4,) + rhs))
+
+
+def test_stacked_lstsq_warns_once_for_ill_conditioned_members():
+    rng = np.random.default_rng(14)
+    ill = np.zeros((2, 9, 4))
+    ill[:, :4] = np.diag([1.0, 1.0, 1.0, 1e-13])  # full rank, condition 1e13
+    A = np.concatenate([lstsq_stack(rng, complex), ill])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = lstsq(A, np.ones((6, 9)))
+    assert [w.category for w in caught] == [IllConditioned]
+    assert rep.ill_conditioned.tolist() == [False, False, False, False, True, True]
+    assert rep.rank.tolist() == [4, 4, 2, 0, 4, 4]
+
+
 def test_nnls_values():
     assert nnls(np.eye(2), np.array([1.0, -1.0])) == pytest.approx([1.0, 0.0])
     assert nnls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0])) == pytest.approx([2.0])

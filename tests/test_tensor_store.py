@@ -384,6 +384,44 @@ def test_prefix_tree_of_shorter_keys(m):
                 assert len(coord) == len(prefixes), s
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_ragged_cells_match_the_dense_grid(m):
+    # A x and A^H b of the scale stage on the occupied cells equal the
+    # (n_leaf, d) grid's GEMMs read at (or scattered into) the keys' cells
+    rng = np.random.default_rng(90 + m)
+    d, r = 9, 4
+    sets = _key_sets(d, m, rng)
+    # no key whose prefix ends at 2, 3 or 4 (its first slot at m = 2):
+    # those coordinate groups are empty
+    sets["empty-groups"] = sets["dropped"][~np.isin(sets["dropped"][:, -2], [2, 3, 4])]
+    vectors = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+    right = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+    for name, keys in sets.items():
+        tree = PrefixTree(keys)
+        cells = tree.ragged_cells
+        leaf = tree.products(vectors)[-1]
+        grouped = cells.products(vectors)
+        assert np.array_equal(grouped, leaf[cells.order]), name
+        assert np.array_equal(np.sort(cells.slot), np.unique(cells.slot)), name
+        assert cells.slot.max() < cells.size, name
+        if name == "omega":  # every block cell is a key's
+            assert cells.size == len(keys)
+        ends = tree.levels[-1][1] if tree.levels else np.arange(d)
+        group_ends = ends[cells.order[[rows.start for rows, _, _ in cells.blocks]]]
+        assert np.all(np.diff(group_ends) > 0), name
+        if name == "empty-groups":
+            assert not np.isin(group_ends, [2, 3, 4]).any()
+        want = tree.cells(leaf @ right)
+        got = cells.gemm(grouped, right)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+        f = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+        F = np.zeros((len(leaf), d), dtype=complex)
+        F.reshape(-1)[tree.leaf * d + tree.last] = f
+        want = leaf.T @ F
+        got = cells.gemm_adjoint(grouped, f, d)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
 # The JSON read and write pause the cyclic garbage collector and leave it
 # as they found it, on success and on every failure.
 
@@ -472,3 +510,28 @@ def test_json_round_trip_property(document):
     assert np.array_equal(T.key_array, keys)
     # bit for bit, so -0.0 stays negative
     assert T.values.tobytes() == values.tobytes()
+
+
+@st.composite
+def tensors_and_shuffled_keys(draw):
+    """An order-m, dimension-d tensor on a strictly ascending subset of the
+    sorted keys (repeated indices included), stored keys drawn from it and
+    the same keys with their slots shuffled."""
+    d, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    every = list(itertools.combinations_with_replacement(range(d), m))
+    picked = sorted(draw(st.sets(st.sampled_from(every), min_size=1, max_size=40)))
+    values = np.arange(len(picked)) + 1j * np.arange(len(picked))[::-1]
+    T = IncompleteSymmetricTensor(d, m, dict(zip(picked, values)))
+    queries = draw(st.lists(st.sampled_from(picked), min_size=1, max_size=20))
+    shuffled = [tuple(draw(st.permutations(key))) for key in queries]
+    return T, queries, shuffled
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tensors_and_shuffled_keys())
+def test_gather_slot_permutation_property(case):
+    T, queries, shuffled = case
+    want = T.gather(queries)
+    assert np.array_equal(T.gather(shuffled), want)
+    assert np.array_equal(T.gather(np.array(shuffled)[:, None, :])[:, 0], want)
+    assert [T[key] for key in shuffled] == want.tolist()
