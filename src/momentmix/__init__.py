@@ -1,7 +1,7 @@
 """Incomplete symmetric tensor decomposition via generating polynomials,
 and diagonal Gaussian mixture learning from sample moments."""
 
-from .combinatorics import basis_B0, basis_B1, binomial, subsets_lex, support_O_alpha
+from .combinatorics import binomial, subsets_lex
 from .decomposition import (
     Decomposition,
     DecompositionParams,

@@ -2,16 +2,14 @@
 
 Variable labels run over ``1..n``; label ``0`` is the homogenizing
 coordinate (constant 1).  A squarefree monomial is identified with the
-strictly increasing tuple of its variable labels, so all basis sets below
-are ordered lists of integer tuples.
+strictly increasing tuple of its variable labels, so monomial sets are
+ordered lists of integer tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-
-from .errors import RankTooLarge
 
 IndexSubset = tuple[int, ...]
 
@@ -35,45 +33,3 @@ def subsets_lex(lo: int, hi: int, size: int) -> list[IndexSubset]:
     if hi < lo:
         return []
     return list(itertools.combinations(range(lo, hi + 1), size))
-
-
-def basis_B0(k: int, p: int, r: int) -> list[IndexSubset]:
-    """First ``r`` degree-p squarefree monomials in the head variables
-    ``1..k``, in lexicographic order.
-
-    All candidates share degree p, so graded-lexicographic order reduces
-    to plain lexicographic order on the sorted index tuples.
-    """
-    if not (1 <= p <= k):
-        raise ValueError(f"need 1 <= p <= k, got p={p}, k={k}")
-    if binomial(k, p) < r:
-        raise RankTooLarge(r)
-    return subsets_lex(1, k, p)[:r]
-
-
-def basis_B1(k: int, p: int, n: int) -> list[IndexSubset]:
-    """All monomials x_{j1}...x_{jp} x_{j_{p+1}} with the first p labels
-    in ``1..k`` and the last in ``k+1..n``, lexicographic order."""
-    if not (p <= k < n):
-        raise ValueError(f"need p <= k < n, got p={p}, k={k}, n={n}")
-    out = []
-    for head in subsets_lex(1, k, p):
-        for j in range(k + 1, n + 1):
-            out.append(head + (j,))
-    return out
-
-
-def support_O_alpha(
-    alpha: IndexSubset, k: int, n: int, m: int, p: int
-) -> list[IndexSubset]:
-    """Equation-support tuples for a column labelled by ``alpha``: all
-    (m-p-1)-subsets of the tail labels ``k+1..n`` avoiding alpha's own
-    tail label, in lexicographic order."""
-    j_tail = alpha[-1]
-    if not (k + 1 <= j_tail <= n):
-        raise ValueError(f"tail label {j_tail} of alpha not in [{k + 1}, {n}]")
-    pool = [s for s in range(k + 1, n + 1) if s != j_tail]
-    size = m - p - 1
-    if size == 0:
-        return [()]
-    return list(itertools.combinations(pool, size))

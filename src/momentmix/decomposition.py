@@ -27,7 +27,7 @@ from .generating import companion_matrices, extract_tails, solve_generating_matr
 from .numerics import COND_LIMIT, lstsq, nlls_refine
 from .tensor_store import (
     IncompleteSymmetricTensor,
-    block_matrix,
+    block_keys,
     component_products,
     omega_keys,
     product_jacobian,
@@ -156,7 +156,8 @@ def solve_tail_products(
     """Coefficient vectors gamma_i over the head monomial set J1, from one
     least squares per J1 row against the tail design, which needs rank r."""
     J1, J2, W = _tail_blocks(T, tails, params)
-    B = block_matrix(T, J1, J2, pad_with_zero_label=True)
+    # heads lie in 1..k and tail labels in k+1..n, so no key repeats a label
+    B = T.gather(block_keys([(0,) + b for b in J1], J2))
     # one shared design, all J1 rows as simultaneous right-hand sides
     report = lstsq(W, B.T)
     if report.rank < params.r:
@@ -191,7 +192,7 @@ def solve_heads(
     J1, J2, W = _tail_blocks(T, tails, params)
     head_keys = subsets_lex(1, k, p + 1)
     position = {key: a for a, key in enumerate(head_keys)}
-    block = block_matrix(T, head_keys, J2, pad_with_zero_label=False)
+    block = T.gather(block_keys(head_keys, J2))
     W_conj = W.conj()
     tail_gram = W_conj.T @ W
     heads = np.empty((r, k), dtype=complex)
@@ -282,7 +283,7 @@ def _scale_fit(
     rank-deficient design; warns IllConditioned as ``numerics.lstsq`` does.
     """
     cells = T.tree.ragged_cells
-    leaf_products = cells.products(full)
+    leaf_products = cells.products(full)[-1]
 
     def adjoint(rhs):
         return (cells.gemm_adjoint(leaf_products, rhs.conj(), T.d) * full).sum(axis=1).conj()

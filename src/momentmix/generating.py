@@ -18,15 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import (
-    IndexSubset,
-    binomial,
-    subsets_lex,
-    support_O_alpha,
-)
+from .combinatorics import binomial, subsets_lex
 from .errors import DegenerateSpectrum, ShapeCondition
 from .numerics import eig, gaussian_vector, lstsq
-from .tensor_store import IncompleteSymmetricTensor, block_keys, block_matrix
+from .tensor_store import IncompleteSymmetricTensor, block_keys
 
 _GAP_TOL = 1e-8
 _MAX_XI_RETRIES = 5
@@ -59,39 +54,18 @@ class CompanionSet:
         return self.matrices.shape[1]
 
 
-def assemble_system(
-    T: IncompleteSymmetricTensor,
-    alpha: IndexSubset,
-    B0: list[IndexSubset],
-    k: int,
-    n: int,
-    m: int,
-    p: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear system for the G-column of ``alpha``: rows indexed by the
-    support tuples of alpha, columns by B0.
-
-    A[gamma, beta] is the tensor entry at beta + gamma padded with label 0
-    (degree m-1 monomial); b[gamma] is the entry at alpha + gamma.
-    """
-    support = support_O_alpha(alpha, k, n, m, p)
-    A = block_matrix(T, support, B0, pad_with_zero_label=True)
-    b = block_matrix(T, support, [alpha])[:, 0]
-    return A, b
-
-
 def solve_generating_matrix(
     T: IncompleteSymmetricTensor, r: int, p: int, k: int
 ) -> GeneratingMatrix:
     """Solve the least-squares systems of all tail labels as one stack to
     build G.
 
-    The columns alpha = head + (j,) that share a tail label j share the
-    design matrix of ``assemble_system``, whose rows are the support
-    tuples of j: the (m-p-1)-subsets of the tail labels avoiding j, as
-    many for every j.  The designs A (n - k, S, r) and the right-hand
-    sides B (n - k, S, |heads|) of all labels are two gathers, solved by
-    one stacked ``lstsq``.  On exact rank-r generic input every
+    The columns alpha = head + (j,) that share a tail label j share one
+    design matrix: its rows are the support tuples of j, the
+    (m-p-1)-subsets of the tail labels avoiding j, as many for every j,
+    and its columns the first r heads padded with label 0.  The designs
+    A (n - k, S, r) and the right-hand sides B (n - k, S, |heads|) of all
+    labels are two gathers, solved by one stacked ``lstsq``.  On exact rank-r generic input every
     per-column residual vanishes; on noisy input the same code path
     yields the least-squares G.
     """

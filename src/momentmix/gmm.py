@@ -10,8 +10,8 @@ nonnegative and simplex-constrained least squares for the weights, means
 and variances.  Their designs, and the exact moments, are products over
 key arrays from the tensor path's ``component_products``, and each stage
 reads its moments with one ``MomentSet.gather``.  The simplex refinement
-takes its normal equations in closed form from the tensor LM's Gram
-``omega_gram`` and ``PrefixTree.adjoint``, so no Jacobian is formed.
+takes its normal equations from ``omega_gram`` and ``PrefixTree.adjoint``
+on the cells keys occupy (``RaggedCells``): no Jacobian or grid is formed.
 
 The kernels that touch every sample are matrix products.  Sample moments
 walk the tensor path's ``PrefixTree`` over row chunks of the samples in

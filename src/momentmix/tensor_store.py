@@ -10,10 +10,10 @@ batch of keys with one ``np.searchsorted``.  ``entries``, a tuple-keyed
 dict of the same entries, is derived from the arrays on first access.
 
 Products over many keys walk one ``PrefixTree``, which multiplies each
-distinct prefix of ascending keys once: ``decomposition``'s scale stage
-(on the tree's ``RaggedCells``), reconstructions and J^H f use the
-tensor's cached ``tree``, and ``gmm``'s sample moments and moment
-refinement trees of theirs.
+distinct prefix of ascending keys once: ``decomposition``'s scale stage,
+reconstructions and J^H f run on the cells of the tensor's cached
+``tree`` (``RaggedCells``, one GEMM per group of prefixes), and ``gmm``'s
+sample moments and moment refinement on trees of theirs.
 
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
@@ -218,18 +218,16 @@ class PrefixTree:
 
     Level 0 is the coordinates; level s (1 <= s <= m-2) lists (s+1)-slot
     prefixes as ``(parent, coord)``: prefix ``parent[j]`` of level s-1,
-    then coordinate ``coord[j]``.  Above level 1 ``parent`` never
-    decreases, so each prefix's children are one run.  Key k's first m-1
-    slots (first slot when m = 1) are prefix ``leaf[k]`` of level
-    max(m-2, 0); for m >= 2 its product is cell ``(leaf[k], last[k])`` of a
-    leaf-prefix x coordinate grid.
+    then coordinate ``coord[j]``.  Key k's first m-1 slots (first slot
+    when m = 1) are prefix ``leaf[k]`` of level max(m-2, 0), and for
+    m >= 2 its last slot is ``last[k]``.
 
     A key may be shorter than m: its trailing slots are then -1, absent.
     Key k's prefix, all its slots but the last one ``last[k]``, is prefix
     ``leaf[k]`` of level ``depth[k]``, the key's length minus 2; a
-    one-slot key has depth -1 and no prefix.  Full-length keys all have depth m-2, and
-    only they have the cells that ``cells``, ``reconstruction`` and
-    ``adjoint`` read."""
+    one-slot key has depth -1 and no prefix.  Full-length keys all have
+    depth m-2, and only they have the ``ragged_cells`` that
+    ``reconstruction`` and ``adjoint`` read."""
 
     def __init__(self, keys: np.ndarray):
         n, self.m = keys.shape
@@ -268,41 +266,39 @@ class PrefixTree:
         first use."""
         return RaggedCells(self)
 
-    def cells(self, grid: np.ndarray) -> np.ndarray:
-        """Each key's cell of an (n_leaf, d, ...) grid (order m >= 2)."""
-        return grid.reshape(-1, *grid.shape[2:])[self.leaf * grid.shape[1] + self.last]
-
     def reconstruction(self, vectors: np.ndarray) -> np.ndarray:
         """sum_i prod_t vectors[i, key_t] per key (order m >= 2), one GEMM
-        of the leaf products and the vectors read at the cells; the
+        per ``ragged_cells`` group of the leaf products and the vectors; the
         in-order sum of ``component_products`` over the components up to
         rounding."""
-        return self.cells(self.products(vectors)[-1] @ vectors)
+        cells = self.ragged_cells
+        return cells.gemm(cells.products(vectors)[-1], vectors)
 
     def adjoint(self, vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
         """(r, d) J^H f, J the Jacobian of ``reconstruction`` (order m >= 2),
-        complex or real as the vectors and f are; needs strictly ascending
-        keys, or repeated cells and first slots are dropped.  With f in the
-        (n_leaf, d) grid F, the last slot gives F^T conj(P_leaf) and the
-        leaf adjoint F conj(vectors)^T; each level adds its adjoint times
-        the parents' conjugated products into its coordinates (summed in key
-        order from zero) and folds it, times its coordinates' conjugated
-        rows, into the parents."""
-        d = vectors.shape[1]
-        prods = self.products(vectors)
-        F = np.zeros((len(prods[-1]), d), dtype=np.result_type(vectors, f))
-        F.reshape(-1)[self.leaf * d + self.last] = f  # a view: F is contiguous
-        grad = F.T @ prods[-1].conj()  # (d, r)
-        adjoint = F @ vectors.conj().T  # (n_leaf, r)
-        del F
-        top = np.arange(d)  # each adjoint row's coordinate
-        for s in range(len(self.levels), 0, -1):
-            parent, coord = self.levels[s - 1]
+        complex or real as the vectors and f are; of repeated keys, one f
+        counts.  Per ``ragged_cells`` block F holding f, the last slot adds
+        F^T conj(P_rows) and the leaf adjoint is F conj(vectors.T[cols]), in
+        group order.  Each level then adds its adjoint times the parents'
+        conjugated products into its coordinates and folds it, times its
+        coordinates' conjugated rows, into the parents: both bin sums in
+        row order from zero."""
+        cells, d = self.ragged_cells, vectors.shape[1]
+        prods = cells.products(vectors)
+        leaf, right = prods[-1].conj(), prods[0].conj()
+        grad = np.zeros(right.shape, dtype=np.result_type(vectors, f))  # (d, r)
+        adjoint = np.empty(leaf.shape, dtype=grad.dtype)
+        F = np.zeros(cells.size, dtype=f.dtype)
+        F[cells.slot] = f
+        for rows, cols, block in cells.blocks:
+            F_block = F[block].reshape(-1, cols.stop - cols.start)
+            grad[cols] += F_block.T @ leaf[rows]
+            np.matmul(F_block, right[cols], out=adjoint[rows])
+        for s in range(len(cells.levels), 0, -1):
+            parent, coord = cells.levels[s - 1]
             grad += _coordinate_sums(adjoint * prods[s - 1][parent].conj(), coord, d)
-            runs = np.flatnonzero(np.diff(parent, prepend=-1))
-            adjoint = np.add.reduceat(adjoint * prods[0][coord].conj(), runs)
-            top = parent[runs]
-        grad[top] += adjoint
+            adjoint = _coordinate_sums(adjoint * right[coord], parent, len(prods[s - 1]))
+        grad[cells.order if not cells.levels else slice(None)] += adjoint
         return grad.T
 
 
@@ -318,8 +314,8 @@ def _level_products(vectors: np.ndarray, levels: list) -> list[np.ndarray]:
 
 
 class RaggedCells:
-    """The cells of a ``PrefixTree``'s leaf-prefix x coordinate grid that
-    its full-length keys (order m >= 2) occupy, laid out without the rest.
+    """One cell per (leaf prefix, last slot) pair of a ``PrefixTree``'s
+    full-length keys (order m >= 2), in one flat buffer of ``size`` cells.
 
     The leaf prefixes that keys use are grouped by their last coordinate
     (the coordinate itself at m = 2), each group in tree order.  A sorted
@@ -327,9 +323,10 @@ class RaggedCells:
     needs only the columns [lo, hi) that its keys' last slots span.  Each
     ``blocks`` entry is a group's (rows, columns, cells): its rows of the
     leaf products in group order (``products``), its columns, and its
-    (rows x columns) block of one flat buffer of ``size`` cells, where key
-    k's cell is ``slot[k]``.  On ascending distinct-index keys the blocks
-    hold the keys' cells and no others."""
+    (rows x columns) block of the buffer, where key k's cell is
+    ``slot[k]``.  ``levels`` are the tree's, the top one regrouped (none
+    at m = 2).  On ascending distinct-index keys the blocks hold the keys'
+    cells and no others."""
 
     def __init__(self, tree: PrefixTree):
         leaf, last = tree.leaf, tree.last
@@ -342,8 +339,8 @@ class RaggedCells:
         ends = tree.levels[-1][1][used] if tree.levels else used
         by_end = np.argsort(ends, kind="stable")
         self.order = used[by_end]
-        self.levels = None  # at m = 2 the leaf prefixes are the coordinates
-        if tree.levels:  # the top level's nodes regrouped
+        self.levels = []
+        if tree.levels:
             parent, coord = tree.levels[-1]
             self.levels = tree.levels[:-1] + [(parent[self.order], coord[self.order])]
         starts = np.flatnonzero(np.diff(ends[by_end], prepend=-1))
@@ -363,11 +360,13 @@ class RaggedCells:
                               + (np.arange(len(by_end)) - rows[group]) * width[group])
         self.slot = cell_0[leaf] + last
 
-    def products(self, vectors: np.ndarray) -> np.ndarray:
-        """(n_rows, r) leaf products of (r, d) vectors in group order."""
-        if self.levels is None:
-            return np.ascontiguousarray(vectors.T[self.order])
-        return _level_products(vectors, self.levels)[-1]
+    def products(self, vectors: np.ndarray) -> list[np.ndarray]:
+        """``PrefixTree.products`` over ``levels``, ending with the (n_rows,
+        r) leaf products in group order (appended at m = 2)."""
+        prods = _level_products(vectors, self.levels)
+        if not self.levels:
+            prods.append(prods[0][self.order])
+        return prods
 
     def gemm(self, leaf_products: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Each key's cell of leaf_products @ right, (r, d) right, one GEMM
@@ -379,8 +378,8 @@ class RaggedCells:
         return out[self.slot]
 
     def gemm_adjoint(self, leaf_products: np.ndarray, f: np.ndarray, d: int) -> np.ndarray:
-        """(r, d) leaf_products^T F, F the grid holding f at the keys' cells
-        and 0 elsewhere, one GEMM per group."""
+        """(r, d) leaf_products^T F, F the buffer holding f at the keys'
+        cells and 0 elsewhere, one GEMM per group."""
         F = np.zeros(self.size, dtype=f.dtype)
         F[self.slot] = f
         out = np.zeros((leaf_products.shape[1], d), dtype=np.result_type(leaf_products, f))
@@ -389,15 +388,15 @@ class RaggedCells:
         return out
 
 
-def _coordinate_sums(rows: np.ndarray, coord: np.ndarray, d: int) -> np.ndarray:
-    """(d, r) sums of an (n, r) real or complex array's rows by coordinate,
-    each in row order from zero, as bin sums of the real (and imaginary)
-    parts."""
+def _coordinate_sums(rows: np.ndarray, index: np.ndarray, n_bins: int) -> np.ndarray:
+    """(n_bins, r) sums of an (n, r) real or complex array's rows by their
+    index (a coordinate or a parent prefix), each in row order from zero,
+    as bin sums of the real (and imaginary) parts."""
     parts = rows.view(float)
     width = parts.shape[1]
-    bins = (coord[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, parts.ravel(), d * width)
-    return sums.view(rows.dtype).reshape(d, -1)
+    bins = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, parts.ravel(), n_bins * width)
+    return sums.view(rows.dtype).reshape(n_bins, -1)
 
 
 def product_jacobian(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:

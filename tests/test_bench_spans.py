@@ -5,7 +5,6 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from momentmix.combinatorics import basis_B1
 from momentmix.decomposition import approximate, choose_params
 from momentmix.experiments import random_components
 from momentmix.tensor_store import (
@@ -15,6 +14,7 @@ from momentmix.tensor_store import (
     omega_keys,
     perturb,
 )
+from oracles import basis_B1
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 

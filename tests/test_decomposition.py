@@ -46,6 +46,7 @@ from momentmix.tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
     PrefixTree,
+    RaggedCells,
     block_matrix,
     component_products,
     from_components,
@@ -618,17 +619,21 @@ def test_decompose_recovers_planted_components_property(problem):
 
 def tree_key_sets(d, m, rng):
     """Strictly ascending key arrays: the distinct-index keys, every sorted
-    key (repeated indices included), and a random half of the latter
-    without any key starting at 1 or 3, so the first slots are sparse."""
+    key (repeated indices included), a random half of the latter without
+    any key starting at 1 or 3, so the first slots are sparse, and that
+    half without any key whose prefix ends at 2, 3 or 4 (its first slot at
+    m = 2), so those groups of the ragged cells are empty."""
     distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
     every = np.array(
         list(itertools.combinations_with_replacement(range(d), m)), dtype=np.int64
     )
     keep = (rng.random(len(every)) < 0.5) & ~np.isin(every[:, 0], [1, 3])
-    return {"omega": distinct, "repeated": every, "dropped": every[keep]}
+    dropped = every[keep]
+    return {"omega": distinct, "repeated": every, "dropped": dropped,
+            "empty-groups": dropped[~np.isin(dropped[:, -2], [2, 3, 4])]}
 
 
-@pytest.mark.parametrize("keyset", ["omega", "repeated", "dropped"])
+@pytest.mark.parametrize("keyset", ["omega", "repeated", "dropped", "empty-groups"])
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_tree_residual_and_gradient_match_product_jacobian(m, keyset):
     rng = np.random.default_rng(50 + m)
@@ -655,20 +660,26 @@ def test_tree_residual_and_gradient_match_product_jacobian(m, keyset):
 
 def test_approximate_builds_one_prefix_tree(monkeypatch):
     # the scale fit, the residual, J^H f and the final reconstruction
-    # share the noisy tensor's cached tree
-    built = []
-    init = PrefixTree.__init__
+    # share the noisy tensor's cached tree and its one cell layout
+    built, layouts = [], []
+    init, cells_init = PrefixTree.__init__, RaggedCells.__init__
 
     def counted(tree, keys):
         built.append(len(keys))
         init(tree, keys)
 
+    def counted_cells(cells, tree):
+        layouts.append(tree)
+        cells_init(cells, tree)
+
     monkeypatch.setattr(PrefixTree, "__init__", counted)
+    monkeypatch.setattr(RaggedCells, "__init__", counted_cells)
     comps, T = planted(10, 4, 3, seed=41)
     Th = perturb(T, 0.01, 41)
     dec = approximate(Th, choose_params(9, 4, 3, seed=41), truth=T)
     assert dec.diagnostics["lm_iterations"] >= 1
     assert built == [len(Th.values)]
+    assert layouts == [Th.tree]
 
 
 def test_normal_equations_peak_memory_below_slot_partials():

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from momentmix.combinatorics import basis_B0, basis_B1, binomial
+from momentmix.combinatorics import binomial
 from momentmix.decomposition import choose_params
 from momentmix.errors import ShapeCondition
 from momentmix.numerics import lstsq
 from momentmix.generating import (
-    assemble_system,
     companion_matrices,
     extract_tails,
     solve_generating_matrix,
@@ -20,6 +19,7 @@ from momentmix.tensor_store import (
     omega_keys,
     perturb,
 )
+from oracles import assemble_system, basis_B0, basis_B1
 
 
 def rank_one_tensor():
