@@ -14,22 +14,22 @@ takes its normal equations from ``omega_gram`` and ``PrefixTree.adjoint``
 on the cells keys occupy (``RaggedCells``): no Jacobian or grid is formed.
 
 The kernels that touch every sample are matrix products.  Sample moments
-walk the tensor path's ``PrefixTree`` over row chunks of the samples in
-power coordinates, where a run of t equal slots c is one slot reading
-column c of Y^t: each distinct prefix costs one multiply per sample, and
-each level's prefix products times the chunk's powers give every last
-slot at once, so the working memory is O(chunk * prefixes) whatever N is.
-A repeated-pair key (j, j, gamma) reads the product over gamma, one level
-above the distinct keys' leaves, times y_j^2.
+run in power coordinates, where a run of t equal slots c is one slot
+reading c's row of Y^t: per row chunk of the samples, held component-major
+as z = [Y, Y^2, ..., Y^T]^T, they are the tensor path's
+``PrefixTree.reconstruction`` on the keys of each number of runs, with the
+chunk's samples in place of the components.  Each distinct prefix costs
+one multiply per sample and each group of prefixes one GEMM, so the
+working memory is O(chunk * prefixes) whatever N is.
 
 The log-density of every component is linear in [y, y * y] with one
 constant, so it is a product with one (r, 2d) coefficient matrix instead
-of an (N, r, d) difference.  EM runs each iteration as one pass over the
-same row chunks, component-major: per chunk, one (r, 2d) x (2d, chunk)
-product gives the log-densities, floored at e^-500 below each column's
-largest before they are exponentiated, and one (r, chunk) x (chunk, 2d)
-product adds the chunk's responsibilities to the next M-step, so no
-array of N rows is built.  ``classify`` keeps the (N, r) layout of its
+of an (N, r, d) difference.  EM runs each iteration as one pass over row
+chunks in the same layout, z = [Y, Y^2]^T: per chunk, one (r, 2d) x (2d,
+chunk) product gives the log-densities, floored at e^-500 below each
+column's largest before they are exponentiated, and one (r, chunk) x
+(chunk, 2d) product adds the chunk's responsibilities to the next M-step,
+so no array of N rows is built.  ``classify`` keeps the (N, r) layout of its
 argmax and forms it as two (N, d) x (d, r) products.
 """
 
@@ -65,11 +65,17 @@ from .tensor_store import (
 TensorKey = tuple[int, ...]
 
 _BETA_FLOOR = 1e-12
-# Rows per chunk of the sample-moment products and of the EM passes: large
-# enough that each product is a BLAS call of useful size, small enough that
-# the (n_prefix, chunk) prefix products stay a few megabytes for the Table-4
-# moment set and EM's two chunk buffers stay under a megabyte at d=15.
-_MOMENT_CHUNK = 2048
+# Rows per chunk of the sample-moment passes: enough for each GEMM of a
+# chunk's reconstruction to be a BLAS call of useful size, few enough that
+# its (n_prefix, chunk) prefix products stay a few megabytes, 5.6 MiB for
+# the 1,365 leaf prefixes of the d=15, m=5 learning keys.  At 2048 rows
+# they took 22 MiB, allocated afresh for every chunk, and those moments
+# page faulted about 2,700 times per chunk and took 1.5 s instead of 0.5 s
+# (N=1e5, one BLAS thread).
+_MOMENT_CHUNK = 512
+# Rows per chunk of the EM passes: EM's two chunk buffers stay under a
+# megabyte at d=15.
+_EM_CHUNK = 2048
 # Floor of EM's log-ratios to a column's largest term, applied before they
 # are exponentiated: exp takes a slow path on inputs that underflow (below
 # about -708 its result is subnormal, below -745 zero), and subnormal
@@ -159,20 +165,21 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
 
     Order 1 is the column mean.  Above it every key is a distinct-index
     key over power coordinates (``_run_codes``): a run of t slots equal to
-    c is one slot reading column (t-1)*d + c of Z = [Y, Y^2, ..., Y^T], T
-    the longest run.  Sorted, its power-1 slots come first, so a
-    repeated-pair key (j, j, gamma) is the distinct key gamma followed by
-    the Y^2 column of j, and one ``PrefixTree`` holds the prefixes of
-    every key: the (m-2)-subsets gamma sit one level above the leaves of
-    the distinct keys, which share them.  For each chunk of at most
-    ``_MOMENT_CHUNK`` rows the tree multiplies each of its prefixes once
-    per sample, parent times one column of Z, and for each level that
-    keys' prefixes end at, its (n_prefix, chunk) products times the chunk's
-    columns of Z that those keys' last slots read accumulate the sums of
-    every such prefix times every such column; one-slot keys, such as
-    (j, j, j), take the column sums.  A key's moment is the sum at its
-    cell, divided by N >= 1 (InvalidSamples otherwise).  Memory beyond the
-    samples is O(_MOMENT_CHUNK * (n_prefix + T * d) + n_prefix * T * d).
+    c is one slot reading row (t-1)*d + c of z = [Y_b, Y_b^2, ...,
+    Y_b^T]^T, T the longest run, which ``_power_chunks`` fills for each
+    chunk of at most ``_MOMENT_CHUNK`` samples.  Ascending, a key's power
+    coordinates are a full-length key of one ``PrefixTree`` per number of
+    runs: a repeated-pair key (j, j, gamma) is the distinct key gamma
+    followed by the Y^2 row of j.  Per chunk, each tree's
+    ``reconstruction(z.T)``, the chunk's samples in place of the
+    components, adds its keys' sums over the chunk: every prefix costs one
+    multiply per sample, and each group of prefixes one GEMM with the rows
+    of z that its keys' last slots read (``RaggedCells``).  One-run keys,
+    such as (j, j, j), add row sums of z.  A key's moment is its sum
+    divided by N >= 1 (InvalidSamples otherwise); a key listed twice reads
+    one cell.  Memory beyond the samples is O(_MOMENT_CHUNK * (T * d +
+    n_prefix) + n_cells), n_prefix the prefixes of the largest tree and
+    n_cells its ragged cells, whatever N is.
 
     Keys of more than one order, non-integer slots and a slot outside
     range(d) raise InvalidMomentKey.  A non-finite sample coordinate makes
@@ -192,43 +199,21 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
             return np.ones(key_arr.shape[0])
         if order == 1:
             return Y.mean(axis=0)[key_arr[:, 0]]
-        codes = _run_codes(key_arr, d)
-        # the codes of each key ascending, then its absent slots
-        top = codes.max() + 1
-        walk = np.sort(np.where(codes < 0, top, codes), axis=1)
-        walk[walk == top] = -1
-        row_order = np.lexsort(walk.T[::-1])
-        tree = PrefixTree(walk[row_order])
-        width = (codes.max() // d + 1) * d  # the columns of Z
-        # per prefix level that keys end at: those keys, and the columns
-        # [lo, hi) of Z that their last slots read, widened to a multiple of
-        # 8 where Z allows (OpenBLAS multiplies 16 columns faster than 13 or
-        # 15 on one thread)
-        ends = []
-        for depth in np.unique(tree.depth).tolist():
-            at = np.flatnonzero(tree.depth == depth)
-            lo, hi = tree.last[at].min(), tree.last[at].max() + 1
-            padded = -((lo - hi) // 8) * 8
-            hi = min(lo + padded, width)
-            ends.append((depth, at, max(hi - padded, 0), hi))
-        sums = [0.0] * len(ends)
-        Z = np.empty((min(len(Y), _MOMENT_CHUNK), width))
-        for start in range(0, len(Y), _MOMENT_CHUNK):
-            chunk = Y[start : start + _MOMENT_CHUNK]
-            z = Z[: len(chunk)]
-            z[:, :d] = chunk
-            for t in range(d, z.shape[1], d):
-                np.multiply(z[:, t - d : t], chunk, out=z[:, t : t + d])
-            prods = tree.products(z)
-            for e, (depth, _, lo, hi) in enumerate(ends):
-                if depth < 0:
-                    sums[e] = sums[e] + z[:, lo:hi].sum(axis=0, keepdims=True)
-                else:
-                    sums[e] = sums[e] + prods[depth] @ z[:, lo:hi]
-        values = np.empty(len(walk))
-        for (depth, at, lo, _), grid in zip(ends, sums):
-            node = tree.leaf[at] if depth >= 0 else 0
-            values[row_order[at]] = grid.reshape(-1)[node * grid.shape[1] + tree.last[at] - lo]
+        # each key's power coordinates ascending, its -1 slots first; the
+        # keys of n runs are full-length keys of their last n codes
+        codes = np.sort(_run_codes(key_arr, d), axis=1)
+        runs = (codes >= 0).sum(axis=1)
+        groups = []
+        for n in np.unique(runs).tolist():
+            at = np.flatnonzero(runs == n)
+            walk = codes[at, order - n :]
+            row_order = np.lexsort(walk.T[::-1])
+            at, walk = at[row_order], walk[row_order]
+            groups.append((at, PrefixTree(walk) if n > 1 else None, walk[:, 0]))
+        values = np.zeros(len(key_arr))
+        for z in _power_chunks(Y, codes.max() // d + 1, _MOMENT_CHUNK):
+            for at, tree, column in groups:
+                values[at] += tree.reconstruction(z.T) if tree else z[column].sum(axis=1)
         return values / len(Y)
 
     def values_at(key_arr):
@@ -547,11 +532,11 @@ def em_baseline(
     each M-step.  Returns the best-likelihood iterate.
 
     Each iteration is one fused pass over row chunks of at most
-    ``_MOMENT_CHUNK`` samples, held component-major: the chunk is copied
-    into z = [Y_b, Y_b * Y_b]^T, its (r, b) log-densities are one product
-    ``W @ z`` plus a per-component constant, and each column is normalised
-    into responsibilities R that at once add the chunk's share of the
-    log-likelihood and of the next M-step's sums ``R.sum(1)`` and
+    ``_EM_CHUNK`` samples, held component-major: ``_power_chunks`` copies
+    the chunk into z = [Y_b, Y_b * Y_b]^T, its (r, b) log-densities are one
+    product ``W @ z`` plus a per-component constant, and each column is
+    normalised into responsibilities R that at once add the chunk's share
+    of the log-likelihood and of the next M-step's sums ``R.sum(1)`` and
     ``R @ z^T``.  Before each column is exponentiated, its log-densities
     less the column's largest are floored at ``_EM_LOG_FLOOR`` (-500): a
     term below e^-500 relative to its column's largest term counts as
@@ -559,7 +544,7 @@ def em_baseline(
     responsibility is subnormal.  The first M-step reads the random
     responsibilities chunk by chunk from one stream, so they equal a
     single (N, r) draw.  Memory beyond the samples is
-    O(_MOMENT_CHUNK * (2d + r)).
+    O(_EM_CHUNK * (2d + r)).
     """
     Y = np.ascontiguousarray(samples.data, dtype=float)
     N, d = Y.shape
@@ -574,9 +559,11 @@ def em_baseline(
     if not math.isfinite(Y.sum()):
         _reject_non_finite(Y)
     rng = rng_from(seed, "em")
+    R_buf = np.empty((r, _EM_CHUNK))
     nk = np.zeros(r)
     sums = np.zeros((r, 2 * d))
-    for z, R in _em_chunks(Y, r):
+    for z in _power_chunks(Y, 2, _EM_CHUNK):
+        R = R_buf[:, : z.shape[1]]
         R[...] = rng.random((z.shape[1], r)).T
         R /= R.sum(axis=0)
         nk += R.sum(axis=1)
@@ -595,7 +582,8 @@ def em_baseline(
         nk = np.zeros(r)
         sums = np.zeros((r, 2 * d))
         ll = 0.0
-        for z, R in _em_chunks(Y, r):
+        for z in _power_chunks(Y, 2, _EM_CHUNK):
+            R = R_buf[:, : z.shape[1]]
             np.matmul(W, z, out=R)
             R += c
             top = R.max(axis=0)
@@ -619,19 +607,20 @@ def em_baseline(
     )
 
 
-def _em_chunks(Y, r):
-    """Per row chunk of the (N, d) samples, views (z, R) of two buffers
-    reused across chunks: z = [Y_b, Y_b * Y_b]^T filled in, and an (r, b)
-    R for the caller."""
-    d = Y.shape[1]
-    z_buf = np.empty((2 * d, _MOMENT_CHUNK))
-    R_buf = np.empty((r, _MOMENT_CHUNK))
-    for start in range(0, Y.shape[0], _MOMENT_CHUNK):
-        chunk = Y[start : start + _MOMENT_CHUNK]
-        z = z_buf[:, : chunk.shape[0]]
+def _power_chunks(Y, T, rows):
+    """Per chunk of at most ``rows`` rows of the (N, d) samples, the chunk
+    component-major in powers, z = [Y_b, Y_b^2, ..., Y_b^T]^T of shape
+    (T * d, b): a C-contiguous view of one buffer reused across chunks, each
+    power the one below it times Y_b."""
+    N, d = Y.shape
+    buf = np.empty(T * d * min(N, rows))
+    for start in range(0, N, rows):
+        chunk = Y[start : start + rows]
+        z = buf[: T * d * len(chunk)].reshape(T * d, len(chunk))
         z[:d] = chunk.T
-        np.multiply(z[:d], z[:d], out=z[d:])
-        yield z, R_buf[:, : chunk.shape[0]]
+        for t in range(d, T * d, d):
+            np.multiply(z[t - d : t], z[:d], out=z[t : t + d])
+        yield z
 
 
 _VAR_FLOOR = 1e-3

@@ -10,10 +10,12 @@ batch of keys with one ``np.searchsorted``.  ``entries``, a tuple-keyed
 dict of the same entries, is derived from the arrays on first access.
 
 Products over many keys walk one ``PrefixTree``, which multiplies each
-distinct prefix of ascending keys once: ``decomposition``'s scale stage,
-reconstructions and J^H f run on the cells of the tensor's cached
-``tree`` (``RaggedCells``, one GEMM per group of prefixes), and ``gmm``'s
-sample moments and moment refinement on trees of theirs.
+distinct prefix of ascending keys once, and run on its cells
+(``RaggedCells``, one GEMM per group of prefixes): ``decomposition``'s
+scale stage, reconstructions and J^H f on the tensor's cached ``tree``,
+and ``gmm``'s sample moments (a reconstruction per row chunk, with the
+samples in place of the components) and moment refinement on trees of
+their own.
 
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
@@ -220,45 +222,20 @@ class PrefixTree:
     prefixes as ``(parent, coord)``: prefix ``parent[j]`` of level s-1,
     then coordinate ``coord[j]``.  Key k's first m-1 slots (first slot
     when m = 1) are prefix ``leaf[k]`` of level max(m-2, 0), and for
-    m >= 2 its last slot is ``last[k]``.
-
-    A key may be shorter than m: its trailing slots are then -1, absent.
-    Key k's prefix, all its slots but the last one ``last[k]``, is prefix
-    ``leaf[k]`` of level ``depth[k]``, the key's length minus 2; a
-    one-slot key has depth -1 and no prefix.  Full-length keys all have
-    depth m-2, and only they have the ``ragged_cells`` that
-    ``reconstruction`` and ``adjoint`` read."""
+    m >= 2 its last slot is ``last[k]``."""
 
     def __init__(self, keys: np.ndarray):
         n, self.m = keys.shape
-        length = np.full(n, self.m)
-        short = np.flatnonzero(keys[:, -1] < 0)
-        length[short] = (keys[short] >= 0).sum(axis=1)
         leaf = keys[:, 0]
         new = np.ones(n, dtype=bool)  # new[k]: key k's prefix differs from key k-1's
         new[1:] = keys[1:, 0] != keys[:-1, 0]
         self.levels = []
         for s in range(1, self.m - 1):
             new[1:] |= keys[1:, s] != keys[:-1, s]
-            # keys whose prefix ends above level s keep their leaf, and the
-            # key after one has no node of its own to share from here on
-            ended = short[length[short] <= s + 1]
-            new[ended[ended < n - 1] + 1] = True
-            start = new.copy()
-            start[ended] = False
-            starts = np.flatnonzero(start)
+            starts = np.flatnonzero(new)
             self.levels.append((leaf[starts], keys[starts, s]))
-            index = np.cumsum(start) - 1
-            index[ended] = leaf[ended]
-            leaf = index
-        self.leaf, self.depth = leaf, length - 2
-        self.last = keys[np.arange(n), length - 1] if len(short) else keys[:, -1]
-
-    def products(self, vectors: np.ndarray) -> list[np.ndarray]:
-        """[vectors.T, P_1, ..., P_{m-2}] in C order: row j of P_s is each
-        vector's product over prefix j of level s, its parent's product
-        times one row of vectors.T (the fold of ``component_products``)."""
-        return _level_products(vectors, self.levels)
+            leaf = np.cumsum(new) - 1
+        self.leaf, self.last = leaf, keys[:, -1]
 
     @cached_property
     def ragged_cells(self) -> RaggedCells:
@@ -303,7 +280,10 @@ class PrefixTree:
 
 
 def _level_products(vectors: np.ndarray, levels: list) -> list[np.ndarray]:
-    """``PrefixTree.products`` over the given (parent, coord) levels."""
+    """[vectors.T, P_1, ..., P_s] in C order over (parent, coord) levels:
+    row j of P_s is each vector's product over prefix j of level s, its
+    parent's product times one row of vectors.T (the fold of
+    ``component_products``)."""
     rows = np.ascontiguousarray(vectors.T)
     prods = [rows]
     for parent, coord in levels:
@@ -361,8 +341,8 @@ class RaggedCells:
         self.slot = cell_0[leaf] + last
 
     def products(self, vectors: np.ndarray) -> list[np.ndarray]:
-        """``PrefixTree.products`` over ``levels``, ending with the (n_rows,
-        r) leaf products in group order (appended at m = 2)."""
+        """``_level_products`` over ``levels``, ending with the (n_rows, r)
+        leaf products in group order (appended at m = 2)."""
         prods = _level_products(vectors, self.levels)
         if not self.levels:
             prods.append(prods[0][self.order])

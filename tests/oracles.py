@@ -1,5 +1,7 @@
 """Per-column generating-matrix systems, the reference that tests hold the
-library's stacked solve against, and the monomial bases that index them.
+library's stacked solve against, and the monomial bases that index them;
+and a ``PrefixTree``'s leaf-prefix products in tree order, the layout its
+ragged cells regroup.
 
 Variable labels run over ``1..n``; label ``0`` is the homogenizing
 coordinate.  The library builds the same systems for all tail labels at
@@ -15,7 +17,7 @@ import numpy as np
 
 from momentmix.combinatorics import IndexSubset, binomial, subsets_lex
 from momentmix.errors import RankTooLarge
-from momentmix.tensor_store import IncompleteSymmetricTensor, block_matrix
+from momentmix.tensor_store import IncompleteSymmetricTensor, PrefixTree, block_matrix
 
 
 def basis_B0(k: int, p: int, r: int) -> list[IndexSubset]:
@@ -79,3 +81,14 @@ def assemble_system(
     A = block_matrix(T, support, B0, pad_with_zero_label=True)
     b = block_matrix(T, support, [alpha])[:, 0]
     return A, b
+
+
+def leaf_products(tree: PrefixTree, vectors: np.ndarray) -> np.ndarray:
+    """(n_leaf, r) products of (r, d) vectors over the tree's leaf prefixes
+    in tree order, vectors.T when there is no level (m <= 2): row j of a
+    level is its parent's row times the row of coordinate ``coord[j]``."""
+    rows = vectors.T
+    leaf = rows
+    for parent, coord in tree.levels:
+        leaf = leaf[parent] * rows[coord]
+    return leaf

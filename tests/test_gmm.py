@@ -422,6 +422,14 @@ def _moment_keys(d, order):
     return [k[::-1] if i % 3 == 0 else k for i, k in enumerate(sorted(keys))]
 
 
+def _product_mean(data, key):
+    """The mean over the samples of a key's product, in numpy's extended
+    precision: a moment can be a small fraction of its terms (1.6e-5 of
+    their mean magnitude for key (1, 2) of the 512 samples below), and a
+    float64 mean of them is then off by more than the 1e-12 allowed."""
+    return float(np.prod(data[:, list(key)].astype(np.longdouble), axis=1).mean())
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("rows", ["below", "equal", "ragged"])
 def test_sample_moments_equal_per_key_products(order, rows):
@@ -433,7 +441,7 @@ def test_sample_moments_equal_per_key_products(order, rows):
     assert got.order == order
     assert sorted(got.values) == sorted({tuple(sorted(k)) for k in keys})
     for key in keys:
-        want = np.prod(s.data[:, list(key)], axis=1).mean()
+        want = _product_mean(s.data, key)
         assert abs(got[key] - want) <= 1e-12 * abs(want)
 
 
@@ -870,7 +878,7 @@ def _diff_form_em_history(Y, r, iters, seed, reg_value=1e-3):
 
 @pytest.mark.parametrize("rows", ["below", "equal", "ragged"])
 def test_chunked_em_matches_diff_form(rows):
-    chunk = gmm._MOMENT_CHUNK
+    chunk = gmm._EM_CHUNK
     n = {"below": chunk - 1, "equal": chunk, "ragged": 2 * chunk + 37}[rows]
     s = sample_gmm(random_model(5, 3, seed=27), n, seed=27)
     em, again = (em_baseline(s, 3, max_iters=6, seed=27) for _ in range(2))
@@ -898,6 +906,22 @@ def test_em_memory_stays_chunk_sized():
     assert peak < 4 * 2**20
 
 
+def test_sample_moments_memory_stays_chunk_sized():
+    import tracemalloc
+
+    keys = learning_keys(15, 3)
+    for n in (100_000, 300_000):
+        s = sample_gmm(random_model(15, 6, seed=34), n, seed=34)
+        tracemalloc.start()
+        try:
+            sample_moments(s, keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (1e5, 15) sample array alone is 11.4 MiB
+        assert peak < 3 * 2**20, n
+
+
 @pytest.mark.parametrize("kwargs, name", [
     ({"r": 0}, "r"), ({"r": -1}, "r"),
     ({"r": 2, "max_iters": 0}, "max_iters"),
@@ -923,10 +947,12 @@ def test_power_coordinate_moments_equal_per_key_products(order, rows):
     # every multiset of slots: runs of length 1..order, several runs per key
     keys = [tuple(rng.permutation(k).tolist())
             for k in itertools.combinations_with_replacement(range(5), order)]
+    # half of them listed again in another slot order: one entry each
+    keys += [k[::-1] for k in keys if rng.random() < 0.5]
     got = sample_moments(s, keys)
     assert sorted(got.values) == sorted({tuple(sorted(k)) for k in keys})
     for key in keys:
-        want = np.prod(s.data[:, list(key)], axis=1).mean()
+        want = _product_mean(s.data, key)
         assert abs(got[key] - want) <= 1e-12 * abs(want), key
 
 
@@ -1000,9 +1026,11 @@ def _unfloored_em(Y, r, max_iters, seed, reg_value=1e-3):
     """The fused EM loop without the log-ratio floor, as it was before it."""
     N, d = Y.shape
     rng = rng_from(seed, "em")
+    R_buf = np.empty((r, gmm._EM_CHUNK))
     nk = np.zeros(r)
     sums = np.zeros((r, 2 * d))
-    for z, R in gmm._em_chunks(Y, r):
+    for z in gmm._power_chunks(Y, 2, gmm._EM_CHUNK):
+        R = R_buf[:, : z.shape[1]]
         R[...] = rng.random((z.shape[1], r)).T
         R /= R.sum(axis=0)
         nk += R.sum(axis=1)
@@ -1018,7 +1046,8 @@ def _unfloored_em(Y, r, max_iters, seed, reg_value=1e-3):
         sums = np.zeros((r, 2 * d))
         ll = 0.0
         with np.errstate(under="ignore"):
-            for z, R in gmm._em_chunks(Y, r):
+            for z in gmm._power_chunks(Y, 2, gmm._EM_CHUNK):
+                R = R_buf[:, : z.shape[1]]
                 np.matmul(W, z, out=R)
                 R += c
                 top = R.max(axis=0)

@@ -24,6 +24,7 @@ from momentmix.tensor_store import (
     product_jacobian,
     to_json,
 )
+from oracles import leaf_products
 
 
 def test_omega_keys():
@@ -320,7 +321,7 @@ def tree_products(tree, vectors):
     """(n_keys, r) products over the tree's keys from its leaf products:
     the leaf prefix at m = 1, else the leaf prefix times the last slot at
     each key's cell."""
-    leaf = tree.products(vectors)[-1]
+    leaf = leaf_products(tree, vectors)
     if tree.m == 1:
         return leaf[tree.leaf]
     return grid_cells(tree, leaf[:, None, :] * vectors.T[None, :, :])
@@ -333,8 +334,12 @@ def test_prefix_products_equal_component_products(m):
     vectors = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
     vectors[2] *= 1e-3  # a small component, so products span magnitudes
     for name, keys in _key_sets(d, m, rng).items():
-        assert np.array_equal(tree_products(PrefixTree(keys), vectors),
+        tree = PrefixTree(keys)
+        assert np.array_equal(tree_products(tree, vectors),
                               component_products(vectors, keys).T), name
+        # ascending rows hold each distinct prefix once per level
+        for s, (parent, coord) in enumerate(tree.levels, start=1):
+            assert len(coord) == len(np.unique(keys[:, : s + 1], axis=0)), (name, s)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -352,7 +357,7 @@ def test_prefix_tree_products_in_any_row_order(m):
     for name, keys in {"rows": rows, "slots": rng.permuted(rows, axis=1)}.items():
         tree = PrefixTree(keys)
         want = component_products(vectors, keys).T
-        leaf = tree.products(vectors)[-1]
+        leaf = leaf_products(tree, vectors)
         if m == 1:
             assert np.array_equal(leaf[tree.leaf], want), name
             continue
@@ -360,35 +365,6 @@ def test_prefix_tree_products_in_any_row_order(m):
         assert np.array_equal(leaf[tree.leaf], prefix), name
         grid = leaf[:, None, :] * vectors.T[None, :, :]
         assert np.array_equal(grid_cells(tree, grid), want), name
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_prefix_tree_of_shorter_keys(m):
-    # keys of every length 1..m, trailing slots -1, in sorted and in
-    # shuffled row order: each key's prefix product sits at its depth, and
-    # sorted rows hold each distinct prefix once
-    rng = np.random.default_rng(80 + m)
-    d, r = 6, 3
-    vectors = rng.standard_normal((r, d))
-    rows = [k + (-1,) * (m - len(k)) for n in range(1, m + 1)
-            for k in itertools.combinations(range(d), n)]
-    rows = np.array(sorted(rows), dtype=np.int64)
-    for name, keys in {"sorted": rows, "shuffled": rows[rng.permutation(len(rows))]}.items():
-        tree = PrefixTree(keys)
-        prods = tree.products(vectors)
-        length = (keys >= 0).sum(axis=1)
-        assert np.array_equal(tree.depth, length - 2), name
-        assert np.array_equal(tree.last, keys[np.arange(len(keys)), length - 1]), name
-        for k, key in enumerate(keys.tolist()):
-            n = length[k]
-            if n > 1:
-                want = component_products(vectors, np.array([key[: n - 1]])).T[0]
-                assert np.array_equal(prods[n - 2][tree.leaf[k]], want), (name, key)
-        if name == "sorted":
-            for s, (parent, coord) in enumerate(tree.levels, start=1):
-                prefixes = {tuple(k[: s + 1]) for k in keys.tolist()
-                            if len(k) - k.count(-1) > s + 1}
-                assert len(coord) == len(prefixes), s
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -406,7 +382,7 @@ def test_ragged_cells_match_the_dense_grid(m):
     for name, keys in sets.items():
         tree = PrefixTree(keys)
         cells = tree.ragged_cells
-        leaf = tree.products(vectors)[-1]
+        leaf = leaf_products(tree, vectors)
         grouped = cells.products(vectors)[-1]
         assert np.array_equal(grouped, leaf[cells.order]), name
         assert np.array_equal(np.sort(cells.slot), np.unique(cells.slot)), name
