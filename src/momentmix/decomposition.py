@@ -277,7 +277,7 @@ def _scale_fit(
     behave like |<u_i, u_j>|^m: ``_gram_lstsq`` on ``_scale_gram``.  Design
     row k is P[leaf_k] * full[:, last_k], P the leaf products of
     ``T.tree``, so on the tree's ``RaggedCells`` A x is one GEMM per
-    group read at the keys' cells and A^H b the conjugated rows of
+    block read at the keys' cells and A^H b the conjugated rows of
     P^T conj(F) dotted with full, F the cells holding b.
     Raises ScalesDegenerate on a zero column or a numerically
     rank-deficient design; warns IllConditioned as ``numerics.lstsq`` does.
@@ -338,8 +338,9 @@ def decompose(
     the principal m-th root.
 
     The scale stage's leaf products also give the reconstruction behind
-    diagnostics["decomp_err"]; diagnostics["heads_cond"] is the
-    largest condition number of the k equilibrated head designs and
+    diagnostics["decomp_err"]; diagnostics["gen_cond"] is the largest
+    condition number of the n - k generating-matrix designs,
+    diagnostics["heads_cond"] that of the k equilibrated head designs and
     diagnostics["scale_cond"] that of the equilibrated scale design."""
     n, m = T.d - 1, T.m
     params.validate(n, m)
@@ -354,6 +355,7 @@ def decompose(
     diagnostics = {
         "decomp_err": _relative_err(T, rec - T.values),
         "eigen_gap": gap,
+        "gen_cond": float(G.conds.max()),
         "gen_residual_max": float(np.max(G.residuals)) if G.residuals.size else 0.0,
         "gen_rank_min": int(G.ranks.min()),
         "heads_cond": heads_cond,

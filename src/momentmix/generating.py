@@ -37,6 +37,7 @@ class GeneratingMatrix:
     values: np.ndarray
     residuals: np.ndarray  # per-column lstsq residual norms
     ranks: np.ndarray  # (n - k,) design rank per tail label k+1..n
+    conds: np.ndarray  # (n - k,) design condition number per tail label
 
     @property
     def r(self) -> int:
@@ -89,6 +90,7 @@ def solve_generating_matrix(
         values=report.solution.transpose(1, 2, 0).reshape(r, -1),
         residuals=report.residual_norm.T.ravel(),
         ranks=report.rank,
+        conds=report.cond,
     )
 
 

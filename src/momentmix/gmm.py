@@ -19,8 +19,8 @@ reading c's row of Y^t: per row chunk of the samples, held component-major
 as z = [Y, Y^2, ..., Y^T]^T, they are the tensor path's
 ``PrefixTree.reconstruction`` on the keys of each number of runs, with the
 chunk's samples in place of the components.  Each distinct prefix costs
-one multiply per sample and each group of prefixes one GEMM, so the
-working memory is O(chunk * prefixes) whatever N is.
+one multiply per sample and each ``RaggedCells`` block of prefixes one
+GEMM, so the working memory is O(chunk * prefixes) whatever N is.
 
 The log-density of every component is linear in [y, y * y] with one
 constant, so it is a product with one (r, 2d) coefficient matrix instead
@@ -65,9 +65,10 @@ from .tensor_store import (
 TensorKey = tuple[int, ...]
 
 _BETA_FLOOR = 1e-12
-# Rows per chunk of the sample-moment passes: enough for each GEMM of a
-# chunk's reconstruction to be a BLAS call of useful size, few enough that
-# its (n_prefix, chunk) prefix products stay a few megabytes, 5.6 MiB for
+# Rows per chunk of the sample-moment passes: enough for each block's GEMM
+# in a chunk's reconstruction to be a BLAS call of useful size (at m = 3 a
+# chunk makes 5 GEMMs, most groups sharing a block), few enough that its
+# (n_prefix, chunk) prefix products stay a few megabytes, 5.6 MiB for
 # the 1,365 leaf prefixes of the d=15, m=5 learning keys.  At 2048 rows
 # they took 22 MiB, allocated afresh for every chunk, and those moments
 # page faulted about 2,700 times per chunk and took 1.5 s instead of 0.5 s
@@ -173,7 +174,7 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
     followed by the Y^2 row of j.  Per chunk, each tree's
     ``reconstruction(z.T)``, the chunk's samples in place of the
     components, adds its keys' sums over the chunk: every prefix costs one
-    multiply per sample, and each group of prefixes one GEMM with the rows
+    multiply per sample, and each block of prefixes one GEMM with the rows
     of z that its keys' last slots read (``RaggedCells``).  One-run keys,
     such as (j, j, j), add row sums of z.  A key's moment is its sum
     divided by N >= 1 (InvalidSamples otherwise); a key listed twice reads
@@ -199,20 +200,11 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
             return np.ones(key_arr.shape[0])
         if order == 1:
             return Y.mean(axis=0)[key_arr[:, 0]]
-        # each key's power coordinates ascending, its -1 slots first; the
-        # keys of n runs are full-length keys of their last n codes
         codes = np.sort(_run_codes(key_arr, d), axis=1)
-        runs = (codes >= 0).sum(axis=1)
-        groups = []
-        for n in np.unique(runs).tolist():
-            at = np.flatnonzero(runs == n)
-            walk = codes[at, order - n :]
-            row_order = np.lexsort(walk.T[::-1])
-            at, walk = at[row_order], walk[row_order]
-            groups.append((at, PrefixTree(walk) if n > 1 else None, walk[:, 0]))
+        trees = _run_trees(codes)
         values = np.zeros(len(key_arr))
         for z in _power_chunks(Y, codes.max() // d + 1, _MOMENT_CHUNK):
-            for at, tree, column in groups:
+            for at, tree, column in trees:
                 values[at] += tree.reconstruction(z.T) if tree else z[column].sum(axis=1)
         return values / len(Y)
 
@@ -262,6 +254,23 @@ def _run_codes(key_arr: np.ndarray, d: int) -> np.ndarray:
     run_length = (key_arr[:, :, None] == key_arr[:, None, :]).sum(axis=2)
     run_end = np.diff(key_arr, axis=1, append=-1) != 0
     return np.where(run_end, (run_length - 1) * d + key_arr, -1)
+
+
+def _run_trees(codes: np.ndarray) -> list[tuple]:
+    """Keys by their number of runs n, from each key's power coordinates
+    ascending with its -1 slots first: per n, the keys' rows, ascending in
+    their last n codes, the ``PrefixTree`` of those codes (None at n = 1),
+    and their first one."""
+    order = codes.shape[1]
+    runs = (codes >= 0).sum(axis=1)
+    trees = []
+    for n in np.unique(runs).tolist():
+        at = np.flatnonzero(runs == n)
+        walk = codes[at, order - n :]
+        row_order = np.lexsort(walk.T[::-1])
+        at, walk = at[row_order], walk[row_order]
+        trees.append((at, PrefixTree(walk) if n > 1 else None, walk[:, 0]))
+    return trees
 
 
 def univariate_gaussian_moment(mu: float, var: float, t: int) -> float:

@@ -59,7 +59,8 @@ def gaussian_vector(seed: int, length: int, *stream) -> np.ndarray:
 class LstsqReport:
     solution: np.ndarray
     residual_norm: float | np.ndarray  # per column for a 2-D right-hand side
-    rank: int | np.ndarray  # per system of a stack, as is ill_conditioned
+    rank: int | np.ndarray  # per system of a stack, as are cond and ill_conditioned
+    cond: float | np.ndarray  # largest over smallest singular value, inf if that is 0
     ill_conditioned: bool | np.ndarray = False
 
 
@@ -71,7 +72,8 @@ def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
     count as zero, as in numpy's ``lstsq``.  Warns ``IllConditioned`` once
     (solutions still returned) when a system of full column rank has a
     condition estimate above 1e12; a rank-deficient one is reported by
-    ``rank`` alone, which callers check.
+    ``rank`` alone, which callers check.  ``cond`` is each system's
+    largest singular value over its smallest.
     """
     A = np.atleast_2d(np.asarray(A))
     b = np.asarray(b)
@@ -84,15 +86,19 @@ def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     x = Vh.conj().swapaxes(-1, -2) @ (inv[..., None] * (U.conj().swapaxes(-1, -2) @ B))
     rank = kept.sum(axis=-1)
-    ill = (rank == N) & (s[..., 0] > COND_LIMIT * s[..., -1])
+    cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf),
+                     where=s[..., -1] > 0)
+    ill = (rank == N) & (cond > COND_LIMIT)
     if ill.any():
         warnings.warn("least-squares system is ill-conditioned", IllConditioned)
     resid = np.linalg.norm(A @ x - B, axis=-2)
     if b.ndim < A.ndim:
         x, resid = x[..., 0], resid[..., 0]
     if A.ndim == 2:  # one system
-        rank, ill, resid = int(rank), bool(ill), resid if b.ndim == 2 else float(resid)
-    return LstsqReport(solution=x, residual_norm=resid, rank=rank, ill_conditioned=ill)
+        rank, cond, ill = int(rank), float(cond), bool(ill)
+        resid = resid if b.ndim == 2 else float(resid)
+    return LstsqReport(solution=x, residual_norm=resid, rank=rank, cond=cond,
+                       ill_conditioned=ill)
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

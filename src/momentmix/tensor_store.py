@@ -11,7 +11,7 @@ dict of the same entries, is derived from the arrays on first access.
 
 Products over many keys walk one ``PrefixTree``, which multiplies each
 distinct prefix of ascending keys once, and run on its cells
-(``RaggedCells``, one GEMM per group of prefixes): ``decomposition``'s
+(``RaggedCells``, one GEMM per block of prefixes): ``decomposition``'s
 scale stage, reconstructions and J^H f on the tensor's cached ``tree``,
 and ``gmm``'s sample moments (a reconstruction per row chunk, with the
 samples in place of the components) and moment refinement on trees of
@@ -46,6 +46,15 @@ from .errors import InvalidTensor, KeyCollision, MissingEntry, OrderExceedsDim
 from .numerics import rng_from
 
 TensorKey = tuple[int, ...]
+
+# Cells a ``RaggedCells`` group may hold to fold into the block before it,
+# and cells the merged block may hold beyond its groups' own.  Over a
+# 512-sample moment chunk one GEMM call costs about what 64 cells of
+# arithmetic do, so only small groups gain by merging; larger merged blocks
+# can be slower than their groups apart: per chunk, the d=15, m=5
+# repeated-pair tree's 13 groups took 0.58 ms as two blocks of 364 and 91
+# rows and 0.44 ms as 13 GEMMs (OpenBLAS, one thread).
+_BLOCK_WASTE = 64
 
 
 def omega_keys(d: int, m: int) -> list[TensorKey]:
@@ -245,7 +254,7 @@ class PrefixTree:
 
     def reconstruction(self, vectors: np.ndarray) -> np.ndarray:
         """sum_i prod_t vectors[i, key_t] per key (order m >= 2), one GEMM
-        per ``ragged_cells`` group of the leaf products and the vectors; the
+        per ``ragged_cells`` block of the leaf products and the vectors; the
         in-order sum of ``component_products`` over the components up to
         rounding."""
         cells = self.ragged_cells
@@ -256,7 +265,7 @@ class PrefixTree:
         complex or real as the vectors and f are; of repeated keys, one f
         counts.  Per ``ragged_cells`` block F holding f, the last slot adds
         F^T conj(P_rows) and the leaf adjoint is F conj(vectors.T[cols]), in
-        group order.  Each level then adds its adjoint times the parents'
+        block order.  Each level then adds its adjoint times the parents'
         conjugated products into its coordinates and folds it, times its
         coordinates' conjugated rows, into the parents: both bin sums in
         row order from zero."""
@@ -300,13 +309,17 @@ class RaggedCells:
     The leaf prefixes that keys use are grouped by their last coordinate
     (the coordinate itself at m = 2), each group in tree order.  A sorted
     key's last slot is at least its prefix's last coordinate, so a group
-    needs only the columns [lo, hi) that its keys' last slots span.  Each
-    ``blocks`` entry is a group's (rows, columns, cells): its rows of the
-    leaf products in group order (``products``), its columns, and its
-    (rows x columns) block of the buffer, where key k's cell is
-    ``slot[k]``.  ``levels`` are the tree's, the top one regrouped (none
-    at m = 2).  On ascending distinct-index keys the blocks hold the keys'
-    cells and no others."""
+    needs only the columns [lo, hi) that its keys' last slots span.  A
+    group of at most ``_BLOCK_WASTE`` cells folds into the block before it
+    while the merged block, its rows times its column span, holds at most
+    ``_BLOCK_WASTE`` cells beyond its groups' own (``_block_starts``): a
+    small tree is a few GEMMs instead of one per coordinate, a large one
+    keeps about one per group.  Each ``blocks``
+    entry is a block's (rows, columns, cells): its rows of the leaf
+    products in group order (``products``), its columns, and its (rows x
+    columns) block of the buffer, where key k's cell is ``slot[k]``; the
+    other cells of a block belong to no key.  ``levels`` are the tree's,
+    the top one regrouped (none at m = 2)."""
 
     def __init__(self, tree: PrefixTree):
         leaf, last = tree.leaf, tree.last
@@ -324,9 +337,13 @@ class RaggedCells:
             parent, coord = tree.levels[-1]
             self.levels = tree.levels[:-1] + [(parent[self.order], coord[self.order])]
         starts = np.flatnonzero(np.diff(ends[by_end], prepend=-1))
-        rows = np.append(starts, len(by_end))
         lo = np.minimum.reduceat(lo[self.order], starts)
-        width = np.maximum.reduceat(hi[self.order], starts) + 1 - lo
+        hi = np.maximum.reduceat(hi[self.order], starts) + 1
+        first = _block_starts(np.diff(starts, append=len(by_end)), lo, hi)
+        starts = starts[first]
+        rows = np.append(starts, len(by_end))
+        lo = np.minimum.reduceat(lo, first)
+        width = np.maximum.reduceat(hi, first) - lo
         offsets = np.concatenate([[0], np.cumsum(np.diff(rows) * width)])
         self.size = int(offsets[-1])
         self.blocks = [
@@ -350,7 +367,7 @@ class RaggedCells:
 
     def gemm(self, leaf_products: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Each key's cell of leaf_products @ right, (r, d) right, one GEMM
-        per group into its block."""
+        per block."""
         out = np.empty(self.size, dtype=np.result_type(leaf_products, right))
         for rows, cols, cells in self.blocks:
             block = out[cells].reshape(-1, cols.stop - cols.start)
@@ -359,13 +376,30 @@ class RaggedCells:
 
     def gemm_adjoint(self, leaf_products: np.ndarray, f: np.ndarray, d: int) -> np.ndarray:
         """(r, d) leaf_products^T F, F the buffer holding f at the keys'
-        cells and 0 elsewhere, one GEMM per group."""
+        cells and 0 elsewhere, one GEMM per block."""
         F = np.zeros(self.size, dtype=f.dtype)
         F[self.slot] = f
         out = np.zeros((leaf_products.shape[1], d), dtype=np.result_type(leaf_products, f))
         for rows, cols, cells in self.blocks:
             out[:, cols] += leaf_products[rows].T @ F[cells].reshape(-1, cols.stop - cols.start)
         return out
+
+
+def _block_starts(n_rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[int]:
+    """The groups, of n_rows rows and columns [lo, hi) each, that start a
+    block: a group of at most ``_BLOCK_WASTE`` cells folds into the block
+    before it while the merged block, its rows times its column span, has
+    at most ``_BLOCK_WASTE`` cells beyond its groups' own."""
+    first, rows, start, stop, own = [], 0, 0, 0, 0  # the current block
+    for g, (n, a, b) in enumerate(zip(n_rows.tolist(), lo.tolist(), hi.tolist())):
+        merged = (rows + n, min(start, a), max(stop, b), own + n * (b - a))
+        if (first and n * (b - a) <= _BLOCK_WASTE
+                and merged[0] * (merged[2] - merged[1]) - merged[3] <= _BLOCK_WASTE):
+            rows, start, stop, own = merged
+        else:
+            first.append(g)
+            rows, start, stop, own = n, a, b, n * (b - a)
+    return first
 
 
 def _coordinate_sums(rows: np.ndarray, index: np.ndarray, n_bins: int) -> np.ndarray:

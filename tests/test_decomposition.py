@@ -440,6 +440,20 @@ def test_decompose_reports_scale_cond():
     assert "heads_cond" in approximate(T, params).diagnostics
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_decompose_reports_gen_cond(seed):
+    # rank-55 tensors at d=25: one component of the [215, 4, 5] tensor has
+    # |q[0]| = 2e-5, which makes every generating-matrix design (whose
+    # columns are padded with label 0) ill-conditioned; the first
+    # benchmark pool tensor has no such component
+    params = choose_params(24, 5, 55, seed=seed)
+    _, T = planted(25, 5, 55, seed=[215, 4, 5])
+    assert decompose(T, params).diagnostics["gen_cond"] > 1e6
+    _, T = planted(25, 5, 55, seed=[5, 55, 0])
+    assert 1.0 <= decompose(T, params).diagnostics["gen_cond"] < 1e6
+    assert "gen_cond" in approximate(T, params).diagnostics
+
+
 def closed_form_rank(n, m):
     """``max_rank``'s bound as first written: max(C(k*, p*), C(n-2-k*,
     m-1-p*)) with k* the largest k of the range satisfying C(k, p*) <=

@@ -109,6 +109,8 @@ def test_solve_generating_matrix_matches_per_column(p, k, r, epsilon):
         scale = np.linalg.norm(ref.solution)
         assert np.linalg.norm(G.values[:, ci] - ref.solution) <= 1e-12 * scale
         assert abs(G.residuals[ci] - ref.residual_norm) <= 1e-12 * np.linalg.norm(b)
+        # column ci's tail label is label ci % (n - k) of the design stack
+        assert G.conds[ci % (n - k)] == pytest.approx(np.linalg.cond(A), rel=1e-10)
     assert G.ranks.shape == (n - k,)
 
 
@@ -118,6 +120,7 @@ def test_generating_rank_of_zero_tensor():
     G = solve_generating_matrix(T, r=3, p=1, k=3)
     assert G.ranks.shape == (5,)
     assert G.ranks.min() < 3
+    assert np.isinf(G.conds).all()
 
 
 def test_companion_rank_one():

@@ -11,7 +11,7 @@ MODULES = ("numerics", "gmm", "decomposition", "tensor_store", "generating")
 # {"module.name": settable names}: a function's or method's defaulted
 # parameters, a dataclass's fields.  Entries with none are left out.
 KNOBS = {
-    "numerics.LstsqReport": ("solution", "residual_norm", "rank", "ill_conditioned"),
+    "numerics.LstsqReport": ("solution", "residual_norm", "rank", "cond", "ill_conditioned"),
     "numerics.EigenPairs": ("values", "vectors"),
     "numerics.nlls_refine": ("max_iters", "normal_equations"),
     "numerics.simplex_nlls": ("normal_equations",),
@@ -27,7 +27,7 @@ KNOBS = {
     "decomposition.approximate": ("truth",),
     "tensor_store.ComponentList": ("vectors", "weights"),
     "tensor_store.block_matrix": ("pad_with_zero_label",),
-    "generating.GeneratingMatrix": ("values", "residuals", "ranks"),
+    "generating.GeneratingMatrix": ("values", "residuals", "ranks", "conds"),
     "generating.CompanionSet": ("matrices",),
 }
 
@@ -62,4 +62,4 @@ def _knobs():
 
 def test_knobs_match_table():
     assert _knobs() == KNOBS
-    assert sum(map(len, KNOBS.values())) == 37
+    assert sum(map(len, KNOBS.values())) == 39

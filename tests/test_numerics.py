@@ -122,6 +122,22 @@ def test_stacked_lstsq_warns_once_for_ill_conditioned_members():
     assert rep.rank.tolist() == [4, 4, 2, 0, 4, 4]
 
 
+def test_lstsq_reports_condition_numbers():
+    rng = np.random.default_rng(15)
+    A = lstsq_stack(rng, complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditioned)
+        rep = lstsq(A, np.ones((4, 9)))
+        one = lstsq(A[0], np.ones(9))
+    for t in (0, 1):
+        assert rep.cond[t] == pytest.approx(np.linalg.cond(A[t]), rel=1e-12)
+    assert isinstance(one.cond, float)
+    assert one.cond == pytest.approx(rep.cond[0], rel=1e-12)
+    assert rep.cond[2] > 1e12 and rep.cond[3] == np.inf  # rank 2 and all zero
+    with pytest.warns(IllConditioned):
+        assert lstsq(np.diag([1.0, 1e-13]), np.ones(2)).cond == pytest.approx(1e13)
+
+
 def test_nnls_values():
     assert nnls(np.eye(2), np.array([1.0, -1.0])) == pytest.approx([1.0, 0.0])
     assert nnls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0])) == pytest.approx([2.0])

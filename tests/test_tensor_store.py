@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentmix.errors import InvalidTensor, KeyCollision, MissingEntry, OrderExceedsDim
+from momentmix.gmm import _run_codes, _run_trees, learning_keys
 from momentmix.tensor_store import (
+    _BLOCK_WASTE,
     ComponentList,
     IncompleteSymmetricTensor,
     PrefixTree,
@@ -367,16 +369,34 @@ def test_prefix_tree_products_in_any_row_order(m):
         assert np.array_equal(grid_cells(tree, grid), want), name
 
 
+def _ragged_key_sets(d, m, rng):
+    """``_key_sets`` plus two: "empty-groups" has no key whose prefix ends
+    at 2, 3 or 4 (its first slot at m = 2), so those coordinate groups are
+    empty; "one-row-groups" holds the distinct-index keys whose first m-2
+    slots are 0..m-3, so every group is one prefix and all of them merge
+    into one block."""
+    sets = _key_sets(d, m, rng)
+    sets["empty-groups"] = sets["dropped"][~np.isin(sets["dropped"][:, -2], [2, 3, 4])]
+    omega = sets["omega"]
+    sets["one-row-groups"] = omega[(omega[:, : m - 2] == np.arange(m - 2)).all(axis=1)]
+    return sets
+
+
+def _group_count(tree, cells):
+    """The number of groups: distinct last coordinates of the used leaf
+    prefixes (at m = 2, the used coordinates)."""
+    if not tree.levels:
+        return len(cells.order)
+    return len(np.unique(tree.levels[-1][1][cells.order]))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_ragged_cells_match_the_dense_grid(m):
     # A x and A^H b of the scale stage on the occupied cells equal the
     # (n_leaf, d) grid's GEMMs read at (or scattered into) the keys' cells
     rng = np.random.default_rng(90 + m)
     d, r = 9, 4
-    sets = _key_sets(d, m, rng)
-    # no key whose prefix ends at 2, 3 or 4 (its first slot at m = 2):
-    # those coordinate groups are empty
-    sets["empty-groups"] = sets["dropped"][~np.isin(sets["dropped"][:, -2], [2, 3, 4])]
+    sets = _ragged_key_sets(d, m, rng)
     vectors = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
     right = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
     for name, keys in sets.items():
@@ -387,13 +407,18 @@ def test_ragged_cells_match_the_dense_grid(m):
         assert np.array_equal(grouped, leaf[cells.order]), name
         assert np.array_equal(np.sort(cells.slot), np.unique(cells.slot)), name
         assert cells.slot.max() < cells.size, name
-        if name == "omega":  # every block cell is a key's
-            assert cells.size == len(keys)
+        if name in ("omega", "one-row-groups"):
+            # each group's own cells are its keys', and each merge of
+            # groups into a block adds at most _BLOCK_WASTE cells
+            groups = _group_count(tree, cells)
+            assert cells.size - len(keys) <= _BLOCK_WASTE * (groups - len(cells.blocks)), name
+        if name == "one-row-groups":
+            assert _group_count(tree, cells) > 1 and len(cells.blocks) == 1
         ends = tree.levels[-1][1] if tree.levels else np.arange(d)
-        group_ends = ends[cells.order[[rows.start for rows, _, _ in cells.blocks]]]
-        assert np.all(np.diff(group_ends) > 0), name
+        block_ends = ends[cells.order[[rows.start for rows, _, _ in cells.blocks]]]
+        assert np.all(np.diff(block_ends) > 0), name
         if name == "empty-groups":
-            assert not np.isin(group_ends, [2, 3, 4]).any()
+            assert not np.isin(block_ends, [2, 3, 4]).any()
         want = grid_cells(tree, leaf @ right)
         got = cells.gemm(grouped, right)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
@@ -403,6 +428,48 @@ def test_ragged_cells_match_the_dense_grid(m):
         want = leaf.T @ F
         got = cells.gemm_adjoint(grouped, f, d)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_ragged_blocks_tile_the_cells(m):
+    # the blocks tile the leaf rows and the cell buffer in order, and each
+    # key's cell is its prefix's row and its last slot's column of the
+    # block holding that row, row-major
+    rng = np.random.default_rng(120 + m)
+    for name, keys in _ragged_key_sets(9, m, rng).items():
+        tree = PrefixTree(keys)
+        cells = tree.ragged_cells
+        rows, cols, spans = (np.array([(s.start, s.stop) for s in col])
+                             for col in zip(*cells.blocks))
+        assert rows[0, 0] == 0 and rows[-1, 1] == len(cells.order), name
+        assert spans[0, 0] == 0 and spans[-1, 1] == cells.size, name
+        assert np.array_equal(rows[1:, 0], rows[:-1, 1]), name
+        assert np.array_equal(spans[1:, 0], spans[:-1, 1]), name
+        assert np.all(rows[:, 1] > rows[:, 0]) and np.all(cols[:, 1] > cols[:, 0]), name
+        assert np.array_equal(np.diff(spans, axis=1),
+                              np.diff(rows, axis=1) * np.diff(cols, axis=1)), name
+        row_of = np.empty(cells.order.max() + 1, dtype=np.int64)
+        row_of[cells.order] = np.arange(len(cells.order))
+        row = row_of[tree.leaf]
+        block = np.searchsorted(rows[:, 1], row, side="right")
+        assert np.all(cols[block, 0] <= tree.last) and np.all(tree.last < cols[block, 1]), name
+        width = cols[block, 1] - cols[block, 0]
+        want = spans[block, 0] + (row - rows[block, 0]) * width + tree.last - cols[block, 0]
+        assert np.array_equal(cells.slot, want), name
+
+
+def test_ragged_blocks_merge_small_trees_only():
+    # the m=3 learning keys' trees (sample moments at d=15) collapse into
+    # few GEMMs; the d=25 exact trees of orders 4 and 5 gain at most 2%
+    # cells
+    keys = np.array(learning_keys(15, 3))
+    trees = [tree for _, tree, _ in _run_trees(np.sort(_run_codes(keys, 15), axis=1)) if tree]
+    pairs, distinct = (tree.ragged_cells for tree in trees)
+    assert len(pairs.blocks) == 1
+    assert len(distinct.blocks) <= 6
+    for m in (4, 5):
+        keys = np.array(omega_keys(25, m))
+        assert PrefixTree(keys).ragged_cells.size <= 1.02 * len(keys), m
 
 
 # The JSON read and write pause the cyclic garbage collector and leave it
