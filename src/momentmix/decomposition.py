@@ -31,6 +31,7 @@ from .tensor_store import (
     component_products,
     omega_keys,
     product_jacobian,
+    weighted_norm,
 )
 # Not called here: the benchmark's span tracer wraps these by name in this module.
 from .tensor_store import from_components, omega_norm  # noqa: F401
@@ -275,21 +276,21 @@ def _scale_fit(
     over T's stored keys (order m >= 2), the reconstruction there, and the
     condition number of the equilibrated design, whose columns' cosines
     behave like |<u_i, u_j>|^m: ``_gram_lstsq`` on ``_scale_gram``.  Design
-    row k is P[leaf_k] * full[:, last_k], P the leaf products of
-    ``T.tree``, so on the tree's ``RaggedCells`` A x is one GEMM per
-    block read at the keys' cells and A^H b the conjugated rows of
+    row k is P[leaf_k] * full[:, last_k], P the leaf products of the
+    tensor's ``PrefixTree`` (``T.tree``), so A x is one GEMM per block of
+    its cells read at the keys' cells and A^H b the conjugated rows of
     P^T conj(F) dotted with full, F the cells holding b.
     Raises ScalesDegenerate on a zero column or a numerically
     rank-deficient design; warns IllConditioned as ``numerics.lstsq`` does.
     """
-    cells = T.tree.ragged_cells
-    leaf_products = cells.products(full)[-1]
+    tree = T.tree
+    leaf_products = tree.products(full)[-1]
 
     def adjoint(rhs):
-        return (cells.gemm_adjoint(leaf_products, rhs.conj(), T.d) * full).sum(axis=1).conj()
+        return (tree.gemm_adjoint(leaf_products, rhs.conj(), T.d) * full).sum(axis=1).conj()
 
     def apply(x):
-        return cells.gemm(leaf_products, x[:, None] * full)
+        return tree.gemm(leaf_products, x[:, None] * full)
 
     lambdas, cond = _gram_lstsq(
         _scale_gram(T, full), T.values, adjoint, apply, "scale",
@@ -374,11 +375,10 @@ def decomp_err(T: IncompleteSymmetricTensor, components: np.ndarray) -> float:
 def _relative_err(T: IncompleteSymmetricTensor, diff: np.ndarray) -> float:
     """||diff|| on T's keys relative to ||T||, whose m! weights cancel; the
     weighted absolute norm when T is zero."""
-    err = float(np.linalg.norm(diff))
     denom = float(np.linalg.norm(T.values))
     if denom == 0:
-        return math.sqrt(math.factorial(T.m)) * err
-    return err / denom
+        return weighted_norm(diff, T.m)
+    return float(np.linalg.norm(diff)) / denom
 
 
 def _elementary_sums(z: np.ndarray, m: int):
@@ -506,10 +506,7 @@ def approximate(
     if truth is not None:
         truth_values = truth.gather(T_noisy.key_array)
         noise_norm = np.linalg.norm(T_noisy.values - truth_values)
-        diff_true = rec - truth_values
-        diagnostics["abs_err"] = math.sqrt(
-            math.factorial(T_noisy.m) * float(np.vdot(diff_true, diff_true).real)
-        )
+        diagnostics["abs_err"] = weighted_norm(rec - truth_values, T_noisy.m)
         diagnostics["rel_err"] = (
             float(np.linalg.norm(fit) / noise_norm) if noise_norm > 0 else 0.0
         )

@@ -11,7 +11,7 @@ and variances.  Their designs, and the exact moments, are products over
 key arrays from the tensor path's ``component_products``, and each stage
 reads its moments with one ``MomentSet.gather``.  The simplex refinement
 takes its normal equations from ``omega_gram`` and ``PrefixTree.adjoint``
-on the cells keys occupy (``RaggedCells``): no Jacobian or grid is formed.
+on the cells its keys occupy: no Jacobian or grid is formed.
 
 The kernels that touch every sample are matrix products.  Sample moments
 run in power coordinates, where a run of t equal slots c is one slot
@@ -19,7 +19,7 @@ reading c's row of Y^t: per row chunk of the samples, held component-major
 as z = [Y, Y^2, ..., Y^T]^T, they are the tensor path's
 ``PrefixTree.reconstruction`` on the keys of each number of runs, with the
 chunk's samples in place of the components.  Each distinct prefix costs
-one multiply per sample and each ``RaggedCells`` block of prefixes one
+one multiply per sample and each of the tree's blocks of prefixes one
 GEMM, so the working memory is O(chunk * prefixes) whatever N is.
 
 The log-density of every component is linear in [y, y * y] with one
@@ -29,8 +29,8 @@ chunks in the same layout, z = [Y, Y^2]^T: per chunk, one (r, 2d) x (2d,
 chunk) product gives the log-densities, floored at e^-500 below each
 column's largest before they are exponentiated, and one (r, chunk) x
 (chunk, 2d) product adds the chunk's responsibilities to the next M-step,
-so no array of N rows is built.  ``classify`` keeps the (N, r) layout of its
-argmax and forms it as two (N, d) x (d, r) products.
+so no array of N rows is built.  ``classify`` runs the same log-density
+product per chunk and takes each column's argmax.
 """
 
 from __future__ import annotations
@@ -174,13 +174,13 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
     followed by the Y^2 row of j.  Per chunk, each tree's
     ``reconstruction(z.T)``, the chunk's samples in place of the
     components, adds its keys' sums over the chunk: every prefix costs one
-    multiply per sample, and each block of prefixes one GEMM with the rows
-    of z that its keys' last slots read (``RaggedCells``).  One-run keys,
-    such as (j, j, j), add row sums of z.  A key's moment is its sum
-    divided by N >= 1 (InvalidSamples otherwise); a key listed twice reads
-    one cell.  Memory beyond the samples is O(_MOMENT_CHUNK * (T * d +
-    n_prefix) + n_cells), n_prefix the prefixes of the largest tree and
-    n_cells its ragged cells, whatever N is.
+    multiply per sample, and each of the tree's blocks of prefixes one GEMM
+    with the rows of z that its keys' last slots read.  One-run keys, such
+    as (j, j, j), add row sums of z.  A key's moment is its sum divided by
+    N >= 1 (InvalidSamples otherwise); a key listed twice reads one cell.
+    Memory beyond the samples is O(_MOMENT_CHUNK * (T * d + n_prefix) +
+    n_cells), n_prefix the prefixes of the largest tree and n_cells its
+    cells, whatever N is.
 
     Keys of more than one order, non-integer slots and a slot outside
     range(d) raise InvalidMomentKey.  A non-finite sample coordinate makes
@@ -655,17 +655,6 @@ def _density_coefficients(weights, means, variances):
     return W, c
 
 
-def _log_component_densities(Y, YY, weights, means, variances):
-    """(N, r) log omega_i + log N(y; mu_i, diag var_i) for (N, d) samples
-    Y and their squares YY, as two (N, d) x (d, r) products."""
-    W, c = _density_coefficients(weights, means, variances)
-    d = Y.shape[1]
-    out = Y @ W[:, :d].T
-    out += YY @ W[:, d:].T
-    out += c
-    return out
-
-
 def _reject_non_finite(Y):
     bad = ~np.isfinite(Y)
     if bad.any():
@@ -674,19 +663,17 @@ def _reject_non_finite(Y):
 
 
 def classify(model: GmmModel, samples: SampleSet) -> np.ndarray:
-    """Per-sample argmax of the weighted component likelihood.  Raises
+    """Per-sample argmax of the weighted component likelihood, whose
+    log-densities are ``W @ z + c`` per chunk of at most ``_EM_CHUNK``
+    samples, z = [Y_b, Y_b * Y_b]^T, as in ``em_baseline``.  Raises
     InvalidSamples naming the first sample with a non-finite coordinate."""
     Y = np.ascontiguousarray(samples.data, dtype=float)
-    # A non-finite coordinate makes its row of log-densities non-finite
-    # (an infinite one through inf - inf, hence the errstate), so the
-    # samples are searched only when that cheaper check fails.
-    with np.errstate(invalid="ignore"):
-        log_prob = _log_component_densities(
-            Y, Y * Y, model.weights, model.means, model.variances
-        )
-    if not np.isfinite(log_prob).all():
+    # as in em_baseline: only a non-finite sum makes the samples searched
+    if not math.isfinite(Y.sum()):
         _reject_non_finite(Y)
-    return np.argmax(log_prob, axis=1)
+    W, c = _density_coefficients(model.weights, model.means, model.variances)
+    labels = [(W @ z + c[:, None]).argmax(axis=0) for z in _power_chunks(Y, 2, _EM_CHUNK)]
+    return np.concatenate(labels) if labels else np.empty(0, dtype=np.intp)
 
 
 def accuracy(labels: np.ndarray, truth: np.ndarray) -> float:

@@ -9,9 +9,9 @@ significant, so lexicographic order is code order and ``gather`` finds a
 batch of keys with one ``np.searchsorted``.  ``entries``, a tuple-keyed
 dict of the same entries, is derived from the arrays on first access.
 
-Products over many keys walk one ``PrefixTree``, which multiplies each
-distinct prefix of ascending keys once, and run on its cells
-(``RaggedCells``, one GEMM per block of prefixes): ``decomposition``'s
+Products over many keys run on one ``PrefixTree`` per key array, which
+multiplies each distinct prefix of ascending keys once and lays the keys
+out in ragged cells, one GEMM per block of prefixes: ``decomposition``'s
 scale stage, reconstructions and J^H f on the tensor's cached ``tree``,
 and ``gmm``'s sample moments (a reconstruction per row chunk, with the
 samples in place of the components) and moment refinement on trees of
@@ -19,7 +19,7 @@ their own.
 
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
-on subtensors.
+on subtensors (``weighted_norm``).
 
 ``to_json`` writes a tensor as one JSON object, a ``{"key", "re", "im"}``
 record per stored key in key order, and ``from_json`` reads it back with
@@ -47,7 +47,7 @@ from .numerics import rng_from
 
 TensorKey = tuple[int, ...]
 
-# Cells a ``RaggedCells`` group may hold to fold into the block before it,
+# Cells a ``PrefixTree`` group may hold to fold into the block before it,
 # and cells the merged block may hold beyond its groups' own.  Over a
 # 512-sample moment chunk one GEMM call costs about what 64 cells of
 # arithmetic do, so only small groups gain by merging; larger merged blocks
@@ -168,7 +168,8 @@ class IncompleteSymmetricTensor:
 
     @cached_property
     def tree(self) -> PrefixTree:
-        """The ``PrefixTree`` of the read-only keys, built on first use."""
+        """The ``PrefixTree`` of the read-only keys (order m >= 2), built on
+        first use."""
         return PrefixTree(self.key_array)
 
 
@@ -221,121 +222,57 @@ def component_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class PrefixTree:
-    """The distinct prefixes of an (n_keys, m) key array, and the products
-    of (r, d) vectors over its keys that walk them.  Adjacent keys with a
-    common prefix share its node: ascending keys multiply each distinct
-    prefix once; other row orders, repeated rows or unsorted slots give
-    the same products with less sharing.
+    """The distinct prefixes of an (n_keys, m) key array (order m >= 2),
+    the ragged cells its keys occupy, and the products of (r, d) vectors
+    over its keys that walk them.  Adjacent keys with a common prefix share
+    its node: ascending keys multiply each distinct prefix once; other row
+    orders, repeated rows or unsorted slots give the same products with
+    less sharing.
 
-    Level 0 is the coordinates; level s (1 <= s <= m-2) lists (s+1)-slot
-    prefixes as ``(parent, coord)``: prefix ``parent[j]`` of level s-1,
-    then coordinate ``coord[j]``.  Key k's first m-1 slots (first slot
-    when m = 1) are prefix ``leaf[k]`` of level max(m-2, 0), and for
-    m >= 2 its last slot is ``last[k]``."""
+    ``levels`` list the (s+1)-slot prefixes (1 <= s <= m-2) as ``(parent,
+    coord)``: prefix ``parent[j]`` of the level below (the coordinates
+    below level 1), then coordinate ``coord[j]``.  A key's leaf prefix is
+    its first m-1 slots, a prefix of the top level (a coordinate at m = 2,
+    where there is no level).  The leaf prefixes that keys use are grouped
+    by their last coordinate, each group in tree order, and the top level
+    lists them in group order; ``order[j]`` is row j's leaf prefix in tree
+    order (its coordinate at m = 2).  A sorted key's last slot is at least
+    its prefix's last coordinate, so a group needs only the columns [lo,
+    hi) that its keys' last slots span.  A group of at most
+    ``_BLOCK_WASTE`` cells folds into the block before it while the merged
+    block, its rows times its column span, holds at most ``_BLOCK_WASTE``
+    cells beyond its groups' own (``_block_starts``): a small tree is a few
+    GEMMs instead of one per coordinate, a large one keeps about one per
+    group.  Each ``blocks`` entry is a block's (rows, columns, cells): its
+    rows of the leaf products in group order (``products``), its columns,
+    and its (rows x columns) block of one flat buffer of ``size`` cells,
+    where key k's cell is ``slot[k]``; the other cells of a block belong
+    to no key."""
 
     def __init__(self, keys: np.ndarray):
-        n, self.m = keys.shape
-        leaf = keys[:, 0]
+        n, m = keys.shape
+        leaf, last = keys[:, 0], keys[:, -1]  # leaf: each key's prefix in tree order
         new = np.ones(n, dtype=bool)  # new[k]: key k's prefix differs from key k-1's
         new[1:] = keys[1:, 0] != keys[:-1, 0]
-        self.levels = []
-        for s in range(1, self.m - 1):
+        levels = []
+        for s in range(1, m - 1):
             new[1:] |= keys[1:, s] != keys[:-1, s]
             starts = np.flatnonzero(new)
-            self.levels.append((leaf[starts], keys[starts, s]))
+            levels.append((leaf[starts], keys[starts, s]))
             leaf = np.cumsum(new) - 1
-        self.leaf, self.last = leaf, keys[:, -1]
-
-    @cached_property
-    def ragged_cells(self) -> RaggedCells:
-        """The ``RaggedCells`` of full-length keys (order m >= 2), built on
-        first use."""
-        return RaggedCells(self)
-
-    def reconstruction(self, vectors: np.ndarray) -> np.ndarray:
-        """sum_i prod_t vectors[i, key_t] per key (order m >= 2), one GEMM
-        per ``ragged_cells`` block of the leaf products and the vectors; the
-        in-order sum of ``component_products`` over the components up to
-        rounding."""
-        cells = self.ragged_cells
-        return cells.gemm(cells.products(vectors)[-1], vectors)
-
-    def adjoint(self, vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """(r, d) J^H f, J the Jacobian of ``reconstruction`` (order m >= 2),
-        complex or real as the vectors and f are; of repeated keys, one f
-        counts.  Per ``ragged_cells`` block F holding f, the last slot adds
-        F^T conj(P_rows) and the leaf adjoint is F conj(vectors.T[cols]), in
-        block order.  Each level then adds its adjoint times the parents'
-        conjugated products into its coordinates and folds it, times its
-        coordinates' conjugated rows, into the parents: both bin sums in
-        row order from zero."""
-        cells, d = self.ragged_cells, vectors.shape[1]
-        prods = cells.products(vectors)
-        leaf, right = prods[-1].conj(), prods[0].conj()
-        grad = np.zeros(right.shape, dtype=np.result_type(vectors, f))  # (d, r)
-        adjoint = np.empty(leaf.shape, dtype=grad.dtype)
-        F = np.zeros(cells.size, dtype=f.dtype)
-        F[cells.slot] = f
-        for rows, cols, block in cells.blocks:
-            F_block = F[block].reshape(-1, cols.stop - cols.start)
-            grad[cols] += F_block.T @ leaf[rows]
-            np.matmul(F_block, right[cols], out=adjoint[rows])
-        for s in range(len(cells.levels), 0, -1):
-            parent, coord = cells.levels[s - 1]
-            grad += _coordinate_sums(adjoint * prods[s - 1][parent].conj(), coord, d)
-            adjoint = _coordinate_sums(adjoint * right[coord], parent, len(prods[s - 1]))
-        grad[cells.order if not cells.levels else slice(None)] += adjoint
-        return grad.T
-
-
-def _level_products(vectors: np.ndarray, levels: list) -> list[np.ndarray]:
-    """[vectors.T, P_1, ..., P_s] in C order over (parent, coord) levels:
-    row j of P_s is each vector's product over prefix j of level s, its
-    parent's product times one row of vectors.T (the fold of
-    ``component_products``)."""
-    rows = np.ascontiguousarray(vectors.T)
-    prods = [rows]
-    for parent, coord in levels:
-        level = prods[-1][parent]
-        level *= rows[coord]
-        prods.append(level)
-    return prods
-
-
-class RaggedCells:
-    """One cell per (leaf prefix, last slot) pair of a ``PrefixTree``'s
-    full-length keys (order m >= 2), in one flat buffer of ``size`` cells.
-
-    The leaf prefixes that keys use are grouped by their last coordinate
-    (the coordinate itself at m = 2), each group in tree order.  A sorted
-    key's last slot is at least its prefix's last coordinate, so a group
-    needs only the columns [lo, hi) that its keys' last slots span.  A
-    group of at most ``_BLOCK_WASTE`` cells folds into the block before it
-    while the merged block, its rows times its column span, holds at most
-    ``_BLOCK_WASTE`` cells beyond its groups' own (``_block_starts``): a
-    small tree is a few GEMMs instead of one per coordinate, a large one
-    keeps about one per group.  Each ``blocks``
-    entry is a block's (rows, columns, cells): its rows of the leaf
-    products in group order (``products``), its columns, and its (rows x
-    columns) block of the buffer, where key k's cell is ``slot[k]``; the
-    other cells of a block belong to no key.  ``levels`` are the tree's,
-    the top one regrouped (none at m = 2)."""
-
-    def __init__(self, tree: PrefixTree):
-        leaf, last = tree.leaf, tree.last
-        n_prefix = len(tree.levels[-1][0]) if tree.levels else int(leaf.max(initial=-1)) + 1
+        n_prefix = len(levels[-1][0]) if levels else int(leaf.max(initial=-1)) + 1
         lo = np.full(n_prefix, np.iinfo(np.int64).max)
         np.minimum.at(lo, leaf, last)
         hi = np.full(n_prefix, -1)
         np.maximum.at(hi, leaf, last)
         used = np.flatnonzero(hi >= 0)
-        ends = tree.levels[-1][1][used] if tree.levels else used
+        ends = levels[-1][1][used] if levels else used
         by_end = np.argsort(ends, kind="stable")
         self.order = used[by_end]
-        self.levels = []
-        if tree.levels:
-            parent, coord = tree.levels[-1]
-            self.levels = tree.levels[:-1] + [(parent[self.order], coord[self.order])]
+        if levels:
+            parent, coord = levels[-1]
+            levels[-1] = (parent[self.order], coord[self.order])
+        self.levels = levels
         starts = np.flatnonzero(np.diff(ends[by_end], prepend=-1))
         lo = np.minimum.reduceat(lo[self.order], starts)
         hi = np.maximum.reduceat(hi[self.order], starts) + 1
@@ -358,11 +295,19 @@ class RaggedCells:
         self.slot = cell_0[leaf] + last
 
     def products(self, vectors: np.ndarray) -> list[np.ndarray]:
-        """``_level_products`` over ``levels``, ending with the (n_rows, r)
-        leaf products in group order (appended at m = 2)."""
-        prods = _level_products(vectors, self.levels)
+        """[vectors.T, P_1, ..., P_s] in C order over ``levels``, ending
+        with the (n_rows, r) leaf products in group order (appended at
+        m = 2): row j of P_s is each vector's product over prefix j of
+        level s, its parent's product times one row of vectors.T (the fold
+        of ``component_products``)."""
+        rows = np.ascontiguousarray(vectors.T)
+        prods = [rows]
+        for parent, coord in self.levels:
+            level = prods[-1][parent]
+            level *= rows[coord]
+            prods.append(level)
         if not self.levels:
-            prods.append(prods[0][self.order])
+            prods.append(rows[self.order])
         return prods
 
     def gemm(self, leaf_products: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -383,6 +328,38 @@ class RaggedCells:
         for rows, cols, cells in self.blocks:
             out[:, cols] += leaf_products[rows].T @ F[cells].reshape(-1, cols.stop - cols.start)
         return out
+
+    def reconstruction(self, vectors: np.ndarray) -> np.ndarray:
+        """sum_i prod_t vectors[i, key_t] per key, one GEMM per block of the
+        leaf products and the vectors; the in-order sum of
+        ``component_products`` over the components up to rounding."""
+        return self.gemm(self.products(vectors)[-1], vectors)
+
+    def adjoint(self, vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """(r, d) J^H f, J the Jacobian of ``reconstruction``, complex or
+        real as the vectors and f are; of repeated keys, one f counts.  Per
+        block, F holding f, the last slot adds F^T conj(P_rows) and the leaf
+        adjoint is F conj(vectors.T[cols]), in block order.  Each level then
+        adds its adjoint times the parents' conjugated products into its
+        coordinates and folds it, times its coordinates' conjugated rows,
+        into the parents: both bin sums in row order from zero."""
+        d = vectors.shape[1]
+        prods = self.products(vectors)
+        leaf, right = prods[-1].conj(), prods[0].conj()
+        grad = np.zeros(right.shape, dtype=np.result_type(vectors, f))  # (d, r)
+        adjoint = np.empty(leaf.shape, dtype=grad.dtype)
+        F = np.zeros(self.size, dtype=f.dtype)
+        F[self.slot] = f
+        for rows, cols, block in self.blocks:
+            F_block = F[block].reshape(-1, cols.stop - cols.start)
+            grad[cols] += F_block.T @ leaf[rows]
+            np.matmul(F_block, right[cols], out=adjoint[rows])
+        for s in range(len(self.levels), 0, -1):
+            parent, coord = self.levels[s - 1]
+            grad += _coordinate_sums(adjoint * prods[s - 1][parent].conj(), coord, d)
+            adjoint = _coordinate_sums(adjoint * right[coord], parent, len(prods[s - 1]))
+        grad[self.order if not self.levels else slice(None)] += adjoint
+        return grad.T
 
 
 def _block_starts(n_rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[int]:
@@ -410,7 +387,7 @@ def _coordinate_sums(rows: np.ndarray, index: np.ndarray, n_bins: int) -> np.nda
     width = parts.shape[1]
     bins = (index[:, None] * width + np.arange(width)).ravel()
     sums = np.bincount(bins, parts.ravel(), n_bins * width)
-    return sums.view(rows.dtype).reshape(n_bins, -1)
+    return sums.view(rows.dtype).reshape(n_bins, rows.shape[1])
 
 
 def product_jacobian(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -460,11 +437,15 @@ def block_matrix(
     return T.gather(labels)
 
 
+def weighted_norm(values: np.ndarray, m: int) -> float:
+    """sqrt(m! * sum |v|^2) of the values at sorted distinct-index keys of
+    an order-m tensor: each counted with its m! ordered occurrences."""
+    return math.sqrt(math.factorial(m) * float(np.vdot(values, values).real))
+
+
 def omega_norm(T: IncompleteSymmetricTensor, keys) -> float:
-    """sqrt(m! * sum |T[key]|^2): each sorted distinct-index key counted
-    with its m! ordered occurrences."""
-    values = T.gather(keys)
-    return math.sqrt(math.factorial(T.m) * float(np.vdot(values, values).real))
+    """``weighted_norm`` of T's values at the keys."""
+    return weighted_norm(T.gather(keys), T.m)
 
 
 def perturb(
@@ -477,7 +458,7 @@ def perturb(
     if epsilon == 0:
         return T.with_values(T.values)
     noise = rng_from(seed, "perturb").standard_normal(len(T.values))
-    scale = epsilon / math.sqrt(math.factorial(T.m) * float(noise @ noise))
+    scale = epsilon / weighted_norm(noise, T.m)
     return T.with_values(T.values + scale * noise)
 
 

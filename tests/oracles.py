@@ -1,7 +1,7 @@
 """Per-column generating-matrix systems, the reference that tests hold the
 library's stacked solve against, and the monomial bases that index them;
-and a ``PrefixTree``'s leaf-prefix products in tree order, the layout its
-ragged cells regroup.
+and, found from the keys alone, each key's row of a ``PrefixTree``'s leaf
+products and those products.
 
 Variable labels run over ``1..n``; label ``0`` is the homogenizing
 coordinate.  The library builds the same systems for all tail labels at
@@ -17,7 +17,12 @@ import numpy as np
 
 from momentmix.combinatorics import IndexSubset, binomial, subsets_lex
 from momentmix.errors import RankTooLarge
-from momentmix.tensor_store import IncompleteSymmetricTensor, PrefixTree, block_matrix
+from momentmix.tensor_store import (
+    IncompleteSymmetricTensor,
+    PrefixTree,
+    block_matrix,
+    component_products,
+)
 
 
 def basis_B0(k: int, p: int, r: int) -> list[IndexSubset]:
@@ -83,12 +88,26 @@ def assemble_system(
     return A, b
 
 
-def leaf_products(tree: PrefixTree, vectors: np.ndarray) -> np.ndarray:
-    """(n_leaf, r) products of (r, d) vectors over the tree's leaf prefixes
-    in tree order, vectors.T when there is no level (m <= 2): row j of a
-    level is its parent's row times the row of coordinate ``coord[j]``."""
-    rows = vectors.T
-    leaf = rows
-    for parent, coord in tree.levels:
-        leaf = leaf[parent] * rows[coord]
+def leaf_rows(tree: PrefixTree, keys: np.ndarray) -> np.ndarray:
+    """Each key's row of the tree's leaf products, found from the (n, m)
+    keys: its leaf prefix in tree order is its first slot at m = 2, else
+    the number of changes of the first m-1 slots from row to row before
+    it; ``order`` lists the rows' prefixes in tree order."""
+    if keys.shape[1] == 2:
+        prefix = keys[:, 0]
+    else:
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = (keys[1:, :-1] != keys[:-1, :-1]).any(axis=1)
+        prefix = np.cumsum(new) - 1
+    row_of = np.full(int(prefix.max(initial=0)) + 1, -1)
+    row_of[tree.order] = np.arange(len(tree.order))
+    return row_of[prefix]
+
+
+def leaf_products(tree: PrefixTree, keys: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(n_rows, r) products of (r, d) vectors over the prefixes of the
+    tree's leaf rows, found from the keys: each key's first m-1 slots
+    multiplied left to right (``component_products``) in its row."""
+    leaf = np.zeros((len(tree.order), vectors.shape[0]), dtype=vectors.dtype)
+    leaf[leaf_rows(tree, keys)] = component_products(vectors, keys[:, :-1]).T
     return leaf

@@ -46,7 +46,6 @@ from momentmix.tensor_store import (
     ComponentList,
     IncompleteSymmetricTensor,
     PrefixTree,
-    RaggedCells,
     block_matrix,
     component_products,
     from_components,
@@ -636,7 +635,7 @@ def tree_key_sets(d, m, rng):
     key (repeated indices included), a random half of the latter without
     any key starting at 1 or 3, so the first slots are sparse, and that
     half without any key whose prefix ends at 2, 3 or 4 (its first slot at
-    m = 2), so those groups of the ragged cells are empty."""
+    m = 2), so those groups of the tree's cells are empty."""
     distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
     every = np.array(
         list(itertools.combinations_with_replacement(range(d), m)), dtype=np.int64
@@ -674,26 +673,20 @@ def test_tree_residual_and_gradient_match_product_jacobian(m, keyset):
 
 def test_approximate_builds_one_prefix_tree(monkeypatch):
     # the scale fit, the residual, J^H f and the final reconstruction
-    # share the noisy tensor's cached tree and its one cell layout
-    built, layouts = [], []
-    init, cells_init = PrefixTree.__init__, RaggedCells.__init__
+    # share the noisy tensor's cached tree, which holds its one cell layout
+    built = []
+    init = PrefixTree.__init__
 
     def counted(tree, keys):
-        built.append(len(keys))
+        built.append((tree, len(keys)))
         init(tree, keys)
 
-    def counted_cells(cells, tree):
-        layouts.append(tree)
-        cells_init(cells, tree)
-
     monkeypatch.setattr(PrefixTree, "__init__", counted)
-    monkeypatch.setattr(RaggedCells, "__init__", counted_cells)
     comps, T = planted(10, 4, 3, seed=41)
     Th = perturb(T, 0.01, 41)
     dec = approximate(Th, choose_params(9, 4, 3, seed=41), truth=T)
     assert dec.diagnostics["lm_iterations"] >= 1
-    assert built == [len(Th.values)]
-    assert layouts == [Th.tree]
+    assert built == [(Th.tree, len(Th.values))]
 
 
 def test_normal_equations_peak_memory_below_slot_partials():

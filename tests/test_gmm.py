@@ -455,22 +455,28 @@ def _diff_form_log_densities(Y, weights, means, variances):
     )
 
 
-@pytest.mark.parametrize("case", ["random", "floored"])
+@pytest.mark.parametrize("case", ["random", "floored", "chunks"])
 def test_log_component_densities_match_diff_form(case):
-    if case == "random":
-        model = random_model(5, 3, seed=23)
-    else:  # the setting of test_classify_truth_model: variances below the floor
+    # the log-densities W [y, y * y] + c that EM and classify form, and
+    # classify's labels, against the difference form
+    if case == "floored":  # the setting of test_classify_truth_model: variances below the floor
         model = GmmModel(
             weights=np.array([0.5, 0.5]),
             means=np.array([[0.0, 0.0], [10.0, 10.0]]),
             variances=np.full((2, 2), 1e-6),
         )
-    Y = sample_gmm(model, 1000, seed=23).data
+    else:
+        model = random_model(5, 3, seed=23)
+    # "chunks": several of classify's chunks and a remainder
+    n = 2 * gmm._EM_CHUNK + 5 if case == "chunks" else 1000
+    Y = sample_gmm(model, n, seed=23).data
     args = (model.weights, model.means, model.variances)
-    got = gmm._log_component_densities(Y, Y * Y, *args)
+    W, c = gmm._density_coefficients(*args)
+    got = np.hstack([Y, Y * Y]) @ W.T + c
     want = _diff_form_log_densities(Y, *args)
     assert np.abs(got - want).max() <= 1e-9
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+    assert np.array_equal(classify(model, SampleSet(Y)), want.argmax(axis=1))
 
 
 def _diff_form_em_means(Y, r, iters, seed, reg_value=1e-3):

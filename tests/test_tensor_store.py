@@ -26,7 +26,7 @@ from momentmix.tensor_store import (
     product_jacobian,
     to_json,
 )
-from oracles import leaf_products
+from oracles import leaf_products, leaf_rows
 
 
 def test_omega_keys():
@@ -312,24 +312,21 @@ def _key_sets(d, m, rng):
     return {"omega": distinct, "repeated": every, "dropped": dropped}
 
 
-def grid_cells(tree, grid):
-    """Each key's cell of a dense (n_leaf, d, ...) leaf-prefix x coordinate
-    grid (order m >= 2), cell leaf * d + last: the layout the ragged cells
-    are checked against."""
-    return grid.reshape(-1, *grid.shape[2:])[tree.leaf * grid.shape[1] + tree.last]
+def grid_cells(tree, keys, grid):
+    """Each key's cell of a dense (n_rows, d, ...) leaf-row x coordinate
+    grid, cell row * d + last slot, both found from the keys: the layout
+    the tree's cells are checked against."""
+    return grid.reshape(-1, *grid.shape[2:])[leaf_rows(tree, keys) * grid.shape[1] + keys[:, -1]]
 
 
-def tree_products(tree, vectors):
+def tree_products(tree, keys, vectors):
     """(n_keys, r) products over the tree's keys from its leaf products:
-    the leaf prefix at m = 1, else the leaf prefix times the last slot at
-    each key's cell."""
-    leaf = leaf_products(tree, vectors)
-    if tree.m == 1:
-        return leaf[tree.leaf]
-    return grid_cells(tree, leaf[:, None, :] * vectors.T[None, :, :])
+    the leaf prefix times the last slot at each key's cell."""
+    leaf = tree.products(vectors)[-1]
+    return grid_cells(tree, keys, leaf[:, None, :] * vectors.T[None, :, :])
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_prefix_products_equal_component_products(m):
     rng = np.random.default_rng(40 + m)
     d, r = 9, 7
@@ -337,14 +334,14 @@ def test_prefix_products_equal_component_products(m):
     vectors[2] *= 1e-3  # a small component, so products span magnitudes
     for name, keys in _key_sets(d, m, rng).items():
         tree = PrefixTree(keys)
-        assert np.array_equal(tree_products(tree, vectors),
+        assert np.array_equal(tree_products(tree, keys, vectors),
                               component_products(vectors, keys).T), name
         # ascending rows hold each distinct prefix once per level
         for s, (parent, coord) in enumerate(tree.levels, start=1):
             assert len(coord) == len(np.unique(keys[:, : s + 1], axis=0)), (name, s)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_prefix_tree_products_in_any_row_order(m):
     # shuffled rows, some repeated apart and some side by side, then every
     # row's slots shuffled too: the tree shares fewer prefixes but every
@@ -359,14 +356,11 @@ def test_prefix_tree_products_in_any_row_order(m):
     for name, keys in {"rows": rows, "slots": rng.permuted(rows, axis=1)}.items():
         tree = PrefixTree(keys)
         want = component_products(vectors, keys).T
-        leaf = leaf_products(tree, vectors)
-        if m == 1:
-            assert np.array_equal(leaf[tree.leaf], want), name
-            continue
+        leaf = tree.products(vectors)[-1]
         prefix = component_products(vectors, keys[:, :-1]).T
-        assert np.array_equal(leaf[tree.leaf], prefix), name
+        assert np.array_equal(leaf[leaf_rows(tree, keys)], prefix), name
         grid = leaf[:, None, :] * vectors.T[None, :, :]
-        assert np.array_equal(grid_cells(tree, grid), want), name
+        assert np.array_equal(grid_cells(tree, keys, grid), want), name
 
 
 def _ragged_key_sets(d, m, rng):
@@ -382,18 +376,16 @@ def _ragged_key_sets(d, m, rng):
     return sets
 
 
-def _group_count(tree, cells):
-    """The number of groups: distinct last coordinates of the used leaf
-    prefixes (at m = 2, the used coordinates)."""
-    if not tree.levels:
-        return len(cells.order)
-    return len(np.unique(tree.levels[-1][1][cells.order]))
+def _row_ends(tree):
+    """The last coordinate of each leaf row's prefix (at m = 2, the
+    row's coordinate)."""
+    return tree.levels[-1][1] if tree.levels else tree.order
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_ragged_cells_match_the_dense_grid(m):
     # A x and A^H b of the scale stage on the occupied cells equal the
-    # (n_leaf, d) grid's GEMMs read at (or scattered into) the keys' cells
+    # (n_rows, d) grid's GEMMs read at (or scattered into) the keys' cells
     rng = np.random.default_rng(90 + m)
     d, r = 9, 4
     sets = _ragged_key_sets(d, m, rng)
@@ -401,32 +393,31 @@ def test_ragged_cells_match_the_dense_grid(m):
     right = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
     for name, keys in sets.items():
         tree = PrefixTree(keys)
-        cells = tree.ragged_cells
-        leaf = leaf_products(tree, vectors)
-        grouped = cells.products(vectors)[-1]
-        assert np.array_equal(grouped, leaf[cells.order]), name
-        assert np.array_equal(np.sort(cells.slot), np.unique(cells.slot)), name
-        assert cells.slot.max() < cells.size, name
+        leaf = leaf_products(tree, keys, vectors)
+        grouped = tree.products(vectors)[-1]
+        assert np.array_equal(grouped, leaf), name
+        assert np.all(np.diff(_row_ends(tree)) >= 0), name  # rows grouped by last coordinate
+        assert np.array_equal(np.sort(tree.slot), np.unique(tree.slot)), name
+        assert tree.slot.max() < tree.size, name
+        groups = len(np.unique(_row_ends(tree)))
         if name in ("omega", "one-row-groups"):
             # each group's own cells are its keys', and each merge of
             # groups into a block adds at most _BLOCK_WASTE cells
-            groups = _group_count(tree, cells)
-            assert cells.size - len(keys) <= _BLOCK_WASTE * (groups - len(cells.blocks)), name
+            assert tree.size - len(keys) <= _BLOCK_WASTE * (groups - len(tree.blocks)), name
         if name == "one-row-groups":
-            assert _group_count(tree, cells) > 1 and len(cells.blocks) == 1
-        ends = tree.levels[-1][1] if tree.levels else np.arange(d)
-        block_ends = ends[cells.order[[rows.start for rows, _, _ in cells.blocks]]]
+            assert groups > 1 and len(tree.blocks) == 1
+        block_ends = _row_ends(tree)[[rows.start for rows, _, _ in tree.blocks]]
         assert np.all(np.diff(block_ends) > 0), name
         if name == "empty-groups":
             assert not np.isin(block_ends, [2, 3, 4]).any()
-        want = grid_cells(tree, leaf @ right)
-        got = cells.gemm(grouped, right)
+        want = grid_cells(tree, keys, leaf @ right)
+        got = tree.gemm(grouped, right)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
         f = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
         F = np.zeros((len(leaf), d), dtype=complex)
-        F.reshape(-1)[tree.leaf * d + tree.last] = f
+        F.reshape(-1)[leaf_rows(tree, keys) * d + keys[:, -1]] = f
         want = leaf.T @ F
-        got = cells.gemm_adjoint(grouped, f, d)
+        got = tree.gemm_adjoint(grouped, f, d)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
@@ -438,24 +429,21 @@ def test_ragged_blocks_tile_the_cells(m):
     rng = np.random.default_rng(120 + m)
     for name, keys in _ragged_key_sets(9, m, rng).items():
         tree = PrefixTree(keys)
-        cells = tree.ragged_cells
         rows, cols, spans = (np.array([(s.start, s.stop) for s in col])
-                             for col in zip(*cells.blocks))
-        assert rows[0, 0] == 0 and rows[-1, 1] == len(cells.order), name
-        assert spans[0, 0] == 0 and spans[-1, 1] == cells.size, name
+                             for col in zip(*tree.blocks))
+        assert rows[0, 0] == 0 and rows[-1, 1] == len(tree.order), name
+        assert spans[0, 0] == 0 and spans[-1, 1] == tree.size, name
         assert np.array_equal(rows[1:, 0], rows[:-1, 1]), name
         assert np.array_equal(spans[1:, 0], spans[:-1, 1]), name
         assert np.all(rows[:, 1] > rows[:, 0]) and np.all(cols[:, 1] > cols[:, 0]), name
         assert np.array_equal(np.diff(spans, axis=1),
                               np.diff(rows, axis=1) * np.diff(cols, axis=1)), name
-        row_of = np.empty(cells.order.max() + 1, dtype=np.int64)
-        row_of[cells.order] = np.arange(len(cells.order))
-        row = row_of[tree.leaf]
+        row, last = leaf_rows(tree, keys), keys[:, -1]
         block = np.searchsorted(rows[:, 1], row, side="right")
-        assert np.all(cols[block, 0] <= tree.last) and np.all(tree.last < cols[block, 1]), name
+        assert np.all(cols[block, 0] <= last) and np.all(last < cols[block, 1]), name
         width = cols[block, 1] - cols[block, 0]
-        want = spans[block, 0] + (row - rows[block, 0]) * width + tree.last - cols[block, 0]
-        assert np.array_equal(cells.slot, want), name
+        want = spans[block, 0] + (row - rows[block, 0]) * width + last - cols[block, 0]
+        assert np.array_equal(tree.slot, want), name
 
 
 def test_ragged_blocks_merge_small_trees_only():
@@ -463,13 +451,56 @@ def test_ragged_blocks_merge_small_trees_only():
     # few GEMMs; the d=25 exact trees of orders 4 and 5 gain at most 2%
     # cells
     keys = np.array(learning_keys(15, 3))
-    trees = [tree for _, tree, _ in _run_trees(np.sort(_run_codes(keys, 15), axis=1)) if tree]
-    pairs, distinct = (tree.ragged_cells for tree in trees)
+    pairs, distinct = (tree for _, tree, _ in _run_trees(np.sort(_run_codes(keys, 15), axis=1))
+                       if tree)
     assert len(pairs.blocks) == 1
     assert len(distinct.blocks) <= 6
     for m in (4, 5):
         keys = np.array(omega_keys(25, m))
-        assert PrefixTree(keys).ragged_cells.size <= 1.02 * len(keys), m
+        assert PrefixTree(keys).size <= 1.02 * len(keys), m
+
+
+@st.composite
+def tree_keys(draw):
+    """Strictly ascending (n, m) keys, d in 2..9 and m in 2..5: a random
+    share of every sorted key, repeated indices included, without the keys
+    whose prefix ends at some dropped coordinates (their first slot at
+    m = 2), so whole groups are empty; possibly no key at all."""
+    d, m = draw(st.integers(2, 9)), draw(st.integers(2, 5))
+    every = np.array(list(itertools.combinations_with_replacement(range(d), m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.floats(0.05, 1.0))
+    dropped = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    return d, every[(rng.random(len(every)) < share) & ~np.isin(every[:, -2], list(dropped))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tree_keys(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_prefix_tree_property(case, r, seed):
+    # on any ascending key set: the reconstruction, J^H f and the leaf
+    # GEMM's adjoint equal the per-key products, the dense Jacobian and
+    # the dense grid; the blocks tile the cells and no two keys share one
+    d, keys = case
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+    f = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    tree = PrefixTree(keys)
+    products = component_products(vectors, keys)
+    err = np.abs(tree.reconstruction(vectors) - products.sum(axis=0))
+    assert np.all(err <= 1e-13 * np.abs(products).sum(axis=0))
+    J = product_jacobian(vectors, keys).reshape(len(keys), r * d)
+    err = np.abs(tree.adjoint(vectors, f) - (f @ J.conj()).reshape(r, d))
+    assert np.all(err <= 1e-13 * (np.abs(f) @ np.abs(J)).reshape(r, d))
+    leaf = tree.products(vectors)[-1]
+    F = np.zeros((len(leaf), d), dtype=complex)
+    F[leaf_rows(tree, keys), keys[:, -1]] = f
+    err = np.abs(tree.gemm_adjoint(leaf, f, d) - leaf.T @ F)
+    assert np.all(err <= 1e-13 * (np.abs(leaf).T @ np.abs(F)))
+    cells = [np.arange(block.start, block.stop) for _, _, block in tree.blocks]
+    assert np.array_equal(np.concatenate([np.arange(0)] + cells), np.arange(tree.size))
+    rows = [np.arange(block.start, block.stop) for block, _, _ in tree.blocks]
+    assert np.array_equal(np.concatenate([np.arange(0)] + rows), np.arange(len(leaf)))
+    assert len(np.unique(tree.slot)) == len(keys) and np.all(tree.slot < tree.size)
 
 
 # The JSON read and write pause the cyclic garbage collector and leave it
