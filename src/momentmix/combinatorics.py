@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 IndexSubset = tuple[int, ...]
 
 
@@ -33,3 +35,12 @@ def subsets_lex(lo: int, hi: int, size: int) -> list[IndexSubset]:
     if hi < lo:
         return []
     return list(itertools.combinations(range(lo, hi + 1), size))
+
+
+def lex_positions(subsets: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Index in ``subsets``, an (N, s) array of label subsets in the order
+    of ``subsets_lex``, of each s-label set along the last axis of
+    ``sets``, its labels in any order; every set must be one of them."""
+    radix = (int(subsets.max()) + 1) ** np.arange(subsets.shape[1] - 1, -1, -1)
+    # a sorted tuple's radix code grows with its lexicographic rank
+    return np.searchsorted(subsets @ radix, np.sort(sets, axis=-1) @ radix)

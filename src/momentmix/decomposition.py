@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import binomial, subsets_lex
+from .combinatorics import binomial, lex_positions, subsets_lex
 from .errors import (
     HeadsDegenerate,
     IllConditioned,
@@ -35,6 +35,15 @@ from .tensor_store import (
 )
 # Not called here: the benchmark's span tracer wraps these by name in this module.
 from .tensor_store import from_components, omega_norm  # noqa: F401
+
+# ``decompose`` warns IllConditioned when gen_cond, the largest condition
+# number of the generating-matrix designs, exceeds this.  Every design
+# column is padded with label 0, so one component with a tiny coordinate 0
+# raises all of them.  Measured: 1.7e7 on the [215, 4, 5] rank-55 tensor at
+# d=25, which decomposes to a relative error of 1.7e-5; 1.6e4 to 1.7e5 on
+# the benchmark's rank-55 pool, at most 1.1e-10; 6.3e3 on its noisy
+# order-4 tensor; 71 and 449 on its two mixtures' moments.
+GEN_COND_LIMIT = 1e6
 
 
 class PreconditionWarning(UserWarning):
@@ -181,37 +190,38 @@ def solve_heads(
     W of ``tails``: row (a, b), column i is Gamma[a, i] W[b, i].  Its Gram is the
     Hadamard product (Gamma^H Gamma) * (W^H W), and its right-hand side
     and residual are products with Gamma and W, so the design is never
-    formed (see ``_gram_lstsq``).  The right-hand sides are rows of one
-    gather of the C(k, p+1) x |J2| distinct head keys: the head part
-    {j} + beta of a key is a (p+1)-subset of the labels.  Raises
-    HeadsDegenerate when no head monomial avoids a label (k <= p) or a
+    formed (see ``_gram_lstsq``).  Every label has the same C(k-1, p) rows
+    avoiding it, so the k systems are one stack: Gamma (k, C(k-1, p), r),
+    the right-hand sides (k, C(k-1, p), |J2|) and one ``_gram_lstsq``.
+    The right-hand sides are rows of one gather of the C(k, p+1) x |J2|
+    distinct head keys: the head part {j} + beta of a key is a
+    (p+1)-subset of the labels.  Raises HeadsDegenerate, naming the first
+    such label, when no head monomial avoids a label (k <= p) or a
     label's design is numerically rank-deficient.
     """
-    k, p, r = params.k, params.p, params.r
+    k, p = params.k, params.p
     if k <= p:  # every head monomial holds every label
         raise HeadsDegenerate(f"no head monomials avoid label 1 (k={k}, p={p})")
     J1, J2, W = _tail_blocks(T, tails, params)
-    head_keys = subsets_lex(1, k, p + 1)
-    position = {key: a for a, key in enumerate(head_keys)}
-    block = T.gather(block_keys(head_keys, J2))
+    J1 = np.array(J1)
+    labels = np.arange(1, k + 1)
+    # the J1 rows avoiding each label, label by label: (k, C(k-1, p))
+    rows = np.nonzero((J1[None] != labels[:, None, None]).all(axis=2))[1].reshape(k, -1)
+    head_keys = np.array(subsets_lex(1, k, p + 1))
+    joined = np.concatenate(
+        [J1[rows], np.broadcast_to(labels[:, None, None], rows.shape + (1,))], axis=2)
+    B = T.gather(block_keys(head_keys, J2))[lex_positions(head_keys, joined)]
+    Gamma = gammas[rows]
     W_conj = W.conj()
-    tail_gram = W_conj.T @ W
-    heads = np.empty((r, k), dtype=complex)
-    cond = 1.0
-    for j in range(1, k + 1):
-        row_idx = [i for i, beta in enumerate(J1) if j not in beta]
-        B = block[[position[tuple(sorted((j,) + J1[i]))] for i in row_idx]]
-        Gamma = gammas[row_idx]
-        heads[:, j - 1], cond_j = _gram_lstsq(
-            (Gamma.conj().T @ Gamma) * tail_gram,
-            B,
-            lambda rhs: (Gamma.conj() * (rhs @ W_conj)).sum(axis=0),
-            lambda x: (Gamma * x) @ W.T,
-            "head",
-            lambda _: HeadsDegenerate(f"head design rank-deficient at label {j}"),
-        )
-        cond = max(cond, cond_j)
-    return heads, cond
+    x, conds = _gram_lstsq(
+        (Gamma.conj().swapaxes(1, 2) @ Gamma) * (W_conj.T @ W),
+        B,
+        lambda rhs: (Gamma.conj() * (rhs @ W_conj)).sum(axis=1),
+        lambda x: (Gamma * x[:, None, :]) @ W.T,
+        "head",
+        lambda j, _: HeadsDegenerate(f"head design rank-deficient at label {j + 1}"),
+    )
+    return x.T, max(1.0, float(conds.max()))
 
 
 def solve_scales(
@@ -233,40 +243,48 @@ def _unscaled(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
 
 
 def _gram_lstsq(gram, b, adjoint, apply, name, degenerate):
-    """Least-squares solution x of A x = b for a tall (n, r) design A known
-    through its Gram A^H A (only the upper triangle is read), x -> A x
-    (``apply``) and rhs -> A^H rhs (``adjoint``); returns x and the
-    condition number of the column-equilibrated A.
+    """Least-squares solutions x[s] of A_s x = b[s] for a stack of tall
+    (n, r) designs A_s, each known through its Gram A_s^H A_s (``gram``,
+    (S, r, r); only the upper triangles are read), x -> A x (``apply``,
+    (S, r) to b's shape) and rhs -> A^H rhs (``adjoint``, b's shape to
+    (S, r)); returns x (S, r) and the (S,) condition numbers of the
+    column-equilibrated designs.
 
-    Equilibrated by its diagonal, the Gram is solved by one Hermitian
-    eigendecomposition, then once more on the residual: semi-normal
-    equations with one correction step (Bjorck 1996, section 2.9) are as
-    accurate as an SVD of A while the equilibrated A is well conditioned.
-    Raises ``degenerate(reason)`` on a zero column or a numerically
-    rank-deficient A, and warns IllConditioned, naming the ``name`` system,
-    above the condition limit of ``numerics.lstsq``.
+    Equilibrated by its diagonal, each Gram is solved by one Hermitian
+    eigendecomposition (one ``eigh`` call for the stack), then once more
+    on the residual: semi-normal equations with one correction step
+    (Bjorck 1996, section 2.9) are as accurate as an SVD of A while the
+    equilibrated A is well conditioned.  Raises ``degenerate(s, reason)``
+    for the first system s with a zero column or a numerically
+    rank-deficient A, and warns IllConditioned once, naming the ``name``
+    system, when one is above the condition limit of ``numerics.lstsq``.
     """
-    scale = np.sqrt(np.diag(gram).real)
-    if np.any(scale == 0):
-        raise degenerate("has a zero column")
+    scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
+    zero = (scale == 0).any(axis=1)
     # Columns can spread over many orders of magnitude; equilibrate so the
-    # rank test and the solve see a well-scaled system.
-    unit = np.triu(gram, 1) / np.outer(scale, scale)
-    unit += unit.conj().T
-    np.fill_diagonal(unit, 1.0)
+    # rank test and the solve see a well-scaled system.  A zero column is
+    # reported below; a unit scale keeps its system finite until then.
+    scale[zero] = 1.0
+    unit = np.triu(gram, 1) / (scale[:, :, None] * scale[:, None, :])
+    unit += unit.conj().swapaxes(1, 2)
+    diag = np.arange(scale.shape[1])
+    unit[:, diag, diag] = 1.0
     w, V = np.linalg.eigh(unit)
-    if not w[0] > len(scale) * np.finfo(float).eps * w[-1]:  # also catches NaN
-        raise degenerate("rank-deficient")
-    if w[-1] / w[0] > COND_LIMIT:
+    # ``not >`` also catches NaN
+    bad = zero | ~(w[:, 0] > scale.shape[1] * np.finfo(float).eps * w[:, -1])
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise degenerate(first, "has a zero column" if zero[first] else "rank-deficient")
+    if (w[:, -1] / w[:, 0] > COND_LIMIT).any():
         warnings.warn(f"{name} least-squares system is ill-conditioned", IllConditioned)
 
     def solve(rhs):  # G^-1 A^H rhs for the unscaled Gram G
-        c = adjoint(rhs) / scale
-        return (V @ ((V.conj().T @ c) / w)) / scale
+        c = (adjoint(rhs) / scale)[:, :, None]
+        return (V @ ((V.conj().swapaxes(1, 2) @ c) / w[:, :, None]))[:, :, 0] / scale
 
     x = solve(b)
     x += solve(b - apply(x))
-    return x, float(np.sqrt(w[-1] / w[0]))
+    return x, np.sqrt(w[:, -1] / w[:, 0])
 
 
 def _scale_fit(
@@ -289,14 +307,14 @@ def _scale_fit(
     def adjoint(rhs):
         return (tree.gemm_adjoint(leaf_products, rhs.conj(), T.d) * full).sum(axis=1).conj()
 
-    def apply(x):
-        return tree.gemm(leaf_products, x[:, None] * full)
+    def apply(x):  # x (r,) or a stack of one (1, r)
+        return tree.gemm(leaf_products, x.reshape(-1, 1) * full)
 
-    lambdas, cond = _gram_lstsq(
-        _scale_gram(T, full), T.values, adjoint, apply, "scale",
-        lambda why: ScalesDegenerate(f"scale design {why}"),
+    x, conds = _gram_lstsq(
+        _scale_gram(T, full)[None], T.values, adjoint, apply, "scale",
+        lambda _, why: ScalesDegenerate(f"scale design {why}"),
     )
-    return lambdas, apply(lambdas), cond
+    return x[0], apply(x[0]), float(conds[0])
 
 
 def _scale_gram(T: IncompleteSymmetricTensor, full: np.ndarray) -> np.ndarray:
@@ -340,12 +358,17 @@ def decompose(
 
     The scale stage's leaf products also give the reconstruction behind
     diagnostics["decomp_err"]; diagnostics["gen_cond"] is the largest
-    condition number of the n - k generating-matrix designs,
-    diagnostics["heads_cond"] that of the k equilibrated head designs and
-    diagnostics["scale_cond"] that of the equilibrated scale design."""
+    condition number of the n - k generating-matrix designs, warned as
+    IllConditioned above ``GEN_COND_LIMIT``, diagnostics["heads_cond"]
+    that of the k equilibrated head designs and diagnostics["scale_cond"]
+    that of the equilibrated scale design."""
     n, m = T.d - 1, T.m
     params.validate(n, m)
     G = solve_generating_matrix(T, params.r, params.p, params.k)
+    gen_cond = float(G.conds.max())
+    if gen_cond > GEN_COND_LIMIT:
+        warnings.warn(f"generating-matrix designs are ill-conditioned: gen_cond "
+                      f"{gen_cond:.2e} above {GEN_COND_LIMIT:.0e}", IllConditioned)
     Ns = companion_matrices(G)
     tails, _, gap = extract_tails(Ns, params.seed)
     gammas = solve_tail_products(T, tails, params)
@@ -356,7 +379,7 @@ def decompose(
     diagnostics = {
         "decomp_err": _relative_err(T, rec - T.values),
         "eigen_gap": gap,
-        "gen_cond": float(G.conds.max()),
+        "gen_cond": gen_cond,
         "gen_residual_max": float(np.max(G.residuals)) if G.residuals.size else 0.0,
         "gen_rank_min": int(G.ranks.min()),
         "heads_cond": heads_cond,

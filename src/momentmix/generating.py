@@ -5,11 +5,12 @@ The matrix ``G`` has one column per monomial in the mixed basis (head
 subset plus one tail label) and one row per monomial in the head basis.
 A column's linear system has a design matrix that depends only on its
 tail label, and every tail label's design has the same shape, so ``G``
-is one stacked least squares: one gather of the tensor entries for the
-designs of all tail labels, one for their right-hand sides (every head
-subset's column), and one stacked SVD solve.  Its r x r slices indexed
-by a tail label form a commuting family whose common eigenvectors reveal
-the tail coordinates of the components.
+is one stacked least squares.  Each distinct tensor key is gathered
+once: every label's design rows index one gather over the support
+tuples, and its right-hand-side rows one gather over the tail subsets
+that a support tuple and its label make.  Its r x r slices indexed by a
+tail label form a commuting family whose common eigenvectors reveal the
+tail coordinates of the components.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import binomial, subsets_lex
+from .combinatorics import binomial, lex_positions, subsets_lex
 from .errors import DegenerateSpectrum, ShapeCondition
-from .numerics import eig, gaussian_vector, lstsq
+from .numerics import eig, eigvals, gaussian_vector, lstsq
 from .tensor_store import IncompleteSymmetricTensor, block_keys
 
 _GAP_TOL = 1e-8
@@ -64,9 +65,12 @@ def solve_generating_matrix(
     The columns alpha = head + (j,) that share a tail label j share one
     design matrix: its rows are the support tuples of j, the
     (m-p-1)-subsets of the tail labels avoiding j, as many for every j,
-    and its columns the first r heads padded with label 0.  The designs
-    A (n - k, S, r) and the right-hand sides B (n - k, S, |heads|) of all
-    labels are two gathers, solved by one stacked ``lstsq``.  On exact rank-r generic input every
+    and its columns the first r heads padded with label 0.  Each distinct
+    key is gathered once: the designs A (n - k, S, r) index the rows of
+    one (|pool|, r) gather over all support tuples, and the right-hand
+    sides B (n - k, S, |heads|) the rows of one gather over the
+    C(n-k, m-p) tail subsets, the sorted support + (j,) of each row.  One
+    stacked ``lstsq`` solves them.  On exact rank-r generic input every
     per-column residual vanishes; on noisy input the same code path
     yields the least-squares G.
     """
@@ -81,10 +85,11 @@ def solve_generating_matrix(
     pool = np.array(subsets_lex(k + 1, n, m - p - 1))
     # label index t and support tuple of every row, label by label
     t, row = np.nonzero((pool[None, :, :] != labels[:, None, None]).all(axis=2))
-    support = pool[row]
     # heads lie in 1..k and tail labels in k+1..n, so no key repeats a label
-    A = T.gather(block_keys(support, [(0,) + b for b in heads[:r]]))
-    B = T.gather(block_keys(np.column_stack([support, labels[t]]), heads))
+    A = T.gather(block_keys(pool, [(0,) + b for b in heads[:r]]))[row]
+    tail_sets = np.array(subsets_lex(k + 1, n, m - p))
+    B = T.gather(block_keys(tail_sets, heads))[
+        lex_positions(tail_sets, np.column_stack([pool[row], labels[t]]))]
     report = lstsq(A.reshape(len(labels), -1, r), B.reshape(len(labels), -1, len(heads)))
     return GeneratingMatrix(
         values=report.solution.transpose(1, 2, 0).reshape(r, -1),
@@ -108,23 +113,25 @@ def extract_tails(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Rayleigh-quotient tails from a random combination of the companions.
 
-    Draws several complex xi ~ N(0, I) + i N(0, I) candidates, keeps the
-    eigendecomposition of N(xi) with the widest relative eigenvalue gap,
-    and returns per-eigenvector tails w_i[j] = v_i^H N_{k+1+j} v_i
+    Draws several complex xi ~ N(0, I) + i N(0, I) candidates and screens
+    them by the eigenvalues of N(xi) alone (``numerics.eigvals``), keeping
+    the one with the widest relative eigenvalue gap.  Only that winner is
+    eigendecomposed in full; its eigenvalues are those of the screen, bit
+    for bit on every input tried, and the returned gap is computed from
+    them.  Returns per-eigenvector tails w_i[j] = v_i^H N_{k+1+j} v_i
     together with the eigenvectors and the gap.  A well-separated
     spectrum keeps the eigenvectors stable against perturbations of the
     companion matrices, so the candidate count trades a few extra
-    eigendecompositions for accuracy on noisy input.
+    eigenvalue computations for accuracy on noisy input.
     """
     n_tail, r = Ns.matrices.shape[0], Ns.r
-    best_gap, best_vecs = -1.0, None
+    best_gap, best = -1.0, None
     for attempt in range(_MAX_XI_RETRIES):
         xi = gaussian_vector(seed, 2 * n_tail, "xi", attempt).view(complex)
         N_xi = np.tensordot(xi, Ns.matrices, axes=(0, 0))
-        pairs = eig(N_xi)
-        gap = _relative_gap(pairs.values)
+        gap = _relative_gap(eigvals(N_xi))
         if gap > best_gap:
-            best_gap, best_vecs = gap, pairs.vectors
+            best_gap, best = gap, N_xi
         if r == 1:
             break
     if best_gap < _GAP_TOL and r > 1:
@@ -132,21 +139,21 @@ def extract_tails(
             f"eigenvalue gap {best_gap:.2e} below {_GAP_TOL} after "
             f"{_MAX_XI_RETRIES} random combinations"
         )
+    pairs = eig(best)
     # tails[i, j] = v_i^H N_j v_i for every (i, j) in two broadcast
     # matmuls.  Each is a batch of matrix-vector and vector-vector
     # products, the same ones a loop over (i, j) makes; a matrix-matrix
     # product would round differently, and the later stages amplify that.
-    vecs = best_vecs.T[:, None, :, None]  # (r, 1, r, 1): v_i as a column
+    vecs = pairs.vectors.T[:, None, :, None]  # (r, 1, r, 1): v_i as a column
     tails = (vecs.conj().swapaxes(-1, -2) @ (Ns.matrices @ vecs))[:, :, 0, 0]
-    return tails, best_vecs, best_gap
+    return tails, pairs.vectors, _relative_gap(pairs.values)
 
 
 def _relative_gap(values: np.ndarray) -> float:
     if values.size < 2:
         return float("inf")
-    spread = float(np.abs(values[:, None] - values[None, :]).max())
+    dist = np.abs(values[:, None] - values[None, :])
+    spread = float(dist.max())
     if spread == 0:
         return 0.0
-    idx = np.triu_indices(values.size, k=1)
-    min_dist = float(np.abs(values[:, None] - values[None, :])[idx].min())
-    return min_dist / spread
+    return float(dist[np.triu_indices(values.size, k=1)].min()) / spread

@@ -138,6 +138,15 @@ def eig(M: np.ndarray) -> EigenPairs:
     return EigenPairs(values=vals, vectors=vecs)
 
 
+def eigvals(M: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a square complex matrix, unordered, from LAPACK's
+    eigenvalues-only path: no eigenvectors are formed."""
+    try:
+        return np.linalg.eigvals(np.asarray(M, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+
+
 def _fd_jacobian(residual: Callable, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
     J = np.empty((f0.size, x.size), dtype=f0.dtype)
     h_base = np.sqrt(np.finfo(float).eps)

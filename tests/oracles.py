@@ -1,7 +1,9 @@
 """Per-column generating-matrix systems, the reference that tests hold the
 library's stacked solve against, and the monomial bases that index them;
-and, found from the keys alone, each key's row of a ``PrefixTree``'s leaf
-products and those products.
+the exact stages computed label by label and candidate by candidate, the
+references that the library's one-gather, eigenvalue-screened and stacked
+stages equal bit for bit; and, found from the keys alone, each key's row
+of a ``PrefixTree``'s leaf products and those products.
 
 Variable labels run over ``1..n``; label ``0`` is the homogenizing
 coordinate.  The library builds the same systems for all tail labels at
@@ -12,14 +14,29 @@ only.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 
 from momentmix.combinatorics import IndexSubset, binomial, subsets_lex
-from momentmix.errors import RankTooLarge
+from momentmix.decomposition import DecompositionParams, _tail_blocks
+from momentmix.errors import (
+    DegenerateSpectrum,
+    HeadsDegenerate,
+    IllConditioned,
+    RankTooLarge,
+)
+from momentmix.generating import (
+    _GAP_TOL,
+    _MAX_XI_RETRIES,
+    CompanionSet,
+    GeneratingMatrix,
+)
+from momentmix.numerics import COND_LIMIT, eig, gaussian_vector, lstsq
 from momentmix.tensor_store import (
     IncompleteSymmetricTensor,
     PrefixTree,
+    block_keys,
     block_matrix,
     component_products,
 )
@@ -111,3 +128,115 @@ def leaf_products(tree: PrefixTree, keys: np.ndarray, vectors: np.ndarray) -> np
     leaf = np.zeros((len(tree.order), vectors.shape[0]), dtype=vectors.dtype)
     leaf[leaf_rows(tree, keys)] = component_products(vectors, keys[:, :-1]).T
     return leaf
+
+
+def generating_matrix_by_label(
+    T: IncompleteSymmetricTensor, r: int, p: int, k: int
+) -> GeneratingMatrix:
+    """G gathered label by label: each tail label's design and right-hand
+    sides are gathered for it alone, so a key shared by several labels is
+    gathered once per label; then the one stacked ``lstsq``."""
+    n, m = T.d - 1, T.m
+    heads = subsets_lex(1, k, p)
+    labels = range(k + 1, n + 1)
+    pool = np.array(subsets_lex(k + 1, n, m - p - 1))
+    A, B = [], []
+    for j in labels:
+        support = pool[(pool != j).all(axis=1)]
+        A.append(T.gather(block_keys(support, [(0,) + b for b in heads[:r]])))
+        B.append(T.gather(block_keys(
+            np.column_stack([support, np.full(len(support), j)]), heads)))
+    report = lstsq(np.stack(A), np.stack(B))
+    return GeneratingMatrix(
+        values=report.solution.transpose(1, 2, 0).reshape(r, -1),
+        residuals=report.residual_norm.T.ravel(),
+        ranks=report.rank,
+        conds=report.cond,
+    )
+
+
+def _relative_gap(values: np.ndarray) -> float:
+    if values.size < 2:
+        return float("inf")
+    spread = float(np.abs(values[:, None] - values[None, :]).max())
+    if spread == 0:
+        return 0.0
+    idx = np.triu_indices(values.size, k=1)
+    min_dist = float(np.abs(values[:, None] - values[None, :])[idx].min())
+    return min_dist / spread
+
+
+def tails_by_full_eig(
+    Ns: CompanionSet, seed: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``extract_tails`` with every xi candidate eigendecomposed in full,
+    eigenvectors and all, and the widest-gap one kept."""
+    n_tail, r = Ns.matrices.shape[0], Ns.r
+    best_gap, best_vecs = -1.0, None
+    for attempt in range(_MAX_XI_RETRIES):
+        xi = gaussian_vector(seed, 2 * n_tail, "xi", attempt).view(complex)
+        pairs = eig(np.tensordot(xi, Ns.matrices, axes=(0, 0)))
+        gap = _relative_gap(pairs.values)
+        if gap > best_gap:
+            best_gap, best_vecs = gap, pairs.vectors
+        if r == 1:
+            break
+    if best_gap < _GAP_TOL and r > 1:
+        raise DegenerateSpectrum(f"eigenvalue gap {best_gap:.2e}")
+    vecs = best_vecs.T[:, None, :, None]
+    tails = (vecs.conj().swapaxes(-1, -2) @ (Ns.matrices @ vecs))[:, :, 0, 0]
+    return tails, best_vecs, best_gap
+
+
+def gram_lstsq_one(gram, b, adjoint, apply, name, degenerate):
+    """``decomposition._gram_lstsq`` for one system: an (r, r) Gram, x (r,)
+    and its condition number, ``degenerate(reason)`` raised on a zero
+    column or a rank-deficient design."""
+    scale = np.sqrt(np.diag(gram).real)
+    if np.any(scale == 0):
+        raise degenerate("has a zero column")
+    unit = np.triu(gram, 1) / np.outer(scale, scale)
+    unit += unit.conj().T
+    np.fill_diagonal(unit, 1.0)
+    w, V = np.linalg.eigh(unit)
+    if not w[0] > len(scale) * np.finfo(float).eps * w[-1]:
+        raise degenerate("rank-deficient")
+    if w[-1] / w[0] > COND_LIMIT:
+        warnings.warn(f"{name} least-squares system is ill-conditioned", IllConditioned)
+
+    def solve(rhs):
+        c = adjoint(rhs) / scale
+        return (V @ ((V.conj().T @ c) / w)) / scale
+
+    x = solve(b)
+    x += solve(b - apply(x))
+    return x, float(np.sqrt(w[-1] / w[0]))
+
+
+def heads_by_label(
+    T: IncompleteSymmetricTensor,
+    tails: np.ndarray,
+    gammas: np.ndarray,
+    params: DecompositionParams,
+) -> tuple[np.ndarray, float]:
+    """``solve_heads`` one head label at a time, each label's right-hand
+    sides gathered for it alone: ``gram_lstsq_one`` per label."""
+    J1, J2, W = _tail_blocks(T, tails, params)
+    W_conj = W.conj()
+    tail_gram = W_conj.T @ W
+    heads = np.empty((params.r, params.k), dtype=complex)
+    cond = 1.0
+    for j in range(1, params.k + 1):
+        rows = [i for i, beta in enumerate(J1) if j not in beta]
+        B = block_matrix(T, [(j,) + J1[i] for i in rows], J2)
+        Gamma = gammas[rows]
+        heads[:, j - 1], cond_j = gram_lstsq_one(
+            (Gamma.conj().T @ Gamma) * tail_gram,
+            B,
+            lambda rhs: (Gamma.conj() * (rhs @ W_conj)).sum(axis=0),
+            lambda x: (Gamma * x) @ W.T,
+            "head",
+            lambda _: HeadsDegenerate(f"head design rank-deficient at label {j}"),
+        )
+        cond = max(cond, cond_j)
+    return heads, cond

@@ -47,3 +47,7 @@ def test_tracer_installs_traces_approximate_and_uninstalls():
     assert tracer.counts["numerics.nlls_residual_calls"] >= 1
     names = {span[0] for span in tracer.spans}
     assert {"decomposition.decompose", "numerics.nlls_refine", "numerics.eig"} <= names
+    # the xi candidates are screened by their eigenvalues alone: one full
+    # eigendecomposition per decompose
+    span_names = [span[0] for span in tracer.spans]
+    assert span_names.count("numerics.eig") == span_names.count("decomposition.decompose") == 1

@@ -5,9 +5,10 @@ import pytest
 
 from momentmix.combinatorics import binomial
 from momentmix.decomposition import choose_params
-from momentmix.errors import ShapeCondition
+from momentmix.errors import EigenFailure, ShapeCondition
 from momentmix.numerics import lstsq
 from momentmix.generating import (
+    CompanionSet,
     companion_matrices,
     extract_tails,
     solve_generating_matrix,
@@ -214,3 +215,34 @@ def test_extract_tails_matches_rayleigh_loop():
         [np.vdot(v, N @ v) for N in Ns.matrices] for v in vecs.T
     ])
     assert np.abs(tails - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
+def test_generating_matrix_gathers_each_key_once(monkeypatch):
+    # the designs' rows are rows of one gather over the support pool, the
+    # right-hand sides' rows of one gather over the tail subsets
+    d, m, r = 14, 5, 10
+    comps = np.random.default_rng(5).standard_normal((r, d))
+    T = from_components(ComponentList(comps), m, omega_keys(d, m))
+    params = choose_params(d - 1, m, r, seed=5)
+    n, p, k = d - 1, params.p, params.k
+    gathered = []
+    gather = IncompleteSymmetricTensor.gather
+
+    def counted(tensor, keys):
+        gathered.append(np.asarray(keys).size // m)
+        return gather(tensor, keys)
+
+    monkeypatch.setattr(IncompleteSymmetricTensor, "gather", counted)
+    solve_generating_matrix(T, r, p, k)
+    pool = binomial(n - k, m - p - 1)
+    assert sum(gathered) <= pool * r + binomial(n - k, m - p) * binomial(k, p)
+    # every label's rows gathered again would take this many
+    assert sum(gathered) < (n - k) * binomial(n - k - 1, m - p - 1) * (r + binomial(k, p))
+
+
+def test_extract_tails_screen_fails_loud_on_nan():
+    rng = np.random.default_rng(6)
+    mats = rng.standard_normal((3, 4, 4)) + 0j
+    mats[1, 2, 3] = np.nan
+    with pytest.raises(EigenFailure):
+        extract_tails(CompanionSet(matrices=mats), seed=0)
