@@ -26,7 +26,6 @@ from .gmm import (
     sample_moments,
 )
 from .tensor_store import (
-    ComponentList,
     IncompleteSymmetricTensor,
     from_components,
     omega_keys,

@@ -25,7 +25,7 @@ import numpy as np
 from . import decomposition, experiments, gmm, tensor_store
 from .errors import DegenerateSpectrum, MissingEntry, MomentmixError, RankTooLarge
 from .experiments import DEFAULT_SEED
-from .tensor_store import ComponentList, from_components, omega_keys, perturb
+from .tensor_store import from_components, omega_keys, perturb
 
 
 # Exit code of each error a command reports in one ``error:`` line; the
@@ -79,7 +79,7 @@ def cmd_params(args):
 
 def cmd_gen_tensor(args):
     comps = experiments.random_components(args.d, args.r, args.seed)
-    T = from_components(ComponentList(comps), args.m, omega_keys(args.d, args.m))
+    T = from_components(comps, args.m, omega_keys(args.d, args.m))
     _write(args.out, tensor_store.to_json(T))
     if args.components_out:
         dec = decomposition.Decomposition(

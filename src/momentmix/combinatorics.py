@@ -2,8 +2,9 @@
 
 Variable labels run over ``1..n``; label ``0`` is the homogenizing
 coordinate (constant 1).  A squarefree monomial is identified with the
-strictly increasing tuple of its variable labels, so monomial sets are
-ordered lists of integer tuples.
+strictly increasing tuple of its variable labels, so a monomial set is an
+(n, s) int64 array with one label subset per row, rows in lexicographic
+order.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import itertools
 import math
 
 import numpy as np
-
-IndexSubset = tuple[int, ...]
 
 
 def binomial(n: int, k: int) -> int:
@@ -25,16 +24,17 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def subsets_lex(lo: int, hi: int, size: int) -> list[IndexSubset]:
-    """All ``size``-element subsets of {lo, ..., hi} in ascending
-    lexicographic order of their sorted tuples."""
+def subsets_lex(lo: int, hi: int, size: int) -> np.ndarray:
+    """All ``size``-element subsets of {lo, ..., hi} as the rows of a
+    (C(hi - lo + 1, size), size) int64 array, each ascending, in ascending
+    lexicographic order: one empty row at size 0, no rows for an empty
+    range."""
     if size < 0:
         raise ValueError("size must be nonnegative")
-    if size == 0:
-        return [()]
-    if hi < lo:
-        return []
-    return list(itertools.combinations(range(lo, hi + 1), size))
+    labels = range(lo, hi + 1)
+    n = binomial(len(labels), size)
+    slots = itertools.chain.from_iterable(itertools.combinations(labels, size))
+    return np.fromiter(slots, dtype=np.int64, count=n * size).reshape(n, size)
 
 
 def lex_positions(subsets: np.ndarray, sets: np.ndarray) -> np.ndarray:

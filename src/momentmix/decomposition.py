@@ -150,13 +150,14 @@ class Decomposition:
 
 def _tail_blocks(
     T: IncompleteSymmetricTensor, tails: np.ndarray, params: DecompositionParams
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], np.ndarray]:
-    """Head monomials J1, tail monomials J2, and the tail design
-    W[row, i] = product of tail entries of component i over J2[row]."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Head monomials J1, tail monomials J2 (``subsets_lex`` arrays), and
+    the tail design W[row, i] = product of tail entries of component i over
+    J2[row]."""
     k, p = params.k, params.p
     J1 = subsets_lex(1, k, p)
     J2 = subsets_lex(k + 1, T.d - 1, T.m - p - 1)
-    W = component_products(tails, np.array(J2) - (k + 1)).T
+    W = component_products(tails, J2 - (k + 1)).T
     return J1, J2, W
 
 
@@ -167,7 +168,7 @@ def solve_tail_products(
     least squares per J1 row against the tail design, which needs rank r."""
     J1, J2, W = _tail_blocks(T, tails, params)
     # heads lie in 1..k and tail labels in k+1..n, so no key repeats a label
-    B = T.gather(block_keys([(0,) + b for b in J1], J2))
+    B = T.gather(block_keys(np.pad(J1, ((0, 0), (1, 0))), J2))
     # one shared design, all J1 rows as simultaneous right-hand sides
     report = lstsq(W, B.T)
     if report.rank < params.r:
@@ -203,11 +204,10 @@ def solve_heads(
     if k <= p:  # every head monomial holds every label
         raise HeadsDegenerate(f"no head monomials avoid label 1 (k={k}, p={p})")
     J1, J2, W = _tail_blocks(T, tails, params)
-    J1 = np.array(J1)
     labels = np.arange(1, k + 1)
     # the J1 rows avoiding each label, label by label: (k, C(k-1, p))
     rows = np.nonzero((J1[None] != labels[:, None, None]).all(axis=2))[1].reshape(k, -1)
-    head_keys = np.array(subsets_lex(1, k, p + 1))
+    head_keys = subsets_lex(1, k, p + 1)
     joined = np.concatenate(
         [J1[rows], np.broadcast_to(labels[:, None, None], rows.shape + (1,))], axis=2)
     B = T.gather(block_keys(head_keys, J2))[lex_positions(head_keys, joined)]
@@ -340,7 +340,7 @@ def _gram_terms(T: IncompleteSymmetricTensor) -> tuple[bool, np.ndarray, np.ndar
     repeated = key_arr[(key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)]
     absent = key_arr[:0]
     if len(key_arr) - len(repeated) < binomial(d, m):  # a distinct-index key is absent
-        distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
+        distinct = omega_keys(d, m)
         radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
         absent = distinct[~np.isin(distinct @ radix, key_arr @ radix)]
     if len(key_arr) < len(repeated) + len(absent):

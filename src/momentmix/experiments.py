@@ -2,8 +2,9 @@
 approximation stability, and the mixture-learning comparison against EM.
 
 Trials run in order in one process; trial i of a grid cell uses seed
-base + i.  A trial whose solve raises counts as failed instead of
-stopping the grid.  Tables 2 and 3 draw the same planted tensor per seed
+base + i.  A trial whose solve raises a ``MomentmixError`` counts as
+failed instead of stopping the grid; any other exception is a fault and
+propagates.  Tables 2 and 3 draw the same planted tensor per seed
 and summarize each cell with the same min/average/max columns.
 """
 
@@ -21,13 +22,9 @@ from .decomposition import (
     decompose,
     max_rank_quiet,
 )
+from .errors import MomentmixError
 from .numerics import rng_from
-from .tensor_store import (
-    ComponentList,
-    from_components,
-    omega_keys,
-    perturb,
-)
+from .tensor_store import from_components, omega_keys, perturb
 
 DEFAULT_SEED = 2024
 
@@ -41,7 +38,7 @@ def _planted(d: int, m: int, r: int, seed: int):
     """Planted components, their exact order-m tensor on the distinct-index
     keys, and the parameters that decompose it at rank r."""
     comps = random_components(d, r, seed)
-    T = from_components(ComponentList(comps), m, omega_keys(d, m))
+    T = from_components(comps, m, omega_keys(d, m))
     return comps, T, choose_params(d - 1, m, r, seed=seed)
 
 
@@ -64,7 +61,7 @@ def _decomp_trial(d, m, r, seed):
     comps, T, params = _planted(d, m, r, seed)
     try:
         dec = decompose(T, params)
-    except Exception as exc:  # aggregate partial failures, keep the grid going
+    except MomentmixError as exc:  # aggregate partial failures, keep the grid going
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {
         "decomp_err": dec.diagnostics["decomp_err"],
@@ -96,7 +93,7 @@ def _approx_trial(d, m, r, epsilon, seed):
     T_hat = perturb(T, epsilon, seed)
     try:
         dec = approximate(T_hat, params, truth=T)
-    except Exception as exc:
+    except MomentmixError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {
         "abs_err": dec.diagnostics["abs_err"],
@@ -132,7 +129,7 @@ def _gmm_trial(d, m, r, n_samples, seed):
     try:
         learned = gmm.learn(samples, r, m, seed=seed)
         acc_alg = gmm.accuracy(gmm.classify(learned, samples), samples.labels)
-    except Exception as exc:
+    except MomentmixError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     em = gmm.em_baseline(samples, r, seed=seed)
     acc_em = gmm.accuracy(gmm.classify(em, samples), samples.labels)

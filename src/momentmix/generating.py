@@ -40,21 +40,6 @@ class GeneratingMatrix:
     ranks: np.ndarray  # (n - k,) design rank per tail label k+1..n
     conds: np.ndarray  # (n - k,) design condition number per tail label
 
-    @property
-    def r(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
-class CompanionSet:
-    """Matrices N_{k+1}..N_n; entry (nu, beta) of N_l is G(beta, nu + e_l)."""
-
-    matrices: np.ndarray  # (n - k, r, r)
-
-    @property
-    def r(self) -> int:
-        return self.matrices.shape[1]
-
 
 def solve_generating_matrix(
     T: IncompleteSymmetricTensor, r: int, p: int, k: int
@@ -82,12 +67,12 @@ def solve_generating_matrix(
         )
     heads = subsets_lex(1, k, p)
     labels = np.arange(k + 1, n + 1)
-    pool = np.array(subsets_lex(k + 1, n, m - p - 1))
+    pool = subsets_lex(k + 1, n, m - p - 1)
     # label index t and support tuple of every row, label by label
     t, row = np.nonzero((pool[None, :, :] != labels[:, None, None]).all(axis=2))
     # heads lie in 1..k and tail labels in k+1..n, so no key repeats a label
-    A = T.gather(block_keys(pool, [(0,) + b for b in heads[:r]]))[row]
-    tail_sets = np.array(subsets_lex(k + 1, n, m - p))
+    A = T.gather(block_keys(pool, np.pad(heads[:r], ((0, 0), (1, 0)))))[row]
+    tail_sets = subsets_lex(k + 1, n, m - p)
     B = T.gather(block_keys(tail_sets, heads))[
         lex_positions(tail_sets, np.column_stack([pool[row], labels[t]]))]
     report = lstsq(A.reshape(len(labels), -1, r), B.reshape(len(labels), -1, len(heads)))
@@ -99,19 +84,21 @@ def solve_generating_matrix(
     )
 
 
-def companion_matrices(G: GeneratingMatrix) -> CompanionSet:
-    """N_l for l = k+1..n with N_l[nu, beta] = G(beta, nu + e_l): the
-    columns of the first r heads in G's head-major layout, which has one
-    column per head and tail label, the n - k labels of ``G.ranks``."""
-    by_head = G.values.reshape(G.r, -1, G.ranks.size)[:, : G.r]  # [beta, nu, l]
-    mats = np.ascontiguousarray(by_head.transpose(2, 1, 0))  # (n - k, r, r)
-    return CompanionSet(matrices=mats)
+def companion_matrices(G: GeneratingMatrix) -> np.ndarray:
+    """The (n - k, r, r) stack of N_l for l = k+1..n with N_l[nu, beta] =
+    G(beta, nu + e_l): the columns of the first r heads in G's head-major
+    layout, which has one column per head and tail label, the n - k labels
+    of ``G.ranks``."""
+    r = G.values.shape[0]
+    by_head = G.values.reshape(r, -1, G.ranks.size)[:, :r]  # [beta, nu, l]
+    return np.ascontiguousarray(by_head.transpose(2, 1, 0))
 
 
 def extract_tails(
-    Ns: CompanionSet, seed: int
+    Ns: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rayleigh-quotient tails from a random combination of the companions.
+    """Rayleigh-quotient tails from a random combination of the (n - k, r,
+    r) companion stack ``companion_matrices`` returns.
 
     Draws several complex xi ~ N(0, I) + i N(0, I) candidates and screens
     them by the eigenvalues of N(xi) alone (``numerics.eigvals``), keeping
@@ -124,11 +111,11 @@ def extract_tails(
     companion matrices, so the candidate count trades a few extra
     eigenvalue computations for accuracy on noisy input.
     """
-    n_tail, r = Ns.matrices.shape[0], Ns.r
+    n_tail, r = Ns.shape[:2]
     best_gap, best = -1.0, None
     for attempt in range(_MAX_XI_RETRIES):
         xi = gaussian_vector(seed, 2 * n_tail, "xi", attempt).view(complex)
-        N_xi = np.tensordot(xi, Ns.matrices, axes=(0, 0))
+        N_xi = np.tensordot(xi, Ns, axes=(0, 0))
         gap = _relative_gap(eigvals(N_xi))
         if gap > best_gap:
             best_gap, best = gap, N_xi
@@ -139,14 +126,14 @@ def extract_tails(
             f"eigenvalue gap {best_gap:.2e} below {_GAP_TOL} after "
             f"{_MAX_XI_RETRIES} random combinations"
         )
-    pairs = eig(best)
+    values, vectors = eig(best)
     # tails[i, j] = v_i^H N_j v_i for every (i, j) in two broadcast
     # matmuls.  Each is a batch of matrix-vector and vector-vector
     # products, the same ones a loop over (i, j) makes; a matrix-matrix
     # product would round differently, and the later stages amplify that.
-    vecs = pairs.vectors.T[:, None, :, None]  # (r, 1, r, 1): v_i as a column
-    tails = (vecs.conj().swapaxes(-1, -2) @ (Ns.matrices @ vecs))[:, :, 0, 0]
-    return tails, pairs.vectors, _relative_gap(pairs.values)
+    vecs = vectors.T[:, None, :, None]  # (r, 1, r, 1): v_i as a column
+    tails = (vecs.conj().swapaxes(-1, -2) @ (Ns @ vecs))[:, :, 0, 0]
+    return tails, vectors, _relative_gap(values)
 
 
 def _relative_gap(values: np.ndarray) -> float:

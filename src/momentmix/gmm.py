@@ -7,11 +7,14 @@ mixed moment factors into univariate Gaussian moments.  The recovery
 pipeline runs the incomplete tensor approximation on the order-m moment
 subtensor, phase-corrects the components to real vectors, then solves
 nonnegative and simplex-constrained least squares for the weights, means
-and variances.  Their designs, and the exact moments, are products over
-key arrays from the tensor path's ``component_products``, and each stage
-reads its moments with one ``MomentSet.gather``.  The simplex refinement
-takes its normal equations from ``omega_gram`` and ``PrefixTree.adjoint``
-on the cells its keys occupy: no Jacobian or grid is formed.
+and variances.  Key sets are (n, m) int64 arrays (``learning_keys``,
+``covariance_keys``, the tensor path's ``omega_keys``); only
+``MomentSet.values`` keys its moments by sorted tuples.  The designs, and
+the exact moments, are products over key arrays from the tensor path's
+``component_products``, and each stage reads its moments with one
+``MomentSet.gather``.  The simplex refinement takes its normal equations
+from ``omega_gram`` and ``PrefixTree.adjoint`` on the cells its keys
+occupy: no Jacobian or grid is formed.
 
 The kernels that touch every sample are matrix products.  Sample moments
 run in power coordinates, where a run of t equal slots c is one slot
@@ -35,14 +38,13 @@ product per chunk and takes each column's argmax.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import binomial
+from .combinatorics import binomial, subsets_lex
 from .decomposition import approximate, choose_params, omega_gram
 from .errors import (
     CovDesignDegenerate,
@@ -61,8 +63,6 @@ from .tensor_store import (
     component_products,
     omega_keys,
 )
-
-TensorKey = tuple[int, ...]
 
 _BETA_FLOOR = 1e-12
 # Rows per chunk of the sample-moment passes: enough for each block's GEMM
@@ -132,7 +132,7 @@ class MomentSet:
     record the tests and the benchmark read; the stages use ``gather``."""
 
     order: int
-    values: dict[TensorKey, float]
+    values: dict[tuple[int, ...], float]
 
     def __getitem__(self, key) -> float:
         """The moment at a key in any slot order; MissingEntry when absent."""
@@ -160,9 +160,10 @@ def sample_gmm(model: GmmModel, N: int, seed: int) -> SampleSet:
     return SampleSet(data=data, labels=labels)
 
 
-def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
-    """Empirical moments: for each key (all of one order m), the mean over
-    samples of the product of the indexed coordinates.
+def sample_moments(samples: SampleSet, keys) -> MomentSet:
+    """Empirical moments: for each key (all of one order m; an (n, m) array
+    or a sequence of key tuples), the mean over samples of the product of
+    the indexed coordinates.
 
     Order 1 is the column mean.  Above it every key is a distinct-index
     key over power coordinates (``_run_codes``): a run of t slots equal to
@@ -223,7 +224,7 @@ def sample_moments(samples: SampleSet, keys: list[TensorKey]) -> MomentSet:
     return _moment_set(keys, d, values_at)
 
 
-def _moment_set(keys: list[TensorKey], d: int, values_at) -> MomentSet:
+def _moment_set(keys, d: int, values_at) -> MomentSet:
     """Moments at ``keys``, each sorted, from ``values_at`` of their sorted
     (n, order) array; no keys give an empty order-0 set.  Keys of more than
     one order, a slot that is not an integer and a slot outside range(d)
@@ -285,7 +286,7 @@ def univariate_gaussian_moment(mu: float, var: float, t: int) -> float:
     return prev1
 
 
-def exact_moments(model: GmmModel, keys: list[TensorKey]) -> MomentSet:
+def exact_moments(model: GmmModel, keys) -> MomentSet:
     """Population moments of a diagonal mixture: coordinates factor, so a
     key's value is a weight-sum of products of univariate moments at the
     key's per-coordinate multiplicities.  Column (t-1) * d + c of the table
@@ -305,23 +306,27 @@ def exact_moments(model: GmmModel, keys: list[TensorKey]) -> MomentSet:
     return _moment_set(keys, model.d, values_at)
 
 
-def covariance_keys(d: int, m: int, j: int) -> list[TensorKey]:
+def covariance_keys(d: int, m: int, j: int) -> np.ndarray:
     """Keys (j, j, i_1, ..., i_{m-2}) with the trailing labels distinct
-    and different from j, sorted."""
-    others = [s for s in range(d) if s != j]
-    return [
-        tuple(sorted((j, j) + gamma))
-        for gamma in itertools.combinations(others, m - 2)
-    ]
+    and different from j, each sorted, as the rows of an int64 array in
+    the lexicographic order of the trailing labels."""
+    gammas = _others(d, m - 2, j)
+    return np.sort(np.column_stack([np.full((len(gammas), 2), j), gammas]), axis=1)
 
 
-def learning_keys(d: int, m: int) -> list[TensorKey]:
-    """The order-m keys that learning reads, sorted: the distinct-index
-    keys and the repeated-pair keys of ``covariance_keys``."""
-    keys = set(omega_keys(d, m))
-    for j in range(d):
-        keys.update(covariance_keys(d, m, j))
-    return sorted(keys)
+def _others(d: int, size: int, j: int) -> np.ndarray:
+    """The size-subsets of range(d) without j, lexicographic order: those of
+    range(d - 1) with every label from j on shifted past j."""
+    subsets = subsets_lex(0, d - 2, size)
+    return subsets + (subsets >= j)
+
+
+def learning_keys(d: int, m: int) -> np.ndarray:
+    """The order-m keys that learning reads, as the rows of an int64 array
+    in lexicographic order: the distinct-index keys and the repeated-pair
+    keys of ``covariance_keys``, disjoint sets."""
+    keys = np.concatenate([omega_keys(d, m)] + [covariance_keys(d, m, j) for j in range(d)])
+    return keys[np.lexsort(keys.T[::-1])]
 
 
 def realify(qs: np.ndarray, m: int) -> np.ndarray:
@@ -360,7 +365,7 @@ def recover_weights(
     if t >= m:
         raise OrderConflict(f"t={t} must be smaller than m={m}")
     qs_real = np.atleast_2d(qs_real)
-    keys = np.array(omega_keys(qs_real.shape[1], t))
+    keys = omega_keys(qs_real.shape[1], t)
     design = component_products(qs_real, keys).T
     b = Mt.gather(keys)
     if m % 2 == 0 and t % 2 == 1:
@@ -393,7 +398,7 @@ def _moment_residual(Mm: MomentSet, Mt: MomentSet, d: int):
     order's ``PrefixTree.adjoint``, or f for every component at order 1."""
     orders = []
     for M in (Mm, Mt):
-        keys = np.array(omega_keys(d, M.order))
+        keys = omega_keys(d, M.order)
         tree = PrefixTree(keys) if M.order > 1 else None
         orders.append((M.order, keys, tree, M.gather(keys)))
 
@@ -452,12 +457,9 @@ def recover_covariances(
     mus = np.atleast_2d(mus)
     r, d = mus.shape
     m = Mm.order
-    # the (m-2)-subsets of range(d - 1), shifted past j, are those of the
-    # coordinates other than j in lexicographic order
-    subsets = np.array(list(itertools.combinations(range(d - 1), m - 2)))
     variances = np.empty((r, d))
     for j in range(d):
-        gammas = subsets + (subsets >= j)
+        gammas = _others(d, m - 2, j)
         keys_j = np.column_stack([np.full((len(gammas), 2), j), gammas])
         # the mean part q_ij^2 * prod_gamma q_i is the product over the key
         response = Mm.gather(keys_j) - component_products(qs_real, keys_j).sum(0)
@@ -483,7 +485,7 @@ def learn_from_moments(
     m = Mm.order
     t = Mt.order
     params = choose_params(d - 1, m, r, seed=seed)
-    keys = np.array(omega_keys(d, m), dtype=np.int64)
+    keys = omega_keys(d, m)
     F_hat = IncompleteSymmetricTensor._from_arrays(d, m, keys, Mm.gather(keys))
     dec = approximate(F_hat, params)
     qs_real = realify(dec.components, m)

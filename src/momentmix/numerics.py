@@ -115,15 +115,10 @@ def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass
-class EigenPairs:
-    values: np.ndarray  # (r,) complex
-    vectors: np.ndarray  # (r, r) complex, columns unit norm
-
-
-def eig(M: np.ndarray) -> EigenPairs:
-    """All eigenpairs of a square complex matrix; unit-norm eigenvectors,
-    ordered by (real, imag) of the eigenvalue."""
+def eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of a square complex matrix: the (r,) eigenvalues
+    ordered by (real, imag) and the (r, r) eigenvectors as unit-norm
+    columns in the same order."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
@@ -134,8 +129,7 @@ def eig(M: np.ndarray) -> EigenPairs:
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     vecs = vecs[:, order]
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    return EigenPairs(values=vals, vectors=vecs)
+    return vals, vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
 
 
 def eigvals(M: np.ndarray) -> np.ndarray:

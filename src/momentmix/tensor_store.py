@@ -6,8 +6,10 @@ keys whose slots lie in [0, d) and never decrease, in strictly ascending
 lexicographic order; and ``values``, the (n,) finite complex entries at
 those keys.  A key's code is its base-d integer, first slot most
 significant, so lexicographic order is code order and ``gather`` finds a
-batch of keys with one ``np.searchsorted``.  ``entries``, a tuple-keyed
-dict of the same entries, is derived from the arrays on first access.
+batch of keys with one ``np.searchsorted``.  Key sets are (n, m) int64
+arrays (``omega_keys``, ``block_keys``); only ``entries``, a tuple-keyed
+dict of the same entries, derived from the arrays on first access, holds
+tuples.
 
 Products over many keys run on one ``PrefixTree`` per key array, which
 multiplies each distinct prefix of ascending keys once and lays the keys
@@ -36,16 +38,13 @@ import json
 import math
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .combinatorics import IndexSubset
+from .combinatorics import subsets_lex
 from .errors import InvalidTensor, KeyCollision, MissingEntry, OrderExceedsDim
 from .numerics import rng_from
-
-TensorKey = tuple[int, ...]
 
 # Cells a ``PrefixTree`` group may hold to fold into the block before it,
 # and cells the merged block may hold beyond its groups' own.  Over a
@@ -57,42 +56,14 @@ TensorKey = tuple[int, ...]
 _BLOCK_WASTE = 64
 
 
-def omega_keys(d: int, m: int) -> list[TensorKey]:
+def omega_keys(d: int, m: int) -> np.ndarray:
     """All C(d, m) sorted distinct-index keys of an order-m tensor of
-    dimension d, lexicographic order."""
+    dimension d, a (C(d, m), m) int64 array in lexicographic order."""
     if m < 0:
         raise InvalidTensor("order must be nonnegative")
     if m > d:
         raise OrderExceedsDim(f"order {m} exceeds dimension {d}")
-    return list(itertools.combinations(range(d), m))
-
-
-@dataclass
-class ComponentList:
-    """Vectors q_1..q_r of length d with optional scalar weights."""
-
-    vectors: np.ndarray  # (r, d) complex
-    weights: np.ndarray | None = None  # (r,) complex, 1 when absent
-
-    def __post_init__(self):
-        self.vectors = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=complex)
-            if self.weights.shape != (self.vectors.shape[0],):
-                raise ValueError("weights length must match component count")
-
-    @property
-    def r(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
-    def effective_weights(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(self.r, dtype=complex)
-        return self.weights
+    return subsets_lex(0, d - 1, m)
 
 
 class IncompleteSymmetricTensor:
@@ -139,8 +110,17 @@ class IncompleteSymmetricTensor:
     def gather(self, keys) -> np.ndarray:
         """Stored values at an array of keys of shape (..., m), each key in
         any slot order; the result has shape (...).  Raises MissingEntry
-        naming the first key that is not stored."""
-        rows = np.sort(np.asarray(keys, dtype=np.int64), axis=-1)
+        naming the first key that is not stored, and InvalidTensor naming
+        the first that is not m integer slots."""
+        try:
+            rows = np.asarray(keys)
+        except ValueError:  # keys of different lengths
+            bad = next(k for k in keys if _shape(k) != (self.m,))
+            raise InvalidTensor(f"key {bad!r} is not {self.m} integer slots") from None
+        if rows.shape[-1:] != (self.m,) or (rows.size and rows.dtype.kind not in "iu"):
+            raise InvalidTensor(f"key {_first_bad_key(rows, self.m)} is not "
+                                f"{self.m} integer slots")
+        rows = np.sort(rows.astype(np.int64, copy=False), axis=-1)
         inside = ((rows >= 0) & (rows < self.d)).all(axis=-1)
         codes = np.where(inside, rows @ self._radix, -1)  # -1 matches no stored code
         pos = np.searchsorted(self._codes, codes)
@@ -157,14 +137,11 @@ class IncompleteSymmetricTensor:
         """The same keys holding other values, aligned with ``key_array``."""
         return self._from_arrays(self.d, self.m, self.key_array, values)
 
-    def keys(self) -> list[TensorKey]:
-        return [tuple(k) for k in self.key_array.tolist()]
-
     @cached_property
-    def entries(self) -> dict[TensorKey, complex]:
+    def entries(self) -> dict[tuple[int, ...], complex]:
         """Key tuple -> value view, built on first access and cached; the
         arrays stay the tensor, so writing to the view changes no lookup."""
-        return dict(zip(self.keys(), self.values.tolist()))
+        return dict(zip(map(tuple, self.key_array.tolist()), self.values.tolist()))
 
     @cached_property
     def tree(self) -> PrefixTree:
@@ -188,23 +165,41 @@ def _key_array(keys, m: int) -> np.ndarray:
         raise InvalidTensor(f"keys must be sequences of {m} integers") from exc
 
 
+def _first_bad_key(rows: np.ndarray, m: int) -> tuple:
+    """The first key of an (..., s) array that is not m integer slots: the
+    first row when s != m, else the first with a fraction or a NaN among
+    its slots, or the first row when none has one."""
+    if not rows.size:
+        return ()
+    flat = rows.reshape(-1, rows.shape[-1] if rows.ndim else 1)
+    at = 0
+    if flat.shape[1] == m and flat.dtype.kind == "f":
+        at = int(np.argmax((flat != np.floor(flat)).any(axis=1)))
+    return tuple(flat[at].tolist())
+
+
+def _shape(key) -> tuple | None:
+    try:
+        return np.shape(key)
+    except ValueError:  # ragged
+        return None
+
+
 def _reject(bad: np.ndarray, keys: np.ndarray, message: str):
     if bad.any():
         raise InvalidTensor(message.format(tuple(keys[np.argmax(bad)].tolist())))
 
 
-def from_components(
-    comps: ComponentList, m: int, keys: list[TensorKey] | np.ndarray
-) -> IncompleteSymmetricTensor:
-    """Evaluate sum_i lambda_i q_i[i1]...q_i[im] at every requested key."""
+def from_components(vectors, m: int, keys) -> IncompleteSymmetricTensor:
+    """Evaluate sum_i q_i[i1]...q_i[im] at every requested key, the rows
+    q_i of the (r, d) vectors taken as complex."""
     if m < 1:
         raise InvalidTensor("order must be positive")
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     key_arr = _key_array(keys, m)
     key_arr = key_arr[np.lexsort(key_arr.T[::-1])]
-    prods = component_products(comps.vectors, key_arr)
-    prods *= comps.effective_weights()[:, None]
-    values = prods.sum(axis=0)
-    return IncompleteSymmetricTensor._from_arrays(comps.d, m, key_arr, values)
+    values = component_products(vectors, key_arr).sum(axis=0)
+    return IncompleteSymmetricTensor._from_arrays(vectors.shape[1], m, key_arr, values)
 
 
 def component_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -406,7 +401,7 @@ def product_jacobian(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def block_keys(rows, cols) -> np.ndarray:
     """(n_rows, n_cols, a + b) keys: each of the (n_rows, a) rows joined to
     each of the (n_cols, b) columns, slots in that order."""
-    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     shape = (len(rows), len(cols))
     return np.concatenate([np.broadcast_to(rows[:, None], shape + rows.shape[1:]),
                            np.broadcast_to(cols[None], shape + cols.shape[1:])], axis=2)
@@ -414,26 +409,28 @@ def block_keys(rows, cols) -> np.ndarray:
 
 def block_matrix(
     T: IncompleteSymmetricTensor,
-    rows: list[IndexSubset],
-    cols: list[IndexSubset],
+    rows,
+    cols,
     pad_with_zero_label: bool = False,
 ) -> np.ndarray:
-    """Matrix of tensor entries at keys row ∪ col (∪ {0} when padding).
+    """Matrix of tensor entries at keys row ∪ col (∪ {0} when padding) of
+    the (n_rows, a) rows and (n_cols, b) columns.
 
     Every (row, col) pair must join into distinct labels; with padding the
     joined label set has m-1 elements, none of them 0.
     """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     if pad_with_zero_label:
-        rows = [(0,) + row for row in rows]
+        rows = np.pad(rows, ((0, 0), (1, 0)))
     labels = np.sort(block_keys(rows, cols), axis=2)
     shared = (labels[:, :, 1:] == labels[:, :, :-1]).any(axis=2)
     if shared.any():
         i, j = np.argwhere(shared)[0]
-        raise KeyCollision(f"row {rows[i]} and col {cols[j]} share labels")
+        raise KeyCollision(f"row {tuple(rows[i].tolist())} and col "
+                           f"{tuple(cols[j].tolist())} share labels")
     if labels.shape[2] != T.m:
-        raise ValueError(
-            f"row {rows[0]} + col {cols[0]} has {labels.shape[2]} labels, need {T.m}"
-        )
+        raise ValueError(f"row {tuple(rows[0].tolist())} + col {tuple(cols[0].tolist())} "
+                         f"has {labels.shape[2]} labels, need {T.m}")
     return T.gather(labels)
 
 

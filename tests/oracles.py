@@ -2,8 +2,9 @@
 library's stacked solve against, and the monomial bases that index them;
 the exact stages computed label by label and candidate by candidate, the
 references that the library's one-gather, eigenvalue-screened and stacked
-stages equal bit for bit; and, found from the keys alone, each key's row
-of a ``PrefixTree``'s leaf products and those products.
+stages equal bit for bit; found from the keys alone, each key's row of a
+``PrefixTree``'s leaf products and those products; and the key sets of
+the array key builders as tuple lists from ``itertools``.
 
 Variable labels run over ``1..n``; label ``0`` is the homogenizing
 coordinate.  The library builds the same systems for all tail labels at
@@ -18,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from momentmix.combinatorics import IndexSubset, binomial, subsets_lex
+from momentmix.combinatorics import binomial, subsets_lex
 from momentmix.decomposition import DecompositionParams, _tail_blocks
 from momentmix.errors import (
     DegenerateSpectrum,
@@ -26,12 +27,7 @@ from momentmix.errors import (
     IllConditioned,
     RankTooLarge,
 )
-from momentmix.generating import (
-    _GAP_TOL,
-    _MAX_XI_RETRIES,
-    CompanionSet,
-    GeneratingMatrix,
-)
+from momentmix.generating import _GAP_TOL, _MAX_XI_RETRIES, GeneratingMatrix
 from momentmix.numerics import COND_LIMIT, eig, gaussian_vector, lstsq
 from momentmix.tensor_store import (
     IncompleteSymmetricTensor,
@@ -40,6 +36,31 @@ from momentmix.tensor_store import (
     block_matrix,
     component_products,
 )
+
+IndexSubset = tuple[int, ...]
+
+
+def subsets_by_itertools(lo: int, hi: int, size: int) -> list[IndexSubset]:
+    """The ``size``-subsets of {lo, ..., hi} as sorted tuples, lexicographic
+    order, from ``itertools.combinations``."""
+    return list(itertools.combinations(range(lo, hi + 1), size))
+
+
+def covariance_keys_by_itertools(d: int, m: int, j: int) -> list[IndexSubset]:
+    """Keys (j, j) + gamma, sorted, for the (m-2)-subsets gamma of the
+    coordinates other than j in lexicographic order."""
+    others = [s for s in range(d) if s != j]
+    return [tuple(sorted((j, j) + gamma)) for gamma in itertools.combinations(others, m - 2)]
+
+
+def learning_keys_by_set(d: int, m: int) -> list[IndexSubset]:
+    """The order-m keys that learning reads as the sorted union of tuple
+    sets: the distinct-index keys and every coordinate's repeated-pair
+    keys."""
+    keys = set(subsets_by_itertools(0, d - 1, m))
+    for j in range(d):
+        keys.update(covariance_keys_by_itertools(d, m, j))
+    return sorted(keys)
 
 
 def basis_B0(k: int, p: int, r: int) -> list[IndexSubset]:
@@ -53,7 +74,7 @@ def basis_B0(k: int, p: int, r: int) -> list[IndexSubset]:
         raise ValueError(f"need 1 <= p <= k, got p={p}, k={k}")
     if binomial(k, p) < r:
         raise RankTooLarge(r)
-    return subsets_lex(1, k, p)[:r]
+    return subsets_by_itertools(1, k, p)[:r]
 
 
 def basis_B1(k: int, p: int, n: int) -> list[IndexSubset]:
@@ -62,7 +83,7 @@ def basis_B1(k: int, p: int, n: int) -> list[IndexSubset]:
     if not (p <= k < n):
         raise ValueError(f"need p <= k < n, got p={p}, k={k}, n={n}")
     out = []
-    for head in subsets_lex(1, k, p):
+    for head in subsets_by_itertools(1, k, p):
         for j in range(k + 1, n + 1):
             out.append(head + (j,))
     return out
@@ -139,11 +160,11 @@ def generating_matrix_by_label(
     n, m = T.d - 1, T.m
     heads = subsets_lex(1, k, p)
     labels = range(k + 1, n + 1)
-    pool = np.array(subsets_lex(k + 1, n, m - p - 1))
+    pool = subsets_lex(k + 1, n, m - p - 1)
     A, B = [], []
     for j in labels:
         support = pool[(pool != j).all(axis=1)]
-        A.append(T.gather(block_keys(support, [(0,) + b for b in heads[:r]])))
+        A.append(T.gather(block_keys(support, np.pad(heads[:r], ((0, 0), (1, 0))))))
         B.append(T.gather(block_keys(
             np.column_stack([support, np.full(len(support), j)]), heads)))
     report = lstsq(np.stack(A), np.stack(B))
@@ -167,24 +188,24 @@ def _relative_gap(values: np.ndarray) -> float:
 
 
 def tails_by_full_eig(
-    Ns: CompanionSet, seed: int
+    Ns: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """``extract_tails`` with every xi candidate eigendecomposed in full,
     eigenvectors and all, and the widest-gap one kept."""
-    n_tail, r = Ns.matrices.shape[0], Ns.r
+    n_tail, r = Ns.shape[:2]
     best_gap, best_vecs = -1.0, None
     for attempt in range(_MAX_XI_RETRIES):
         xi = gaussian_vector(seed, 2 * n_tail, "xi", attempt).view(complex)
-        pairs = eig(np.tensordot(xi, Ns.matrices, axes=(0, 0)))
-        gap = _relative_gap(pairs.values)
+        values, vectors = eig(np.tensordot(xi, Ns, axes=(0, 0)))
+        gap = _relative_gap(values)
         if gap > best_gap:
-            best_gap, best_vecs = gap, pairs.vectors
+            best_gap, best_vecs = gap, vectors
         if r == 1:
             break
     if best_gap < _GAP_TOL and r > 1:
         raise DegenerateSpectrum(f"eigenvalue gap {best_gap:.2e}")
     vecs = best_vecs.T[:, None, :, None]
-    tails = (vecs.conj().swapaxes(-1, -2) @ (Ns.matrices @ vecs))[:, :, 0, 0]
+    tails = (vecs.conj().swapaxes(-1, -2) @ (Ns @ vecs))[:, :, 0, 0]
     return tails, best_vecs, best_gap
 
 
@@ -227,8 +248,8 @@ def heads_by_label(
     heads = np.empty((params.r, params.k), dtype=complex)
     cond = 1.0
     for j in range(1, params.k + 1):
-        rows = [i for i, beta in enumerate(J1) if j not in beta]
-        B = block_matrix(T, [(j,) + J1[i] for i in rows], J2)
+        rows = [i for i, beta in enumerate(J1.tolist()) if j not in beta]
+        B = block_matrix(T, np.column_stack([np.full(len(rows), j), J1[rows]]), J2)
         Gamma = gammas[rows]
         heads[:, j - 1], cond_j = gram_lstsq_one(
             (Gamma.conj().T @ Gamma) * tail_gram,

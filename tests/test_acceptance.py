@@ -26,7 +26,6 @@ from momentmix.gmm import (
     accuracy,
     choose_t,
     classify,
-    covariance_keys,
     em_baseline,
     exact_moments,
     learn,
@@ -38,12 +37,12 @@ from momentmix.gmm import (
 )
 from momentmix.numerics import nlls_refine, nnls
 from momentmix.tensor_store import (
-    ComponentList,
     block_matrix,
     from_components,
     omega_keys,
     perturb,
 )
+from oracles import learning_keys_by_set
 
 GMM_BASE_SEED = 1026
 
@@ -56,7 +55,7 @@ def test_exact_decomposition_grid():
         for i in range(20):
             seed = 7000 + i
             comps = random_components(d, r, seed)
-            T = from_components(ComponentList(comps), m, omega_keys(d, m))
+            T = from_components(comps, m, omega_keys(d, m))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 dec = decompose(T, choose_params(d - 1, m, r, seed=seed))
@@ -98,7 +97,7 @@ def test_noisy_approximation_grid():
             for i in range(20):
                 seed = 8000 + i
                 comps = random_components(15, r, seed)
-                T = from_components(ComponentList(comps), m, omega_keys(15, m))
+                T = from_components(comps, m, omega_keys(15, m))
                 Th = perturb(T, eps, seed)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -137,10 +136,8 @@ def test_exact_moment_gmm_recovery():
         for i in range(20):
             model = random_model(d, r, seed=600 + i)
             t = choose_t(d, r)
-            keys_m = set(omega_keys(d, m))
-            for j in range(d):
-                keys_m.update(covariance_keys(d, m, j))
-            Mm = exact_moments(model, sorted(keys_m))
+            keys_m = learning_keys_by_set(d, m)
+            Mm = exact_moments(model, keys_m)
             Mt = exact_moments(model, omega_keys(d, t))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -154,13 +151,11 @@ def test_exact_moment_gmm_recovery_m5():
     # the paper's headline: order 5 learns twice the m=3 bound's rank
     d, r, m = 15, 12, 5
     t = choose_t(d, r)
-    keys_m = set(omega_keys(d, m))
-    for j in range(d):
-        keys_m.update(covariance_keys(d, m, j))
+    keys_m = learning_keys_by_set(d, m)
     worst = 0.0
     for seed in range(1, 9):
         model = random_model(d, r, seed=seed)
-        Mm = exact_moments(model, sorted(keys_m))
+        Mm = exact_moments(model, keys_m)
         Mt = exact_moments(model, omega_keys(d, t))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -199,8 +194,8 @@ def test_property_suites():
 
     # commuting companion family on exact input
     comps = rng.standard_normal((3, 8))
-    T = from_components(ComponentList(comps), 3, omega_keys(8, 3))
-    Ns = companion_matrices(solve_generating_matrix(T, r=3, p=1, k=3)).matrices
+    T = from_components(comps, 3, omega_keys(8, 3))
+    Ns = companion_matrices(solve_generating_matrix(T, r=3, p=1, k=3))
     worst_comm = max(
         np.linalg.norm(Ns[a] @ Ns[b] - Ns[b] @ Ns[a])
         for a in range(len(Ns))

@@ -8,7 +8,6 @@ from pathlib import Path
 from momentmix.decomposition import approximate, choose_params
 from momentmix.experiments import random_components
 from momentmix.tensor_store import (
-    ComponentList,
     IncompleteSymmetricTensor,
     from_components,
     omega_keys,
@@ -32,7 +31,7 @@ def test_tracer_installs_traces_approximate_and_uninstalls():
     originals = [getattr(owner, attr) for owner, attr in targets]
     getitem = IncompleteSymmetricTensor.__getitem__
     d, m, r = 9, 4, 3
-    T = from_components(ComponentList(random_components(d, r, 3)), m, omega_keys(d, m))
+    T = from_components(random_components(d, r, 3), m, omega_keys(d, m))
     params = choose_params(d - 1, m, r, seed=3)
     tracer = spans.Tracer()
     try:

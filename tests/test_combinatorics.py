@@ -1,10 +1,22 @@
 """Index and monomial basis enumeration."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentmix.combinatorics import binomial, subsets_lex
-from momentmix.errors import RankTooLarge
-from oracles import basis_B0, basis_B1, support_O_alpha
+from momentmix.errors import OrderExceedsDim, RankTooLarge
+from momentmix.gmm import covariance_keys, learning_keys
+from momentmix.tensor_store import omega_keys
+from oracles import (
+    basis_B0,
+    basis_B1,
+    covariance_keys_by_itertools,
+    learning_keys_by_set,
+    subsets_by_itertools,
+    support_O_alpha,
+)
 
 
 def test_binomial_values():
@@ -15,11 +27,11 @@ def test_binomial_values():
 
 
 def test_subsets_lex_order():
-    assert subsets_lex(1, 4, 2) == [
-        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+    assert subsets_lex(1, 4, 2).tolist() == [
+        [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4],
     ]
-    assert subsets_lex(1, 3, 0) == [()]
-    assert subsets_lex(2, 5, 4) == [(2, 3, 4, 5)]
+    assert subsets_lex(1, 3, 0).tolist() == [[]]
+    assert subsets_lex(2, 5, 4).tolist() == [[2, 3, 4, 5]]
 
 
 def test_subsets_lex_counts():
@@ -27,8 +39,42 @@ def test_subsets_lex_counts():
         for size in range(0, 9):
             subs = subsets_lex(lo, hi, size)
             assert len(subs) == binomial(hi - lo + 1, size)
-            for s in subs:
-                assert list(s) == sorted(set(s))
+            for s in subs.tolist():
+                assert s == sorted(set(s))
+
+
+def assert_key_array(got, tuples, size):
+    """got is the (len(tuples), size) int64 array of the key tuples, rows in
+    their order."""
+    want = np.array(tuples, dtype=np.int64).reshape(len(tuples), size)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_key_builders_equal_itertools(data):
+    d = data.draw(st.integers(0, 9))
+    size = data.draw(st.integers(0, d + 1))
+    lo = data.draw(st.integers(-3, 9))
+    hi = data.draw(st.integers(lo - 2, lo + d))  # from empty ranges on
+    assert_key_array(subsets_lex(lo, hi, size), subsets_by_itertools(lo, hi, size), size)
+    if size > d:
+        with pytest.raises(OrderExceedsDim):
+            omega_keys(d, size)
+    else:
+        assert_key_array(omega_keys(d, size), subsets_by_itertools(0, d - 1, size), size)
+    if size >= 2 and d >= 1:
+        j = data.draw(st.integers(0, d - 1))
+        assert_key_array(covariance_keys(d, size, j),
+                         covariance_keys_by_itertools(d, size, j), size)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 9).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, d))))
+def test_learning_keys_equal_set_union(dm):
+    d, m = dm
+    assert_key_array(learning_keys(d, m), learning_keys_by_set(d, m), m)
 
 
 def test_basis_B0():

@@ -49,7 +49,6 @@ from momentmix.generating import (
 )
 from momentmix.numerics import lstsq
 from momentmix.tensor_store import (
-    ComponentList,
     IncompleteSymmetricTensor,
     PrefixTree,
     block_matrix,
@@ -65,7 +64,7 @@ from oracles import generating_matrix_by_label, heads_by_label, tails_by_full_ei
 
 def planted(d, m, r, seed):
     comps = np.random.default_rng(seed).standard_normal((r, d))
-    T = from_components(ComponentList(comps), m, omega_keys(d, m))
+    T = from_components(comps, m, omega_keys(d, m))
     return comps, T
 
 
@@ -133,7 +132,7 @@ def test_choose_params():
 
 def test_decompose_rank_one():
     comps = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
-    T = from_components(ComponentList(comps), 3, omega_keys(6, 3))
+    T = from_components(comps, 3, omega_keys(6, 3))
     params = DecompositionParams(r=1, p=1, k=2, seed=0)
     dec = decompose(T, params)
     assert component_error(comps, dec.components, 3) <= 1e-8
@@ -178,7 +177,7 @@ def test_decompose_reports_generating_rank():
 def test_solve_tail_products_zero_tensor():
     d, m = 7, 3
     keys = omega_keys(d, m)
-    T = IncompleteSymmetricTensor(d, m, {k: 0.0 for k in keys})
+    T = IncompleteSymmetricTensor(d, m, {k: 0.0 for k in map(tuple, keys.tolist())})
     params = DecompositionParams(r=2, p=1, k=2, seed=0)
     tails = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]], dtype=complex)
     gammas = solve_tail_products(T, tails, params)
@@ -203,9 +202,8 @@ def test_solve_scales_linearity():
 
 def test_solve_scales_rank_one_weight():
     comps = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
-    T = from_components(
-        ComponentList(comps, weights=np.array([2.0])), 3, omega_keys(6, 3)
-    )
+    # weight 2 on the one component: the vector scaled by 2^(1/3)
+    T = from_components(comps * 2.0 ** (1 / 3), 3, omega_keys(6, 3))
     params = DecompositionParams(r=1, p=1, k=2, seed=0)
     us = comps
     heads = us[:, 1:3].astype(complex)
@@ -260,7 +258,7 @@ def test_approximate_decomp_err_matches_decomp_err():
     # the reconstruction is the tree's GEMM form, which agrees with the
     # per-component sum of ``from_components`` to rounding
     rec = Th.with_values(Th.tree.reconstruction(dec.components))
-    summed = from_components(ComponentList(dec.components), 3, Th.key_array)
+    summed = from_components(dec.components, 3, Th.key_array)
     assert np.abs(rec.values - summed.values).max() <= 1e-12 * np.abs(Th.values).max()
     diff = rec.with_values(rec.values - T.gather(rec.key_array))
     assert dec.diagnostics["abs_err"] == omega_norm(diff, Th.key_array)
@@ -391,7 +389,7 @@ def scale_case(case):
         T = perturb(T, 0.01, 21)
     elif case == "spread":
         comps = spread_components(8, 4, seed=22, across=True)
-        T = from_components(ComponentList(comps), 3, omega_keys(8, 3))
+        T = from_components(comps, 3, omega_keys(8, 3))
     else:
         d, m, r = {"m3": (15, 3, 6), "m4": (15, 4, 8), "m5": (12, 5, 10)}[case]
         comps, T = planted(d, m, r, seed=20 + m)
@@ -496,7 +494,7 @@ def head_case(case, m):
     seed = 30 + m
     if case == "spread":
         comps = spread_components(d, r, seed, across=False)
-        T = from_components(ComponentList(comps), m, omega_keys(d, m))
+        T = from_components(comps, m, omega_keys(d, m))
     else:
         comps, T = planted(d, m, r, seed)
         if case == "perturbed":
@@ -516,8 +514,8 @@ def test_solve_heads_matches_equilibrated_lstsq(case, m):
     J1, J2, W = _tail_blocks(T, tails, params)
     ref_cond = 0.0
     for j in range(1, k + 1):
-        rows = [i for i, beta in enumerate(J1) if j not in beta]
-        B = block_matrix(T, [(j,) + J1[i] for i in rows], J2)
+        rows = [i for i, beta in enumerate(J1.tolist()) if j not in beta]
+        B = block_matrix(T, np.column_stack([np.full(len(rows), j), J1[rows]]), J2)
         # the row-wise Khatri-Rao design the Gram solve never forms
         design = (gammas[rows][:, None, :] * W[None, :, :]).reshape(-1, r)
         norms = np.linalg.norm(design, axis=0)
@@ -582,7 +580,7 @@ def gram_case(name):
     rng = np.random.default_rng(70)
     d, m, r = 14, 4, 6
     full = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
-    distinct = np.array(omega_keys(d, m), dtype=np.int64)
+    distinct = omega_keys(d, m)
     every = np.array(
         list(itertools.combinations_with_replacement(range(d), m)), dtype=np.int64
     )
@@ -646,7 +644,7 @@ def tree_key_sets(d, m, rng):
     any key starting at 1 or 3, so the first slots are sparse, and that
     half without any key whose prefix ends at 2, 3 or 4 (its first slot at
     m = 2), so those groups of the tree's cells are empty."""
-    distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
+    distinct = omega_keys(d, m)
     every = np.array(
         list(itertools.combinations_with_replacement(range(d), m)), dtype=np.int64
     )
@@ -775,7 +773,7 @@ def test_scale_fit_on_ragged_cells_matches_equilibrated_lstsq(case):
     full = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
     full[:, 0] = 1.0
     every = np.array(list(itertools.combinations_with_replacement(range(d), m)))
-    distinct = np.array(omega_keys(d, m))
+    distinct = omega_keys(d, m)
     if case == "m2":
         keys = distinct
     elif case == "m2-repeated":
@@ -875,7 +873,7 @@ def test_heads_degenerate_names_the_first_bad_label(fault):
     gammas = solve_tail_products(T, tails, params)
     tails[1] = tails[0]
     J1, _, _ = _tail_blocks(T, tails, params)
-    rows = [i for i, beta in enumerate(J1) if beta != (2, 3)]
+    rows = [i for i, beta in enumerate(J1.tolist()) if beta != [2, 3]]
     if fault == "duplicate":
         gammas[rows, 1] = gammas[rows, 0]
     else:

@@ -1,7 +1,10 @@
 """Experiment grids: determinism, aggregation, formatting."""
 
 import numpy as np
+import pytest
 
+from momentmix import experiments
+from momentmix.errors import DegenerateSpectrum
 from momentmix.experiments import (
     format_rows,
     random_components,
@@ -64,3 +67,47 @@ def test_format_rows():
 
     assert json.loads(format_rows(rows, "json")) == rows
     assert format_rows([], "md") == ""
+
+
+# Each grid, the call its trials guard, a small run of it and one of its
+# trials.
+GRIDS = {
+    "table2": (experiments, "decompose",
+               lambda: run_table2(d=8, orders=(3,), trials=2, seed=1),
+               lambda: experiments._decomp_trial(8, 3, 3, 1)),
+    "table3": (experiments, "approximate",
+               lambda: run_table3(d=10, orders=(3,), epsilons=(0.01,), trials=2, seed=2),
+               lambda: experiments._approx_trial(10, 3, 4, 0.01, 2)),
+    "table4": (experiments.gmm, "learn",
+               lambda: run_table4(d=8, m=3, r=2, n_samples=3000, trials=2, seed=1),
+               lambda: experiments._gmm_trial(8, 3, 2, 3000, 1)),
+}
+
+
+def _raising(exc):
+    def solve(*args, **kwargs):
+        raise exc
+
+    return solve
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_trial_fault_propagates(monkeypatch, grid):
+    # an exception that is not a MomentmixError is a fault, not a failed trial
+    owner, name, run, _ = GRIDS[grid]
+    monkeypatch.setattr(owner, name, _raising(RuntimeError("not a solve failure")))
+    with pytest.raises(RuntimeError, match="not a solve failure"):
+        run()
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_trial_typed_failure_counted(monkeypatch, grid):
+    owner, name, run, trial = GRIDS[grid]
+    monkeypatch.setattr(owner, name, _raising(DegenerateSpectrum("gap below tolerance")))
+    error = "DegenerateSpectrum: gap below tolerance"
+    assert trial() == {"error": error}
+    rows = run()
+    if grid == "table4":
+        assert [(row["trial"], row["error"]) for row in rows] == [(0, error), (1, error)]
+    else:
+        assert [(row["trials"], row["failed"]) for row in rows] == [(2, 2)]

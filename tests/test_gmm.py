@@ -65,9 +65,9 @@ def match_error(model, learned):
 
 def moments_for_learning(model, d, m, r):
     t = choose_t(d, r)
-    keys_m = set(omega_keys(d, m))
+    keys_m = set(map(tuple, omega_keys(d, m).tolist()))
     for j in range(d):
-        keys_m.update(covariance_keys(d, m, j))
+        keys_m.update(map(tuple, covariance_keys(d, m, j).tolist()))
     Mm = exact_moments(model, sorted(keys_m))
     Mt = exact_moments(model, omega_keys(d, t))
     return Mm, Mt
@@ -170,18 +170,18 @@ def test_exact_moments_values():
 
 def test_covariance_keys():
     keys = covariance_keys(4, 3, 1)
-    assert keys == [(0, 1, 1), (1, 1, 2), (1, 1, 3)]
-    for k in keys:
-        assert sorted(k) == list(k)
+    assert keys.tolist() == [[0, 1, 1], [1, 1, 2], [1, 1, 3]]
+    for k in keys.tolist():
+        assert sorted(k) == k
 
 
 @pytest.mark.parametrize("d, m", [(4, 3), (6, 3), (7, 4)])
 def test_learning_keys(d, m):
     keys = learning_keys(d, m)
-    union = set(omega_keys(d, m))
+    union = set(map(tuple, omega_keys(d, m).tolist()))
     for j in range(d):
-        union.update(covariance_keys(d, m, j))
-    assert keys == sorted(union)
+        union.update(map(tuple, covariance_keys(d, m, j).tolist()))
+    assert keys.tolist() == [list(k) for k in sorted(union)]
     # the repeated pair fixes j, so the two key families never overlap
     n_distinct = len(list(itertools.combinations(range(d), m)))
     n_pairs = d * len(list(itertools.combinations(range(d - 1), m - 2)))
@@ -276,9 +276,9 @@ def test_recover_covariances_closed_case():
         means=np.array([[1.0, 1.0, 1.0]]),
         variances=np.array([[4.0, 1.0, 1.0]]),
     )
-    keys = set(omega_keys(3, 3))
+    keys = set(map(tuple, omega_keys(3, 3).tolist()))
     for j in range(3):
-        keys.update(covariance_keys(3, 3, j))
+        keys.update(map(tuple, covariance_keys(3, 3, j).tolist()))
     Mm = exact_moments(model, sorted(keys))
     qs = model.weights[:, None] ** (1 / 3) * model.means
     var = recover_covariances(Mm, qs, model.weights, model.means)
@@ -292,9 +292,9 @@ def test_recover_covariances_zero_variance():
         means=model.means,
         variances=np.zeros_like(model.variances),
     )
-    keys = set(omega_keys(6, 3))
+    keys = set(map(tuple, omega_keys(6, 3).tolist()))
     for j in range(6):
-        keys.update(covariance_keys(6, 3, j))
+        keys.update(map(tuple, covariance_keys(6, 3, j).tolist()))
     Mm = exact_moments(model, sorted(keys))
     qs = model.weights[:, None] ** (1 / 3) * model.means
     var = recover_covariances(Mm, qs, model.weights, model.means)
@@ -414,9 +414,9 @@ def test_model_json_round_trip():
 def _moment_keys(d, order):
     if order == 1:
         return [(j,) for j in range(d)]
-    keys = set(omega_keys(d, order))
+    keys = set(map(tuple, omega_keys(d, order).tolist()))
     for j in range(d):
-        keys.update(covariance_keys(d, order, j))
+        keys.update(map(tuple, covariance_keys(d, order, j).tolist()))
         keys.add((j,) * order)
     # unsorted orientations must land on their sorted key
     return [k[::-1] if i % 3 == 0 else k for i, k in enumerate(sorted(keys))]
@@ -584,7 +584,7 @@ def dense_moment_jacobian(Mm, Mt, omega, mu):
     r, d = mu.shape
     blocks = []
     for M in (Mm, Mt):
-        keys = np.array(omega_keys(d, M.order))
+        keys = omega_keys(d, M.order)
         if M.order == 1:
             D = np.zeros((d, r, d))
             D[np.arange(d), :, np.arange(d)] = 1.0
@@ -811,7 +811,7 @@ def test_recover_covariances_equal_per_key_loop(m):
     model = random_model(d, r, seed=50 + m)
     keys = set()
     for j in range(d):
-        keys.update(covariance_keys(d, m, j))
+        keys.update(map(tuple, covariance_keys(d, m, j).tolist()))
     Mm = exact_moments(model, sorted(keys))
     # a perturbed start, so that the mean part does not cancel exactly
     mus = model.means + 0.01 * rng_from(m, "cov-test").standard_normal((r, d))

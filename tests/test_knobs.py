@@ -12,7 +12,6 @@ MODULES = ("numerics", "gmm", "decomposition", "tensor_store", "generating")
 # parameters, a dataclass's fields.  Entries with none are left out.
 KNOBS = {
     "numerics.LstsqReport": ("solution", "residual_norm", "rank", "cond", "ill_conditioned"),
-    "numerics.EigenPairs": ("values", "vectors"),
     "numerics.nlls_refine": ("max_iters", "normal_equations"),
     "numerics.simplex_nlls": ("normal_equations",),
     "gmm.GmmModel": ("weights", "means", "variances", "meta"),
@@ -25,10 +24,8 @@ KNOBS = {
     "decomposition.choose_params": ("seed",),
     "decomposition.Decomposition": ("components", "diagnostics"),
     "decomposition.approximate": ("truth",),
-    "tensor_store.ComponentList": ("vectors", "weights"),
     "tensor_store.block_matrix": ("pad_with_zero_label",),
     "generating.GeneratingMatrix": ("values", "residuals", "ranks", "conds"),
-    "generating.CompanionSet": ("matrices",),
 }
 
 
@@ -62,4 +59,4 @@ def _knobs():
 
 def test_knobs_match_table():
     assert _knobs() == KNOBS
-    assert sum(map(len, KNOBS.values())) == 39
+    assert sum(map(len, KNOBS.values())) == 34

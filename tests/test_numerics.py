@@ -157,23 +157,23 @@ def test_nnls_kkt():
 
 
 def test_eig_values():
-    pairs = eig(np.diag([2.0, 5.0]).astype(complex))
-    assert np.allclose(pairs.values, [2.0, 5.0])
-    assert np.allclose(np.abs(pairs.vectors), np.eye(2))
-    pairs = eig(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    assert np.allclose(pairs.values, [-1.0, 1.0])
-    pairs = eig(np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex))
-    assert np.allclose(sorted(pairs.values, key=lambda z: z.imag), [-1j, 1j])
+    values, vectors = eig(np.diag([2.0, 5.0]).astype(complex))
+    assert np.allclose(values, [2.0, 5.0])
+    assert np.allclose(np.abs(vectors), np.eye(2))
+    values, _ = eig(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    assert np.allclose(values, [-1.0, 1.0])
+    values, _ = eig(np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex))
+    assert np.allclose(sorted(values, key=lambda z: z.imag), [-1j, 1j])
 
 
 def test_eig_residual_random():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-    pairs = eig(M)
+    values, vectors = eig(M)
     for i in range(20):
-        v = pairs.vectors[:, i]
+        v = vectors[:, i]
         assert np.linalg.norm(v) == pytest.approx(1.0)
-        res = np.linalg.norm(M @ v - pairs.values[i] * v)
+        res = np.linalg.norm(M @ v - values[i] * v)
         assert res <= 1e-10 * np.linalg.norm(M)
 
 

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from momentmix.errors import InvalidTensor, KeyCollision, MissingEntry, OrderExc
 from momentmix.gmm import _run_codes, _run_trees, learning_keys
 from momentmix.tensor_store import (
     _BLOCK_WASTE,
-    ComponentList,
     IncompleteSymmetricTensor,
     PrefixTree,
     block_matrix,
@@ -30,27 +30,25 @@ from oracles import leaf_products, leaf_rows
 
 
 def test_omega_keys():
-    assert omega_keys(3, 3) == [(0, 1, 2)]
-    assert omega_keys(4, 3) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert omega_keys(3, 3).tolist() == [[0, 1, 2]]
+    assert omega_keys(4, 3).tolist() == [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     with pytest.raises(OrderExceedsDim):
         omega_keys(3, 4)
 
 
 def test_from_components_single():
-    T = from_components(ComponentList(np.array([[1.0, 2.0, 3.0]])), 3, [(0, 1, 2)])
+    T = from_components(np.array([[1.0, 2.0, 3.0]]), 3, [(0, 1, 2)])
     assert T[(0, 1, 2)] == pytest.approx(6.0)
 
 
 def test_from_components_cancellation():
-    comps = ComponentList(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]]))
+    comps = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
     T = from_components(comps, 3, [(0, 1, 2)])
     assert T[(0, 1, 2)] == pytest.approx(0.0)
 
 
 def test_from_components_two_components():
-    comps = ComponentList(
-        np.array([[1, 2, 3, 4, 5, 6], [1, -1, 2, -2, 3, -3]], dtype=float)
-    )
+    comps = np.array([[1, 2, 3, 4, 5, 6], [1, -1, 2, -2, 3, -3]], dtype=float)
     T = from_components(comps, 3, omega_keys(6, 3))
     # 2*4*6 + (-1)(-2)(-3) = 48 - 6
     assert T[(1, 3, 5)] == pytest.approx(42.0)
@@ -60,18 +58,18 @@ def test_from_components_two_components():
 def test_component_products_equal_np_prod(m):
     rng = np.random.default_rng(m)
     v = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-    keys = np.array(omega_keys(9, m))
+    keys = omega_keys(9, m)
     assert np.array_equal(component_products(v, keys), np.prod(v[:, keys], axis=2))
 
 
 def test_lookup_any_permutation():
-    T = from_components(ComponentList(np.array([[1.0, 2.0, 3.0, 4.0]])), 3,
+    T = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3,
                         omega_keys(4, 3))
     assert T[(3, 1, 0)] == T[(0, 1, 3)]
     got = T.gather([(3, 1, 0), (2, 0, 1), (3, 2, 1)])
     assert got.tolist() == [T[(0, 1, 3)], T[(0, 1, 2)], T[(1, 2, 3)]]
     assert T.gather([[(2, 3, 0)], [(1, 0, 2)]]).shape == (2, 1)
-    reverse = from_components(ComponentList(np.array([[1.0, 2.0, 3.0, 4.0]])), 3,
+    reverse = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3,
                               omega_keys(4, 3)[::-1])
     assert reverse.entries == T.entries
     with pytest.raises(MissingEntry):
@@ -79,7 +77,7 @@ def test_lookup_any_permutation():
 
 
 def test_block_matrix_rank_one():
-    T = from_components(ComponentList(np.array([[1.0, 2.0, 3.0, 4.0]])), 3,
+    T = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3,
                         omega_keys(4, 3))
     M = block_matrix(T, [(1,)], [(2,), (3,)], pad_with_zero_label=True)
     assert np.allclose(M, [[6.0, 8.0]])
@@ -88,14 +86,14 @@ def test_block_matrix_rank_one():
 
 
 def test_block_matrix_missing_and_collision():
-    keys = [k for k in omega_keys(4, 3) if k != (0, 1, 2)]
-    T = from_components(ComponentList(np.array([[1.0, 2.0, 3.0, 4.0]])), 3, keys)
+    keys = [k for k in map(tuple, omega_keys(4, 3).tolist()) if k != (0, 1, 2)]
+    T = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3, keys)
     with pytest.raises(MissingEntry):
         block_matrix(T, [(1,)], [(2,)], pad_with_zero_label=True)
     with pytest.raises(MissingEntry) as exc:
         T.gather([(3, 1, 0), (2, 1, 0), (0, 1, 4), (0, 2, 3)])
     assert exc.value.key == (0, 1, 2)
-    full = from_components(ComponentList(np.array([[1.0, 2.0, 3.0, 4.0]])), 3,
+    full = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3,
                            omega_keys(4, 3))
     with pytest.raises(KeyCollision):
         block_matrix(full, [(1,)], [(1, 2)], pad_with_zero_label=False)
@@ -107,7 +105,7 @@ def test_block_matrix_factorization():
     rng = np.random.default_rng(5)
     d, m, r = 8, 3, 3
     comps = rng.standard_normal((r, d))
-    T = from_components(ComponentList(comps), m, omega_keys(d, m))
+    T = from_components(comps, m, omega_keys(d, m))
     rows = [(1,), (2,), (3,)]
     cols = [(4,), (5,), (6,), (7,)]
     M = block_matrix(T, rows, cols, pad_with_zero_label=True)
@@ -132,7 +130,7 @@ def test_omega_norm_scaling():
     rng = np.random.default_rng(0)
     comps = rng.standard_normal((2, 6))
     keys = omega_keys(6, 3)
-    T = from_components(ComponentList(comps), 3, keys)
+    T = from_components(comps, 3, keys)
     scaled = IncompleteSymmetricTensor(
         6, 3, {k: 3.0 * v for k, v in T.entries.items()}
     )
@@ -141,13 +139,13 @@ def test_omega_norm_scaling():
 
 
 def test_perturb():
-    comps = ComponentList(np.random.default_rng(1).standard_normal((2, 6)))
+    comps = np.random.default_rng(1).standard_normal((2, 6))
     keys = omega_keys(6, 3)
     T = from_components(comps, 3, keys)
     assert perturb(T, 0.0, 3).entries == T.entries
     Th = perturb(T, 0.1, 3)
     diff = IncompleteSymmetricTensor(
-        6, 3, {k: Th.entries[k] - T.entries[k] for k in keys}
+        6, 3, {k: Th.entries[k] - T.entries[k] for k in T.entries}
     )
     assert omega_norm(diff, keys) == pytest.approx(0.1, abs=1e-12)
     again = perturb(T, 0.1, 3)
@@ -160,12 +158,12 @@ def test_perturb():
 
 
 def test_json_round_trip():
-    comps = ComponentList(np.random.default_rng(2).standard_normal((2, 5)))
+    comps = np.random.default_rng(2).standard_normal((2, 5))
     T = from_components(comps, 3, omega_keys(5, 3))
     text = to_json(T)
     back = from_json(text)
     assert back.d == T.d and back.m == T.m
-    for k in T.keys():
+    for k in T.entries:
         assert back[k] == pytest.approx(T[k])
     assert to_json(back) == text
 
@@ -196,7 +194,7 @@ def _tensor_json(*records):
     lambda: from_json(_tensor_json(([0, 1, 2], 1.0), ([True, 2, 3], 1.0))),
     lambda: IncompleteSymmetricTensor(4, 3, {(0, 1, 2.5): 1.0}),
     lambda: IncompleteSymmetricTensor(4, 3, {(0, 1, 2): 1.0, (np.True_, 2, 3): 1.0}),
-    lambda: from_components(ComponentList(np.ones((1, 4))), 3, np.array([[0.0, 1.0, 2.0]])),
+    lambda: from_components(np.ones((1, 4)), 3, np.array([[0.0, 1.0, 2.0]])),
 ], ids=["slots", "ragged-slots", "range", "negative", "unsorted", "nan", "inf",
         "json-slots", "json-ragged-slots", "json-range", "json-unsorted",
         "json-descending", "json-nan", "json-fraction", "json-float", "json-bools",
@@ -206,12 +204,37 @@ def test_malformed_tensor_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("key, named", [
+    ((0, 1, 2.5), "(0.0, 1.0, 2.5)"),  # once truncated to (0, 1, 2)
+    ((0, 1), "(0, 1)"),  # once a raw matmul ValueError
+    ((0, 1, 2, 3), "(0, 1, 2, 3)"),
+], ids=["fraction", "short", "long"])
+def test_lookup_rejects_malformed_key(key, named):
+    T = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3, omega_keys(4, 3))
+    message = re.escape(f"key {named} is not 3 integer slots")
+    with pytest.raises(InvalidTensor, match=message):
+        T[key]
+    with pytest.raises(InvalidTensor, match=message):
+        omega_norm(T, [(0, 1, 3), key])
+    with pytest.raises(InvalidTensor, match=re.escape("key (0.0, 1.0, 2.5)")):
+        T.gather([[(0, 1, 3), (1, 2, 3)], [(0, 2, 3), (0, 1, 2.5)]])
+    with pytest.raises(InvalidTensor, match=re.escape("key (0.0, 1.0, 2.0)")):
+        T[np.array([0.0, 1.0, 2.0])]
+
+
+def test_lookup_accepts_integer_and_empty_key_arrays():
+    T = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3, omega_keys(4, 3))
+    assert T[(np.int32(3), 1, 0)] == T[0, 1, 3] == 8.0
+    assert T.gather(np.array([[2, 1, 0]], dtype=np.uint8)).tolist() == [6.0]
+    assert T.gather(np.empty((0, 3))).shape == (0,)
+
+
 def test_numpy_integer_key_slots_accepted():
     T = IncompleteSymmetricTensor(4, 3, {(np.int64(0), np.int32(1), 2): 1.5})
-    assert T.keys() == [(0, 1, 2)] and T[0, 1, 2] == 1.5
+    assert list(T.entries) == [(0, 1, 2)] and T[0, 1, 2] == 1.5
     keys = np.array([[0, 1, 3], [0, 1, 2]], dtype=np.uint8)
-    R = from_components(ComponentList(np.ones((1, 4))), 3, keys)
-    assert R.keys() == [(0, 1, 2), (0, 1, 3)]
+    R = from_components(np.ones((1, 4)), 3, keys)
+    assert list(R.entries) == [(0, 1, 2), (0, 1, 3)]
 
 
 def test_json_rejects_bad_keys():
@@ -228,7 +251,7 @@ def test_json_rejects_bad_keys():
 @pytest.mark.parametrize("m", [0, -1])
 def test_from_components_rejects_order_below_one(m):
     with pytest.raises(InvalidTensor):
-        from_components(ComponentList(np.ones((1, 5))), m, [()])
+        from_components(np.ones((1, 5)), m, [()])
 
 
 def test_omega_keys_rejects_negative_order():
@@ -239,7 +262,7 @@ def test_omega_keys_rejects_negative_order():
 def test_json_round_trip_is_exact_and_compact():
     rng = np.random.default_rng(4)
     comps = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
-    T = from_components(ComponentList(comps), 4, omega_keys(7, 4))
+    T = from_components(comps, 4, omega_keys(7, 4))
     text = to_json(T)
     assert "\n" not in text and ", " not in text
     back = from_json(text)
@@ -304,7 +327,7 @@ def test_json_integer_values_accepted():
 def _key_sets(d, m, rng):
     """Strictly ascending key arrays: the distinct-index keys, every sorted
     key (repeated indices included), and a random half of the latter."""
-    distinct = np.array(omega_keys(d, m), dtype=np.int64).reshape(-1, m)
+    distinct = omega_keys(d, m)
     every = np.array(
         list(itertools.combinations_with_replacement(range(d), m)), dtype=np.int64
     )
@@ -450,13 +473,13 @@ def test_ragged_blocks_merge_small_trees_only():
     # the m=3 learning keys' trees (sample moments at d=15) collapse into
     # few GEMMs; the d=25 exact trees of orders 4 and 5 gain at most 2%
     # cells
-    keys = np.array(learning_keys(15, 3))
+    keys = learning_keys(15, 3)
     pairs, distinct = (tree for _, tree, _ in _run_trees(np.sort(_run_codes(keys, 15), axis=1))
                        if tree)
     assert len(pairs.blocks) == 1
     assert len(distinct.blocks) <= 6
     for m in (4, 5):
-        keys = np.array(omega_keys(25, m))
+        keys = omega_keys(25, m)
         assert PrefixTree(keys).size <= 1.02 * len(keys), m
 
 
@@ -516,7 +539,7 @@ def collector(request):
 
 
 def test_json_round_trip_keeps_collector_state(collector):
-    T = from_components(ComponentList(np.ones((2, 6))), 3, omega_keys(6, 3))
+    T = from_components(np.ones((2, 6)), 3, omega_keys(6, 3))
     text = to_json(T)
     assert gc.isenabled() is collector
     assert np.array_equal(from_json(text).values, T.values)
@@ -544,7 +567,7 @@ def test_json_write_failure_keeps_collector_state(collector):
 def test_json_read_and_write_run_no_collection():
     # 2,380 records allocate several thousand containers, past the young
     # generation's threshold of a few hundred
-    T = from_components(ComponentList(np.ones((1, 17))), 4, omega_keys(17, 4))
+    T = from_components(np.ones((1, 17)), 4, omega_keys(17, 4))
     runs = []
 
     def record(phase, info):
