@@ -566,13 +566,16 @@ def test_json_write_failure_keeps_collector_state(collector):
 
 def test_json_read_and_write_run_no_collection():
     # 2,380 records allocate several thousand containers, past the young
-    # generation's threshold of a few hundred
+    # generation's threshold of a few hundred.  The young generation starts
+    # empty, so the few objects the calls keep (the tensor) cannot tip a
+    # count left near the threshold by earlier code into a collection.
     T = from_components(np.ones((1, 17)), 4, omega_keys(17, 4))
     runs = []
 
     def record(phase, info):
         runs.append(info["generation"])
 
+    gc.collect()
     gc.callbacks.append(record)
     try:
         from_json(to_json(T))
