@@ -24,10 +24,14 @@ m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
 on subtensors (``weighted_norm``).
 
 ``to_json`` writes a tensor as one JSON object, a ``{"key", "re", "im"}``
-record per stored key in key order, and ``from_json`` reads it back with
-every check above.  Both pause CPython's cyclic garbage collector
-(``_collector_paused``), whose passes over the records took about a
-third of each call on a 53,130-record tensor.
+record per stored key in key order, with the stdlib's ``json``, and
+``from_json`` reads it back with every check above.  It parses with
+``orjson``, imported on the first read, about three times as fast as
+``json`` on a 53,130-record tensor; only text that orjson rejects (not
+JSON, or NaN, Infinity or a number past the double range) is parsed again
+by ``json``, whose errors and non-finite floats the caller then sees.
+Both pause CPython's cyclic garbage collector (``_collector_paused``),
+whose passes over the records took about a third of each call.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import math
 from collections.abc import Mapping
 from contextlib import contextmanager
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -97,7 +102,7 @@ class IncompleteSymmetricTensor:
                 f"key {{}} out of range for dimension {d}")
         _reject((keys[:, 1:] < keys[:, :-1]).any(axis=1), keys, "key {} is not sorted")
         _reject(~np.isfinite(values), keys, "non-finite value at key {}")
-        self._radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        self._radix = _radix(d, m)
         codes = keys @ self._radix
         _reject(codes[1:] <= codes[:-1], keys[1:], "keys not strictly ascending at {}")
         self.d, self.m, self.key_array, self.values = d, m, keys, values
@@ -115,8 +120,8 @@ class IncompleteSymmetricTensor:
         try:
             rows = np.asarray(keys)
         except ValueError:  # keys of different lengths
-            bad = next(k for k in keys if _shape(k) != (self.m,))
-            raise InvalidTensor(f"key {bad!r} is not {self.m} integer slots") from None
+            raise InvalidTensor(f"key {_ragged_key(keys, self.m)!r} is not "
+                                f"{self.m} integer slots") from None
         if rows.shape[-1:] != (self.m,) or (rows.size and rows.dtype.kind not in "iu"):
             raise InvalidTensor(f"key {_first_bad_key(rows, self.m)} is not "
                                 f"{self.m} integer slots")
@@ -178,6 +183,29 @@ def _first_bad_key(rows: np.ndarray, m: int) -> tuple:
     return tuple(flat[at].tolist())
 
 
+def _ragged_key(keys, m: int):
+    """The first key that is not m slots in a ragged nest of keys, searched
+    depth first; an item is a nest when it holds only sequences.  When every
+    key is m slots and only the nests differ, the first top-level item that
+    is not m slots."""
+
+    def search(nest):
+        for item in nest:
+            shape = _shape(item)
+            if shape == (m,):
+                continue
+            if shape != () and all(_shape(sub) != () for sub in item):
+                found = search(item)
+                if found is not None:
+                    return found
+            else:
+                return item
+        return None
+
+    found = search(keys)
+    return found if found is not None else next(k for k in keys if _shape(k) != (m,))
+
+
 def _shape(key) -> tuple | None:
     try:
         return np.shape(key)
@@ -196,10 +224,19 @@ def from_components(vectors, m: int, keys) -> IncompleteSymmetricTensor:
     if m < 1:
         raise InvalidTensor("order must be positive")
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    d = vectors.shape[1]
     key_arr = _key_array(keys, m)
-    key_arr = key_arr[np.lexsort(key_arr.T[::-1])]
+    codes = key_arr @ _radix(d, m)
+    if (codes[1:] <= codes[:-1]).any():  # callers mostly pass keys in lex order
+        key_arr = key_arr[np.lexsort(key_arr.T[::-1])]
     values = component_products(vectors, key_arr).sum(axis=0)
-    return IncompleteSymmetricTensor._from_arrays(vectors.shape[1], m, key_arr, values)
+    return IncompleteSymmetricTensor._from_arrays(d, m, key_arr, values)
+
+
+def _radix(d: int, m: int) -> np.ndarray:
+    """Place values of a key's slots in its base-d code, first slot most
+    significant."""
+    return d ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
 
 def component_products(vectors: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -503,27 +540,73 @@ def from_json(text: str) -> IncompleteSymmetricTensor:
     Text that is not JSON raises ``json.JSONDecodeError``; a JSON document
     with a missing or malformed field raises InvalidTensor naming it.
     """
-    doc = json.loads(text)
+    import orjson
+
+    try:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        # orjson rejects NaN, Infinity and numbers past the double range,
+        # which json reads as floats for the non-finite check, and on text
+        # that is not JSON json raises its own error and message; only text
+        # that orjson rejects is parsed twice
+        doc = json.loads(text)
+    else:
+        if isinstance(doc, dict) and float in (type(doc.get("d")), type(doc.get("m"))):
+            # orjson reads an integer past 64 bits as a float, json as the
+            # int that the key-code overflow check names
+            doc = json.loads(text)
     if not isinstance(doc, dict):
         raise InvalidTensor("tensor document must be a JSON object")
     d, m = (_int_field(doc, name) for name in ("d", "m"))
     records = doc.get("entries")
     if not isinstance(records, list):
         raise InvalidTensor("tensor document needs an 'entries' list")
-    values = np.empty(len(records), dtype=complex)
+    n = len(records)
     try:
-        re = [rec["re"] for rec in records]
+        re = list(map(itemgetter("re"), records))
         im = [rec.get("im", 0.0) for rec in records]
-        # numpy would read a numeric string, a bool or a one-item list as a
+        # np.fromiter would read a numeric string, a bool or a null as a
         # number, so every value must be a JSON number
         if not set(map(type, re)).union(map(type, im)) <= {int, float}:
             raise TypeError
-        values.real = re
-        values.imag = im
-        keys = [rec["key"] for rec in records]
+        values = np.empty(n, dtype=complex)
+        values.real = np.fromiter(re, float, count=n)
+        values.imag = np.fromiter(im, float, count=n)
+        keys = list(map(itemgetter("key"), records))
     except (AttributeError, KeyError, TypeError, ValueError):
         raise InvalidTensor(_bad_record(records)) from None
-    return IncompleteSymmetricTensor._from_arrays(d, m, _key_array(keys, m), values)
+    return IncompleteSymmetricTensor._from_arrays(d, m, _record_keys(keys, m), values)
+
+
+def _record_keys(keys: list, m: int) -> np.ndarray:
+    """(n, m) int64 array of a tensor document's parsed keys.
+
+    orjson writes a list of integers with digits, minus signs, commas and
+    brackets only, so one C pass over the keys' encoding finds every float,
+    bool, string and null slot by the character it leaves; a list slot or
+    one past 64 bits stops ``np.fromiter``.  Other keys take ``_key_array``
+    and its messages, with the first bad key's entry named.
+    """
+    import orjson
+
+    try:
+        if (not orjson.dumps(keys).translate(None, b"0123456789-,[]")
+                and set(map(len, keys)) <= {m}):
+            return np.fromiter(itertools.chain.from_iterable(keys), np.int64,
+                               count=len(keys) * m).reshape(len(keys), m)
+    except (TypeError, OverflowError):  # orjson.JSONEncodeError is a TypeError
+        pass
+    try:
+        return _key_array(keys, m)
+    except InvalidTensor as exc:  # so some key is not m 64-bit integers
+        at = next(i for i, key in enumerate(keys) if not _int64_slots(key, m))
+        raise InvalidTensor(f"entry {at}: {exc}") from exc.__cause__
+
+
+def _int64_slots(key, m: int) -> bool:
+    """Whether a parsed key is a list of m integers that fit in 64 bits."""
+    return type(key) is list and len(key) == m and all(
+        type(s) is int and -2**63 <= s < 2**63 for s in key)
 
 
 def _int_field(doc: dict, name: str) -> int:

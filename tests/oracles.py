@@ -3,8 +3,10 @@ library's stacked solve against, and the monomial bases that index them;
 the exact stages computed label by label and candidate by candidate, the
 references that the library's one-gather, eigenvalue-screened and stacked
 stages equal bit for bit; found from the keys alone, each key's row of a
-``PrefixTree``'s leaf products and those products; and the key sets of
-the array key builders as tuple lists from ``itertools``.
+``PrefixTree``'s leaf products and those products; the key sets of the
+array key builders as tuple lists from ``itertools``; and the tensor
+reader that parses with the stdlib's ``json`` and checks keys by type
+inference, the reference for ``from_json``'s values, keys and errors.
 
 Variable labels run over ``1..n``; label ``0`` is the homogenizing
 coordinate.  The library builds the same systems for all tail labels at
@@ -15,6 +17,7 @@ only.
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -25,6 +28,7 @@ from momentmix.errors import (
     DegenerateSpectrum,
     HeadsDegenerate,
     IllConditioned,
+    InvalidTensor,
     RankTooLarge,
 )
 from momentmix.generating import _GAP_TOL, _MAX_XI_RETRIES, GeneratingMatrix
@@ -32,6 +36,9 @@ from momentmix.numerics import COND_LIMIT, eig, gaussian_vector, lstsq
 from momentmix.tensor_store import (
     IncompleteSymmetricTensor,
     PrefixTree,
+    _bad_record,
+    _int_field,
+    _key_array,
     block_keys,
     block_matrix,
     component_products,
@@ -61,6 +68,30 @@ def learning_keys_by_set(d: int, m: int) -> list[IndexSubset]:
     for j in range(d):
         keys.update(covariance_keys_by_itertools(d, m, j))
     return sorted(keys)
+
+
+def from_json_by_json(text: str) -> IncompleteSymmetricTensor:
+    """Tensor from ``to_json`` text read by ``json.loads``, each value
+    column filled from a list and the keys by ``_key_array``."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise InvalidTensor("tensor document must be a JSON object")
+    d, m = (_int_field(doc, name) for name in ("d", "m"))
+    records = doc.get("entries")
+    if not isinstance(records, list):
+        raise InvalidTensor("tensor document needs an 'entries' list")
+    values = np.empty(len(records), dtype=complex)
+    try:
+        re = [rec["re"] for rec in records]
+        im = [rec.get("im", 0.0) for rec in records]
+        if not set(map(type, re)).union(map(type, im)) <= {int, float}:
+            raise TypeError
+        values.real = re
+        values.imag = im
+        keys = [rec["key"] for rec in records]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise InvalidTensor(_bad_record(records)) from None
+    return IncompleteSymmetricTensor._from_arrays(d, m, _key_array(keys, m), values)
 
 
 def basis_B0(k: int, p: int, r: int) -> list[IndexSubset]:

@@ -12,7 +12,9 @@ import pytest
 
 from momentmix.cli import build_parser, main
 from momentmix.decomposition import from_json as dec_from_json
+from momentmix.experiments import random_components
 from momentmix.gmm import model_from_json
+from momentmix.tensor_store import from_components, omega_keys, to_json
 from momentmix.tensor_store import from_json as tensor_from_json
 
 
@@ -284,6 +286,16 @@ def test_invalid_p_flag_exits_2(tmp_path, capsys):
                        "--p", "5", "--k", "1")
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_gen_tensor_file_is_the_tensor_on_sorted_keys(tmp_path, capsys):
+    # gen-tensor's keys come in lex order and are not sorted again; the
+    # file is byte for byte the tensor that reversed keys sort into
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen-tensor", "--d", "7", "--m", "3", "--r", "2", "--seed", "6",
+        "--out", str(tensor))
+    T = from_components(random_components(7, 2, 6), 3, omega_keys(7, 3)[::-1])
+    assert tensor.read_text() == to_json(T)
 
 
 @pytest.mark.parametrize("doc", [

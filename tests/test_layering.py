@@ -100,9 +100,16 @@ def test_only_tensor_store_imports_gc():
     assert users == ["tensor_store"]
 
 
+def test_only_tensor_store_imports_orjson():
+    # orjson parses tensor files, inside from_json
+    users = [m for m in SIBLINGS + ["__init__"]
+             if "orjson" in imported_modules((PACKAGE / f"{m}.py").read_text())]
+    assert users == ["tensor_store"]
+
+
 # A fresh interpreter imports the package, checks that no scipy module that
-# costs import time is loaded, then runs the exact path through the CLI and
-# checks again.
+# costs import time is loaded, nor orjson, which only a tensor read needs,
+# then runs the exact path through the CLI and checks scipy again.
 _SCIPY_FREE = """
 import sys
 import momentmix
@@ -111,7 +118,7 @@ from momentmix.cli import main
 def loaded():
     return sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules)
 
-print("import", loaded())
+print("import", loaded(), "orjson" in sys.modules)
 out = sys.argv[1]
 assert main(["maxrank", "--d", "8", "--m", "4"]) == 0
 assert main(["gen-tensor", "--d", "8", "--m", "4", "--r", "3", "--seed", "4",
@@ -131,4 +138,4 @@ def test_import_and_exact_cli_leave_scipy_unloaded(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     lines = [line for line in done.stdout.splitlines() if line.startswith(("import", "cli"))]
-    assert lines == ["import []", "cli []"]
+    assert lines == ["import [] False", "cli []"]

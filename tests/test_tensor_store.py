@@ -26,7 +26,7 @@ from momentmix.tensor_store import (
     product_jacobian,
     to_json,
 )
-from oracles import leaf_products, leaf_rows
+from oracles import from_json_by_json, leaf_products, leaf_rows
 
 
 def test_omega_keys():
@@ -45,6 +45,19 @@ def test_from_components_cancellation():
     comps = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
     T = from_components(comps, 3, [(0, 1, 2)])
     assert T[(0, 1, 2)] == pytest.approx(0.0)
+
+
+def test_from_components_sorts_shuffled_keys():
+    comps = np.random.default_rng(3).standard_normal((3, 6))
+    keys = omega_keys(6, 4)
+    T = from_components(comps, 4, keys)
+    shuffled = keys[np.random.default_rng(4).permutation(len(keys))]
+    for other in (shuffled, keys[::-1], keys.tolist()):
+        S = from_components(comps, 4, other)
+        assert np.array_equal(S.key_array, T.key_array)
+        assert S.values.tobytes() == T.values.tobytes()
+    with pytest.raises(InvalidTensor, match="strictly ascending"):
+        from_components(comps, 4, np.concatenate([keys, keys[:1]]))
 
 
 def test_from_components_two_components():
@@ -218,6 +231,9 @@ def test_lookup_rejects_malformed_key(key, named):
         omega_norm(T, [(0, 1, 3), key])
     with pytest.raises(InvalidTensor, match=re.escape("key (0.0, 1.0, 2.5)")):
         T.gather([[(0, 1, 3), (1, 2, 3)], [(0, 2, 3), (0, 1, 2.5)]])
+    # a bad key below the top level of a nest, not the row holding it
+    with pytest.raises(InvalidTensor, match=message):
+        T.gather([[(0, 1, 2)], [key]])
     with pytest.raises(InvalidTensor, match=re.escape("key (0.0, 1.0, 2.0)")):
         T[np.array([0.0, 1.0, 2.0])]
 
@@ -617,6 +633,78 @@ def test_json_round_trip_property(document):
     assert np.array_equal(T.key_array, keys)
     # bit for bit, so -0.0 stays negative
     assert T.values.tobytes() == values.tobytes()
+
+
+@st.composite
+def varied_documents(draw):
+    """Tensor text as other writers may lay it out: any indentation, the
+    fields of each record in any order, ``im`` sometimes left out, and
+    integer values among the floats."""
+    d, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    every = list(itertools.combinations_with_replacement(range(d), m))
+    picked = sorted(draw(st.sets(st.sampled_from(every), max_size=40)))
+    numbers = st.one_of(st.sampled_from(_EDGE_FLOATS), st.integers(-10**20, 10**20),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    fields = draw(st.permutations(["key", "re", "im"]))
+    records = []
+    for key in picked:
+        record = {"key": list(key), "re": draw(numbers), "im": draw(numbers)}
+        if draw(st.booleans()):
+            del record["im"]
+        records.append({name: record[name] for name in fields if name in record})
+    doc = {"d": d, "m": m, "entries": records}
+    return json.dumps(doc, indent=draw(st.sampled_from([None, 0, 2, "\t"])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(varied_documents())
+def test_json_read_matches_stdlib_reader_property(text):
+    T, ref = from_json(text), from_json_by_json(text)
+    assert (T.d, T.m) == (ref.d, ref.m)
+    assert T.key_array.dtype == np.int64
+    assert np.array_equal(T.key_array, ref.key_array)
+    assert T.values.tobytes() == ref.values.tobytes()
+
+
+_HEAD = '{"d": 4, "m": 3, "entries": ['
+
+
+@pytest.mark.parametrize("text", [
+    _HEAD + '{"key": [0, 1, 2], "re": NaN}]}',
+    _HEAD + '{"key": [0, 1, 2], "re": 1.0, "im": Infinity}]}',
+    _HEAD + '{"key": [0, 1, 2], "re": -Infinity}]}',
+    _HEAD + '{"key": [0, 1, 2], "re": 1e400}]}',
+    _HEAD + f'{{"key": [0, 1, {10**30}], "re": 1.0}}]}}',
+    _HEAD + f'{{"key": [0, 1, {2**64}], "re": 1.0}}]}}',
+    _HEAD + f'{{"key": [0, 1, {2**63}], "re": 1.0}}]}}',
+    _HEAD + '{"key": [0, 1, 2], "re": 1.0}, {"key": [0, true, 3], "re": 1.0}]}',
+    _HEAD + '{"key": [0, 1, "2"], "re": 1.0}]}',
+    _HEAD + '{"key": 5, "re": 1.0}]}',
+    _HEAD + '{"key": [0, [1], 2], "re": 1.0}]}',
+    _HEAD + '{"key": [0, 1, 2], "re": 1.0}',
+    _HEAD + '{"key": [0, 1, 2], "re": 1.0}]} x',
+    "\ufeff" + _HEAD + '{"key": [0, 1, 2], "re": 1.0}]}',
+    f'{{"d": {10**20}, "m": 3, "entries": []}}',
+    '{"d": 4.0, "m": 3, "entries": []}',
+], ids=["nan", "infinity", "minus-infinity", "overflow", "slot-10**30", "slot-2**64",
+        "slot-2**63", "true-slot", "string-slot", "number-key", "list-slot",
+        "truncated", "trailing-garbage", "bom", "d-10**20", "float-d"])
+def test_json_read_fails_as_stdlib_reader(text):
+    with pytest.raises(Exception) as ref:
+        from_json_by_json(text)
+    with pytest.raises(Exception) as got:
+        from_json(text)
+    assert got.type is ref.type
+    # only a key error gains the entry behind it
+    assert re.sub(r"^entry \d+: ", "", str(got.value)) == str(ref.value)
+
+
+def test_json_key_error_names_the_entry():
+    text = _tensor_json(([0, 1, 2], 1.0), ([0, 1, 3], 1.0), ([0, 2.0, 3], 1.0))
+    with pytest.raises(InvalidTensor, match="^entry 2: keys must be sequences of 3 integers$"):
+        from_json(text)
+    with pytest.raises(InvalidTensor, match="^entry 1: keys must be"):
+        from_json(_tensor_json(([0, 1, 2], 1.0), ([1, 2], 1.0)))
 
 
 @st.composite
