@@ -224,31 +224,13 @@ def solve_heads(
     return x.T, max(1.0, float(conds.max()))
 
 
-def solve_scales(
-    T: IncompleteSymmetricTensor,
-    heads: np.ndarray,
-    tails: np.ndarray,
-    params: DecompositionParams,
-) -> np.ndarray:
-    """Scales lambda_i from a least squares over all stored keys, each
-    sorted key weighted once; solved on the r x r normal equations of the
-    equilibrated design with one correction step (see ``_scale_fit``)."""
-    return _scale_fit(T, _unscaled(heads, tails))[0]
-
-
-def _unscaled(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """(r, d) unscaled components (1, v_i, w_i) from heads and tails."""
-    ones = np.ones((heads.shape[0], 1), dtype=complex)
-    return np.concatenate([ones, heads, tails], axis=1)
-
-
 def _gram_lstsq(gram, b, adjoint, apply, name, degenerate):
-    """Least-squares solutions x[s] of A_s x = b[s] for a stack of tall
-    (n, r) designs A_s, each known through its Gram A_s^H A_s (``gram``,
-    (S, r, r); only the upper triangles are read), x -> A x (``apply``,
-    (S, r) to b's shape) and rhs -> A^H rhs (``adjoint``, b's shape to
-    (S, r)); returns x (S, r) and the (S,) condition numbers of the
-    column-equilibrated designs.
+    """Least-squares solutions x[s] of A_s x = b[s], as ``solve_heads`` and
+    ``solve_scales`` pose them, for a stack of tall (n, r) designs A_s,
+    each known through its Gram A_s^H A_s (``gram``, (S, r, r); only the
+    upper triangles are read), x -> A x (``apply``, (S, r) to b's shape)
+    and rhs -> A^H rhs (``adjoint``, b's shape to (S, r)); returns x (S,
+    r) and the (S,) condition numbers of the column-equilibrated designs.
 
     Equilibrated by its diagonal, each Gram is solved by one Hermitian
     eigendecomposition (one ``eigh`` call for the stack), then once more
@@ -287,13 +269,14 @@ def _gram_lstsq(gram, b, adjoint, apply, name, degenerate):
     return x, np.sqrt(w[:, -1] / w[:, 0])
 
 
-def _scale_fit(
+def solve_scales(
     T: IncompleteSymmetricTensor, full: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Scales lambda minimizing ||sum_i lambda_i prod(full_i over key) - T||
     over T's stored keys (order m >= 2), the reconstruction there, and the
     condition number of the equilibrated design, whose columns' cosines
-    behave like |<u_i, u_j>|^m: ``_gram_lstsq`` on ``_scale_gram``.  Design
+    behave like |<u_i, u_j>|^m: ``_gram_lstsq`` on ``_scale_gram``.  The
+    (r, d) ``full`` are the unscaled components (1, v_i, w_i).  Design
     row k is P[leaf_k] * full[:, last_k], P the leaf products of the
     tensor's ``PrefixTree`` (``T.tree``), so A x is one GEMM per block of
     its cells read at the keys' cells and A^H b the conjugated rows of
@@ -337,12 +320,11 @@ def _gram_terms(T: IncompleteSymmetricTensor) -> tuple[bool, np.ndarray, np.ndar
     distinct-index key; with fewer keys stored than those, the stored
     keys' own Gram alone (signs +1), cheaper and free of cancellation."""
     key_arr, d, m = T.key_array, T.d, T.m
-    repeated = key_arr[(key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)]
-    absent = key_arr[:0]
+    has_repeat = (key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)
+    repeated, absent = key_arr[has_repeat], key_arr[:0]
     if len(key_arr) - len(repeated) < binomial(d, m):  # a distinct-index key is absent
         distinct = omega_keys(d, m)
-        radix = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        absent = distinct[~np.isin(distinct @ radix, key_arr @ radix)]
+        absent = np.delete(distinct, lex_positions(distinct, key_arr[~has_repeat]), axis=0)
     if len(key_arr) < len(repeated) + len(absent):
         return False, key_arr, np.ones(len(key_arr))
     sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
@@ -353,10 +335,11 @@ def decompose(
     T: IncompleteSymmetricTensor, params: DecompositionParams
 ) -> Decomposition:
     """Exact pipeline: generating matrix, eigen tails, then the three
-    least-squares stages; components are lambda^(1/m) (1, v_i, w_i) with
-    the principal m-th root.
+    least-squares stages ``solve_tail_products``, ``solve_heads`` and
+    ``solve_scales``; components are lambda^(1/m) (1, v_i, w_i) with the
+    principal m-th root.
 
-    The scale stage's leaf products also give the reconstruction behind
+    ``solve_scales`` also returns the reconstruction behind
     diagnostics["decomp_err"]; diagnostics["gen_cond"] is the largest
     condition number of the n - k generating-matrix designs, warned as
     IllConditioned above ``GEN_COND_LIMIT``, diagnostics["heads_cond"]
@@ -373,8 +356,8 @@ def decompose(
     tails, _, gap = extract_tails(Ns, params.seed)
     gammas = solve_tail_products(T, tails, params)
     heads, heads_cond = solve_heads(T, tails, gammas, params)
-    full = _unscaled(heads, tails)
-    lambdas, rec, scale_cond = _scale_fit(T, full)
+    full = np.concatenate([np.ones((len(heads), 1), dtype=complex), heads, tails], axis=1)
+    lambdas, rec, scale_cond = solve_scales(T, full)
     components = np.power(lambdas.astype(complex), 1.0 / m)[:, None] * full
     diagnostics = {
         "decomp_err": _relative_err(T, rec - T.values),
@@ -568,11 +551,3 @@ def to_json(dec: Decomposition, d: int, m: int) -> str:
         },
         indent=1,
     )
-
-
-def from_json(text: str) -> Decomposition:
-    doc = json.loads(text)
-    comps = np.array(
-        [np.asarray(c["re"]) + 1j * np.asarray(c["im"]) for c in doc["components"]]
-    )
-    return Decomposition(components=comps, diagnostics=doc.get("diagnostics", {}))

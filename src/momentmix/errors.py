@@ -35,10 +35,6 @@ class InvalidTensor(MomentmixError, ValueError):
     """Tensor input with a malformed key or a non-finite value."""
 
 
-class KeyCollision(MomentmixError):
-    """Row and column label sets of a block overlap."""
-
-
 class ShapeCondition(MomentmixError):
     """The binomial shape conditions for the generating system fail."""
 

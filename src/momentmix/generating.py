@@ -21,7 +21,7 @@ import numpy as np
 
 from .combinatorics import binomial, lex_positions, subsets_lex
 from .errors import DegenerateSpectrum, ShapeCondition
-from .numerics import eig, eigvals, gaussian_vector, lstsq
+from .numerics import eig, eigvals, lstsq, rng_from
 from .tensor_store import IncompleteSymmetricTensor, block_keys
 
 _GAP_TOL = 1e-8
@@ -114,7 +114,7 @@ def extract_tails(
     n_tail, r = Ns.shape[:2]
     best_gap, best = -1.0, None
     for attempt in range(_MAX_XI_RETRIES):
-        xi = gaussian_vector(seed, 2 * n_tail, "xi", attempt).view(complex)
+        xi = rng_from(seed, "xi", attempt).standard_normal(2 * n_tail).view(complex)
         N_xi = np.tensordot(xi, Ns, axes=(0, 0))
         gap = _relative_gap(eigvals(N_xi))
         if gap > best_gap:

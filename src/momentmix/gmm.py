@@ -134,10 +134,6 @@ class MomentSet:
     order: int
     values: dict[tuple[int, ...], float]
 
-    def __getitem__(self, key) -> float:
-        """The moment at a key in any slot order; MissingEntry when absent."""
-        return float(self.gather([key])[0])
-
     def gather(self, keys) -> np.ndarray:
         """Values at an (n, order) key array; MissingEntry names an absent key."""
         rows = map(tuple, np.sort(np.asarray(keys), axis=-1).tolist())

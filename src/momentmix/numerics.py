@@ -1,6 +1,6 @@
-"""Numerical kernels: seeded RNG, complex least squares, NNLS, complex
-eigendecomposition, damped Gauss-Newton refinement, and simplex-constrained
-nonlinear least squares.
+"""Numerical kernels: seeded RNG streams (``rng_from``), complex least
+squares, NNLS, complex eigendecomposition, damped Gauss-Newton
+refinement, and simplex-constrained nonlinear least squares.
 
 All decomposition-path linear algebra is complex; the mixture-model weight
 and covariance solves are real.  The Gauss-Newton loop solves
@@ -48,20 +48,12 @@ def rng_from(seed: int, *stream) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)] + ids)))
 
 
-def gaussian_vector(seed: int, length: int, *stream) -> np.ndarray:
-    """Standard normal i.i.d. vector, bit-reproducible per (seed, stream)."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    return rng_from(seed, *stream).standard_normal(length)
-
-
 @dataclass
 class LstsqReport:
     solution: np.ndarray
     residual_norm: float | np.ndarray  # per column for a 2-D right-hand side
-    rank: int | np.ndarray  # per system of a stack, as are cond and ill_conditioned
+    rank: int | np.ndarray  # per system of a stack, as is cond
     cond: float | np.ndarray  # largest over smallest singular value, inf if that is 0
-    ill_conditioned: bool | np.ndarray = False
 
 
 def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
@@ -88,17 +80,15 @@ def lstsq(A: np.ndarray, b: np.ndarray) -> LstsqReport:
     rank = kept.sum(axis=-1)
     cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf),
                      where=s[..., -1] > 0)
-    ill = (rank == N) & (cond > COND_LIMIT)
-    if ill.any():
+    if ((rank == N) & (cond > COND_LIMIT)).any():
         warnings.warn("least-squares system is ill-conditioned", IllConditioned)
     resid = np.linalg.norm(A @ x - B, axis=-2)
     if b.ndim < A.ndim:
         x, resid = x[..., 0], resid[..., 0]
     if A.ndim == 2:  # one system
-        rank, cond, ill = int(rank), float(cond), bool(ill)
+        rank, cond = int(rank), float(cond)
         resid = resid if b.ndim == 2 else float(resid)
-    return LstsqReport(solution=x, residual_norm=resid, rank=rank, cond=cond,
-                       ill_conditioned=ill)
+    return LstsqReport(solution=x, residual_norm=resid, rank=rank, cond=cond)
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Storage and block extraction for incomplete symmetric tensors.
+"""Storage and keyed gathers for incomplete symmetric tensors.
 
 Only sorted keys are stored; a full dense tensor is never materialized.
 A tensor is two aligned read-only arrays: ``key_array``, (n, m) integer
@@ -13,11 +13,11 @@ tuples.
 
 Products over many keys run on one ``PrefixTree`` per key array, which
 multiplies each distinct prefix of ascending keys once and lays the keys
-out in ragged cells, one GEMM per block of prefixes: ``decomposition``'s
-scale stage, reconstructions and J^H f on the tensor's cached ``tree``,
-and ``gmm``'s sample moments (a reconstruction per row chunk, with the
-samples in place of the components) and moment refinement on trees of
-their own.
+out in ragged cells, one GEMM per block of prefixes:
+``decomposition.solve_scales``, reconstructions and J^H f on the
+tensor's cached ``tree``, and ``gmm``'s sample moments (a reconstruction
+per row chunk, with the samples in place of the components) and moment
+refinement on trees of their own.
 
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
@@ -48,7 +48,7 @@ from operator import itemgetter
 import numpy as np
 
 from .combinatorics import subsets_lex
-from .errors import InvalidTensor, KeyCollision, MissingEntry, OrderExceedsDim
+from .errors import InvalidTensor, MissingEntry, OrderExceedsDim
 from .numerics import rng_from
 
 # Cells a ``PrefixTree`` group may hold to fold into the block before it,
@@ -125,9 +125,11 @@ class IncompleteSymmetricTensor:
         if rows.shape[-1:] != (self.m,) or (rows.size and rows.dtype.kind not in "iu"):
             raise InvalidTensor(f"key {_first_bad_key(rows, self.m)} is not "
                                 f"{self.m} integer slots")
-        rows = np.sort(rows.astype(np.int64, copy=False), axis=-1)
+        # sorted as given, so a uint64 slot past int64 is named as it is
+        rows = np.sort(rows, axis=-1)
         inside = ((rows >= 0) & (rows < self.d)).all(axis=-1)
-        codes = np.where(inside, rows @ self._radix, -1)  # -1 matches no stored code
+        # -1 matches no stored code
+        codes = np.where(inside, rows.astype(np.int64, copy=False) @ self._radix, -1)
         pos = np.searchsorted(self._codes, codes)
         missing = self._codes[pos] != codes
         if missing.any():
@@ -156,18 +158,22 @@ class IncompleteSymmetricTensor:
 
 
 def _key_array(keys, m: int) -> np.ndarray:
-    """(n, m) integer array of a sequence of keys; a slot that is not an
-    integer raises InvalidTensor.  The inferred dtype catches floats; bools
-    among integers infer as integers and need a pass over the slot types."""
+    """(n, m) int64 array of a sequence of keys; a slot that is not an
+    integer raises InvalidTensor, and so does one past int64, naming its
+    key.  The inferred dtype catches floats; bools among integers infer as
+    integers and need a pass over the slot types."""
     try:
         arr = np.asarray(keys)
         bools = not isinstance(keys, np.ndarray) and {bool, np.bool_} & set(
             map(type, itertools.chain.from_iterable(keys)))
         if (arr.size and arr.dtype.kind not in "iu") or bools:
             raise TypeError
-        return arr.astype(np.int64, copy=False).reshape(len(keys), m)
+        arr = arr.reshape(len(keys), m)
     except (TypeError, ValueError) as exc:
         raise InvalidTensor(f"keys must be sequences of {m} integers") from exc
+    if arr.dtype.kind == "u":  # cast to int64, a slot past it would wrap
+        _reject((arr > np.iinfo(np.int64).max).any(axis=1), arr, "key {} has a slot past int64")
+    return arr.astype(np.int64, copy=False)
 
 
 def _first_bad_key(rows: np.ndarray, m: int) -> tuple:
@@ -444,33 +450,6 @@ def block_keys(rows, cols) -> np.ndarray:
                            np.broadcast_to(cols[None], shape + cols.shape[1:])], axis=2)
 
 
-def block_matrix(
-    T: IncompleteSymmetricTensor,
-    rows,
-    cols,
-    pad_with_zero_label: bool = False,
-) -> np.ndarray:
-    """Matrix of tensor entries at keys row ∪ col (∪ {0} when padding) of
-    the (n_rows, a) rows and (n_cols, b) columns.
-
-    Every (row, col) pair must join into distinct labels; with padding the
-    joined label set has m-1 elements, none of them 0.
-    """
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    if pad_with_zero_label:
-        rows = np.pad(rows, ((0, 0), (1, 0)))
-    labels = np.sort(block_keys(rows, cols), axis=2)
-    shared = (labels[:, :, 1:] == labels[:, :, :-1]).any(axis=2)
-    if shared.any():
-        i, j = np.argwhere(shared)[0]
-        raise KeyCollision(f"row {tuple(rows[i].tolist())} and col "
-                           f"{tuple(cols[j].tolist())} share labels")
-    if labels.shape[2] != T.m:
-        raise ValueError(f"row {tuple(rows[0].tolist())} + col {tuple(cols[0].tolist())} "
-                         f"has {labels.shape[2]} labels, need {T.m}")
-    return T.gather(labels)
-
-
 def weighted_norm(values: np.ndarray, m: int) -> float:
     """sqrt(m! * sum |v|^2) of the values at sorted distinct-index keys of
     an order-m tensor: each counted with its m! ordered occurrences."""
@@ -573,7 +552,7 @@ def from_json(text: str) -> IncompleteSymmetricTensor:
         values.real = np.fromiter(re, float, count=n)
         values.imag = np.fromiter(im, float, count=n)
         keys = list(map(itemgetter("key"), records))
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
         raise InvalidTensor(_bad_record(records)) from None
     return IncompleteSymmetricTensor._from_arrays(d, m, _record_keys(keys, m), values)
 
@@ -625,6 +604,11 @@ def _bad_record(records: list) -> str:
             if name not in rec:
                 return f"entry {i} has no {name!r}"
         for name in ("re", "im"):
-            if type(rec.get(name, 0.0)) not in (int, float):
+            value = rec.get(name, 0.0)
+            if type(value) not in (int, float):
                 return f"entry {i} has a non-numeric {name!r}"
+            try:
+                float(value)
+            except OverflowError:  # an integer literal past the double range
+                return f"entry {i} has {name!r} past the double range"
     return "malformed entry record"

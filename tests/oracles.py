@@ -1,12 +1,15 @@
 """Per-column generating-matrix systems, the reference that tests hold the
-library's stacked solve against, and the monomial bases that index them;
-the exact stages computed label by label and candidate by candidate, the
-references that the library's one-gather, eigenvalue-screened and stacked
-stages equal bit for bit; found from the keys alone, each key's row of a
-``PrefixTree``'s leaf products and those products; the key sets of the
-array key builders as tuple lists from ``itertools``; and the tensor
-reader that parses with the stdlib's ``json`` and checks keys by type
-inference, the reference for ``from_json``'s values, keys and errors.
+library's stacked solve against, the monomial bases that index them and
+``block_matrix``, the checked block of tensor entries they are gathered
+by; the exact stages computed label by label and candidate by
+candidate, the references that the library's one-gather,
+eigenvalue-screened and stacked stages equal bit for bit; found from the
+keys alone, each key's row of a ``PrefixTree``'s leaf products and those
+products; the key sets of the array key builders as tuple lists from
+``itertools``; the tensor reader that parses with the stdlib's ``json``
+and checks keys by type inference, the reference for
+``tensor_store.from_json``'s values, keys and errors; and the reader of
+``decomposition.to_json`` text, ``decomposition_from_json``.
 
 Variable labels run over ``1..n``; label ``0`` is the homogenizing
 coordinate.  The library builds the same systems for all tail labels at
@@ -23,16 +26,17 @@ import warnings
 import numpy as np
 
 from momentmix.combinatorics import binomial, subsets_lex
-from momentmix.decomposition import DecompositionParams, _tail_blocks
+from momentmix.decomposition import Decomposition, DecompositionParams, _tail_blocks
 from momentmix.errors import (
     DegenerateSpectrum,
     HeadsDegenerate,
     IllConditioned,
     InvalidTensor,
+    MomentmixError,
     RankTooLarge,
 )
 from momentmix.generating import _GAP_TOL, _MAX_XI_RETRIES, GeneratingMatrix
-from momentmix.numerics import COND_LIMIT, eig, gaussian_vector, lstsq
+from momentmix.numerics import COND_LIMIT, eig, lstsq, rng_from
 from momentmix.tensor_store import (
     IncompleteSymmetricTensor,
     PrefixTree,
@@ -40,11 +44,40 @@ from momentmix.tensor_store import (
     _int_field,
     _key_array,
     block_keys,
-    block_matrix,
     component_products,
 )
 
 IndexSubset = tuple[int, ...]
+
+
+class KeyCollision(MomentmixError):
+    """Row and column label sets of a block overlap."""
+
+
+def block_matrix(T: IncompleteSymmetricTensor, rows, cols) -> np.ndarray:
+    """Matrix of tensor entries at keys row + col of the (n_rows, a) rows
+    and (n_cols, b) columns; a row that holds the padding label 0 lists it.
+    Every (row, col) pair must join into m distinct labels."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    labels = np.sort(block_keys(rows, cols), axis=2)
+    shared = (labels[:, :, 1:] == labels[:, :, :-1]).any(axis=2)
+    if shared.any():
+        i, j = np.argwhere(shared)[0]
+        raise KeyCollision(f"row {tuple(rows[i].tolist())} and col "
+                           f"{tuple(cols[j].tolist())} share labels")
+    if labels.shape[2] != T.m:
+        raise ValueError(f"row {tuple(rows[0].tolist())} + col {tuple(cols[0].tolist())} "
+                         f"has {labels.shape[2]} labels, need {T.m}")
+    return T.gather(labels)
+
+
+def decomposition_from_json(text: str) -> Decomposition:
+    """The components and diagnostics of ``decomposition.to_json`` text."""
+    doc = json.loads(text)
+    comps = np.array(
+        [np.asarray(c["re"]) + 1j * np.asarray(c["im"]) for c in doc["components"]]
+    )
+    return Decomposition(components=comps, diagnostics=doc.get("diagnostics", {}))
 
 
 def subsets_by_itertools(lo: int, hi: int, size: int) -> list[IndexSubset]:
@@ -89,7 +122,7 @@ def from_json_by_json(text: str) -> IncompleteSymmetricTensor:
         values.real = re
         values.imag = im
         keys = [rec["key"] for rec in records]
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
         raise InvalidTensor(_bad_record(records)) from None
     return IncompleteSymmetricTensor._from_arrays(d, m, _key_array(keys, m), values)
 
@@ -152,7 +185,7 @@ def assemble_system(
     (degree m-1 monomial); b[gamma] is the entry at alpha + gamma.
     """
     support = support_O_alpha(alpha, k, n, m, p)
-    A = block_matrix(T, support, B0, pad_with_zero_label=True)
+    A = block_matrix(T, [(0,) + gamma for gamma in support], B0)
     b = block_matrix(T, support, [alpha])[:, 0]
     return A, b
 
@@ -226,7 +259,7 @@ def tails_by_full_eig(
     n_tail, r = Ns.shape[:2]
     best_gap, best_vecs = -1.0, None
     for attempt in range(_MAX_XI_RETRIES):
-        xi = gaussian_vector(seed, 2 * n_tail, "xi", attempt).view(complex)
+        xi = rng_from(seed, "xi", attempt).standard_normal(2 * n_tail).view(complex)
         values, vectors = eig(np.tensordot(xi, Ns, axes=(0, 0)))
         gap = _relative_gap(values)
         if gap > best_gap:

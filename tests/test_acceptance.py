@@ -37,12 +37,11 @@ from momentmix.gmm import (
 )
 from momentmix.numerics import nlls_refine, nnls
 from momentmix.tensor_store import (
-    block_matrix,
     from_components,
     omega_keys,
     perturb,
 )
-from oracles import learning_keys_by_set
+from oracles import block_matrix, learning_keys_by_set
 
 GMM_BASE_SEED = 1026
 
@@ -204,8 +203,8 @@ def test_property_suites():
     assert worst_comm <= 1e-8
 
     # block factorization of a component sum
-    rows, cols = [(1,), (2,), (3,)], [(4,), (5,), (6,), (7,)]
-    M = block_matrix(T, rows, cols, pad_with_zero_label=True)
+    rows, cols = [(0, 1), (0, 2), (0, 3)], [(4,), (5,), (6,), (7,)]
+    M = block_matrix(T, rows, cols)
     expected = sum(
         comps[i, 0] * np.outer(comps[i, [1, 2, 3]], comps[i, [4, 5, 6, 7]])
         for i in range(3)

@@ -1,10 +1,12 @@
 """The benchmark's span tracer (``bench/spans.py``) still finds every
-function it wraps, and puts each one back."""
+function it wraps, puts each one back, and sees each exact stage that
+``decompose`` calls, the scale stage included."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from momentmix import decomposition
 from momentmix.decomposition import approximate, choose_params
 from momentmix.experiments import random_components
 from momentmix.tensor_store import (
@@ -50,3 +52,19 @@ def test_tracer_installs_traces_approximate_and_uninstalls():
     # eigendecomposition per decompose
     span_names = [span[0] for span in tracer.spans]
     assert span_names.count("numerics.eig") == span_names.count("decomposition.decompose") == 1
+
+
+def test_traced_decompose_records_one_scale_span():
+    spans = load_spans()
+    d, m, r = 9, 4, 3
+    T = from_components(random_components(d, r, 4), m, omega_keys(d, m))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        # looked up on the module, as the benchmark calls it
+        decomposition.decompose(T, choose_params(d - 1, m, r, seed=4))
+    finally:
+        tracer.uninstall()
+    span_names = [span[0] for span in tracer.spans]
+    assert span_names.count("decomposition.decompose") == 1
+    assert span_names.count("decomposition.solve_scales") == 1

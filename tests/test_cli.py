@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from momentmix.cli import build_parser, main
-from momentmix.decomposition import from_json as dec_from_json
 from momentmix.experiments import random_components
 from momentmix.gmm import model_from_json
 from momentmix.tensor_store import from_components, omega_keys, to_json
 from momentmix.tensor_store import from_json as tensor_from_json
+from oracles import decomposition_from_json as dec_from_json
 
 
 def run(capsys, *argv):
@@ -316,6 +316,19 @@ def test_malformed_tensor_file_exits_1(tmp_path, capsys, doc):
 def test_non_number_tensor_value_exits_1(tmp_path, capsys, value):
     tensor = tmp_path / "t.json"
     tensor.write_text(json.dumps({"d": 6, "m": 3, "entries": [{"key": [0, 1, 2], **value}]}))
+    code, _, err = run(capsys, "decompose", "--tensor", str(tensor), "--r", "1")
+    assert code == 1
+    assert err.startswith("error:") and "entry 0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("record", [
+    '{"key": [0, 1, 2], "re": 1' + "0" * 400 + '}',
+    f'{{"key": [0, 1, {2**64 - 1}], "re": 1.0}}',
+], ids=["value-past-double", "slot-past-int64"])
+def test_out_of_range_tensor_number_exits_1(tmp_path, capsys, record):
+    tensor = tmp_path / "t.json"
+    tensor.write_text('{"d": 6, "m": 3, "entries": [' + record + ']}')
     code, _, err = run(capsys, "decompose", "--tensor", str(tensor), "--r", "1")
     assert code == 1
     assert err.startswith("error:") and "entry 0" in err

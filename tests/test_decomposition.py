@@ -16,7 +16,6 @@ from momentmix.decomposition import (
     _gram_terms,
     _k_range,
     _residual_builder,
-    _scale_fit,
     _scale_gram,
     _tail_blocks,
     PreconditionWarning,
@@ -26,7 +25,6 @@ from momentmix.decomposition import (
     component_error,
     decomp_err,
     decompose,
-    from_json,
     max_rank,
     max_rank_quiet,
     rank_threshold,
@@ -51,7 +49,6 @@ from momentmix.numerics import lstsq
 from momentmix.tensor_store import (
     IncompleteSymmetricTensor,
     PrefixTree,
-    block_matrix,
     component_products,
     from_components,
     omega_keys,
@@ -59,7 +56,13 @@ from momentmix.tensor_store import (
     perturb,
     product_jacobian,
 )
-from oracles import generating_matrix_by_label, heads_by_label, tails_by_full_eig
+from oracles import (
+    block_matrix,
+    decomposition_from_json,
+    generating_matrix_by_label,
+    heads_by_label,
+    tails_by_full_eig,
+)
 
 
 def planted(d, m, r, seed):
@@ -187,14 +190,12 @@ def test_solve_tail_products_zero_tensor():
 def test_solve_scales_linearity():
     comps, T = planted(8, 3, 2, seed=6)
     params = choose_params(7, 3, 2, seed=6)
-    us = comps / comps[:, :1]
-    heads = us[:, 1:params.k + 1].astype(complex)
-    tails = us[:, params.k + 1:].astype(complex)
-    lam = solve_scales(T, heads, tails, params)
+    full = (comps / comps[:, :1]).astype(complex)
+    lam = solve_scales(T, full)[0]
     scaled = IncompleteSymmetricTensor(
         8, 3, {k: 7.0 * v for k, v in T.entries.items()}
     )
-    lam7 = solve_scales(scaled, heads, tails, params)
+    lam7 = solve_scales(scaled, full)[0]
     assert np.allclose(lam7, 7.0 * lam)
     # true scales are lambda_i = q_{i,0}^m
     assert np.allclose(np.sort(lam.real), np.sort(comps[:, 0] ** 3), atol=1e-9)
@@ -204,11 +205,7 @@ def test_solve_scales_rank_one_weight():
     comps = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
     # weight 2 on the one component: the vector scaled by 2^(1/3)
     T = from_components(comps * 2.0 ** (1 / 3), 3, omega_keys(6, 3))
-    params = DecompositionParams(r=1, p=1, k=2, seed=0)
-    us = comps
-    heads = us[:, 1:3].astype(complex)
-    tails = us[:, 3:].astype(complex)
-    lam = solve_scales(T, heads, tails, params)
+    lam = solve_scales(T, comps.astype(complex))[0]
     assert lam[0] == pytest.approx(2.0, abs=1e-10)
 
 
@@ -270,7 +267,7 @@ def test_approximate_decomp_err_matches_decomp_err():
 def test_decomposition_json_round_trip():
     comps, T = planted(6, 3, 2, seed=12)
     dec = decompose(T, choose_params(5, 3, 2, seed=12))
-    back = from_json(to_json(dec, 6, 3))
+    back = decomposition_from_json(to_json(dec, 6, 3))
     assert np.allclose(back.components, dec.components)
 
 
@@ -407,24 +404,23 @@ def test_scale_fit_matches_equilibrated_lstsq(case):
     norms = np.linalg.norm(design, axis=0)
     ref = lstsq(design / norms, T.values)
     ref_lambdas = ref.solution / norms
-    lambdas, rec, cond = _scale_fit(T, full)
+    lambdas, rec, cond = solve_scales(T, full)
     b_norm = np.linalg.norm(T.values)
     assert np.linalg.norm(lambdas - ref_lambdas) <= 1e-10 * np.linalg.norm(ref_lambdas)
     assert abs(np.linalg.norm(rec - T.values) - ref.residual_norm) <= 1e-12 * b_norm
     assert np.abs(rec - design @ lambdas).max() <= 1e-12 * np.abs(T.values).max()
     assert 1.0 <= cond < 10.0
+    # (1, heads, tails) joined as ``decompose`` joins them
     r = full.shape[0]
-    wrapped = solve_scales(
-        T, full[:, 1:2], full[:, 2:], DecompositionParams(r=r, p=1, k=1)
-    )
-    assert np.array_equal(wrapped, lambdas)
+    joined = np.concatenate([np.ones((r, 1), dtype=complex), full[:, 1:2], full[:, 2:]], axis=1)
+    assert np.array_equal(solve_scales(T, joined)[0], lambdas)
 
 
 def test_scale_fit_identical_components_degenerate():
     comps, T = planted(8, 3, 2, seed=23)
     full = comps / comps[:, :1]
     with pytest.raises(ScalesDegenerate):
-        _scale_fit(T, full[[0, 0, 1]])
+        solve_scales(T, full[[0, 0, 1]])
 
 
 def test_decompose_decomp_err_matches_decomp_err_noisy():
@@ -549,7 +545,7 @@ def test_scale_fit_peak_memory_is_two_designs():
     design_bytes = len(T.values) * r * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        _scale_fit(T, full)
+        solve_scales(T, full)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -566,7 +562,7 @@ def test_scale_fit_peak_memory_below_one_design():
     T.tree  # built once per tensor, outside the scale stage
     tracemalloc.start()
     try:
-        _scale_fit(T, full)
+        solve_scales(T, full)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -612,7 +608,7 @@ def test_scale_fit_sparse_matches_equilibrated_lstsq():
     assert len(T.values) <= 0.05 * binomial(T.d, T.m)
     norms = np.linalg.norm(design, axis=0)
     ref_lambdas = lstsq(design / norms, T.values).solution / norms
-    lambdas, rec, _ = _scale_fit(T, full)
+    lambdas, rec, _ = solve_scales(T, full)
     assert np.linalg.norm(lambdas - ref_lambdas) <= 1e-10 * np.linalg.norm(ref_lambdas)
     assert np.abs(rec - design @ lambdas).max() <= 1e-12 * np.abs(T.values).max()
 
@@ -788,7 +784,7 @@ def test_scale_fit_on_ragged_cells_matches_equilibrated_lstsq(case):
     norms = np.linalg.norm(design, axis=0)
     ref = lstsq(design / norms, T.values)
     ref_lambdas = ref.solution / norms
-    lambdas, rec, _ = _scale_fit(T, full)
+    lambdas, rec, _ = solve_scales(T, full)
     assert np.linalg.norm(lambdas - ref_lambdas) <= 1e-10 * np.linalg.norm(ref_lambdas)
     assert abs(np.linalg.norm(rec - T.values) - ref.residual_norm) <= 1e-12 * np.linalg.norm(values)
     assert np.abs(rec - design @ lambdas).max() <= 1e-12 * np.abs(T.values).max()
@@ -797,7 +793,7 @@ def test_scale_fit_on_ragged_cells_matches_equilibrated_lstsq(case):
 def test_scale_fit_of_an_empty_tensor_is_degenerate():
     T = IncompleteSymmetricTensor(6, 3, {})
     with pytest.raises(ScalesDegenerate):
-        _scale_fit(T, np.ones((2, 6), dtype=complex))
+        solve_scales(T, np.ones((2, 6), dtype=complex))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])

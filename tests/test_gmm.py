@@ -116,10 +116,10 @@ def test_sample_gmm_mean_concentration():
 def test_sample_moments_arithmetic():
     s = SampleSet(data=np.array([[1.0, 2.0], [3.0, 4.0]]))
     ms = sample_moments(s, [(0, 1)])
-    assert ms[(0, 1)] == pytest.approx(7.0)
+    assert ms.gather([(0, 1)])[0] == pytest.approx(7.0)
     z = SampleSet(data=np.zeros((4, 3)))
     msz = sample_moments(z, [(0, 1, 2)])
-    assert msz[(0, 1, 2)] == 0.0
+    assert msz.gather([(0, 1, 2)])[0] == 0.0
 
 
 def test_sample_moments_match_exact_in_the_limit():
@@ -133,7 +133,7 @@ def test_sample_moments_match_exact_in_the_limit():
     for key in keys:
         prods = np.prod(Y[:, list(key)], axis=1)
         bound = 5.0 * prods.std() / np.sqrt(N)
-        assert abs(est[key] - exact[key]) <= bound
+        assert abs(est.gather([key])[0] - exact.gather([key])[0]) <= bound
 
 
 def test_univariate_moments_closed_forms():
@@ -162,10 +162,10 @@ def test_exact_moments_values():
         variances=np.array([[4.0, 1.0, 1.0]]),
     )
     ms = exact_moments(model, [(0, 0, 1), (0, 1, 2)])
-    assert ms[(0, 0, 1)] == pytest.approx(5.0)  # (mu^2 + var) * mu
-    assert ms[(0, 1, 2)] == pytest.approx(1.0)  # pure mean product
+    assert ms.gather([(0, 0, 1)])[0] == pytest.approx(5.0)  # (mu^2 + var) * mu
+    assert ms.gather([(0, 1, 2)])[0] == pytest.approx(1.0)  # pure mean product
     # repeated-pair entry minus the mean part isolates the variance term
-    assert ms[(0, 0, 1)] - 1.0 == pytest.approx(4.0)
+    assert ms.gather([(0, 0, 1)])[0] - 1.0 == pytest.approx(4.0)
 
 
 def test_covariance_keys():
@@ -442,7 +442,7 @@ def test_sample_moments_equal_per_key_products(order, rows):
     assert sorted(got.values) == sorted({tuple(sorted(k)) for k in keys})
     for key in keys:
         want = _product_mean(s.data, key)
-        assert abs(got[key] - want) <= 1e-12 * abs(want)
+        assert abs(got.gather([key])[0] - want) <= 1e-12 * abs(want)
 
 
 def _diff_form_log_densities(Y, weights, means, variances):
@@ -782,7 +782,7 @@ def test_exact_moments_equal_per_key_loop(order):
     assert list(got.values) == list(dict.fromkeys(tuple(sorted(k)) for k in keys))
     for key in keys:
         want = _exact_moment_loop(model, key)
-        assert abs(got[key] - want) <= 1e-12 * abs(want)
+        assert abs(got.gather([key])[0] - want) <= 1e-12 * abs(want)
 
 
 def _recover_covariances_loop(Mm, qs_real, omega, mus):
@@ -799,7 +799,7 @@ def _recover_covariances_loop(Mm, qs_real, omega, mus):
                 qs_real[i, j] ** 2 * np.prod(qs_real[i, list(gamma)])
                 for i in range(r)
             )
-            response[gi] = Mm[(j, j) + gamma] - recon
+            response[gi] = Mm.gather([(j, j) + gamma])[0] - recon
             design[gi, :] = omega * np.prod(mus[:, list(gamma)], axis=1)
         variances[:, j] = numerics.nnls(design, response)
     return variances
@@ -853,11 +853,11 @@ def test_moment_set_gather():
     assert exc.value.key == (0, 2)
 
 
-def test_moment_set_getitem_raises_missing_entry():
+def test_moment_set_gather_raises_missing_entry():
     ms = sample_moments(SampleSet(data=np.arange(12.0).reshape(3, 4)), [(0, 1, 2)])
-    assert ms[(2, 0, 1)] == ms.values[(0, 1, 2)]
+    assert ms.gather([(2, 0, 1)])[0] == ms.values[(0, 1, 2)]
     with pytest.raises(MissingEntry, match=r"\(0, 1, 3\)") as exc:
-        ms[(0, 1, 3)]
+        ms.gather([(0, 1, 3)])[0]
     assert exc.value.key == (0, 1, 3)
 
 
@@ -959,7 +959,7 @@ def test_power_coordinate_moments_equal_per_key_products(order, rows):
     assert sorted(got.values) == sorted({tuple(sorted(k)) for k in keys})
     for key in keys:
         want = _product_mean(s.data, key)
-        assert abs(got[key] - want) <= 1e-12 * abs(want), key
+        assert abs(got.gather([key])[0] - want) <= 1e-12 * abs(want), key
 
 
 @pytest.mark.parametrize("bad", [(0, 1, -1), (0, 4, 1), (2, 2, 7)])

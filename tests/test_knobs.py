@@ -11,7 +11,7 @@ MODULES = ("numerics", "gmm", "decomposition", "tensor_store", "generating")
 # {"module.name": settable names}: a function's or method's defaulted
 # parameters, a dataclass's fields.  Entries with none are left out.
 KNOBS = {
-    "numerics.LstsqReport": ("solution", "residual_norm", "rank", "cond", "ill_conditioned"),
+    "numerics.LstsqReport": ("solution", "residual_norm", "rank", "cond"),
     "numerics.nlls_refine": ("max_iters", "normal_equations"),
     "numerics.simplex_nlls": ("normal_equations",),
     "gmm.GmmModel": ("weights", "means", "variances", "meta"),
@@ -24,7 +24,6 @@ KNOBS = {
     "decomposition.choose_params": ("seed",),
     "decomposition.Decomposition": ("components", "diagnostics"),
     "decomposition.approximate": ("truth",),
-    "tensor_store.block_matrix": ("pad_with_zero_label",),
     "generating.GeneratingMatrix": ("values", "residuals", "ranks", "conds"),
 }
 
@@ -59,4 +58,4 @@ def _knobs():
 
 def test_knobs_match_table():
     assert _knobs() == KNOBS
-    assert sum(map(len, KNOBS.values())) == 34
+    assert sum(map(len, KNOBS.values())) == 32

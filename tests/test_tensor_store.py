@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentmix.errors import InvalidTensor, KeyCollision, MissingEntry, OrderExceedsDim
+from momentmix.errors import InvalidTensor, MissingEntry, OrderExceedsDim
 from momentmix.gmm import _run_codes, _run_trees, learning_keys
 from momentmix.tensor_store import (
     _BLOCK_WASTE,
     IncompleteSymmetricTensor,
     PrefixTree,
-    block_matrix,
     component_products,
     from_components,
     from_json,
@@ -26,7 +25,7 @@ from momentmix.tensor_store import (
     product_jacobian,
     to_json,
 )
-from oracles import from_json_by_json, leaf_products, leaf_rows
+from oracles import KeyCollision, block_matrix, from_json_by_json, leaf_products, leaf_rows
 
 
 def test_omega_keys():
@@ -92,9 +91,9 @@ def test_lookup_any_permutation():
 def test_block_matrix_rank_one():
     T = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3,
                         omega_keys(4, 3))
-    M = block_matrix(T, [(1,)], [(2,), (3,)], pad_with_zero_label=True)
+    M = block_matrix(T, [(0, 1)], [(2,), (3,)])
     assert np.allclose(M, [[6.0, 8.0]])
-    M = block_matrix(T, [(1,), (2,)], [(3,)], pad_with_zero_label=True)
+    M = block_matrix(T, [(0, 1), (0, 2)], [(3,)])
     assert np.allclose(M, [[8.0], [12.0]])
 
 
@@ -102,14 +101,14 @@ def test_block_matrix_missing_and_collision():
     keys = [k for k in map(tuple, omega_keys(4, 3).tolist()) if k != (0, 1, 2)]
     T = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3, keys)
     with pytest.raises(MissingEntry):
-        block_matrix(T, [(1,)], [(2,)], pad_with_zero_label=True)
+        block_matrix(T, [(0, 1)], [(2,)])
     with pytest.raises(MissingEntry) as exc:
         T.gather([(3, 1, 0), (2, 1, 0), (0, 1, 4), (0, 2, 3)])
     assert exc.value.key == (0, 1, 2)
     full = from_components(np.array([[1.0, 2.0, 3.0, 4.0]]), 3,
                            omega_keys(4, 3))
     with pytest.raises(KeyCollision):
-        block_matrix(full, [(1,)], [(1, 2)], pad_with_zero_label=False)
+        block_matrix(full, [(1,)], [(1, 2)])
 
 
 def test_block_matrix_factorization():
@@ -119,9 +118,9 @@ def test_block_matrix_factorization():
     d, m, r = 8, 3, 3
     comps = rng.standard_normal((r, d))
     T = from_components(comps, m, omega_keys(d, m))
-    rows = [(1,), (2,), (3,)]
+    rows = [(0, 1), (0, 2), (0, 3)]
     cols = [(4,), (5,), (6,), (7,)]
-    M = block_matrix(T, rows, cols, pad_with_zero_label=True)
+    M = block_matrix(T, rows, cols)
     expected = np.zeros((len(rows), len(cols)))
     for i in range(r):
         expected += comps[i, 0] * np.outer(
@@ -674,6 +673,7 @@ _HEAD = '{"d": 4, "m": 3, "entries": ['
     _HEAD + '{"key": [0, 1, 2], "re": 1.0, "im": Infinity}]}',
     _HEAD + '{"key": [0, 1, 2], "re": -Infinity}]}',
     _HEAD + '{"key": [0, 1, 2], "re": 1e400}]}',
+    _HEAD + '{"key": [0, 1, 2], "re": 1' + "0" * 400 + '}]}',
     _HEAD + f'{{"key": [0, 1, {10**30}], "re": 1.0}}]}}',
     _HEAD + f'{{"key": [0, 1, {2**64}], "re": 1.0}}]}}',
     _HEAD + f'{{"key": [0, 1, {2**63}], "re": 1.0}}]}}',
@@ -686,8 +686,8 @@ _HEAD = '{"d": 4, "m": 3, "entries": ['
     "\ufeff" + _HEAD + '{"key": [0, 1, 2], "re": 1.0}]}',
     f'{{"d": {10**20}, "m": 3, "entries": []}}',
     '{"d": 4.0, "m": 3, "entries": []}',
-], ids=["nan", "infinity", "minus-infinity", "overflow", "slot-10**30", "slot-2**64",
-        "slot-2**63", "true-slot", "string-slot", "number-key", "list-slot",
+], ids=["nan", "infinity", "minus-infinity", "overflow", "int-overflow", "slot-10**30",
+        "slot-2**64", "slot-2**63", "true-slot", "string-slot", "number-key", "list-slot",
         "truncated", "trailing-garbage", "bom", "d-10**20", "float-d"])
 def test_json_read_fails_as_stdlib_reader(text):
     with pytest.raises(Exception) as ref:
@@ -697,6 +697,45 @@ def test_json_read_fails_as_stdlib_reader(text):
     assert got.type is ref.type
     # only a key error gains the entry behind it
     assert re.sub(r"^entry \d+: ", "", str(got.value)) == str(ref.value)
+
+
+@pytest.mark.parametrize("name", ["re", "im"])
+def test_json_integer_value_past_the_double_range_names_the_entry(name):
+    # json reads the literal as an int that no double holds
+    huge = "-1" + "0" * 400
+    text = (_HEAD + '{"key": [0, 1, 2], "re": 1.0}, '
+            f'{{"key": [0, 1, 3], "re": 1.0, "{name}": {huge}}}]}}')
+    with pytest.raises(InvalidTensor, match=f"^entry 1 has '{name}' past the double range$"):
+        from_json(text)
+
+
+# A key slot in [2**63, 2**64) reads as uint64; cast to int64 it would wrap
+# to a negative slot, so every entry point names the key as written.
+_PAST_INT64 = 2**64 - 1
+
+
+def test_json_key_slot_past_int64_names_the_entry_and_key():
+    key = re.escape(str((_PAST_INT64,) * 3))
+    with pytest.raises(InvalidTensor, match=f"^entry 0: key {key} has a slot past int64$"):
+        from_json(_tensor_json(([_PAST_INT64] * 3, 1.0)))
+    # beside keys that fit, the slots infer as floats: the entry is named
+    with pytest.raises(InvalidTensor, match="^entry 1: keys must be sequences of 3 integers$"):
+        from_json(_tensor_json(([0, 1, 2], 1.0), ([_PAST_INT64] * 3, 1.0)))
+
+
+def test_mapping_key_slot_past_int64_names_the_key():
+    key = (2**63,) * 3
+    with pytest.raises(InvalidTensor, match=f"^key {re.escape(str(key))} has a slot past int64$"):
+        IncompleteSymmetricTensor(4, 3, {key: 1.0})
+
+
+def test_gather_of_uint64_keys_past_int64_names_the_key():
+    T = from_components(np.ones((1, 4)), 3, omega_keys(4, 3))
+    keys = np.array([[2, 1, 0], [_PAST_INT64, 0, 1]], dtype=np.uint64)
+    with pytest.raises(MissingEntry) as exc:
+        T.gather(keys)
+    assert exc.value.key == (0, 1, _PAST_INT64)
+    assert np.array_equal(T.gather(keys[:1]), T.gather([(0, 1, 2)]))
 
 
 def test_json_key_error_names_the_entry():
