@@ -7,8 +7,10 @@ only on ``experiment table2|table3|table4``, whose tables each take their
 own grid flags.  Any other flag is an argparse error (exit 2).
 
 Exit codes: 0 success, 1 other pipeline errors (such as a tensor file
-with a missing field or a malformed key or value), 2 invalid flags,
-unreadable input files (a model file with a missing field among them) or
+with a missing field or a malformed key or value, samples whose
+dimension is not the model's, or a negative label), 2 invalid flags
+(``--p`` without ``--k`` or the reverse among them), unreadable input
+files (a model file with a missing or misshapen field among them) or
 infeasible rank, 3 missing tensor entry, 4 degenerate spectrum.
 Every command is deterministic given its flags and seed.
 """
@@ -91,9 +93,11 @@ def cmd_gen_tensor(args):
 
 
 def _run_decompose(args, refine: bool):
+    if (args.p is None) != (args.k is None):
+        raise ValueError("--p and --k must be given together")
     T = tensor_store.from_json(Path(args.tensor).read_text())
     n = T.d - 1
-    if args.p is not None and args.k is not None:
+    if args.p is not None:
         params = decomposition.DecompositionParams(
             r=args.r, p=args.p, k=args.k, seed=args.seed
         )

@@ -476,45 +476,30 @@ def approximate(
 ) -> Decomposition:
     """Noisy pipeline: run the exact stages on the noisy subtensor, then
     refine all component entries by damped Gauss-Newton on the complex
-    residual over the stored keys.  diagnostics["lm_iterations"] counts the
-    normal-equation evaluations of the refinement,
-    diagnostics["lm_residual_calls"] its residual evaluations, one per tried
-    damping, and diagnostics["lm_stop"] names why it ended (``Refined``).
+    residual over the stored keys.  The diagnostics take from the
+    ``Refined`` point lm_iterations and lm_residual_calls, its counts,
+    lm_stop, why it ended, and decomp_err, its residual's relative norm.
 
     When ``truth`` is supplied the diagnostics carry abs_err (the
     ``omega_norm`` distance of the reconstruction to the exact tensor) and
-    rel_err (distance to the noisy tensor relative to the noise norm); all
-    are norms of one reconstruction array on the noisy tensor's keys.
+    rel_err (the residual's norm relative to the noise's).
     """
     base = decompose(T_noisy, params)
     residual, normal_equations = _residual_builder(T_noisy, params.r)
-    calls = {"lm_iterations": 0, "lm_residual_calls": 0}
-
-    def counted(fn, name):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return call
-
-    q_star = nlls_refine(
-        counted(residual, "lm_residual_calls"),
-        base.components.ravel(),
-        normal_equations=counted(normal_equations, "lm_iterations"),
-    )
+    q_star = nlls_refine(residual, base.components.ravel(), normal_equations=normal_equations)
     components = np.asarray(q_star).reshape(base.components.shape)
-    rec = T_noisy.tree.reconstruction(components)
-    fit = rec - T_noisy.values
     diagnostics = dict(base.diagnostics)
-    diagnostics["decomp_err"] = _relative_err(T_noisy, fit)
+    diagnostics["decomp_err"] = _relative_err(T_noisy, q_star.residual)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
-    diagnostics.update(calls, lm_stop=q_star.stop)
+    diagnostics.update(lm_iterations=q_star.iterations,
+                       lm_residual_calls=q_star.residual_calls, lm_stop=q_star.stop)
     if truth is not None:
         truth_values = truth.gather(T_noisy.key_array)
         noise_norm = np.linalg.norm(T_noisy.values - truth_values)
+        rec = T_noisy.tree.reconstruction(components)
         diagnostics["abs_err"] = weighted_norm(rec - truth_values, T_noisy.m)
         diagnostics["rel_err"] = (
-            float(np.linalg.norm(fit) / noise_norm) if noise_norm > 0 else 0.0
+            float(np.linalg.norm(q_star.residual) / noise_norm) if noise_norm > 0 else 0.0
         )
     return Decomposition(components=components, diagnostics=diagnostics)
 

@@ -97,6 +97,13 @@ class GmmModel:
         self.weights = np.asarray(self.weights, dtype=float)
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
         self.variances = np.atleast_2d(np.asarray(self.variances, dtype=float))
+        if self.weights.ndim != 1:
+            raise ValueError(f"weights must have shape (r,), not {self.weights.shape}")
+        want = (self.r, self.means.shape[-1])
+        for name in ("means", "variances"):
+            if getattr(self, name).shape != want:
+                raise ValueError(f"{name} must have shape (r, d) = {want}, "
+                                 f"not {getattr(self, name).shape}")
         for name in ("weights", "means", "variances"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -353,11 +360,12 @@ def choose_t(d: int, r: int) -> int:
 
 
 def recover_weights(
-    qs_real: np.ndarray, Mt: MomentSet, m: int, t: int
+    qs_real: np.ndarray, Mt: MomentSet, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and means from the order-t moments: nonnegative least
-    squares for beta_i, then the exponent round trip
+    """Weights and means from the moments Mt of order t = ``Mt.order`` < m:
+    nonnegative least squares for beta_i, then the exponent round trip
     omega_i = beta_i^(m/(m-t)), mu_i = q_i / beta_i^(1/(m-t))."""
+    t = Mt.order
     if t >= m:
         raise OrderConflict(f"t={t} must be smaller than m={m}")
     qs_real = np.atleast_2d(qs_real)
@@ -443,16 +451,16 @@ def refine_params(
 
 def recover_covariances(
     Mm: MomentSet,
-    qs_real: np.ndarray,
     omega: np.ndarray,
     mus: np.ndarray,
 ) -> np.ndarray:
     """Diagonal variances: per coordinate j, a nonnegative least squares of
-    the repeated-pair moment residual against the weighted mean products."""
-    qs_real = np.atleast_2d(qs_real)
+    the repeated-pair moment residual against the weighted mean products.
+    The mean part is that of q_i = omega_i^(1/m) mu_i, m = ``Mm.order``."""
     mus = np.atleast_2d(mus)
     r, d = mus.shape
     m = Mm.order
+    qs_real = omega[:, None] ** (1.0 / m) * mus
     variances = np.empty((r, d))
     for j in range(d):
         gammas = _others(d, m - 2, j)
@@ -475,23 +483,20 @@ def learn_from_moments(
 ) -> GmmModel:
     """Full recovery from moment sets: tensor approximation on the order-m
     distinct-index subtensor, phase correction, weight/mean recovery,
-    simplex refinement, then covariance recovery.  meta["decomp"] holds
-    the approximation's diagnostics and meta["lm_stop"] why each
-    refinement ended, ``{"tensor": ..., "simplex": ...}`` (``Refined``)."""
+    simplex refinement, then covariance recovery; each stage reads m or t
+    from its moment set.  meta["decomp"] holds the approximation's
+    diagnostics and meta["lm_stop"] why each refinement ended,
+    ``{"tensor": ..., "simplex": ...}`` (``Refined``)."""
     m = Mm.order
-    t = Mt.order
     params = choose_params(d - 1, m, r, seed=seed)
     keys = omega_keys(d, m)
     F_hat = IncompleteSymmetricTensor._from_arrays(d, m, keys, Mm.gather(keys))
     dec = approximate(F_hat, params)
     qs_real = realify(dec.components, m)
-    omega_hat, mus_hat = recover_weights(qs_real, Mt, m, t)
+    omega_hat, mus_hat = recover_weights(qs_real, Mt, m)
     omega_hat = omega_hat / omega_hat.sum()
     omega_star, mus_star = refine_params(omega_hat, mus_hat, Mm, Mt)
-    # Rebuild the scaled vectors from the refined weights and means so the
-    # mean contribution subtracted from the moments matches the design.
-    qs_star = omega_star[:, None] ** (1.0 / m) * mus_star
-    variances = recover_covariances(Mm, qs_star, omega_star, mus_star)
+    variances = recover_covariances(Mm, omega_star, mus_star)
     return GmmModel(
         weights=omega_star,
         means=mus_star,
@@ -664,8 +669,11 @@ def classify(model: GmmModel, samples: SampleSet) -> np.ndarray:
     """Per-sample argmax of the weighted component likelihood, whose
     log-densities are ``W @ z + c`` per chunk of at most ``_EM_CHUNK``
     samples, z = [Y_b, Y_b * Y_b]^T, as in ``em_baseline``.  Raises
-    InvalidSamples naming the first sample with a non-finite coordinate."""
+    InvalidSamples naming both dimensions when the samples' differs from
+    the model's, and naming the first sample with a non-finite coordinate."""
     Y = np.ascontiguousarray(samples.data, dtype=float)
+    if Y.shape[1] != model.d:
+        raise InvalidSamples(f"samples have dimension {Y.shape[1]}, the model {model.d}")
     # as in em_baseline: only a non-finite sum makes the samples searched
     if not math.isfinite(Y.sum()):
         _reject_non_finite(Y)
@@ -676,13 +684,24 @@ def classify(model: GmmModel, samples: SampleSet) -> np.ndarray:
 
 def accuracy(labels: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of correct assignments after the maximum-agreement
-    matching of predicted components to true components."""
+    matching of predicted components to true components.  Raises
+    ValueError when the lengths differ, and InvalidSamples for no labels
+    and naming the first label that is not a nonnegative integer."""
     import scipy.optimize
 
     labels = np.asarray(labels)
     truth = np.asarray(truth)
     if labels.size != truth.size:
         raise ValueError(f"{labels.size} labels for {truth.size} true labels")
+    if not labels.size:
+        raise InvalidSamples("no labels: accuracy needs at least one")
+    for name, values in (("label", labels), ("true label", truth)):
+        bad = ~(np.isfinite(values) & (values >= 0) & (values == np.floor(values)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidSamples(
+                f"{name} {values.flat[i]} at position {i} is not a nonnegative integer")
+    labels, truth = labels.astype(np.intp), truth.astype(np.intp)
     r = int(max(labels.max(), truth.max())) + 1
     confusion = np.bincount(labels * r + truth, minlength=r * r).reshape(r, r)
     rows, cols = scipy.optimize.linear_sum_assignment(-confusion)

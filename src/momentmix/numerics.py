@@ -143,8 +143,9 @@ def _fd_jacobian(residual: Callable, x: np.ndarray, f0: np.ndarray) -> np.ndarra
 
 
 class Refined(np.ndarray):
-    """The point ``nlls_refine`` returns: an array whose ``stop`` says why
-    the refinement ended, one of
+    """The point ``nlls_refine`` returns: an array carrying, as its views do,
+    ``iterations`` and ``residual_calls``, the loop's normal-equation and
+    residual evaluations, f there as ``residual``, and ``stop``, why it ended, one of
 
     - ``"gradient"``: every gradient entry is at most ``_GRAD_TOL``;
     - ``"step"``: an accepted step is below 1e-15 of the point's norm;
@@ -154,13 +155,15 @@ class Refined(np.ndarray):
     - ``"iterations"``: ``max_iters`` normal-equation evaluations ran out.
     """
 
-    def __new__(cls, x, stop):
+    def __new__(cls, x, stop, iterations=None, residual_calls=None, residual=None):
         out = np.asarray(x).view(cls)
-        out.stop = stop
+        out.stop, out.iterations, out.residual_calls, out.residual = (
+            stop, iterations, residual_calls, residual)
         return out
 
     def __array_finalize__(self, obj):
-        self.stop = getattr(obj, "stop", None)
+        for name in ("stop", "iterations", "residual_calls", "residual"):
+            setattr(self, name, getattr(obj, name, None))
 
 
 def nlls_refine(
@@ -187,7 +190,7 @@ def nlls_refine(
     at the objective's rounding floor: when a rejected step's objective
     exceeds the current one by at most ``_FLOOR_RTOL`` of it, no damping
     can show a decrease that rounding does not swamp.  The returned
-    ``Refined`` point names the one of these that ended it in ``stop``.
+    ``Refined`` point names the one that ended it, with its counts and f.
     """
     if normal_equations is None:
 
@@ -198,8 +201,8 @@ def nlls_refine(
     x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
     f = np.asarray(residual(x), dtype=x.dtype)
     cost = float(np.vdot(f, f).real)
-    lam = 1e-3
-    for _ in range(max_iters):
+    lam, iterations, calls = 1e-3, 0, 1
+    for iterations in range(1, max_iters + 1):
         JtJ, grad = normal_equations(x, f)
         if np.maximum(np.abs(grad.real), np.abs(grad.imag)).max() <= _GRAD_TOL:
             stop = "gradient"
@@ -215,6 +218,7 @@ def nlls_refine(
                 continue
             x_new = x + step
             f_new = np.asarray(residual(x_new), dtype=x.dtype)
+            calls += 1
             cost_new = float(np.vdot(f_new, f_new).real)
             if cost_new < cost:
                 x, f, cost = x_new, f_new, cost_new
@@ -232,7 +236,7 @@ def nlls_refine(
             break
     else:
         stop = "iterations"
-    return Refined(x, stop)
+    return Refined(x, stop, iterations, calls, f)
 
 
 def _damped_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """The benchmark's span tracer (``bench/spans.py``) still finds every
 function it wraps, puts each one back, and sees each exact stage that
-``decompose`` calls, the scale stage included."""
+``decompose`` calls, the scale stage included, and each mixture stage
+that ``learn`` calls."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from momentmix import decomposition
+from momentmix import decomposition, gmm
 from momentmix.decomposition import approximate, choose_params
 from momentmix.experiments import random_components
 from momentmix.tensor_store import (
@@ -17,18 +18,18 @@ from momentmix.tensor_store import (
 )
 from oracles import basis_B1
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_traces_approximate_and_uninstalls():
-    spans = load_spans()
+    spans = load_bench("spans")
     targets = [(importlib.import_module(mod), attr) for mod, attr, _ in spans.SPANS]
     originals = [getattr(owner, attr) for owner, attr in targets]
     getitem = IncompleteSymmetricTensor.__getitem__
@@ -55,7 +56,7 @@ def test_tracer_installs_traces_approximate_and_uninstalls():
 
 
 def test_traced_decompose_records_one_scale_span():
-    spans = load_spans()
+    spans = load_bench("spans")
     d, m, r = 9, 4, 3
     T = from_components(random_components(d, r, 4), m, omega_keys(d, m))
     tracer = spans.Tracer()
@@ -68,3 +69,28 @@ def test_traced_decompose_records_one_scale_span():
     span_names = [span[0] for span in tracer.spans]
     assert span_names.count("decomposition.decompose") == 1
     assert span_names.count("decomposition.solve_scales") == 1
+
+
+def test_traced_learn_records_each_mixture_stage_and_its_moments():
+    spans, checks = load_bench("spans"), load_bench("checks")
+    d, r, m = 6, 2, 3
+    samples = gmm.sample_gmm(gmm.random_model(d, r, seed=1), 5_000, seed=1)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        # looked up on the module, as the benchmark calls it
+        learned = gmm.learn(samples, r, m, seed=1)
+    finally:
+        tracer.uninstall()
+    captured = tracer.take_captured()
+    assert [moments.order for _, moments in captured] == [m, gmm.choose_t(d, r)]
+    for sample_set, moments in captured:
+        assert checks.moment_problems(sample_set.data, moments) == []
+    # the 50 learning keys of order 3 and the 6 of order t = 1
+    assert tracer.counts["gmm.moment_keys"] == 56
+    span_names = [span[0] for span in tracer.spans]
+    for name in ("gmm.recover_weights", "gmm.refine_params", "gmm.recover_covariances"):
+        assert span_names.count(name) == 1
+    # the refinement's own count against the tracer's wrapped residual
+    assert (tracer.counts["numerics.nlls_residual_calls"]
+            == learned.meta["decomp"]["lm_residual_calls"])

@@ -335,6 +335,58 @@ def test_out_of_range_tensor_number_exits_1(tmp_path, capsys, record):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["decompose", "approximate"])
+@pytest.mark.parametrize("flag", ["--p", "--k"])
+def test_p_or_k_alone_exits_2(tmp_path, capsys, command, flag):
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen-tensor", "--d", "9", "--m", "4", "--r", "3", "--out", str(tensor))
+    code, _, err = run(capsys, command, "--tensor", str(tensor), "--r", "3", flag, "2")
+    assert code == 2
+    (line,) = _error_lines(err)
+    assert line == "error: --p and --k must be given together"
+
+
+def _labeled_samples(tmp_path, capsys, d, labels):
+    """A gen-gmm model at d=d, r=2, and three of its samples with ``labels``."""
+    model, samples, labels_file = (tmp_path / n for n in ("model.json", "s.csv", "l.csv"))
+    run(capsys, "gen-gmm", "--d", str(d), "--r", "2", "--out", str(model))
+    run(capsys, "sample", "--model", str(model), "--n", "3", "--out", str(samples))
+    labels_file.write_text("\n".join(map(str, labels)) + "\n")
+    return model, samples, labels_file
+
+
+def test_evaluate_negative_label_exits_1(tmp_path, capsys):
+    model, samples, labels = _labeled_samples(tmp_path, capsys, 4, [0, -1, 1])
+    code, _, err = run(capsys, "evaluate", "--model", str(model),
+                       "--samples", str(samples), "--labels", str(labels))
+    assert code == 1
+    (line,) = _error_lines(err)
+    assert "true label -1 at position 1 is not a nonnegative integer" in line
+
+
+def test_evaluate_model_of_another_dimension_exits_1(tmp_path, capsys):
+    _, samples, labels = _labeled_samples(tmp_path, capsys, 6, [0, 1, 1])
+    model = tmp_path / "model4.json"
+    run(capsys, "gen-gmm", "--d", "4", "--r", "2", "--out", str(model))
+    code, _, err = run(capsys, "evaluate", "--model", str(model),
+                       "--samples", str(samples), "--labels", str(labels))
+    assert code == 1
+    (line,) = _error_lines(err)
+    assert "samples have dimension 6, the model 4" in line
+
+
+def test_evaluate_model_with_misshapen_means_exits_2(tmp_path, capsys):
+    model, samples, labels = _labeled_samples(tmp_path, capsys, 4, [0, 1, 1])
+    doc = json.loads(model.read_text())
+    doc["means"].append(doc["means"][0])  # three mean rows for two weights
+    model.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "evaluate", "--model", str(model),
+                       "--samples", str(samples), "--labels", str(labels))
+    assert code == 2
+    (line,) = _error_lines(err)
+    assert line.startswith("error: means must have shape (r, d) = (2, 4), not (3, 4)")
+
+
 def test_model_file_missing_field_exits_2(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"r": 2}))

@@ -239,7 +239,7 @@ def test_recover_weights_round_trip():
     qs = omega[:, None] ** (1 / m) * mus
     model = GmmModel(weights=omega, means=mus, variances=np.zeros((2, 3)))
     Mt = exact_moments(model, omega_keys(3, t))
-    w, mu_hat = recover_weights(qs, Mt, m, t)
+    w, mu_hat = recover_weights(qs, Mt, m)
     assert np.allclose(np.sort(w), [0.25, 0.75], atol=1e-10)
     order = np.argsort(w)
     assert np.allclose(mu_hat[order], mus[np.argsort(omega)], atol=1e-9)
@@ -247,7 +247,7 @@ def test_recover_weights_round_trip():
 
 def test_recover_weights_order_conflict():
     with pytest.raises(OrderConflict):
-        recover_weights(np.ones((2, 3)), None, m=3, t=3)
+        recover_weights(np.ones((2, 3)), MomentSet(3, {}), m=3)
 
 
 def test_refine_params_truth_is_fixed_point():
@@ -281,7 +281,7 @@ def test_recover_covariances_closed_case():
         keys.update(map(tuple, covariance_keys(3, 3, j).tolist()))
     Mm = exact_moments(model, sorted(keys))
     qs = model.weights[:, None] ** (1 / 3) * model.means
-    var = recover_covariances(Mm, qs, model.weights, model.means)
+    var = recover_covariances(Mm, model.weights, model.means)
     assert np.allclose(var, [[4.0, 1.0, 1.0]], atol=1e-9)
 
 
@@ -297,7 +297,7 @@ def test_recover_covariances_zero_variance():
         keys.update(map(tuple, covariance_keys(6, 3, j).tolist()))
     Mm = exact_moments(model, sorted(keys))
     qs = model.weights[:, None] ** (1 / 3) * model.means
-    var = recover_covariances(Mm, qs, model.weights, model.means)
+    var = recover_covariances(Mm, model.weights, model.means)
     assert np.abs(var).max() <= 1e-9
 
 
@@ -391,6 +391,35 @@ def test_accuracy_single_component():
 def test_accuracy_length_mismatch():
     with pytest.raises(ValueError):
         accuracy(np.zeros(100, dtype=int), np.zeros(99, dtype=int))
+
+
+@pytest.mark.parametrize("labels, truth, match", [
+    ([0, 1, 1], [0, -1, 1], "true label -1 at position 1 "),
+    ([0, -2, 1], [0, 1, 1], "label -2 at position 1 "),
+    ([0, 1.5, 1], [0, 1, 1], "label 1.5 at position 1 "),
+    ([0, 1, np.nan], [0, 1, 1], "label nan at position 2 "),
+    ([], [], "no labels"),
+], ids=["negative-truth", "negative-label", "fraction", "nan", "empty"])
+def test_accuracy_rejects_labels_that_are_not_nonnegative_integers(labels, truth, match):
+    with pytest.raises(InvalidSamples, match=match):
+        accuracy(np.array(labels), np.array(truth))
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("weights", (2, 1)), ("means", (3, 4)), ("variances", (2, 3)), ("variances", (2, 4, 1)),
+])
+def test_gmm_model_rejects_shapes_that_disagree(field, shape):
+    params = dict(weights=np.full(2, 0.5), means=np.zeros((2, 4)), variances=np.ones((2, 4)))
+    params[field] = np.full(shape, 0.5)
+    with pytest.raises(ValueError, match=f"^{field} must have shape"):
+        GmmModel(**params)
+
+
+def test_classify_rejects_samples_of_another_dimension():
+    model = random_model(4, 2, seed=1)
+    s = sample_gmm(random_model(6, 2, seed=1), 10, seed=1)
+    with pytest.raises(InvalidSamples, match="samples have dimension 6, the model 4"):
+        classify(model, s)
 
 
 def test_random_model_valid():
@@ -816,7 +845,7 @@ def test_recover_covariances_equal_per_key_loop(m):
     # a perturbed start, so that the mean part does not cancel exactly
     mus = model.means + 0.01 * rng_from(m, "cov-test").standard_normal((r, d))
     qs = model.weights[:, None] ** (1 / m) * mus
-    got = recover_covariances(Mm, qs, model.weights, mus)
+    got = recover_covariances(Mm, model.weights, mus)
     want = _recover_covariances_loop(Mm, qs, model.weights, mus)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -1079,3 +1108,16 @@ def test_floored_em_is_bit_identical_to_the_unfloored_loop(seed):
     assert np.array_equal(em.means, means)
     assert np.array_equal(em.variances, variances)
     assert em.meta["loglik_history"] == history
+
+
+@pytest.mark.parametrize("seed", [81, 95])
+def test_learn_fails_typed_or_classifies_well_at_table4_seeds(seed):
+    # Table-4 models whose learn seed decides a bad fit: each either
+    # raises a typed error or learns a model that classifies at >= 0.95.
+    model = random_model(15, 6, seed=seed)
+    s = sample_gmm(model, N=100_000, seed=seed)
+    try:
+        learned = learn(s, 6, 3, seed=seed)
+    except MomentmixError:
+        return
+    assert accuracy(classify(learned, s), s.labels) >= 0.95
