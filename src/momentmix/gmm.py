@@ -701,9 +701,13 @@ def accuracy(labels: np.ndarray, truth: np.ndarray) -> float:
             i = int(np.argmax(bad))
             raise InvalidSamples(
                 f"{name} {values.flat[i]} at position {i} is not a nonnegative integer")
-    labels, truth = labels.astype(np.intp), truth.astype(np.intp)
-    r = int(max(labels.max(), truth.max())) + 1
-    confusion = np.bincount(labels * r + truth, minlength=r * r).reshape(r, r)
+    # numbered by the labels present, so the matrix is no larger than they
+    # are many; an absent label's row or column would hold only zeros
+    found, labels = np.unique(labels.ravel(), return_inverse=True)
+    present, truth = np.unique(truth.ravel(), return_inverse=True)
+    shape = (len(found), len(present))
+    confusion = np.bincount(labels * shape[1] + truth,
+                            minlength=shape[0] * shape[1]).reshape(shape)
     rows, cols = scipy.optimize.linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum() / labels.size)
 

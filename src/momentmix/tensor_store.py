@@ -24,14 +24,23 @@ m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
 on subtensors (``weighted_norm``).
 
 ``to_json`` writes a tensor as one JSON object, a ``{"key", "re", "im"}``
-record per stored key in key order, with the stdlib's ``json``, and
-``from_json`` reads it back with every check above.  It parses with
-``orjson``, imported on the first read, about three times as fast as
-``json`` on a 53,130-record tensor; only text that orjson rejects (not
-JSON, or NaN, Infinity or a number past the double range) is parsed again
-by ``json``, whose errors and non-finite floats the caller then sees.
-Both pause CPython's cyclic garbage collector (``_collector_paused``),
-whose passes over the records took about a third of each call.
+record per stored key in key order, byte for byte the stdlib's compact
+``json.dumps`` of that document.  It joins the text from string pieces:
+the keys' and the values' digits each come from one ``orjson`` encoding,
+except the values that CPython's ``repr`` writes with an exponent (nonzero
+|x| < 1e-4 and |x| >= 1e16), which ``repr`` writes.  Both give the
+shortest digits that round to the double and differ only in where they
+switch to an exponent; on a 53,130-record tensor that is about four times
+as fast as the stdlib's encoder.  ``from_json`` reads the text back with
+every check above.  It parses with ``orjson``, about three times as fast
+as ``json``; only text that orjson rejects (not JSON, or NaN, Infinity or
+a number past the double range) is parsed again by ``json``, whose errors
+and non-finite floats the caller then sees.  ``from_json`` and the
+mapping constructor check keys of Python integers in one C pass over
+their orjson encoding (``_int_keys``); orjson is imported on first use.
+Reads and writes pause CPython's cyclic garbage collector
+(``_collector_paused``), whose passes over the records took about a
+third of each call.
 """
 
 from __future__ import annotations
@@ -79,10 +88,15 @@ class IncompleteSymmetricTensor:
     """
 
     def __init__(self, d: int, m: int, entries: Mapping):
-        keys = _key_array(list(entries), m)
-        order = np.lexsort(keys.T[::-1])
+        listed = list(entries)
+        keys = _int_keys(listed, m)
+        if keys is None:
+            keys = _key_array(listed, m)
         values = np.array(list(entries.values()), dtype=complex)
-        self._store(d, m, keys[order], values[order])
+        if not _in_lex_order(keys, d, m):
+            order = np.lexsort(keys.T[::-1])
+            keys, values = keys[order], values[order]
+        self._store(d, m, keys, values)
 
     @classmethod
     def _from_arrays(cls, d: int, m: int, keys, values) -> IncompleteSymmetricTensor:
@@ -232,8 +246,7 @@ def from_components(vectors, m: int, keys) -> IncompleteSymmetricTensor:
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     d = vectors.shape[1]
     key_arr = _key_array(keys, m)
-    codes = key_arr @ _radix(d, m)
-    if (codes[1:] <= codes[:-1]).any():  # callers mostly pass keys in lex order
+    if not _in_lex_order(key_arr, d, m):  # callers mostly pass keys in lex order
         key_arr = key_arr[np.lexsort(key_arr.T[::-1])]
     values = component_products(vectors, key_arr).sum(axis=0)
     return IncompleteSymmetricTensor._from_arrays(d, m, key_arr, values)
@@ -498,18 +511,40 @@ def _collector_paused():
 @_collector_paused()
 def to_json(T: IncompleteSymmetricTensor) -> str:
     """The tensor as one JSON object: ``d``, ``m`` and an ``entries`` list
-    of ``{"key", "re", "im"}`` records in key order."""
-    records = [
-        {"key": k, "re": re, "im": im}
-        for k, re, im in zip(
-            T.key_array.tolist(), T.values.real.tolist(), T.values.imag.tolist()
-        )
-    ]
-    # Unindented, json runs its C encoder; indenting runs the pure-Python
-    # one, several times slower on large tensors.
-    return json.dumps(
-        {"d": T.d, "m": T.m, "entries": records}, separators=(",", ":")
-    )
+    of ``{"key", "re", "im"}`` records in key order, byte for byte the
+    stdlib's ``json.dumps(doc, separators=(",", ":"))``.
+
+    The text is joined from string pieces, not encoded from one dict per
+    record.  One ``orjson`` encoding gives every key's digits, and one more
+    every value's: orjson and CPython's ``repr`` both write the shortest
+    digits that round to the double, and differ only where ``repr``
+    switches to an exponent (nonzero |x| < 1e-4 and |x| >= 1e16), so those
+    values alone are written by ``repr``.
+    """
+    import orjson
+
+    doc = json.dumps({"d": T.d, "m": T.m, "entries": []}, separators=(",", ":"))
+    n = len(T.values)
+    if not n:
+        return doc
+    keys = orjson.dumps(T.key_array.tolist())[2:-2].decode().split("],[")
+    parts = T.values.view(float)  # re and im of each value, interleaved
+    numbers = orjson.dumps(parts.tolist())[1:-1].decode().split(",")
+    size = np.abs(parts)
+    exponent = np.flatnonzero((size >= 1e16) | ((size < 1e-4) & (size > 0)))
+    for i, x in zip(exponent.tolist(), parts[exponent].tolist()):
+        numbers[i] = repr(x)
+    # pieces[6i] opens record i (the first after the document's head), and
+    # pieces[6n] closes the last record and the document
+    pieces = [""] * (6 * n + 1)
+    pieces[0::6] = ['},{"key":['] * (n + 1)
+    pieces[1::6] = keys
+    pieces[2::6] = ['],"re":'] * n
+    pieces[3::6] = numbers[0::2]
+    pieces[4::6] = [',"im":'] * n
+    pieces[5::6] = numbers[1::2]
+    pieces[0], pieces[-1] = doc[:-2] + '{"key":[', "}]}"
+    return "".join(pieces)
 
 
 @_collector_paused()
@@ -558,13 +593,30 @@ def from_json(text: str) -> IncompleteSymmetricTensor:
 
 
 def _record_keys(keys: list, m: int) -> np.ndarray:
-    """(n, m) int64 array of a tensor document's parsed keys.
+    """(n, m) int64 array of a tensor document's parsed keys: the one-pass
+    ``_int_keys`` or, for other keys, ``_key_array`` and its messages with
+    the first bad key's entry named."""
+    arr = _int_keys(keys, m)
+    if arr is not None:
+        return arr
+    try:
+        return _key_array(keys, m)
+    except InvalidTensor as exc:  # some key is not m 64-bit integers, or m < 0
+        at = next((i for i, key in enumerate(keys) if not _int64_slots(key, m)), None)
+        if at is None:
+            raise
+        raise InvalidTensor(f"entry {at}: {exc}") from exc.__cause__
+
+
+def _int_keys(keys: list, m: int) -> np.ndarray | None:
+    """(n, m) int64 array of a list of keys that are each m Python integers
+    within int64, or None for any other keys.
 
     orjson writes a list of integers with digits, minus signs, commas and
     brackets only, so one C pass over the keys' encoding finds every float,
-    bool, string and null slot by the character it leaves; a list slot or
-    one past 64 bits stops ``np.fromiter``.  Other keys take ``_key_array``
-    and its messages, with the first bad key's entry named.
+    bool, string and null slot by the character it leaves; a numpy scalar
+    or a slot past 64 bits stops orjson, and one past int64 or a list slot
+    stops ``np.fromiter``.
     """
     import orjson
 
@@ -573,13 +625,19 @@ def _record_keys(keys: list, m: int) -> np.ndarray:
                 and set(map(len, keys)) <= {m}):
             return np.fromiter(itertools.chain.from_iterable(keys), np.int64,
                                count=len(keys) * m).reshape(len(keys), m)
-    except (TypeError, OverflowError):  # orjson.JSONEncodeError is a TypeError
+    except (TypeError, ValueError, OverflowError):  # orjson.JSONEncodeError is a TypeError
         pass
-    try:
-        return _key_array(keys, m)
-    except InvalidTensor as exc:  # so some key is not m 64-bit integers
-        at = next(i for i, key in enumerate(keys) if not _int64_slots(key, m))
-        raise InvalidTensor(f"entry {at}: {exc}") from exc.__cause__
+    return None
+
+
+def _in_lex_order(keys: np.ndarray, d: int, m: int) -> bool:
+    """Whether an (n, m) key array's slots all lie in [0, d) and its codes
+    strictly ascend: only then is its lexsort the identity.  Codes past
+    int64 read as out of order, for ``_store`` to reject."""
+    if d ** m > np.iinfo(np.int64).max or not ((keys >= 0) & (keys < d)).all():
+        return False
+    codes = keys @ _radix(d, m)
+    return not (codes[1:] <= codes[:-1]).any()
 
 
 def _int64_slots(key, m: int) -> bool:

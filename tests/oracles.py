@@ -8,8 +8,12 @@ keys alone, each key's row of a ``PrefixTree``'s leaf products and those
 products; the key sets of the array key builders as tuple lists from
 ``itertools``; the tensor reader that parses with the stdlib's ``json``
 and checks keys by type inference, the reference for
-``tensor_store.from_json``'s values, keys and errors; and the reader of
-``decomposition.to_json`` text, ``decomposition_from_json``.
+``tensor_store.from_json``'s values, keys and errors, the writer that
+encodes one record dict per entry with it, the reference for
+``tensor_store.to_json``'s bytes, and the mapping constructor on
+``_key_array`` and a lexsort, the reference for the constructor's keys,
+values and errors; and the reader of ``decomposition.to_json`` text,
+``decomposition_from_json``.
 
 Variable labels run over ``1..n``; label ``0`` is the homogenizing
 coordinate.  The library builds the same systems for all tail labels at
@@ -125,6 +129,23 @@ def from_json_by_json(text: str) -> IncompleteSymmetricTensor:
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
         raise InvalidTensor(_bad_record(records)) from None
     return IncompleteSymmetricTensor._from_arrays(d, m, _key_array(keys, m), values)
+
+
+def to_json_by_json(T: IncompleteSymmetricTensor) -> str:
+    """Compact ``json.dumps`` of the tensor document, one record dict per
+    stored key in key order."""
+    records = [{"key": k, "re": re, "im": im} for k, re, im in zip(
+        T.key_array.tolist(), T.values.real.tolist(), T.values.imag.tolist())]
+    return json.dumps({"d": T.d, "m": T.m, "entries": records}, separators=(",", ":"))
+
+
+def tensor_by_key_array(d: int, m: int, entries) -> IncompleteSymmetricTensor:
+    """Tensor of a key-tuple mapping, its keys checked by ``_key_array``
+    and always lexsorted."""
+    keys = _key_array(list(entries), m)
+    order = np.lexsort(keys.T[::-1])
+    values = np.array(list(entries.values()), dtype=complex)
+    return IncompleteSymmetricTensor._from_arrays(d, m, keys[order], values[order])
 
 
 def basis_B0(k: int, p: int, r: int) -> list[IndexSubset]:

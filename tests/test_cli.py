@@ -16,6 +16,7 @@ from momentmix.gmm import model_from_json
 from momentmix.tensor_store import from_components, omega_keys, to_json
 from momentmix.tensor_store import from_json as tensor_from_json
 from oracles import decomposition_from_json as dec_from_json
+from oracles import to_json_by_json
 
 
 def run(capsys, *argv):
@@ -296,6 +297,8 @@ def test_gen_tensor_file_is_the_tensor_on_sorted_keys(tmp_path, capsys):
         "--out", str(tensor))
     T = from_components(random_components(7, 2, 6), 3, omega_keys(7, 3)[::-1])
     assert tensor.read_text() == to_json(T)
+    # and the stdlib's compact dump of the same records
+    assert tensor.read_text() == to_json_by_json(T)
 
 
 @pytest.mark.parametrize("doc", [

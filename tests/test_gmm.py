@@ -1,6 +1,7 @@
 """Mixture sampling, moments, parameter recovery, EM baseline, metrics."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -547,6 +548,19 @@ def test_accuracy_equals_confusion_loop():
             confusion[a, b] += 1
         rows, cols = linear_sum_assignment(-confusion)
         assert accuracy(labels, truth) == confusion[rows, cols].sum() / 1000
+
+
+def test_accuracy_sized_by_the_labels_present():
+    # a label of 2000 once sized the confusion matrix (2001, 2001)
+    accuracy([0, 1], [0, 1])  # scipy imported outside the trace
+    tracemalloc.start()
+    try:
+        value = accuracy([0, 2000, 1], [0, 1, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == accuracy([0, 2, 1], [0, 1, 1])
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -101,15 +101,17 @@ def test_only_tensor_store_imports_gc():
 
 
 def test_only_tensor_store_imports_orjson():
-    # orjson parses tensor files, inside from_json
+    # orjson reads and writes tensor files and checks mapping keys, inside
+    # tensor_store's functions
     users = [m for m in SIBLINGS + ["__init__"]
              if "orjson" in imported_modules((PACKAGE / f"{m}.py").read_text())]
     assert users == ["tensor_store"]
 
 
 # A fresh interpreter imports the package, checks that no scipy module that
-# costs import time is loaded, nor orjson, which only a tensor read needs,
-# then runs the exact path through the CLI and checks scipy again.
+# costs import time is loaded, nor orjson, which only tensor files and key
+# checks need, then runs the exact path through the CLI and checks scipy
+# again.
 _SCIPY_FREE = """
 import sys
 import momentmix

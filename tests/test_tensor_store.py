@@ -25,7 +25,15 @@ from momentmix.tensor_store import (
     product_jacobian,
     to_json,
 )
-from oracles import KeyCollision, block_matrix, from_json_by_json, leaf_products, leaf_rows
+from oracles import (
+    KeyCollision,
+    block_matrix,
+    from_json_by_json,
+    leaf_products,
+    leaf_rows,
+    tensor_by_key_array,
+    to_json_by_json,
+)
 
 
 def test_omega_keys():
@@ -252,6 +260,50 @@ def test_numpy_integer_key_slots_accepted():
     assert list(R.entries) == [(0, 1, 2), (0, 1, 3)]
 
 
+@pytest.mark.parametrize("entries", [
+    # the mapping cases above
+    {(0, 1): 1.0},
+    {(0, 1, 2): 1.0, (0, 1): 2.0},
+    {(0, 1, 4): 1.0},
+    {(-1, 0, 1): 1.0},
+    {(0, 2, 1): 1.0},
+    {(0, 1, 2): 1.0, (0, 1, 3): np.nan},
+    {(0, 1, 2): complex(0.0, np.inf)},
+    {(0, 1, 2.5): 1.0},
+    {(0, 1, 2): 1.0, (np.True_, 2, 3): 1.0},
+    {(np.int64(0), np.int32(1), 2): 1.5},
+    # and more
+    {tuple(k): float(i) for i, k in enumerate(omega_keys(4, 3)[::-1].tolist())},
+    {(0, 1, 2): 1.0, (0, 2, 3): 2.0, (0, 1, 3): 3.0},
+    {(0, 1, 2): 1.0, (True, 2, 3): 2.0},
+    {(0, 1, 2): 1.0, (np.True_, np.True_, 3): 2.0},
+    {(np.int32(1), np.int32(2), np.int32(3)): 1.0, (0, 1, 2): 2.0},
+    {(0, 1, 2): 1.0, (0, 1, 2**63): 2.0},
+    {(0, 1, 2): 1.0, (0, 1, 2**64 + 1): 2.0},
+    {(0, 1, 2): 1.0, (-1, 2, 3): 2.0},
+    {(0, 1, 2): 1.0, (0, 1, 2, 3): 2.0},
+    {(0, 1, 2): 1.0, (0, 1, 3): 2.0, (1,): 3.0},
+    {},
+], ids=["slots", "ragged-slots", "range", "negative", "unsorted", "nan", "inf",
+        "fraction", "numpy-bool", "numpy-int", "reversed", "out-of-order",
+        "bool", "numpy-bools", "int32", "slot-2**63", "slot-past-2**64",
+        "negative-slot", "long-key", "short-key", "empty"])
+def test_constructor_matches_key_array_path(entries):
+    # the one-pass key check changes no key, value or message of
+    # _key_array and a lexsort
+    try:
+        expected = tensor_by_key_array(4, 3, entries)
+    except InvalidTensor as exc:
+        with pytest.raises(InvalidTensor) as got:
+            IncompleteSymmetricTensor(4, 3, entries)
+        assert str(got.value) == str(exc)
+        return
+    T = IncompleteSymmetricTensor(4, 3, entries)
+    assert T.key_array.dtype == np.int64
+    assert np.array_equal(T.key_array, expected.key_array)
+    assert T.values.tobytes() == expected.values.tobytes()
+
+
 def test_json_rejects_bad_keys():
     with pytest.raises(ValueError):
         from_json('{"d": 4, "m": 3, "entries": [{"key": [2, 1, 0], "re": 1.0, "im": 0.0}]}')
@@ -261,6 +313,15 @@ def test_json_rejects_bad_keys():
             '{"key": [0, 1, 2], "re": 1.0, "im": 0.0},'
             '{"key": [0, 1, 2], "re": 2.0, "im": 0.0}]}'
         )
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_order_below_one_rejected_with_no_entries(m):
+    # at order -1, once a raw reshape ValueError from the key check
+    with pytest.raises(InvalidTensor):
+        from_json(json.dumps({"d": 4, "m": m, "entries": []}))
+    with pytest.raises(InvalidTensor):
+        IncompleteSymmetricTensor(4, m, {})
 
 
 @pytest.mark.parametrize("m", [0, -1])
@@ -632,6 +693,45 @@ def test_json_round_trip_property(document):
     assert np.array_equal(T.key_array, keys)
     # bit for bit, so -0.0 stays negative
     assert T.values.tobytes() == values.tobytes()
+
+
+def _notation_edges() -> list[float]:
+    """Each power of ten from 1e-7 to 1e18 and its neighbours, where
+    ``repr`` may switch to or from an exponent, the extremes of the
+    doubles and 1/3, each with both signs."""
+    tens = np.array([float(f"1e{k}") for k in range(-7, 19)])
+    edges = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                            [5e-324, np.finfo(float).tiny, 0.0, np.finfo(float).max, 1 / 3]])
+    return np.concatenate([edges, -edges]).tolist()
+
+
+def _random_doubles(n: int) -> np.ndarray:
+    """n finite doubles of uniformly random bit patterns."""
+    bits = np.random.default_rng(30).integers(0, 2**64, size=2 * n, dtype=np.uint64)
+    doubles = bits.view(float)
+    return doubles[np.isfinite(doubles)][:n]
+
+
+def _tensor_of(d: int, m: int, values) -> IncompleteSymmetricTensor:
+    """The first len(values) distinct-index keys holding the values."""
+    keys = omega_keys(d, m)[:len(values)]
+    return from_components(np.ones((1, d)), m, keys).with_values(values)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _tensor_of(12, 3, _notation_edges()),
+    lambda: _tensor_of(12, 3, 1j * np.array(_notation_edges())),
+    lambda: _tensor_of(12, 3, np.array(_notation_edges())
+                       + 1j * np.array(_notation_edges()[::-1])),
+    lambda: _tensor_of(40, 4, _random_doubles(100_000).view(complex)),
+    lambda: _tensor_of(200, 1, _notation_edges()),
+    lambda: IncompleteSymmetricTensor(4, 3, {}),
+    lambda: IncompleteSymmetricTensor(6, 1, {}),
+], ids=["real-edges", "imaginary-edges", "complex-edges", "random-bits", "m1",
+        "empty", "empty-m1"])
+def test_to_json_bytes_are_the_stdlib_encoding(build):
+    T = build()
+    assert to_json(T) == to_json_by_json(T)
 
 
 @st.composite
