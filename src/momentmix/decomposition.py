@@ -446,9 +446,11 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
 
     The residual is ``T.tree.reconstruction`` minus the values.  With Jc
     the complex (n_keys, r*d) Jacobian, ``normal_equations(q, f)`` returns
-    the damped step's G = Jc^H Jc and g = Jc^H f (``T.tree.adjoint``).  G
-    is closed-form over all distinct-index keys (``omega_gram``) plus
-    signed per-key Grams, or the stored keys' own, as ``_gram_terms`` says.
+    the damped step's G = Jc^H Jc, as a function of no arguments that
+    ``nlls_refine`` calls only for a fresh factorisation, and g = Jc^H f
+    (``T.tree.adjoint``).  G is closed-form over all distinct-index keys
+    (``omega_gram``) plus signed per-key Grams, or the stored keys' own, as
+    ``_gram_terms`` says.
     """
     target, tree, m, rd = T.values, T.tree, T.m, r * T.d
     closed, gram_keys, gram_sign = _gram_terms(T)
@@ -456,15 +458,18 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     def residual(q):
         return tree.reconstruction(q.reshape(r, -1)) - target
 
-    def normal_equations(q, f):
-        Q = q.reshape(r, -1)
+    def gram(Q):
         Jk = product_jacobian(Q, gram_keys).reshape(-1, rd)
         G = omega_gram(Q, m).reshape(rd, rd) if closed else np.zeros((rd, rd), Q.dtype)
         if len(gram_keys):
             signed = Jk.conj()
             signed *= gram_sign[:, None]
             G += signed.T @ Jk
-        return G, tree.adjoint(Q, f).ravel()
+        return G
+
+    def normal_equations(q, f):
+        Q = q.reshape(r, -1)
+        return (lambda: gram(Q)), tree.adjoint(Q, f).ravel()
 
     return residual, normal_equations
 
@@ -477,8 +482,9 @@ def approximate(
     """Noisy pipeline: run the exact stages on the noisy subtensor, then
     refine all component entries by damped Gauss-Newton on the complex
     residual over the stored keys.  The diagnostics take from the
-    ``Refined`` point lm_iterations and lm_residual_calls, its counts,
-    lm_stop, why it ended, and decomp_err, its residual's relative norm.
+    ``Refined`` point lm_iterations, lm_factorizations and
+    lm_residual_calls, its counts, lm_stop, why it ended, and decomp_err,
+    its residual's relative norm.
 
     When ``truth`` is supplied the diagnostics carry abs_err (the
     ``omega_norm`` distance of the reconstruction to the exact tensor) and
@@ -492,6 +498,7 @@ def approximate(
     diagnostics["decomp_err"] = _relative_err(T_noisy, q_star.residual)
     diagnostics["pre_refine_decomp_err"] = base.diagnostics["decomp_err"]
     diagnostics.update(lm_iterations=q_star.iterations,
+                       lm_factorizations=q_star.factorizations,
                        lm_residual_calls=q_star.residual_calls, lm_stop=q_star.stop)
     if truth is not None:
         truth_values = truth.gather(T_noisy.key_array)

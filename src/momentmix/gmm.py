@@ -399,7 +399,8 @@ def _moment_residual(Mm: MomentSet, Mt: MomentSet, d: int):
     by omega_i and gives omega_i the column sum_a (mu_ia / o) D[:, (i, a)]
     (Euler's identity for degree-o products).  So J^T J = B^T (D^T D) B and
     J^T f = B^T (D^T f), with D^T D from ``omega_gram`` and D^T f from the
-    order's ``PrefixTree.adjoint``, or f for every component at order 1."""
+    order's ``PrefixTree.adjoint``, or f for every component at order 1.
+    J^T J comes as a function of no arguments, formed only when called."""
     orders = []
     for M in (Mm, Mt):
         keys = omega_keys(d, M.order)
@@ -412,24 +413,30 @@ def _moment_residual(Mm: MomentSet, Mt: MomentSet, d: int):
             for _, keys, _, target in orders
         ])
 
-    def normal_equations(omega, mu, f):
+    def gram(omega, mu):
         r = len(omega)
         H = np.zeros((r * (d + 1), r * (d + 1)))
-        g = np.zeros(r * (d + 1))
         wide = np.repeat(omega, d)  # omega_i at each column (i, a)
-        for o, keys, tree, _ in orders:
-            f_o, f = f[: len(keys)], f[len(keys) :]
+        for o, *_ in orders:
             DtD = omega_gram(mu, o).reshape(r * d, r * d)
-            Dtf = tree.adjoint(mu, f_o) if tree else np.broadcast_to(f_o, (r, d))
             c = mu / o
             cDtD = (c.reshape(-1, 1) * DtD).reshape(r, d, -1).sum(axis=1)  # (r, r * d)
             H[:r, :r] += (cDtD.reshape(r, r, d) * c).sum(axis=2)
             H[:r, r:] += cDtD * wide
             H[r:, r:] += wide[:, None] * DtD * wide
-            g[:r] += (c * Dtf).sum(axis=1)
-            g[r:] += wide * Dtf.ravel()
         H[r:, :r] = H[:r, r:].T
-        return H, g
+        return H
+
+    def normal_equations(omega, mu, f):
+        r = len(omega)
+        g = np.zeros(r * (d + 1))
+        wide = np.repeat(omega, d)
+        for o, keys, tree, _ in orders:
+            f_o, f = f[: len(keys)], f[len(keys) :]
+            Dtf = tree.adjoint(mu, f_o) if tree else np.broadcast_to(f_o, (r, d))
+            g[:r] += ((mu / o) * Dtf).sum(axis=1)
+            g[r:] += wide * Dtf.ravel()
+        return (lambda: gram(omega, mu)), g
 
     return residual, normal_equations
 

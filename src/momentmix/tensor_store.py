@@ -112,8 +112,7 @@ class IncompleteSymmetricTensor:
         values = np.array(values, dtype=complex)
         if values.shape != (len(keys),):
             raise InvalidTensor(f"{values.size} values for {len(keys)} keys")
-        _reject(((keys < 0) | (keys >= d)).any(axis=1), keys,
-                f"key {{}} out of range for dimension {d}")
+        _reject_out_of_range(keys, d)
         _reject((keys[:, 1:] < keys[:, :-1]).any(axis=1), keys, "key {} is not sorted")
         _reject(~np.isfinite(values), keys, "non-finite value at key {}")
         self._radix = _radix(d, m)
@@ -238,6 +237,11 @@ def _reject(bad: np.ndarray, keys: np.ndarray, message: str):
         raise InvalidTensor(message.format(tuple(keys[np.argmax(bad)].tolist())))
 
 
+def _reject_out_of_range(keys: np.ndarray, d: int):
+    _reject(((keys < 0) | (keys >= d)).any(axis=1), keys,
+            f"key {{}} out of range for dimension {d}")
+
+
 def from_components(vectors, m: int, keys) -> IncompleteSymmetricTensor:
     """Evaluate sum_i q_i[i1]...q_i[im] at every requested key, the rows
     q_i of the (r, d) vectors taken as complex."""
@@ -247,6 +251,7 @@ def from_components(vectors, m: int, keys) -> IncompleteSymmetricTensor:
     d = vectors.shape[1]
     key_arr = _key_array(keys, m)
     if not _in_lex_order(key_arr, d, m):  # callers mostly pass keys in lex order
+        _reject_out_of_range(key_arr, d)  # before a slot past d indexes the vectors
         key_arr = key_arr[np.lexsort(key_arr.T[::-1])]
     values = component_products(vectors, key_arr).sum(axis=0)
     return IncompleteSymmetricTensor._from_arrays(d, m, key_arr, values)

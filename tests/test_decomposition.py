@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentmix import decomposition
 from momentmix.combinatorics import binomial
 from momentmix.decomposition import (
     GEN_COND_LIMIT,
@@ -27,6 +28,7 @@ from momentmix.decomposition import (
     decompose,
     max_rank,
     max_rank_quiet,
+    omega_gram,
     rank_threshold,
     solve_heads,
     solve_scales,
@@ -330,7 +332,8 @@ def test_normal_equations_match_dense_jacobian(case):
     residual, normal_equations = _residual_builder(T, r)
     q = Q.ravel()
     f = residual(q)
-    G, g = normal_equations(q, f)
+    gram, g = normal_equations(q, f)
+    G = gram()
     Jc = dense_complex_jacobian(T, Q)
     ref, ref_g = Jc.conj().T @ Jc, Jc.conj().T @ f
     d = T.d
@@ -371,6 +374,33 @@ def test_approximate_names_why_the_refinement_stopped():
     assert dec.diagnostics["lm_stop"] in {"gradient", "step", "floor", "no-descent"}
     assert dec.diagnostics["lm_iterations"] < 200
     assert type(dec.components) is np.ndarray
+
+
+def test_approximate_counts_lm_factorizations():
+    # an exact tensor meets the gradient test before any damped system
+    comps, T = planted(8, 3, 2, seed=9)
+    assert approximate(T, choose_params(7, 3, 2, seed=9)).diagnostics["lm_factorizations"] == 0
+    # the draw above: the factor of its first accepted step is kept for
+    # the steps after it
+    comps, T = planted(25, 4, 16, seed=12)
+    dec = approximate(perturb(T, 0.01, 12), choose_params(24, 4, 16, seed=12))
+    assert 1 <= dec.diagnostics["lm_factorizations"] < dec.diagnostics["lm_iterations"]
+
+
+def test_approximate_forms_a_gram_only_to_factor_it(monkeypatch):
+    # reused steps take J^H f alone: the closed-form Gram is formed once
+    # per damping loop, not once per iteration
+    grams = []
+
+    def counted(Q, m):
+        grams.append(m)
+        return omega_gram(Q, m)
+
+    monkeypatch.setattr(decomposition, "omega_gram", counted)
+    comps, T = planted(15, 3, 6, seed=10)
+    dec = approximate(perturb(T, 0.01, 10), choose_params(14, 3, 6, seed=10))
+    assert len(grams) < dec.diagnostics["lm_iterations"]
+    assert len(grams) <= dec.diagnostics["lm_factorizations"]
 
 
 def scale_case(case):
@@ -704,7 +734,7 @@ def test_normal_equations_peak_memory_below_slot_partials():
     f = residual(q)
     tracemalloc.start()
     try:
-        normal_equations(q, f)
+        normal_equations(q, f)[0]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -733,7 +763,8 @@ def test_normal_equations_on_sparse_tensors_match_dense_jacobian(fraction):
     residual, normal_equations = _residual_builder(T, r)
     q = Q.ravel()
     f = residual(q)
-    G, g = normal_equations(q, f)
+    gram, g = normal_equations(q, f)
+    G = gram()
     J = product_jacobian(Q, T.key_array).reshape(len(T.values), r * d)
     ref, ref_g = J.conj().T @ J, J.conj().T @ f
     assert np.linalg.norm(G - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -752,7 +783,7 @@ def test_normal_equations_on_a_tenth_stored_pay_for_the_stored_keys():
     f = residual(q)
     tracemalloc.start()
     try:
-        normal_equations(q, f)
+        normal_equations(q, f)[0]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -609,7 +609,8 @@ def test_moment_jacobian_through_simplex_matches_central_differences(
     simplex_nlls(residual, w0 / w0.sum(), mu0, normal_equations=normal_equations)
     wrapped, x = captured["wrapped"], captured["x0"]
     f = wrapped(x)
-    JtJ, Jtf = captured["normal_equations"](x, f)
+    gram, Jtf = captured["normal_equations"](x, f)
+    JtJ = gram()
     J = np.empty((f.size, x.size))
     for k in range(x.size):
         h = 1e-6 * (1.0 + abs(x[k]))
@@ -652,7 +653,8 @@ def test_moment_normal_equations_match_dense_jacobian(d, r, m, t):
     omega /= omega.sum()
     mu = model.means + 0.1 * rng.standard_normal((r, d))
     f = residual(omega, mu)
-    JtJ, Jtf = normal_equations(omega, mu, f)
+    gram, Jtf = normal_equations(omega, mu, f)
+    JtJ = gram()
     J = dense_moment_jacobian(Mm, Mt, omega, mu)
     assert np.abs(JtJ - J.T @ J).max() <= 1e-12 * np.abs(J.T @ J).max()
     assert np.abs(Jtf - J.T @ f).max() <= 1e-12 * np.abs(J.T @ f).max()
@@ -671,7 +673,7 @@ def test_moment_normal_equations_peak_memory_below_dense_jacobian():
     n_keys = len(Mm.values) + len(Mt.values)
     tracemalloc.start()
     try:
-        normal_equations(model.weights, model.means, f)
+        normal_equations(model.weights, model.means, f)[0]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

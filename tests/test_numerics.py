@@ -7,7 +7,9 @@ import pytest
 
 from momentmix.errors import IllConditioned
 from momentmix.numerics import (
+    _GRAD_TOL,
     COND_LIMIT,
+    _damped_factor,
     eig,
     lstsq,
     nlls_refine,
@@ -332,6 +334,67 @@ def test_nlls_rounding_floor_is_named():
     x = nlls_refine(lambda x: 1e6 * (A @ x - b), np.zeros(4),
                     normal_equations=lambda x, f: (J.T @ J, J.T @ f))
     assert x.stop == "floor"
+
+
+def test_nlls_drops_a_stale_factor():
+    # from 5 the root of x**4 - 2 is far: the factor taken at the start
+    # gives steps that stop contracting, so it is dropped and refactored
+    x = nlls_refine(lambda x: x**4 - 2.0, np.array([5.0]))
+    assert x.stop == "gradient" and x.factorizations >= 2
+    # the gradient test bounds |x - x*| by _GRAD_TOL / J(x*)**2, 2.2e-12
+    assert abs(x[0] - 2**0.25) <= _GRAD_TOL / (4 * 2**0.75) ** 2
+
+
+def complex_roots():
+    """z**2 - c from near its principal square roots, with analytic
+    normal equations whose J^H J is formed only when asked for."""
+    rng = np.random.default_rng(6)
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    z0 = np.sqrt(c) + 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    grams = []
+
+    def normal_equations(z, f):
+        J = np.diag(2.0 * z)
+
+        def gram():
+            grams.append(1)
+            return J.conj().T @ J
+
+        return gram, J.conj().T @ f
+
+    return c, z0, normal_equations, grams
+
+
+def test_nlls_reused_factor_reaches_the_minimizer():
+    c, z0, normal_equations, grams = complex_roots()
+    z = nlls_refine(lambda z: z**2 - c, z0, normal_equations=normal_equations)
+    assert z.factorizations < z.iterations
+    assert len(grams) <= z.factorizations
+    assert np.abs(z - np.sqrt(c)).max() <= 1e-10
+
+
+def test_nlls_counts_the_residual_calls_of_reused_steps():
+    c, z0, normal_equations, _ = complex_roots()
+    calls = []
+
+    def residual(z):
+        calls.append(1)
+        return z**2 - c
+
+    z = nlls_refine(residual, z0, normal_equations=normal_equations)
+    assert z.factorizations < z.iterations
+    assert z.residual_calls == len(calls)
+
+
+def test_damped_factor_falls_back_to_lu():
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    # Hermitian and nonsingular but indefinite: Cholesky fails, LU solves
+    A = np.diag([2.0, -1.0, 3.0]).astype(complex)
+    A[0, 1], A[1, 0] = 0.5j, -0.5j
+    assert np.allclose(A @ _damped_factor(A)(b), b, rtol=0, atol=1e-14)
+    with pytest.raises(np.linalg.LinAlgError):
+        _damped_factor(np.diag([1.0, 0.0, -1.0]))
 
 
 def test_simplex_nlls_weights_carry_the_stop():

@@ -67,6 +67,16 @@ def test_from_components_sorts_shuffled_keys():
         from_components(comps, 4, np.concatenate([keys, keys[:1]]))
 
 
+@pytest.mark.parametrize("key", [(0, 1, 7), (0, 1, 4), (-1, 1, 2)])
+def test_from_components_rejects_slots_out_of_range(key):
+    # a slot at or past d is rejected before it indexes the vectors, with
+    # the message a negative slot gets
+    with pytest.raises(InvalidTensor, match=re.escape(f"key {key} out of range for dimension 4")):
+        from_components(np.ones((1, 4)), 3, [key])
+    with pytest.raises(InvalidTensor, match="out of range for dimension 4"):
+        from_components(np.ones((1, 4)), 3, [(0, 1, 2), key])
+
+
 def test_from_components_two_components():
     comps = np.array([[1, 2, 3, 4, 5, 6], [1, -1, 2, -2, 3, -3]], dtype=float)
     T = from_components(comps, 3, omega_keys(6, 3))
