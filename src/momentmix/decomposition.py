@@ -29,7 +29,6 @@ from .tensor_store import (
     IncompleteSymmetricTensor,
     block_keys,
     component_products,
-    omega_keys,
     product_jacobian,
     weighted_norm,
 )
@@ -303,32 +302,14 @@ def solve_scales(
 def _scale_gram(T: IncompleteSymmetricTensor, full: np.ndarray) -> np.ndarray:
     """(r, r) Gram A^H A of the scale design A[k, i] = prod(full_i over
     stored key k): e_m(conj(u_i) * u_j) over all distinct-index keys and
-    the signed per-key Gram of the keys, as ``_gram_terms`` says."""
-    closed, keys, sign = _gram_terms(T)
+    the signed per-key Gram of the keys, as ``T.gram_terms`` says."""
+    closed, keys, sign = T.gram_terms
     gram = 0.0
     if closed:
         *_, e = _elementary_sums(full.conj()[:, None, :] * full[None, :, :], T.m)
         gram = e[-1]
     design = component_products(full, keys)  # (r, n_keys)
     return gram + (design.conj() * sign) @ design.T
-
-
-def _gram_terms(T: IncompleteSymmetricTensor) -> tuple[bool, np.ndarray, np.ndarray]:
-    """(closed, keys, sign): a Gram over T's stored keys is the closed form
-    over all ``omega_keys(d, m)`` when ``closed``, plus sign times each
-    key's own Gram, +1 per stored repeated-index key and -1 per absent
-    distinct-index key; with fewer keys stored than those, the stored
-    keys' own Gram alone (signs +1), cheaper and free of cancellation."""
-    key_arr, d, m = T.key_array, T.d, T.m
-    has_repeat = (key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)
-    repeated, absent = key_arr[has_repeat], key_arr[:0]
-    if len(key_arr) - len(repeated) < binomial(d, m):  # a distinct-index key is absent
-        distinct = omega_keys(d, m)
-        absent = np.delete(distinct, lex_positions(distinct, key_arr[~has_repeat]), axis=0)
-    if len(key_arr) < len(repeated) + len(absent):
-        return False, key_arr, np.ones(len(key_arr))
-    sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
-    return True, np.concatenate([repeated, absent]), sign
 
 
 def decompose(
@@ -444,19 +425,26 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
     of the flattened components q = Q.ravel(), and its Gauss-Newton normal
     equations without the Jacobian.
 
-    The residual is ``T.tree.reconstruction`` minus the values.  With Jc
-    the complex (n_keys, r*d) Jacobian, ``normal_equations(q, f)`` returns
-    the damped step's G = Jc^H Jc, as a function of no arguments that
-    ``nlls_refine`` calls only for a fresh factorisation, and g = Jc^H f
-    (``T.tree.adjoint``).  G is closed-form over all distinct-index keys
-    (``omega_gram``) plus signed per-key Grams, or the stored keys' own, as
-    ``_gram_terms`` says.
+    The residual is the reconstruction on ``T.tree`` minus the values; it
+    keeps the tree's products at its last q.  With Jc the complex (n_keys,
+    r*d) Jacobian, ``normal_equations(q, f)`` returns the damped step's
+    G = Jc^H Jc, as a function of no arguments that ``nlls_refine`` calls
+    only for a fresh factorisation, and g = Jc^H f from
+    ``T.tree.adjoint_at`` on those products when q is the residual's last
+    point, as it is in ``nlls_refine``: one tree pass per point.  G is
+    closed-form over all distinct-index keys (``omega_gram``) plus signed
+    per-key Grams, or the stored keys' own, as ``T.gram_terms`` says.
     """
     target, tree, m, rd = T.values, T.tree, T.m, r * T.d
-    closed, gram_keys, gram_sign = _gram_terms(T)
+    closed, gram_keys, gram_sign = T.gram_terms
+    last = None, None  # the residual's last q and the products there
 
     def residual(q):
-        return tree.reconstruction(q.reshape(r, -1)) - target
+        nonlocal last
+        Q = q.reshape(r, -1)
+        prods = tree.products(Q)
+        last = q.copy(), prods
+        return tree.gemm(prods[-1], Q) - target
 
     def gram(Q):
         Jk = product_jacobian(Q, gram_keys).reshape(-1, rd)
@@ -469,7 +457,10 @@ def _residual_builder(T: IncompleteSymmetricTensor, r: int):
 
     def normal_equations(q, f):
         Q = q.reshape(r, -1)
-        return (lambda: gram(Q)), tree.adjoint(Q, f).ravel()
+        at, prods = last
+        if not np.array_equal(at, q):
+            prods = tree.products(Q)
+        return (lambda: gram(Q)), tree.adjoint_at(prods, f).ravel()
 
     return residual, normal_equations
 
@@ -488,7 +479,9 @@ def approximate(
 
     When ``truth`` is supplied the diagnostics carry abs_err (the
     ``omega_norm`` distance of the reconstruction to the exact tensor) and
-    rel_err (the residual's norm relative to the noise's).
+    rel_err (the residual's norm relative to the noise's), both from the
+    point's residual: the reconstruction less the exact values is the
+    residual plus the noise, so no reconstruction is formed again.
     """
     base = decompose(T_noisy, params)
     residual, normal_equations = _residual_builder(T_noisy, params.r)
@@ -501,10 +494,9 @@ def approximate(
                        lm_factorizations=q_star.factorizations,
                        lm_residual_calls=q_star.residual_calls, lm_stop=q_star.stop)
     if truth is not None:
-        truth_values = truth.gather(T_noisy.key_array)
-        noise_norm = np.linalg.norm(T_noisy.values - truth_values)
-        rec = T_noisy.tree.reconstruction(components)
-        diagnostics["abs_err"] = weighted_norm(rec - truth_values, T_noisy.m)
+        noise = T_noisy.values - truth.gather(T_noisy.key_array)
+        noise_norm = np.linalg.norm(noise)
+        diagnostics["abs_err"] = weighted_norm(q_star.residual + noise, T_noisy.m)
         diagnostics["rel_err"] = (
             float(np.linalg.norm(q_star.residual) / noise_norm) if noise_norm > 0 else 0.0
         )
@@ -529,8 +521,9 @@ def component_error(
 
 def to_json(dec: Decomposition, d: int, m: int) -> str:
     comps = [{"re": q.real.tolist(), "im": q.imag.tolist()} for q in dec.components]
+    # numpy scalars as Python ones; counts stay JSON integers
     diag = {
-        k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+        k: (v.item() if isinstance(v, np.generic) else v)
         for k, v in dec.diagnostics.items()
     }
     return json.dumps(

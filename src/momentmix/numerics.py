@@ -195,7 +195,11 @@ def nlls_refine(
     them never forms J.  J^H J may come as a function of no arguments,
     called only when a fresh damped system is needed.  The loop adds lambda
     to the diagonal of the J^H J it is handed, in place, and factors it by
-    Cholesky, by LU only when the Cholesky factorisation fails.  Without
+    Cholesky, by LU only when the Cholesky factorisation fails; a step
+    applies the Cholesky factor as two BLAS triangular solves.
+    ``normal_equations`` is called only at the point of the last residual
+    evaluation, so a caller may reuse what that evaluation formed (the
+    tensor LM's J^H f reads the residual's prefix products).  Without
     ``normal_equations``, J is taken by forward finite differences, one
     residual call per coordinate.
 
@@ -284,13 +288,14 @@ def nlls_refine(
 
 def _damped_factor(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """b -> A^-1 b for the damped Hermitian system of ``nlls_refine``, from
-    one factorisation of A, left intact: Cholesky (upper triangle), or LU
-    when A is not numerically positive definite.  Raises LinAlgError when
-    A is singular."""
+    one factorisation of A, left intact: Cholesky A = U^H U (upper
+    triangle), applied as two BLAS triangular solves, U^H y = b then
+    U x = y, or LU when A is not numerically positive definite.  Raises
+    LinAlgError when A is singular."""
     import scipy.linalg
 
     try:
-        factor = scipy.linalg.cho_factor(A, check_finite=False)
+        U, _ = scipy.linalg.cho_factor(A, check_finite=False)
     except np.linalg.LinAlgError:
         # LAPACK's own LU: ``lu_factor`` only warns on a singular matrix
         getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (A,))
@@ -298,7 +303,10 @@ def _damped_factor(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix") from None
         return lambda b: scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    return lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False)
+    # one trsv per triangle: ``cho_solve`` (LAPACK potrs) took about three
+    # times as long on one right-hand side at n = 400 (OpenBLAS, one thread)
+    trsv, = scipy.linalg.get_blas_funcs(("trsv",), (U,))
+    return lambda b: trsv(U, trsv(U, b, trans=2), overwrite_x=1)
 
 
 def simplex_nlls(

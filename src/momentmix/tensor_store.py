@@ -17,7 +17,13 @@ out in ragged cells, one GEMM per block of prefixes:
 ``decomposition.solve_scales``, reconstructions and J^H f on the
 tensor's cached ``tree``, and ``gmm``'s sample moments (a reconstruction
 per row chunk, with the samples in place of the components) and moment
-refinement on trees of their own.
+refinement on trees of their own.  J^H f at vectors whose prefix
+products a reconstruction has just formed reads them
+(``PrefixTree.adjoint_at``): the LM refinement makes one pass over the
+tree's products per point.  Its level folds are bin sums on indices
+built once per tree and row width.  The split of a Gram over the stored
+keys into a closed form and per-key terms is a cached property of the
+tensor (``gram_terms``), shared by the scale stage and the LM.
 
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
@@ -56,7 +62,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .combinatorics import subsets_lex
+from .combinatorics import binomial, lex_positions, subsets_lex
 from .errors import InvalidTensor, MissingEntry, OrderExceedsDim
 from .numerics import rng_from
 
@@ -168,6 +174,26 @@ class IncompleteSymmetricTensor:
         """The ``PrefixTree`` of the read-only keys (order m >= 2), built on
         first use."""
         return PrefixTree(self.key_array)
+
+    @cached_property
+    def gram_terms(self) -> tuple[bool, np.ndarray, np.ndarray]:
+        """(closed, keys, sign): a Gram over the stored keys is the closed
+        form over all ``omega_keys(d, m)`` when ``closed``, plus sign times
+        each key's own Gram, +1 per stored repeated-index key and -1 per
+        absent distinct-index key; with fewer keys stored than those, the
+        stored keys' own Gram alone (signs +1), cheaper and free of
+        cancellation.  Worked out on first use and cached, so the scale
+        stage and the LM refinement of one tensor share it."""
+        key_arr, d, m = self.key_array, self.d, self.m
+        has_repeat = (key_arr[:, 1:] == key_arr[:, :-1]).any(axis=1)
+        repeated, absent = key_arr[has_repeat], key_arr[:0]
+        if len(key_arr) - len(repeated) < binomial(d, m):  # a distinct-index key is absent
+            distinct = omega_keys(d, m)
+            absent = np.delete(distinct, lex_positions(distinct, key_arr[~has_repeat]), axis=0)
+        if len(key_arr) < len(repeated) + len(absent):
+            return False, key_arr, np.ones(len(key_arr))
+        sign = np.repeat([1.0, -1.0], [len(repeated), len(absent)])
+        return True, np.concatenate([repeated, absent]), sign
 
 
 def _key_array(keys, m: int) -> np.ndarray:
@@ -349,6 +375,7 @@ class PrefixTree:
         cell_0[self.order] = (offsets[group] - lo[group]
                               + (np.arange(len(by_end)) - rows[group]) * width[group])
         self.slot = cell_0[leaf] + last
+        self._fold_bins = {}  # row width -> ``_folds``
 
     def products(self, vectors: np.ndarray) -> list[np.ndarray]:
         """[vectors.T, P_1, ..., P_s] in C order over ``levels``, ending
@@ -393,16 +420,22 @@ class PrefixTree:
 
     def adjoint(self, vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
         """(r, d) J^H f, J the Jacobian of ``reconstruction``, complex or
-        real as the vectors and f are; of repeated keys, one f counts.  Per
-        block, F holding f, the last slot adds F^T conj(P_rows) and the leaf
-        adjoint is F conj(vectors.T[cols]), in block order.  Each level then
-        adds its adjoint times the parents' conjugated products into its
-        coordinates and folds it, times its coordinates' conjugated rows,
-        into the parents: both bin sums in row order from zero."""
-        d = vectors.shape[1]
-        prods = self.products(vectors)
-        leaf, right = prods[-1].conj(), prods[0].conj()
-        grad = np.zeros(right.shape, dtype=np.result_type(vectors, f))  # (d, r)
+        real as the vectors and f are; of repeated keys, one f counts:
+        ``adjoint_at`` on the vectors' ``products``."""
+        return self.adjoint_at(self.products(vectors), f)
+
+    def adjoint_at(self, prods: list[np.ndarray], f: np.ndarray) -> np.ndarray:
+        """``adjoint`` at the vectors whose ``products`` are ``prods``, so a
+        caller that has just reconstructed at them forms no product again.
+        Per block, F holding f, the last slot adds F^T conj(P_rows) and the
+        leaf adjoint is F conj(vectors.T[cols]), in block order.  Each level
+        then adds its adjoint times the parents' conjugated products into
+        its coordinates and folds it, times its coordinates' conjugated
+        rows, into the parents: both bin sums in row order from zero, on
+        bins built once per row width (``_folds``)."""
+        right = prods[0].conj()  # (d, r)
+        d, leaf = len(right), prods[-1].conj()
+        grad = np.zeros(right.shape, dtype=np.result_type(right, f))
         adjoint = np.empty(leaf.shape, dtype=grad.dtype)
         F = np.zeros(self.size, dtype=f.dtype)
         F[self.slot] = f
@@ -410,12 +443,28 @@ class PrefixTree:
             F_block = F[block].reshape(-1, cols.stop - cols.start)
             grad[cols] += F_block.T @ leaf[rows]
             np.matmul(F_block, right[cols], out=adjoint[rows])
+        folds = self._folds(adjoint.view(float).shape[1])
         for s in range(len(self.levels), 0, -1):
             parent, coord = self.levels[s - 1]
-            grad += _coordinate_sums(adjoint * prods[s - 1][parent].conj(), coord, d)
-            adjoint = _coordinate_sums(adjoint * right[coord], parent, len(prods[s - 1]))
+            to_coord, to_parent = folds[s - 1]
+            grad += _fold(adjoint * prods[s - 1].conj()[parent], to_coord, d)
+            adjoint = _fold(adjoint * right[coord], to_parent, len(prods[s - 1]))
         grad[self.order if not self.levels else slice(None)] += adjoint
         return grad.T
+
+    def _folds(self, width: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per level, the ``np.bincount`` bins of its rows' coordinates and
+        of their parents, for rows of ``width`` floats (r, or 2r when
+        complex): bin ``index * width + column`` per entry, built on the
+        first fold at that width and kept."""
+        folds = self._fold_bins.get(width)
+        if folds is None:
+            span = np.arange(width)
+            folds = self._fold_bins[width] = [
+                tuple((index[:, None] * width + span).ravel() for index in (coord, parent))
+                for parent, coord in self.levels
+            ]
+        return folds
 
 
 def _block_starts(n_rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[int]:
@@ -435,14 +484,12 @@ def _block_starts(n_rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[in
     return first
 
 
-def _coordinate_sums(rows: np.ndarray, index: np.ndarray, n_bins: int) -> np.ndarray:
-    """(n_bins, r) sums of an (n, r) real or complex array's rows by their
-    index (a coordinate or a parent prefix), each in row order from zero,
-    as bin sums of the real (and imaginary) parts."""
+def _fold(rows: np.ndarray, bins: np.ndarray, n_bins: int) -> np.ndarray:
+    """(n_bins, r) sums of an (n, r) real or complex array's rows by the
+    index that ``bins`` were built from (``PrefixTree._folds``), each in
+    row order from zero, as bin sums of the real (and imaginary) parts."""
     parts = rows.view(float)
-    width = parts.shape[1]
-    bins = (index[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, parts.ravel(), n_bins * width)
+    sums = np.bincount(bins, parts.ravel(), n_bins * parts.shape[1])
     return sums.view(rows.dtype).reshape(n_bins, rows.shape[1])
 
 

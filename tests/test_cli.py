@@ -165,6 +165,20 @@ def test_approximate_out_records_the_lm_counts(tmp_path, capsys):
     assert diagnostics["lm_iterations"] >= 1 and diagnostics["lm_factorizations"] >= 0
 
 
+def test_approximate_out_keeps_counts_integral(tmp_path, capsys):
+    tensor, out_file = tmp_path / "t.json", tmp_path / "dec.json"
+    run(capsys, "gen-tensor", "--d", "10", "--m", "3", "--r", "3",
+        "--seed", "2", "--out", str(tensor))
+    code, _, _ = run(capsys, "approximate", "--tensor", str(tensor), "--r", "3",
+                     "--epsilon", "0.01", "--seed", "2", "--out", str(out_file))
+    assert code == 0
+    diagnostics = json.loads(out_file.read_text())["diagnostics"]
+    for name in ("lm_iterations", "lm_factorizations", "lm_residual_calls", "gen_rank_min"):
+        assert type(diagnostics[name]) is int, name
+    for name in ("decomp_err", "gen_cond", "abs_err", "rel_err"):
+        assert type(diagnostics[name]) is float, name
+
+
 def test_learn_with_fewer_samples_than_moments_exits_1(tmp_path, capsys):
     samples = tmp_path / "s.csv"
     np.savetxt(samples, np.random.default_rng(0).standard_normal((20, 6)), delimiter=",")

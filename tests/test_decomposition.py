@@ -1,6 +1,8 @@
 """Rank bounds, parameter selection, and the decomposition pipelines."""
 
+import functools
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -14,7 +16,6 @@ from momentmix.combinatorics import binomial
 from momentmix.decomposition import (
     GEN_COND_LIMIT,
     DecompositionParams,
-    _gram_terms,
     _k_range,
     _residual_builder,
     _scale_gram,
@@ -706,8 +707,8 @@ def test_tree_residual_and_gradient_match_product_jacobian(m, keyset):
 
 
 def test_approximate_builds_one_prefix_tree(monkeypatch):
-    # the scale fit, the residual, J^H f and the final reconstruction
-    # share the noisy tensor's cached tree, which holds its one cell layout
+    # the scale fit, the residual and J^H f share the noisy tensor's
+    # cached tree, which holds its one cell layout
     built = []
     init = PrefixTree.__init__
 
@@ -721,6 +722,69 @@ def test_approximate_builds_one_prefix_tree(monkeypatch):
     dec = approximate(Th, choose_params(9, 4, 3, seed=41), truth=T)
     assert dec.diagnostics["lm_iterations"] >= 1
     assert built == [(Th.tree, len(Th.values))]
+
+
+@pytest.mark.parametrize("keyset", ["omega", "repeated", "empty-groups"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_normal_equations_reuse_the_residuals_products(m, keyset):
+    # J^H f from the products the residual formed at q is a fresh
+    # ``T.tree.adjoint`` there bit for bit, also after a residual at
+    # another point, which forms them again
+    rng = np.random.default_rng(60 + m)
+    d, r = 8, 3
+    keys = tree_key_sets(d, m, rng)[keyset]
+    values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    T = IncompleteSymmetricTensor(d, m, dict(zip(map(tuple, keys.tolist()), values)))
+    residual, normal_equations = _residual_builder(T, r)
+    q = (rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))).ravel()
+    f = residual(q)
+    _, g = normal_equations(q, f)
+    assert np.array_equal(g, T.tree.adjoint(q.reshape(r, d), f).ravel())
+    other = q + 0.1
+    residual(other)
+    _, g_again = normal_equations(q, f)
+    assert np.array_equal(g_again, g)
+
+
+def test_approximate_forms_products_once_per_point(monkeypatch):
+    # one tree pass per residual evaluation plus the scale stage's, and
+    # one Gram-term split per tensor: J^H f, the Gram and the truth
+    # diagnostics form none again
+    passes, splits = [], []
+    products = PrefixTree.products
+    split = IncompleteSymmetricTensor.gram_terms.func
+
+    def counted_products(tree, vectors):
+        passes.append(tree)
+        return products(tree, vectors)
+
+    def counted_split(T):
+        splits.append(T)
+        return split(T)
+
+    counted_terms = functools.cached_property(counted_split)
+    counted_terms.__set_name__(IncompleteSymmetricTensor, "gram_terms")
+    monkeypatch.setattr(PrefixTree, "products", counted_products)
+    monkeypatch.setattr(IncompleteSymmetricTensor, "gram_terms", counted_terms)
+    comps, T = planted(12, 4, 5, seed=43)
+    Th = perturb(T, 0.01, 43)
+    dec = approximate(Th, choose_params(11, 4, 5, seed=43), truth=T)
+    assert dec.diagnostics["lm_iterations"] >= 2
+    assert len(passes) == dec.diagnostics["lm_residual_calls"] + 1
+    assert set(passes) == {Th.tree}
+    assert splits == [Th]
+
+
+@pytest.mark.parametrize("d, m, r, seed", [(12, 4, 5, 44), (15, 3, 6, 45)])
+def test_approximate_truth_errors_match_a_fresh_reconstruction(d, m, r, seed):
+    comps, T = planted(d, m, r, seed)
+    Th = perturb(T, 0.01, seed)
+    dec = approximate(Th, choose_params(d - 1, m, r, seed=seed), truth=T)
+    rec = component_products(dec.components, Th.key_array).sum(axis=0)
+    abs_err = np.sqrt(math.factorial(m)) * np.linalg.norm(rec - T.values)
+    rel_err = np.linalg.norm(rec - Th.values) / np.linalg.norm(Th.values - T.values)
+    assert dec.diagnostics["abs_err"] == pytest.approx(abs_err, rel=1e-12, abs=0)
+    assert dec.diagnostics["rel_err"] == pytest.approx(rel_err, rel=1e-12, abs=0)
 
 
 def test_normal_equations_peak_memory_below_slot_partials():
@@ -757,7 +821,7 @@ def test_normal_equations_on_sparse_tensors_match_dense_jacobian(fraction):
     # stored: fewer keys than absent ones, so the stored keys' own Gram
     d, m, r = 12, 4, 4
     comps, T = stored_fraction(d, m, r, fraction, seed=29)
-    assert _gram_terms(T)[0] == (fraction == 0.5)
+    assert T.gram_terms[0] == (fraction == 0.5)
     rng = np.random.default_rng(29)
     Q = comps + 0.1 * (rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d)))
     residual, normal_equations = _residual_builder(T, r)

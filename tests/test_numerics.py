@@ -397,6 +397,31 @@ def test_damped_factor_falls_back_to_lu():
         _damped_factor(np.diag([1.0, 0.0, -1.0]))
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_damped_factor_solves_positive_definite_systems(dtype, monkeypatch):
+    # the kept Cholesky factor, applied as two triangular solves; the LU
+    # path is not taken
+    import scipy.linalg
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("LU path taken")
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", no_lu)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", no_lu)
+    rng = np.random.default_rng(9)
+    n = 60
+    M = rng.standard_normal((2 * n, n)).astype(dtype)
+    b = rng.standard_normal(n).astype(dtype)
+    if dtype is complex:
+        M += 1j * rng.standard_normal((2 * n, n))
+        b += 1j * rng.standard_normal(n)
+    A = M.conj().T @ M / (2 * n) + 0.5 * np.eye(n)
+    x = _damped_factor(A)(b)
+    assert x.dtype == np.dtype(dtype)
+    assert np.abs(A @ x - b).max() <= 1e-14 * np.abs(b).max()
+    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-14 * np.abs(x).max()
+
+
 def test_simplex_nlls_weights_carry_the_stop():
     target = np.array([0.3, 0.7, 1.0, 2.0])
 

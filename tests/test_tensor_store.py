@@ -15,6 +15,7 @@ from momentmix.gmm import _run_codes, _run_trees, learning_keys
 from momentmix.tensor_store import (
     _BLOCK_WASTE,
     IncompleteSymmetricTensor,
+    _fold,
     PrefixTree,
     component_products,
     from_components,
@@ -567,6 +568,66 @@ def test_ragged_blocks_merge_small_trees_only():
     for m in (4, 5):
         keys = omega_keys(25, m)
         assert PrefixTree(keys).size <= 1.02 * len(keys), m
+
+
+def _adjoint_trees():
+    """(name, keys, d) of trees J^H f runs on: a tensor's distinct-index
+    and repeated-index keys at m = 2 and 4, the keys with every row
+    repeated, and the order-4 sample-moment trees of power coordinates."""
+    d = 6
+    every = np.array(list(itertools.combinations_with_replacement(range(d), 4)))
+    trees = [("omega-2", omega_keys(d, 2), d), ("omega-4", omega_keys(d, 4), d),
+             ("repeated-index", every, d), ("repeated-rows", np.repeat(every, 2, axis=0), d)]
+    codes = np.sort(_run_codes(learning_keys(d, 4), d), axis=1)
+    for _, tree, _ in _run_trees(codes):
+        if tree is not None:
+            trees.append((f"moments-{len(tree.levels) + 2}", tree, 4 * d))
+    return [(name, keys if isinstance(keys, PrefixTree) else PrefixTree(keys), d)
+            for name, keys, d in trees]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_adjoint_at_the_products_is_a_fresh_adjoint(dtype):
+    # the shared pass: J^H f from products formed before, bit for bit
+    rng = np.random.default_rng(70)
+    for name, tree, d in _adjoint_trees():
+        n = len(tree.slot)
+        vectors = rng.standard_normal((3, d)).astype(dtype)
+        f = rng.standard_normal(n).astype(dtype)
+        if dtype is complex:
+            vectors += 1j * rng.standard_normal((3, d))
+            f += 1j * rng.standard_normal(n)
+        prods = tree.products(vectors)
+        fresh = tree.adjoint(vectors, f)
+        assert fresh.dtype == np.dtype(dtype), name
+        assert np.array_equal(tree.adjoint_at(prods, f), fresh), name
+        # twice on the same products: they are read, not written
+        assert np.array_equal(tree.adjoint_at(prods, f), fresh), name
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_prebuilt_folds_equal_unbuffered_sums(dtype):
+    # every level's coordinate and parent fold, on bins built once per
+    # row width, equals np.add.at's in-order sums; some bins are empty
+    rng = np.random.default_rng(71)
+    every = np.array(list(itertools.combinations_with_replacement(range(7), 4)))
+    keys = every[(rng.random(len(every)) < 0.4) & ~np.isin(every[:, 1], [2, 5])]
+    tree = PrefixTree(keys)
+    r = 3
+    width = r * (2 if dtype is complex else 1)
+    empty = 0
+    for s, ((parent, coord), folds) in enumerate(zip(tree.levels, tree._folds(width))):
+        n_parents = 7 if s == 0 else len(tree.levels[s - 1][0])
+        for index, bins, n_bins in ((coord, folds[0], 7), (parent, folds[1], n_parents)):
+            rows = rng.standard_normal((len(index), r)).astype(dtype)
+            if dtype is complex:
+                rows += 1j * rng.standard_normal((len(index), r))
+            want = np.zeros((n_bins, r), dtype=dtype)
+            np.add.at(want, index, rows)
+            assert np.array_equal(_fold(rows, bins, n_bins), want), s
+            empty += n_bins - len(np.unique(index))
+    assert empty > 0
+    assert tree._folds(width) is tree._folds(width)
 
 
 @st.composite
