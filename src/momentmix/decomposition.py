@@ -57,7 +57,10 @@ def rank_threshold(m: int) -> int:
 
 def _k_range(n: int, m: int, p: int) -> range:
     """k with p + 1 <= k <= n - m + p: from p + 1 on, every head coordinate
-    has a degree-p monomial avoiding it, as head recovery needs."""
+    has a degree-p monomial avoiding it, as head recovery needs.  Orders
+    below 3 have no head and tail split, and raise ValueError."""
+    if m < 3:
+        raise ValueError(f"order m must be at least 3, got {m}")
     return range(p + 1, n - m + p + 1)
 
 
@@ -70,16 +73,16 @@ def max_rank(n: int, m: int) -> tuple[int, int, int]:
     satisfies the inequality (n = m+1 for m >= 3), C(k, p*) exceeds the
     tail count from the first k on, so k* is that first k and the bound
     is min(C(k*, p*), C(n-k*-1, m-p*-1)).  The bound is 0, with k* = p*,
-    when the range is empty.
+    when the range is empty.  Raises ValueError for m < 3.
     """
+    p_star = (m - 1) // 2
+    ks = _k_range(n, m, p_star)
     if n < rank_threshold(m):
         warnings.warn(
             f"n={n} below threshold {rank_threshold(m)} for order {m}; "
             "the closed-form rank bound is not guaranteed",
             PreconditionWarning,
         )
-    p_star = (m - 1) // 2
-    ks = _k_range(n, m, p_star)
     if not ks:
         return 0, p_star, p_star
     fits = [k for k in ks if binomial(k, p_star) <= binomial(n - k - 1, m - p_star - 1)]
@@ -123,7 +126,7 @@ def choose_params(n: int, m: int, r: int, seed: int = 0) -> DecompositionParams:
     """Feasible (p, k) for a requested rank: p = p* with the smallest k of
     ``_k_range`` satisfying both binomial bounds; all other p are scanned
     before giving up, and RankTooLarge names the largest rank of the
-    grid, ``brute_force_max_rank``."""
+    grid, ``brute_force_max_rank``.  Raises ValueError for m < 3."""
     if r < 1:
         raise ValueError("rank must be positive")
     p_star = (m - 1) // 2  # the p* of ``max_rank``
@@ -420,49 +423,53 @@ def omega_gram(Q: np.ndarray, m: int) -> np.ndarray:
     return off.transpose(2, 0, 3, 1)
 
 
-def _residual_builder(T: IncompleteSymmetricTensor, r: int):
-    """Complex residual over the stored keys (order m >= 2) as a function
-    of the flattened components q = Q.ravel(), and its Gauss-Newton normal
-    equations without the Jacobian.
-
-    The residual is the reconstruction on ``T.tree`` minus the values; it
-    keeps the tree's products at its last q.  With Jc the complex (n_keys,
-    r*d) Jacobian, ``normal_equations(q, f)`` returns the damped step's
-    G = Jc^H Jc, as a function of no arguments that ``nlls_refine`` calls
-    only for a fresh factorisation, and g = Jc^H f from
-    ``T.tree.adjoint_at`` on those products when q is the residual's last
-    point, as it is in ``nlls_refine``: one tree pass per point.  G is
-    closed-form over all distinct-index keys (``omega_gram``) plus signed
-    per-key Grams, or the stored keys' own, as ``T.gram_terms`` says.
-    """
-    target, tree, m, rd = T.values, T.tree, T.m, r * T.d
+def product_model(T: IncompleteSymmetricTensor):
+    """The model sum_i w_i prod_t Q[i, key_t] over T's stored keys (order
+    m >= 2) that both refinements fit, as functions of (r, d) vectors Q,
+    complex or real: ``model(Q, w=None)``, w ones when None, from
+    ``T.tree``'s GEMMs, keeping the products; ``adjoint(Q, f)``, the (r, d)
+    D^H f of the unweighted model's Jacobian D, reading the kept products
+    when Q is the model's last point; and ``gram(Q)``, the (r*d, r*d) D^H D,
+    ``omega_gram`` plus signed per-key Grams as ``T.gram_terms`` says."""
+    tree, m = T.tree, T.m
     closed, gram_keys, gram_sign = T.gram_terms
-    last = None, None  # the residual's last q and the products there
+    last = None, None  # the model's last Q and the products there
 
-    def residual(q):
+    def model(Q, w=None):
         nonlocal last
-        Q = q.reshape(r, -1)
         prods = tree.products(Q)
-        last = q.copy(), prods
-        return tree.gemm(prods[-1], Q) - target
+        last = Q.copy(), prods
+        return tree.gemm(prods[-1], Q if w is None else w[:, None] * Q)
+
+    def adjoint(Q, f):
+        at, prods = last
+        return tree.adjoint_at(prods if np.array_equal(at, Q) else tree.products(Q), f)
 
     def gram(Q):
+        rd = Q.size
         Jk = product_jacobian(Q, gram_keys).reshape(-1, rd)
         G = omega_gram(Q, m).reshape(rd, rd) if closed else np.zeros((rd, rd), Q.dtype)
         if len(gram_keys):
-            signed = Jk.conj()
+            signed = np.conjugate(Jk)  # a copy also when real, where .conj() is Jk
             signed *= gram_sign[:, None]
             G += signed.T @ Jk
         return G
 
+    return model, adjoint, gram
+
+
+def _residual_builder(T: IncompleteSymmetricTensor, r: int):
+    """``product_model(T)`` less T's values as a function of the flattened
+    (r, d) components q, and its normal equations at q: Jc^H Jc as a
+    function of no arguments, formed only for a fresh factorisation, and
+    Jc^H f, from the residual's products at its last q."""
+    model, adjoint, gram = product_model(T)
+
     def normal_equations(q, f):
         Q = q.reshape(r, -1)
-        at, prods = last
-        if not np.array_equal(at, q):
-            prods = tree.products(Q)
-        return (lambda: gram(Q)), tree.adjoint_at(prods, f).ravel()
+        return (lambda: gram(Q)), adjoint(Q, f).ravel()
 
-    return residual, normal_equations
+    return (lambda q: model(q.reshape(r, -1)) - T.values), normal_equations
 
 
 def approximate(

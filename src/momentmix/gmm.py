@@ -12,9 +12,9 @@ and variances.  Key sets are (n, m) int64 arrays (``learning_keys``,
 ``MomentSet.values`` keys its moments by sorted tuples.  The designs, and
 the exact moments, are products over key arrays from the tensor path's
 ``component_products``, and each stage reads its moments with one
-``MomentSet.gather``.  The simplex refinement takes its normal equations
-from ``omega_gram`` and ``PrefixTree.adjoint`` on the cells its keys
-occupy: no Jacobian or grid is formed.
+``MomentSet.gather``.  The simplex refinement fits the tensor LM's
+``product_model`` with the weights added, and takes its normal equations
+from it: no Jacobian or grid is formed.
 
 The kernels that touch every sample are matrix products.  Sample moments
 run in power coordinates, where a run of t equal slots c is one slot
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import binomial, subsets_lex
-from .decomposition import approximate, choose_params, omega_gram
+from .decomposition import approximate, choose_params, omega_gram, product_model
 from .errors import (
     CovDesignDegenerate,
     DegenerateWeight,
@@ -200,8 +200,6 @@ def sample_moments(samples: SampleSet, keys) -> MomentSet:
 
     def moments(key_arr):
         order = key_arr.shape[1]
-        if order == 0:
-            return np.ones(key_arr.shape[0])
         if order == 1:
             return Y.mean(axis=0)[key_arr[:, 0]]
         codes = np.sort(_run_codes(key_arr, d), axis=1)
@@ -229,9 +227,10 @@ def sample_moments(samples: SampleSet, keys) -> MomentSet:
 
 def _moment_set(keys, d: int, values_at) -> MomentSet:
     """Moments at ``keys``, each sorted, from ``values_at`` of their sorted
-    (n, order) array; no keys give an empty order-0 set.  Keys of more than
-    one order, a slot that is not an integer and a slot outside range(d)
-    each raise InvalidMomentKey naming the first key at fault."""
+    (n, order) array, or 1 at order 0; no keys give an empty order-0 set.
+    Keys of more than one order, a slot that is not an integer and a slot
+    outside range(d) each raise InvalidMomentKey naming the first key at
+    fault."""
     if not len(keys):
         return MomentSet(order=0, values={})
     try:
@@ -248,7 +247,8 @@ def _moment_set(keys, d: int, values_at) -> MomentSet:
         key = tuple(key_arr[np.argmax(outside)].tolist())
         raise InvalidMomentKey(f"moment key {key} has a slot outside range({d})")
     key_arr = np.sort(key_arr.astype(np.intp, copy=False), axis=1)
-    values = dict(zip(map(tuple, key_arr.tolist()), values_at(key_arr).tolist()))
+    values = values_at(key_arr) if key_arr.shape[1] else np.ones(len(key_arr))
+    values = dict(zip(map(tuple, key_arr.tolist()), values.tolist()))
     return MomentSet(order=key_arr.shape[1], values=values)
 
 
@@ -398,27 +398,28 @@ def _moment_residual(Mm: MomentSet, Mt: MomentSet, d: int):
     Jacobian of the unweighted products in mu, and B scales column (i, a)
     by omega_i and gives omega_i the column sum_a (mu_ia / o) D[:, (i, a)]
     (Euler's identity for degree-o products).  So J^T J = B^T (D^T D) B and
-    J^T f = B^T (D^T f), with D^T D from ``omega_gram`` and D^T f from the
-    order's ``PrefixTree.adjoint``, or f for every component at order 1.
+    J^T f = B^T (D^T f), with the products, D^T f and D^T D from the
+    order's ``product_model``, or D the identity per component at order 1.
     J^T J comes as a function of no arguments, formed only when called."""
     orders = []
     for M in (Mm, Mt):
         keys = omega_keys(d, M.order)
-        tree = PrefixTree(keys) if M.order > 1 else None
-        orders.append((M.order, keys, tree, M.gather(keys)))
+        target = M.gather(keys)
+        kernel = (product_model(IncompleteSymmetricTensor._from_arrays(d, M.order, keys, target))
+                  if M.order > 1 else  # the model, adjoint and gram of the identity
+                  (lambda mu, w: (w[:, None] * mu).sum(0),
+                   lambda mu, f: np.broadcast_to(f, mu.shape), lambda mu: omega_gram(mu, 1)))
+        orders.append((M.order, target, *kernel))
 
     def residual(omega, mu):
-        return np.concatenate([
-            (omega[:, None] * component_products(mu, keys)).sum(0) - target
-            for _, keys, _, target in orders
-        ])
+        return np.concatenate([model(mu, omega) - target for _, target, model, *_ in orders])
 
     def gram(omega, mu):
         r = len(omega)
         H = np.zeros((r * (d + 1), r * (d + 1)))
         wide = np.repeat(omega, d)  # omega_i at each column (i, a)
-        for o, *_ in orders:
-            DtD = omega_gram(mu, o).reshape(r * d, r * d)
+        for o, *_, gram_o in orders:
+            DtD = gram_o(mu).reshape(r * d, r * d)
             c = mu / o
             cDtD = (c.reshape(-1, 1) * DtD).reshape(r, d, -1).sum(axis=1)  # (r, r * d)
             H[:r, :r] += (cDtD.reshape(r, r, d) * c).sum(axis=2)
@@ -431,9 +432,8 @@ def _moment_residual(Mm: MomentSet, Mt: MomentSet, d: int):
         r = len(omega)
         g = np.zeros(r * (d + 1))
         wide = np.repeat(omega, d)
-        for o, keys, tree, _ in orders:
-            f_o, f = f[: len(keys)], f[len(keys) :]
-            Dtf = tree.adjoint(mu, f_o) if tree else np.broadcast_to(f_o, (r, d))
+        for o, target, _, adjoint, _ in orders:
+            Dtf, f = adjoint(mu, f[: len(target)]), f[len(target) :]
             g[:r] += ((mu / o) * Dtf).sum(axis=1)
             g[r:] += wide * Dtf.ravel()
         return (lambda: gram(omega, mu)), g

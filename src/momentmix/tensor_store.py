@@ -13,17 +13,16 @@ tuples.
 
 Products over many keys run on one ``PrefixTree`` per key array, which
 multiplies each distinct prefix of ascending keys once and lays the keys
-out in ragged cells, one GEMM per block of prefixes:
-``decomposition.solve_scales``, reconstructions and J^H f on the
+out in ragged cells, one GEMM per block of prefixes: the scale stage and
+``decomposition.product_model``, the model of both refinements, on the
 tensor's cached ``tree``, and ``gmm``'s sample moments (a reconstruction
-per row chunk, with the samples in place of the components) and moment
-refinement on trees of their own.  J^H f at vectors whose prefix
-products a reconstruction has just formed reads them
-(``PrefixTree.adjoint_at``): the LM refinement makes one pass over the
-tree's products per point.  Its level folds are bin sums on indices
-built once per tree and row width.  The split of a Gram over the stored
-keys into a closed form and per-key terms is a cached property of the
-tensor (``gram_terms``), shared by the scale stage and the LM.
+per row chunk, the samples in place of the components) on trees of
+their own.  J^H f (``PrefixTree.adjoint_at``) reads the prefix products
+of a reconstruction at the same vectors, so a refinement makes one pass
+over the tree's products per point; its level folds are bin sums on
+indices built once per tree and row width.  The split of a Gram over the
+stored keys into a closed form and per-key terms is a cached property of
+the tensor (``gram_terms``), shared by the scale stage and the LM.
 
 The norm over a key set counts every sorted distinct-index key with its
 m! ordered-tuple multiplicity, matching the Hilbert-Schmidt convention
@@ -418,21 +417,16 @@ class PrefixTree:
         ``component_products`` over the components up to rounding."""
         return self.gemm(self.products(vectors)[-1], vectors)
 
-    def adjoint(self, vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """(r, d) J^H f, J the Jacobian of ``reconstruction``, complex or
-        real as the vectors and f are; of repeated keys, one f counts:
-        ``adjoint_at`` on the vectors' ``products``."""
-        return self.adjoint_at(self.products(vectors), f)
-
     def adjoint_at(self, prods: list[np.ndarray], f: np.ndarray) -> np.ndarray:
-        """``adjoint`` at the vectors whose ``products`` are ``prods``, so a
-        caller that has just reconstructed at them forms no product again.
-        Per block, F holding f, the last slot adds F^T conj(P_rows) and the
-        leaf adjoint is F conj(vectors.T[cols]), in block order.  Each level
-        then adds its adjoint times the parents' conjugated products into
-        its coordinates and folds it, times its coordinates' conjugated
-        rows, into the parents: both bin sums in row order from zero, on
-        bins built once per row width (``_folds``)."""
+        """(r, d) J^H f, J the Jacobian of ``reconstruction`` at the vectors
+        whose ``products`` are ``prods``, complex or real as they and f are;
+        of repeated keys, one f counts.  Per block, F holding f, the last
+        slot adds F^T conj(P_rows) and the leaf adjoint is F conj(vectors.T
+        [cols]), in block order.  Each level then adds its adjoint times the
+        parents' conjugated products into its coordinates and folds it,
+        times its coordinates' conjugated rows, into the parents: both bin
+        sums in row order from zero, on bins built once per row width
+        (``_folds``)."""
         right = prods[0].conj()  # (d, r)
         d, leaf = len(right), prods[-1].conj()
         grad = np.zeros(right.shape, dtype=np.result_type(right, f))
@@ -533,7 +527,7 @@ def perturb(
     weighted norm equals ``epsilon``.  Deterministic per seed."""
     if not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    if epsilon == 0:
+    if epsilon == 0 or not len(T.values):  # no entry, no noise
         return T.with_values(T.values)
     noise = rng_from(seed, "perturb").standard_normal(len(T.values))
     scale = epsilon / weighted_norm(noise, T.m)

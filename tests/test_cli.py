@@ -66,6 +66,26 @@ def test_params(capsys):
     assert "p=1 k=6" in out
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_rank_helpers_reject_orders_below_3(capsys, m):
+    for argv in (["maxrank", "--d", "10", "--m", str(m)],
+                 ["params", "--d", "10", "--m", str(m), "--r", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert _error_lines(err) == [f"error: order m must be at least 3, got {m}"]
+        assert "r_max" not in out and "p=" not in out
+
+
+def test_approximate_noisy_empty_tensor_reports_the_missing_entry(tmp_path, capsys):
+    tensor = tmp_path / "empty.json"
+    tensor.write_text(json.dumps({"d": 6, "m": 3, "entries": []}))
+    for noise in ([], ["--epsilon", "0.1"]):
+        code, _, err = run(capsys, "approximate", "--tensor", str(tensor), "--r", "1", *noise)
+        assert code == 3
+        assert _error_lines(err) == ["error: tensor entry missing at key (0, 1, 3)"]
+        assert "Traceback" not in err
+
+
 def test_gen_tensor_and_decompose(tmp_path, capsys):
     tensor = tmp_path / "t.json"
     comps = tmp_path / "c.json"

@@ -30,6 +30,7 @@ from momentmix.decomposition import (
     max_rank,
     max_rank_quiet,
     omega_gram,
+    product_model,
     rank_threshold,
     solve_heads,
     solve_scales,
@@ -79,6 +80,15 @@ def test_max_rank_table_values():
     assert max_rank_quiet(14, 5)[0] == 15
     assert max_rank_quiet(39, 7)[0] == 969
     assert max_rank_quiet(24, 7)[0] == 165
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_rank_helpers_reject_orders_below_3(m):
+    with pytest.raises(ValueError, match=f"order m must be at least 3, got {m}"):
+        max_rank(9, m)
+    with pytest.raises(ValueError, match=f"order m must be at least 3, got {m}"):
+        choose_params(9, m, 1)
+    assert brute_force_max_rank(9, m) == 0
 
 
 def test_max_rank_warns_below_threshold():
@@ -158,13 +168,23 @@ def test_decompose_larger():
 
 
 def test_plant_and_recover_grid():
+    # four of the rank-10, order-5 tensors have gen_cond above
+    # GEN_COND_LIMIT (3.8e6 to 6.6e7) and still recover; their warnings are
+    # recorded here, and any other warning fails
+    warned = []
     for (d, m, r) in ((6, 3, 2), (10, 4, 4), (12, 5, 10)):
         worst = 0.0
-        for seed in range(50):
-            comps, T = planted(d, m, r, seed=1000 + seed)
-            dec = decompose(T, choose_params(d - 1, m, r, seed=1000 + seed))
+        for seed in range(1000, 1050):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                comps, T = planted(d, m, r, seed=seed)
+                dec = decompose(T, choose_params(d - 1, m, r, seed=seed))
+            warned += [(d, m, r, seed, w.category, str(w.message).split(":")[0])
+                       for w in caught]
             worst = max(worst, component_error(comps, dec.components, m))
         assert worst <= 1e-6
+    assert warned == [(12, 5, 10, seed, IllConditioned, "generating-matrix designs are "
+                       "ill-conditioned") for seed in (1006, 1011, 1013, 1044)]
 
 
 def test_decomp_err_self_consistency():
@@ -702,7 +722,7 @@ def test_tree_residual_and_gradient_match_product_jacobian(m, keyset):
     # the tree's adjoint on its own, at any f
     f = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
     ref_g = (J.conj().T @ f).reshape(r, d)
-    g = T.tree.adjoint(Q, f)
+    g = T.tree.adjoint_at(T.tree.products(Q), f)
     assert np.abs(g - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
 
 
@@ -727,9 +747,9 @@ def test_approximate_builds_one_prefix_tree(monkeypatch):
 @pytest.mark.parametrize("keyset", ["omega", "repeated", "empty-groups"])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_normal_equations_reuse_the_residuals_products(m, keyset):
-    # J^H f from the products the residual formed at q is a fresh
-    # ``T.tree.adjoint`` there bit for bit, also after a residual at
-    # another point, which forms them again
+    # J^H f from the products the residual formed at q is
+    # ``T.tree.adjoint_at`` on fresh products there bit for bit, also after
+    # a residual at another point, which forms them again
     rng = np.random.default_rng(60 + m)
     d, r = 8, 3
     keys = tree_key_sets(d, m, rng)[keyset]
@@ -739,11 +759,48 @@ def test_normal_equations_reuse_the_residuals_products(m, keyset):
     q = (rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))).ravel()
     f = residual(q)
     _, g = normal_equations(q, f)
-    assert np.array_equal(g, T.tree.adjoint(q.reshape(r, d), f).ravel())
+    assert np.array_equal(g, T.tree.adjoint_at(T.tree.products(q.reshape(r, d)), f).ravel())
     other = q + 0.1
     residual(other)
     _, g_again = normal_equations(q, f)
     assert np.array_equal(g_again, g)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("keyset", ["omega", "omega-absent", "repeated", "dropped"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_product_model_matches_dense_products(m, keyset, dtype):
+    # model, adjoint and gram against the per-key products and the dense
+    # Jacobian on four key sets: all distinct keys (closed form), a tenth
+    # of them absent (closed form less their Grams), every sorted key
+    # (closed form plus the repeated-index keys' Grams) and a sparse set
+    # (the stored keys' own Gram); weighted and unweighted
+    rng = np.random.default_rng(80 + m)
+    d, r = 7, 3
+    sets = tree_key_sets(d, m, rng)
+    sets["omega-absent"] = sets["omega"][rng.random(len(sets["omega"])) < 0.9]
+    keys = sets[keyset]
+    T = IncompleteSymmetricTensor(d, m, dict.fromkeys(map(tuple, keys.tolist()), 1.0))
+    model, adjoint, gram = product_model(T)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    def close(got, want):
+        assert got.dtype == np.dtype(dtype)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    Q, other, w, f = draw((r, d)), draw((r, d)), rng.random(r) + 0.5, draw(len(keys))
+    products = component_products(Q, keys)
+    J = product_jacobian(Q, keys).reshape(len(keys), r * d)
+    close(model(Q, w), (w[:, None] * products).sum(axis=0))
+    close(model(Q), products.sum(axis=0))
+    ref = (J.conj().T @ f).reshape(r, d)
+    close(adjoint(Q, f), ref)  # on the model's kept products
+    model(other)
+    close(adjoint(Q, f), ref)  # on fresh ones
+    close(gram(Q), J.conj().T @ J)
 
 
 def test_approximate_forms_products_once_per_point(monkeypatch):

@@ -46,7 +46,7 @@ from momentmix.gmm import (
 )
 from momentmix import numerics
 from momentmix.numerics import rng_from, simplex_nlls
-from momentmix.tensor_store import component_products, omega_keys, product_jacobian
+from momentmix.tensor_store import PrefixTree, component_products, omega_keys, product_jacobian
 
 
 def match_error(model, learned):
@@ -681,6 +681,39 @@ def test_moment_normal_equations_peak_memory_below_dense_jacobian():
     assert peak < n_keys * r * (d + 1) * np.dtype(float).itemsize / 2
 
 
+def test_refine_params_forms_products_once_per_residual(monkeypatch):
+    # above order 1 each residual call makes one pass over its order's
+    # tree, D^T f reads those products, and no per-key products are formed
+    d, r = 8, 5
+    model = random_model(d, r, seed=21)
+    Mm = exact_moments(model, omega_keys(d, 4))
+    Mt = exact_moments(model, omega_keys(d, 2))
+    rng = np.random.default_rng(21)
+    w0 = model.weights + 0.05 * rng.random(r)
+    mu0 = model.means + 0.05 * rng.standard_normal((r, d))
+    calls, passes, dense = [], [], []
+    products = PrefixTree.products
+
+    def counted_products(tree, vectors):
+        passes.append(tree)
+        return products(tree, vectors)
+
+    def counted_simplex(residual, *args, **kwargs):
+        def counted(omega, mu):
+            calls.append(None)
+            return residual(omega, mu)
+        return simplex_nlls(counted, *args, **kwargs)
+
+    monkeypatch.setattr(PrefixTree, "products", counted_products)
+    monkeypatch.setattr(gmm, "simplex_nlls", counted_simplex)
+    monkeypatch.setattr(gmm, "component_products", lambda *a: dense.append(None))
+    omega, _ = refine_params(w0 / w0.sum(), mu0, Mm, Mt)
+    assert omega.stop is not None and len(calls) >= 3
+    assert len(passes) == 2 * len(calls)
+    assert len(set(passes)) == 2
+    assert dense == []
+
+
 def test_refine_params_matches_finite_difference_path():
     model = random_model(5, 2, seed=12)
     samples = sample_gmm(model, 3000, seed=12)
@@ -695,6 +728,15 @@ def test_refine_params_matches_finite_difference_path():
     w, mu = refine_params(w0, mu0, Mm, Mt)
     assert np.abs(w - w_fd).max() <= 1e-6
     assert np.abs(mu - mu_fd).max() <= 1e-6
+
+
+def test_order_zero_moments_are_one():
+    model = random_model(4, 2, seed=6)
+    samples = sample_gmm(model, 50, seed=6)
+    for moments in (exact_moments(model, omega_keys(4, 0)),
+                    sample_moments(samples, omega_keys(4, 0))):
+        assert moments.order == 0
+        assert moments.values == {(): 1.0}
 
 
 @pytest.mark.parametrize("order", [1, 3])

@@ -188,6 +188,12 @@ def test_perturb():
             perturb(T, bad, 3)
 
 
+def test_perturb_without_entries_adds_no_noise():
+    T = IncompleteSymmetricTensor(6, 3, {})
+    Th = perturb(T, 0.1, 3)
+    assert Th.key_array.shape == (0, 3) and Th.values.shape == (0,)
+
+
 def test_json_round_trip():
     comps = np.random.default_rng(2).standard_normal((2, 5))
     T = from_components(comps, 3, omega_keys(5, 3))
@@ -598,7 +604,7 @@ def test_adjoint_at_the_products_is_a_fresh_adjoint(dtype):
             vectors += 1j * rng.standard_normal((3, d))
             f += 1j * rng.standard_normal(n)
         prods = tree.products(vectors)
-        fresh = tree.adjoint(vectors, f)
+        fresh = tree.adjoint_at(tree.products(vectors), f)
         assert fresh.dtype == np.dtype(dtype), name
         assert np.array_equal(tree.adjoint_at(prods, f), fresh), name
         # twice on the same products: they are read, not written
@@ -659,7 +665,7 @@ def test_prefix_tree_property(case, r, seed):
     err = np.abs(tree.reconstruction(vectors) - products.sum(axis=0))
     assert np.all(err <= 1e-13 * np.abs(products).sum(axis=0))
     J = product_jacobian(vectors, keys).reshape(len(keys), r * d)
-    err = np.abs(tree.adjoint(vectors, f) - (f @ J.conj()).reshape(r, d))
+    err = np.abs(tree.adjoint_at(tree.products(vectors), f) - (f @ J.conj()).reshape(r, d))
     assert np.all(err <= 1e-13 * (np.abs(f) @ np.abs(J)).reshape(r, d))
     leaf = tree.products(vectors)[-1]
     F = np.zeros((len(leaf), d), dtype=complex)
